@@ -5,6 +5,7 @@ capture) so a plain pytest run shows the gate status at a glance. Stated
 tolerances live next to their assertions.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -281,15 +282,29 @@ def test_criterion_7_battery_runtimes(capsys):
 
 # -------------------------------------------------------------- criterion 8
 
+# SHA-256 of the canonical seed-42 outputs. A change to any of them must be
+# explained: name its cause and show the rendered summary is unchanged.
+GOLDEN_DIGESTS = {
+    "results.json": "d72b2af9e5b3e14e4157f43242dfe00319ffb00752712f196d7a896c341774e3",
+    "trials.csv": "5cdf8e16f281cbddd52bfa23cb03e042c2ee32c49186f8e2cf4a7a762b5158be",
+    "stdout": "3930899290739716e8cbfe68077d9dd2c7f685186d647e9ccd62a28080b0aecf",
+}
+
+
 def test_criterion_8_byte_identical_results(capsys, tmp_path):
-    with criterion(capsys, 8, "seed-42 run reproduces results.json byte for byte"):
+    with criterion(capsys, 8, "seed-42 run reproduces the golden digests byte for byte"):
         args = ["run", "--seed", "42", "--trials", "10", "--env", "all"]
-        assert main([*args, "--out-dir", str(tmp_path / "a")]) == 0
-        assert main([*args, "--out-dir", str(tmp_path / "b")]) == 0
-        first = (tmp_path / "a" / "results.json").read_bytes()
-        second = (tmp_path / "b" / "results.json").read_bytes()
-        assert first == second
-        json.loads(first)  # and it parses
+        runs = []
+        for name in ("a", "b"):
+            assert main([*args, "--out-dir", str(tmp_path / name)]) == 0
+            outputs = {f: (tmp_path / name / f).read_bytes()
+                       for f in ("results.json", "trials.csv")}
+            outputs["stdout"] = capsys.readouterr().out.encode()
+            digests = {k: hashlib.sha256(v).hexdigest() for k, v in outputs.items()}
+            assert digests == GOLDEN_DIGESTS, name
+            runs.append(outputs)
+        assert runs[0] == runs[1]
+        json.loads(runs[0]["results.json"])  # and it parses
 
 
 # -------------------------------------------------------------- criterion 9
