@@ -15,28 +15,17 @@ statistics are invariant to whatever this prints. Run from the repo root:
 
 from dataclasses import replace
 
-from irribot.fieldsim import BatteryModel, PumpModel, build_environment
-from irribot.kinematics import ArmGeometry, CalibrationState
-from irribot.leveling import PlatformPlant, tune_leveling
-from irribot.mission import TrialParams, run_until_depleted
+from irribot.config import default_config, environment_for, gains_for, resolve_params
+from irribot.mission import run_until_depleted
 
 SEED = 42
-
-CAL = CalibrationState(s=0.1, u0=2000.0, v0=1500.0, delta_x=150.0, delta_y=0.0,
-                       z_const=150.0)
-GEOM = ArmGeometry(l1=120.0, l2=160.0, theta_offset=15.0)
-PUMPS = {
-    "standard_greenhouse": PumpModel(30.0, 0.05, 20.0, 0.952),
-    "hilly_terrain": PumpModel(30.0, 0.08, 20.0, 0.926),
-    "complex_lighting": PumpModel(30.0, 0.07, 20.0, 0.935),
-}
+CFG = default_config()
 
 
-def runtime_minutes(env_name, battery, speed, gains):
-    env = build_environment(env_name)
-    params = TrialParams(cal=CAL, geom=GEOM, gains=gains, pump=PUMPS[env_name],
-                         battery=battery, drive_speed_mm_s=speed)
-    minutes, _ = run_until_depleted(env, params, SEED)
+def runtime_minutes(env_name, battery, speed, gains, seed=SEED):
+    params = replace(resolve_params(CFG, env_name, gains),
+                     battery=battery, drive_speed_mm_s=speed)
+    minutes, _ = run_until_depleted(environment_for(CFG, env_name), params, seed)
     return minutes
 
 
@@ -56,8 +45,8 @@ def bisect(lo, hi, target_min, evaluate, *, increasing, tol=0.02, iters=40):
 
 
 def main():
-    gains, _, _ = tune_leveling(PlatformPlant(), integral_authority=8.0)
-    battery = BatteryModel()
+    gains = gains_for(CFG)
+    battery = CFG.battery
     speeds = {"standard_greenhouse": 300.0, "hilly_terrain": 300.0,
               "complex_lighting": 200.0}
 
@@ -89,10 +78,8 @@ def main():
 
     print("\nverification at nearby seeds:")
     for name in ("standard_greenhouse", "hilly_terrain", "complex_lighting"):
-        env = build_environment(name)
-        params = TrialParams(cal=CAL, geom=GEOM, gains=gains, pump=PUMPS[name],
-                             battery=battery, drive_speed_mm_s=speeds[name])
-        runs = [run_until_depleted(env, params, s)[0] for s in (SEED, SEED + 1, SEED + 2)]
+        runs = [runtime_minutes(name, battery, speeds[name], gains, s)
+                for s in (SEED, SEED + 1, SEED + 2)]
         print(f"  {name:22s} " + "  ".join(f"{m:6.2f}" for m in runs) + " min")
 
     print("\nfrozen battery model:")

@@ -1,10 +1,11 @@
 """Run configuration: defaults, YAML overrides, validation.
 
-A RunConfig is a tree of frozen dataclasses. YAML files override any subset
+A RunConfig is a tree of frozen dataclasses; the battery and calibration
+sections are the model dataclasses themselves. YAML files override any subset
 of fields; unknown keys fail loudly with their full path rather than being
 ignored, since a typo that silently reverts to a default is the worst kind
-of configuration bug. `resolve_params` turns the tree plus an environment
-name into the flat TrialParams the mission consumes.
+of configuration bug. `resolve_params` picks the sections one environment's
+trials need into the TrialParams the mission consumes.
 """
 
 from __future__ import annotations
@@ -15,16 +16,15 @@ from dataclasses import dataclass, field, fields, is_dataclass
 import yaml
 
 from irribot.fieldsim import (
+    _ENV_TABLE,
     ENV_NAMES,
     BatteryModel,
     DetectorProfile,
     PumpModel,
     build_environment,
-    builtin_profile,
 )
 from irribot.kinematics import ArmGeometry, CalibrationState
 from irribot.leveling import PidGains, PlatformPlant, tune_leveling
-from irribot.mission import TrialParams
 
 
 class ConfigError(ValueError):
@@ -48,20 +48,6 @@ class ArmConfig:
 
     def __post_init__(self):
         _require(self.l1 > 0 and self.l2 > 0, "arm link lengths must be positive")
-
-
-@dataclass(frozen=True)
-class CalibrationConfig:
-    s: float = 0.1  # mm per pixel
-    u0: float = 2000.0
-    v0: float = 1500.0
-    delta_x: float = 150.0  # mm, camera axis ahead of the arm base
-    delta_y: float = 0.0
-    z_const: float = 150.0  # mm, fixed working height
-
-    def __post_init__(self):
-        _require(self.s > 0, "pixel scale must be positive")
-        _require(self.z_const > 0, "working height must be positive")
 
 
 @dataclass(frozen=True)
@@ -99,10 +85,11 @@ class LevelingConfig:
         if not any(manual):
             _require(self.kp > 0 and self.ki >= 0 and self.kd >= 0,
                      "manual gains must be positive (kp) and non-negative (ki, kd)")
-        _require(self.filter_window >= 1, "filter_window must be at least 1")
+        _require(isinstance(self.filter_window, int) and self.filter_window >= 1,
+                 "filter_window must be an integer of at least 1")
         _require(self.noise_std >= 0 and self.drift_rate >= 0,
                  "noise and drift rates must be non-negative")
-        _require(0 <= self.shielding_factor <= 1, "shielding_factor must be in [0, 1]")
+        _require(0 <= self.shielding_factor < 1, "shielding_factor must be in [0, 1)")
         _require(self.reset_threshold > 0, "reset_threshold must be positive")
         _require(self.level_band > 0, "level_band must be positive")
         _require(self.episode_tick > 0 and self.episode_window > self.episode_tick,
@@ -129,25 +116,6 @@ class PumpConfig:
         _require(self.flow_rate > 0, "flow_rate must be positive")
         _require(self.spray_radius > 0, "spray_radius must be positive")
         _require(self.target_volume > 0, "target_volume must be positive")
-
-
-@dataclass(frozen=True)
-class BatteryConfig:
-    capacity_mah: float = 2400.0
-    voltage_full: float = 12.6
-    voltage_cutoff: float = 11.1
-    drive_ma: float = 10824.0
-    leveling_ma: float = 3416.0
-    arm_ma: float = 1100.0
-    pump_ma: float = 1400.0
-    compute_ma: float = 900.0
-
-    def __post_init__(self):
-        _require(self.capacity_mah > 0, "capacity must be positive")
-        _require(self.voltage_full > self.voltage_cutoff > 0,
-                 "voltage_full must exceed voltage_cutoff")
-        for name in ("drive_ma", "leveling_ma", "arm_ma", "pump_ma", "compute_ma"):
-            _require(getattr(self, name) >= 0, f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -198,24 +166,18 @@ class EnvTuning:
         _require(self.center_noise_px >= 0, "center_noise_px must be non-negative")
 
 
-_ENV_OPERATING_POINTS = {
-    "standard_greenhouse": (0.05, 0.952, 300.0),
-    "hilly_terrain": (0.08, 0.926, 300.0),
-    "complex_lighting": (0.07, 0.935, 241.0),
-}
-
-
-def _default_env_tuning():
-    out = {}
-    for name, (overshoot, spray_eff, speed) in _ENV_OPERATING_POINTS.items():
-        profile = builtin_profile(name)
-        out[name] = EnvTuning(
-            overshoot, spray_eff, speed,
-            accuracy=profile.accuracy, fp_rate=profile.fp_rate,
-            inference_time_ms=profile.inference_time_ms,
-            center_noise_px=profile.center_noise_px,
+def _default_environments():
+    return {
+        name: EnvTuning(
+            row["dispense_overshoot"], row["spray_efficiency"], row["drive_speed"],
+            **dataclasses.asdict(row["profile"]),
         )
-    return out
+        for name, row in _ENV_TABLE.items()
+    }
+
+
+def _default_calibration():
+    return CalibrationState(s=0.1, u0=2000.0, v0=1500.0, delta_x=150.0)
 
 
 @dataclass(frozen=True)
@@ -225,21 +187,22 @@ class RunConfig:
     env: str = "all"
     pot_count: int = 20
     arm: ArmConfig = field(default_factory=ArmConfig)
-    calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
+    calibration: CalibrationState = field(default_factory=_default_calibration)
     plant: PlantConfig = field(default_factory=PlantConfig)
     leveling: LevelingConfig = field(default_factory=LevelingConfig)
     detection: DetectionConfig = field(default_factory=DetectionConfig)
     pump: PumpConfig = field(default_factory=PumpConfig)
-    battery: BatteryConfig = field(default_factory=BatteryConfig)
+    battery: BatteryModel = field(default_factory=BatteryModel)
     timing: TimingConfig = field(default_factory=TimingConfig)
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
-    environments: dict = field(default_factory=_default_env_tuning)
+    environments: dict = field(default_factory=_default_environments)
 
     def __post_init__(self):
         _require(self.trials >= 1, "trials must be at least 1")
         _require(self.pot_count >= 1, "pot_count must be at least 1")
         _require(self.env == "all" or self.env in ENV_NAMES,
                  f"env must be 'all' or one of {', '.join(ENV_NAMES)}")
+        _require(self.calibration.z_const > 0, "calibration.z_const must be positive")
         for name in self.environments:
             _require(name in ENV_NAMES, f"unknown environment key {name!r}")
         for name in ENV_NAMES:
@@ -257,96 +220,34 @@ def default_config():
 # YAML plumbing
 
 
-def _build(cls, data, path):
+def _overlay(base, data, path=""):
+    """Apply a parsed YAML mapping onto a dataclass or a dict of dataclasses.
+
+    Keys that name a nested section recurse; every other key replaces the
+    value outright. Unknown keys fail with their full path, and a value the
+    section rejects fails as a ConfigError naming the section.
+    """
+    where = path or "top level"
     if not isinstance(data, dict):
-        raise ConfigError(f"{path or 'top level'} must be a mapping, got {type(data).__name__}")
-    known = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(data) - set(known))
+        raise ConfigError(f"{where} must be a mapping, got {type(data).__name__}")
+    current = base
+    if is_dataclass(base):
+        current = {f.name: getattr(base, f.name) for f in fields(base)}
+    unknown = sorted(set(data) - set(current))
     if unknown:
-        where = f"{path}." if path else ""
-        raise ConfigError(f"unknown key {where}{unknown[0]!r}")
-    kwargs = {}
-    for name, value in data.items():
-        f = known[name]
-        child = f"{path}.{name}" if path else name
-        if isinstance(f.type, str) and f.type in _SECTION_TYPES:
-            kwargs[name] = _build(_SECTION_TYPES[f.type], value, child)
-        else:
-            kwargs[name] = value
+        raise ConfigError(f"unknown key {path + '.' if path else ''}{unknown[0]!r}")
+    changes = {}
+    for key, value in data.items():
+        child = current[key]
+        if is_dataclass(child) or isinstance(child, dict):
+            value = _overlay(child, value, f"{path}.{key}" if path else key)
+        changes[key] = value
+    if not is_dataclass(base):
+        return {**base, **changes}
     try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad section {path or 'top level'}: {exc}") from None
-
-
-_SECTION_TYPES = {
-    "ArmConfig": ArmConfig,
-    "CalibrationConfig": CalibrationConfig,
-    "PlantConfig": PlantConfig,
-    "LevelingConfig": LevelingConfig,
-    "DetectionConfig": DetectionConfig,
-    "PumpConfig": PumpConfig,
-    "BatteryConfig": BatteryConfig,
-    "TimingConfig": TimingConfig,
-    "ScoringConfig": ScoringConfig,
-}
-
-
-def _build_envs(data, path):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path} must be a mapping of environment names")
-    merged = dict(_default_env_tuning())
-    for name, body in data.items():
-        if name not in merged:
-            raise ConfigError(f"unknown key {path}.{name!r}")
-        if not isinstance(body, dict):
-            raise ConfigError(f"{path}.{name} must be a mapping")
-        base = dataclasses.asdict(merged[name])
-        unknown = sorted(set(body) - set(base))
-        if unknown:
-            raise ConfigError(f"unknown key {path}.{name}.{unknown[0]!r}")
-        base.update(body)
-        merged[name] = EnvTuning(**base)
-    return merged
-
-
-def _merge_into_defaults(data):
-    """Overlay a parsed YAML mapping onto the default tree."""
-    if data is None:
-        return default_config()
-    if not isinstance(data, dict):
-        raise ConfigError("config file must contain a mapping at the top level")
-    base = {}
-    for f in fields(RunConfig):
-        if f.name in data:
-            base[f.name] = data[f.name]
-    # route nested sections through their dataclasses, scalars straight in
-    kwargs = {}
-    for name, value in base.items():
-        if name == "environments":
-            kwargs[name] = _build_envs(value, "environments")
-        elif name in ("seed", "trials", "env", "pot_count"):
-            kwargs[name] = value
-        else:
-            kwargs[name] = _build(_SECTION_TYPES[type_name_for(name)], value, name)
-    unknown = sorted(set(data) - {f.name for f in fields(RunConfig)})
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r}")
-    return RunConfig(**kwargs)
-
-
-def type_name_for(section):
-    return {
-        "arm": "ArmConfig",
-        "calibration": "CalibrationConfig",
-        "plant": "PlantConfig",
-        "leveling": "LevelingConfig",
-        "detection": "DetectionConfig",
-        "pump": "PumpConfig",
-        "battery": "BatteryConfig",
-        "timing": "TimingConfig",
-        "scoring": "ScoringConfig",
-    }[section]
+        return dataclasses.replace(base, **changes)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value in {where}: {exc}") from None
 
 
 def load_config(path):
@@ -356,7 +257,7 @@ def load_config(path):
             data = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigParseError(f"could not parse {path}: {exc}") from None
-    return _merge_into_defaults(data)
+    return _overlay(default_config(), {} if data is None else data)
 
 
 def as_dict(cfg):
@@ -377,50 +278,14 @@ def dump_config(cfg):
 
 
 # --------------------------------------------------------------------------
-# bridges into the models
-
-
-def arm_geometry(cfg):
-    return ArmGeometry(cfg.arm.l1, cfg.arm.l2, cfg.arm.theta_offset)
-
-
-def calibration_state(cfg):
-    c = cfg.calibration
-    return CalibrationState(s=c.s, u0=c.u0, v0=c.v0, delta_x=c.delta_x,
-                            delta_y=c.delta_y, z_const=c.z_const)
-
-
-def platform_plant(cfg):
-    return PlatformPlant(cfg.plant.max_rate, cfg.plant.delay, cfg.plant.tau)
-
-
-def battery_model(cfg):
-    b = cfg.battery
-    return BatteryModel(
-        capacity_mah=b.capacity_mah, voltage_full=b.voltage_full,
-        voltage_cutoff=b.voltage_cutoff, drive_ma=b.drive_ma,
-        leveling_ma=b.leveling_ma, arm_ma=b.arm_ma, pump_ma=b.pump_ma,
-        compute_ma=b.compute_ma,
-    )
-
-
-def pump_model(cfg, env_name):
-    tuning = cfg.environments[env_name]
-    return PumpModel(
-        flow_rate=cfg.pump.flow_rate,
-        dispense_overshoot=tuning.dispense_overshoot,
-        spray_radius=cfg.pump.spray_radius,
-        spray_efficiency=tuning.spray_efficiency,
-    )
+# into the models
 
 
 def tuned_gains(cfg):
     """Auto-tune the leveling loop for the configured platform."""
-    gains, ku, tu = tune_leveling(
-        platform_plant(cfg), rule=cfg.leveling.rule,
-        integral_authority=cfg.leveling.integral_authority,
-    )
-    return gains, ku, tu
+    plant = PlatformPlant(cfg.plant.max_rate, cfg.plant.delay, cfg.plant.tau)
+    return tune_leveling(plant, rule=cfg.leveling.rule,
+                         integral_authority=cfg.leveling.integral_authority)
 
 
 def gains_for(cfg):
@@ -442,38 +307,46 @@ def environment_for(cfg, name):
     return dataclasses.replace(env, detector_profile=profile)
 
 
+@dataclass(frozen=True)
+class TrialParams:
+    """Everything a single trial needs: config sections plus the arm, pump
+    and gains resolved for one environment."""
+
+    cal: CalibrationState
+    geom: ArmGeometry
+    gains: PidGains
+    pump: PumpModel
+    battery: BatteryModel
+    plant: PlantConfig
+    leveling: LevelingConfig
+    detection: DetectionConfig
+    timing: TimingConfig
+    scoring: ScoringConfig
+    target_volume_ml: float
+    drive_speed_mm_s: float
+
+
 def resolve_params(cfg, env_name, gains=None):
-    """Flatten the config tree into the mission's TrialParams."""
+    """Resolve the config tree for one environment into TrialParams."""
     if gains is None:
         gains = gains_for(cfg)
     tuning = cfg.environments[env_name]
-    lv, tm, sc = cfg.leveling, cfg.timing, cfg.scoring
     return TrialParams(
-        cal=calibration_state(cfg),
-        geom=arm_geometry(cfg),
+        cal=cfg.calibration,
+        geom=ArmGeometry(cfg.arm.l1, cfg.arm.l2, cfg.arm.theta_offset),
         gains=gains,
-        pump=pump_model(cfg, env_name),
-        battery=battery_model(cfg),
-        plant_max_rate=cfg.plant.max_rate,
-        plant_delay=cfg.plant.delay,
-        plant_tau=cfg.plant.tau,
+        pump=PumpModel(
+            flow_rate=cfg.pump.flow_rate,
+            dispense_overshoot=tuning.dispense_overshoot,
+            spray_radius=cfg.pump.spray_radius,
+            spray_efficiency=tuning.spray_efficiency,
+        ),
+        battery=cfg.battery,
+        plant=cfg.plant,
+        leveling=cfg.leveling,
+        detection=cfg.detection,
+        timing=cfg.timing,
+        scoring=cfg.scoring,
         target_volume_ml=cfg.pump.target_volume,
-        flood_efficiency=sc.flood_efficiency,
-        imu_noise_std=lv.noise_std,
-        drift_rate=lv.drift_rate,
-        drift_shielded=lv.shielded,
-        shielding_factor=lv.shielding_factor,
-        reset_threshold=lv.reset_threshold,
-        sigma_mech_mm=sc.sigma_mech,
-        tilt_lever_mm=sc.tilt_lever,
-        match_gate_mm=sc.match_gate,
-        level_band_deg=lv.level_band,
-        conf_threshold=cfg.detection.conf_threshold,
-        iou_threshold=cfg.detection.iou_threshold,
-        sense_settle_s=tm.sense_settle,
-        arm_move_s=tm.arm_move,
         drive_speed_mm_s=tuning.drive_speed,
-        mission_tick_s=tm.mission_tick,
-        leveling_window_s=lv.episode_window,
-        leveling_tick_s=lv.episode_tick,
     )

@@ -1,18 +1,16 @@
 """Seeded models of everything physical in the field.
 
-Environments (terrain slope, lighting), pot layouts, a stochastic detector
-standing in for the onboard vision model, IMU readings with drift bias, pump
-dispensing with exact spray-disk/pot-opening overlap, and a linear-voltage
-battery budget. Every stochastic draw flows from an injected generator; the
-module holds no global randomness.
+Environments (terrain slope, detector profile, dispense and drive operating
+point), pot layouts, a stochastic detector standing in for the onboard vision
+model, pump dispensing with exact spray-disk/pot-opening overlap, and a
+linear-voltage battery budget. Every stochastic draw flows from an injected
+generator; the module holds no global randomness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from irribot.detect import CIRCULAR, RECTANGULAR, BBox, Detection
 from irribot.kinematics import ArmTarget, arm_to_pixel
@@ -197,62 +195,57 @@ def realize_layout(spec, rng):
 class Environment:
     name: str
     slope: float  # degrees
-    lux_range: tuple
     detector_profile: DetectorProfile
     layout: LayoutSpec
 
     def __post_init__(self):
         if self.slope < 0:
             raise ValueError("slope must be non-negative")
-        lo, hi = self.lux_range
-        if not 0 < lo < hi:
-            raise ValueError("lux bounds must be positive and ordered")
 
 
+# Per environment: terrain, detector profile, layout recipe, and the
+# operating point of the pump (overshoot, spray efficiency) and the chassis
+# (drive speed, mm/s).
 _ENV_TABLE = {
     ENV_STANDARD: dict(
         slope=0.0,
-        lux_range=(15000.0, 25000.0),
         profile=DetectorProfile(0.987, 0.012, 32.0, center_noise_px=11.0),
         layout=LayoutSpec(kind="grid", spacing=600.0, shape=CIRCULAR, width=100.0, height=100.0),
+        dispense_overshoot=0.05,
+        spray_efficiency=0.952,
+        drive_speed=300.0,
     ),
     ENV_HILLY: dict(
         slope=10.0,
-        lux_range=(20000.0, 60000.0),
         profile=DetectorProfile(0.975, 0.021, 35.0, center_noise_px=26.0),
         layout=LayoutSpec(kind="grid", spacing=600.0, shape=RECTANGULAR, width=120.0, height=80.0),
+        dispense_overshoot=0.08,
+        spray_efficiency=0.926,
+        drive_speed=300.0,
     ),
     ENV_COMPLEX: dict(
         slope=0.0,
-        lux_range=(200.0, 90000.0),
         profile=DetectorProfile(0.960, 0.035, 38.0, center_noise_px=33.0),
         layout=LayoutSpec(kind="random", nn_range=(400.0, 800.0), shape=CIRCULAR,
                           width=100.0, height=100.0),
+        dispense_overshoot=0.07,
+        spray_efficiency=0.935,
+        drive_speed=241.0,
     ),
 }
 
 
-def builtin_profile(name):
-    """The canonical detector profile measured for one environment."""
-    return _env_row(name)["profile"]
-
-
-def _env_row(name):
+def build_environment(name, pot_count=20):
+    """Standard test environments with their detector profiles and layouts."""
     try:
-        return _ENV_TABLE[name]
+        row = _ENV_TABLE[name]
     except KeyError:
         raise ValueError(
             f"unknown environment {name!r}; expected one of {', '.join(ENV_NAMES)}"
         ) from None
-
-
-def build_environment(name, pot_count=20):
-    """Standard test environments with their detector profiles and layouts."""
-    row = _env_row(name)
     return Environment(
         name=name,
         slope=row["slope"],
-        lux_range=row["lux_range"],
         detector_profile=row["profile"],
         layout=replace(row["layout"], count=pot_count),
     )
@@ -312,19 +305,6 @@ def _spurious_detection(pots, rng, cal, frame_w, frame_h, keepout_px=1200.0, att
                 BBox(cu - w / 2, cv - h / 2, cu + w / 2, cv + h / 2), cls, conf
             )
     return None
-
-
-# --------------------------------------------------------------------------
-# IMU
-
-
-def simulate_imu(true_tilt, t, noise_sigma, drift, rng):
-    """One raw reading: truth plus gaussian noise plus the accumulated bias."""
-    from irribot.leveling import ImuSample
-
-    noise = rng.normal(0.0, noise_sigma) if noise_sigma > 0 else 0.0
-    bias = drift.cumulative_error if drift is not None else 0.0
-    return ImuSample(t=t, alpha_raw=true_tilt + noise + bias)
 
 
 # --------------------------------------------------------------------------
@@ -462,8 +442,8 @@ class BatteryModel:
     def __post_init__(self):
         if self.capacity_mah <= 0:
             raise ValueError("capacity must be positive")
-        if self.voltage_cutoff >= self.voltage_full:
-            raise ValueError("cutoff must be below full voltage")
+        if not self.voltage_full > self.voltage_cutoff > 0:
+            raise ValueError("voltage_full must exceed voltage_cutoff, which must be positive")
         for name in ("drive_ma", "leveling_ma", "arm_ma", "pump_ma", "compute_ma"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} cannot be negative")

@@ -8,10 +8,9 @@ lead-screw platform models the loop is tuned against.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -135,10 +134,6 @@ def ziegler_nichols(ku, tu, rule="classic"):
     return PidGains(kp=kp, ki=kp / (ti_frac * tu), kd=kp * (td_frac * tu))
 
 
-def ziegler_nichols_classic(ku, tu):
-    return ziegler_nichols(ku, tu, "classic")
-
-
 # --------------------------------------------------------------------------
 # drift
 
@@ -219,25 +214,6 @@ class DelayedIntegratorPlant:
         return self.tilt
 
 
-class FirstOrderLagPlant:
-    """Stable first-order lag tilt' = (k*u - tilt)/tau; cannot self-oscillate."""
-
-    def __init__(self, gain=1.0, tau=0.1):
-        if gain <= 0 or tau <= 0:
-            raise ValueError("gain and tau must be positive")
-        self.gain = gain
-        self.tau = tau
-        self.tilt = 0.0
-
-    def reset(self, tilt=0.0):
-        self.tilt = tilt
-
-    def step(self, u, dt):
-        target = self.gain * u
-        self.tilt = target + (self.tilt - target) * math.exp(-dt / self.tau)
-        return self.tilt
-
-
 class PlatformPlant:
     """Lead-screw pitch platform: rate command through a transport delay and a
     first-order actuator lag, rate-saturated, then integrated into tilt.
@@ -254,7 +230,6 @@ class PlatformPlant:
         self.tau = tau  # s
         self.tilt = 0.0
         self.last_saturated = False
-        self.saturated_steps = 0
         self._rate = 0.0
         self._queue = None
 
@@ -263,7 +238,6 @@ class PlatformPlant:
         self._rate = 0.0
         self._queue = None
         self.last_saturated = False
-        self.saturated_steps = 0
 
     def step(self, u, dt):
         if self._queue is None:
@@ -275,7 +249,6 @@ class PlatformPlant:
         rate = min(max(self._rate, -self.max_rate), self.max_rate)
         self.last_saturated = rate != self._rate
         if self.last_saturated:
-            self.saturated_steps += 1
             self._rate = rate  # the screw cannot store speed it never reached
         self.tilt += rate * dt
         return self.tilt
@@ -457,21 +430,6 @@ class LevelingTrace:
     def max_estimation_error(self):
         """Worst absolute gap between the filtered reading and the true tilt."""
         return float(np.max(np.abs(self.alpha_filtered - self.tilt)))
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "alpha_raw", "alpha_filtered", "u", "recalibrated"])
-            for i in range(len(self.t)):
-                writer.writerow(
-                    [
-                        f"{self.t[i]:.6f}",
-                        f"{self.alpha_raw[i]:.9f}",
-                        f"{self.alpha_filtered[i]:.9f}",
-                        f"{self.u[i]:.9f}",
-                        int(self.recalibrated[i]),
-                    ]
-                )
 
 
 class LevelingController:

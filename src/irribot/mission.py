@@ -10,14 +10,12 @@ system's field-results table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from irribot.detect import GeometryBands, enhanced_detection
 from irribot.fieldsim import (
-    BatteryModel,
-    PumpModel,
     battery_step,
     dispense,
     fresh_battery,
@@ -25,9 +23,7 @@ from irribot.fieldsim import (
     simulate_detection,
 )
 from irribot.kinematics import (
-    ArmGeometry,
     ArmTarget,
-    CalibrationState,
     SingularBase,
     UnreachableTarget,
     inverse_kinematics,
@@ -35,7 +31,6 @@ from irribot.kinematics import (
 )
 from irribot.leveling import (
     DriftMonitor,
-    PidGains,
     PlatformPlant,
     drift_update,
     run_leveling_episode,
@@ -63,39 +58,6 @@ CAUSE_UNDETECTED = "Undetected"
 CAUSE_UNREACHABLE = "Unreachable"
 
 
-@dataclass(frozen=True)
-class TrialParams:
-    """Everything a single trial needs, resolved to concrete model values."""
-
-    cal: CalibrationState
-    geom: ArmGeometry
-    gains: PidGains
-    pump: PumpModel
-    battery: BatteryModel
-    plant_max_rate: float = 8.0  # degrees/s
-    plant_delay: float = 0.05  # s
-    plant_tau: float = 0.15  # s
-    target_volume_ml: float = 100.0
-    flood_efficiency: float = 0.6  # baseline efficiency savings are measured against
-    imu_noise_std: float = 0.05  # degrees
-    drift_rate: float = 0.0015  # degrees/s
-    drift_shielded: bool = True
-    shielding_factor: float = 0.6
-    reset_threshold: float = 5.0  # degrees
-    sigma_mech_mm: float = 4.0  # per-axis actuation jitter
-    tilt_lever_mm: float = 150.0  # nozzle height; residual tilt shifts impact
-    match_gate_mm: float = 100.0  # detection-to-pot association gate
-    level_band_deg: float = 0.5
-    conf_threshold: float = 0.5
-    iou_threshold: float = 0.3
-    sense_settle_s: float = 0.5
-    arm_move_s: float = 1.5
-    drive_speed_mm_s: float = 300.0
-    mission_tick_s: float = 0.05
-    leveling_window_s: float = 4.0
-    leveling_tick_s: float = 0.01
-
-
 @dataclass
 class IrrigationRecord:
     pot_id: int
@@ -108,8 +70,6 @@ class IrrigationRecord:
     leveling_time: float | None = None  # s
     leveling_sse: float | None = None  # degrees
     cause: str | None = None
-    t_start: float = 0.0
-    t_end: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -133,11 +93,12 @@ class MissionWorld:
         self.rng = rng
         self.loop = loop  # endurance mode: wrap to pot 0 instead of finishing
         self.bands = GeometryBands()
+        lv = params.leveling
         self.monitor = DriftMonitor(
-            drift_rate=params.drift_rate,
-            shielded=params.drift_shielded,
-            shielding_factor=params.shielding_factor,
-            reset_threshold=params.reset_threshold,
+            drift_rate=lv.drift_rate,
+            shielded=lv.shielded,
+            shielding_factor=lv.shielding_factor,
+            reset_threshold=lv.reset_threshold,
         )
         self.tilt = float(env.slope)
         self.records = [IrrigationRecord(pot_id=p.pot_id) for p in layout.pots]
@@ -232,7 +193,7 @@ def _pot(world, index):
 def _enter_sensing(state, world, *, retried=False):
     p = world.params
     profile = world.env.detector_profile
-    duration = p.sense_settle_s + profile.inference_time_ms / 1000.0
+    duration = p.timing.sense_settle + profile.inference_time_ms / 1000.0
     return _transition(state, world, SENSING, phase_left=duration, retried=retried)
 
 
@@ -262,11 +223,12 @@ def _finish_sensing(state, world):
     ]
     raw = simulate_detection(in_view, world.env.detector_profile, world.rng, p.cal)
     dets = enhanced_detection(
-        raw, world.bands, conf_threshold=p.conf_threshold, iou_threshold=p.iou_threshold
+        raw, world.bands, conf_threshold=p.detection.conf_threshold,
+        iou_threshold=p.detection.iou_threshold,
     )
     plan = plan_pot_service(
         dets, world.layout, p.cal, p.geom,
-        station=(pot.x, pot.y), match_gate_mm=p.match_gate_mm,
+        station=(pot.x, pot.y), match_gate_mm=p.scoring.match_gate,
     )
     world.det_count += len(plan)
     world.fp_count += sum(1 for item in plan if item.matched_pot is None)
@@ -282,21 +244,23 @@ def _finish_sensing(state, world):
             return _enter_sensing(state, world, retried=True)
         return _enter_advancing(state, world, cause=CAUSE_UNDETECTED)
     world.current_target = target
-    if abs(world.tilt) > p.level_band_deg:
+    if abs(world.tilt) > p.leveling.level_band:
         return _enter_leveling(state, world)
-    return _transition(state, world, POSITIONING, phase_left=p.arm_move_s)
+    return _transition(state, world, POSITIONING, phase_left=p.timing.arm_move)
 
 
 def _enter_leveling(state, world):
     p = world.params
-    plant = PlatformPlant(p.plant_max_rate, p.plant_delay, p.plant_tau)
+    lv = p.leveling
+    plant = PlatformPlant(p.plant.max_rate, p.plant.delay, p.plant.tau)
     trace = run_leveling_episode(
-        plant, p.gains, world.tilt, p.leveling_window_s, p.leveling_tick_s,
-        noise_std=p.imu_noise_std, drift=world.monitor, rng=world.rng,
+        plant, p.gains, world.tilt, lv.episode_window, lv.episode_tick,
+        window=lv.filter_window, noise_std=lv.noise_std, drift=world.monitor,
+        rng=world.rng,
     )
     settle = trace.response_time
     if settle is None or settle == 0.0:
-        settle = p.leveling_window_s
+        settle = lv.episode_window
     rec = world.record(state.pot_index)
     rec.leveling_time = float(settle)
     rec.leveling_sse = trace.steady_state_error
@@ -305,7 +269,7 @@ def _enter_leveling(state, world):
 
 
 def _finish_leveling(state, world):
-    return _transition(state, world, POSITIONING, phase_left=world.params.arm_move_s)
+    return _transition(state, world, POSITIONING, phase_left=world.params.timing.arm_move)
 
 
 def _finish_positioning(state, world):
@@ -314,8 +278,8 @@ def _finish_positioning(state, world):
     if item is None or item.joints is None:
         return _enter_advancing(state, world,
                                 cause=None if item is None else item.cause)
-    jitter = world.rng.normal(0.0, p.sigma_mech_mm, size=2)
-    lever = math.tan(math.radians(world.tilt)) * p.tilt_lever_mm
+    jitter = world.rng.normal(0.0, p.scoring.sigma_mech, size=2)
+    lever = math.tan(math.radians(world.tilt)) * p.scoring.tilt_lever
     impact_x = (item.target.x_a - p.cal.delta_x) + jitter[0] + lever
     impact_y = (item.target.y_a - p.cal.delta_y) + jitter[1]
     # station frame is pot-centered, so the impact offset IS the error vector
@@ -342,7 +306,6 @@ def _finish_dispensing(state, world):
     rec.dispensed = dispensed
     rec.delivered = delivered
     rec.serviced = True
-    rec.t_end = state.elapsed
     world.pots_seen += 1
     return _enter_advancing(state, world)
 
@@ -353,7 +316,6 @@ def _finish_advancing(state, world):
         return _transition(state, world, DONE, phase_left=0.0)
     if world.env.slope > 0:
         world.tilt = float(world.env.slope)  # new ground re-tilts the chassis
-    world.record(nxt).t_start = state.elapsed
     state = replace(state, pot_index=nxt, retried=False)
     world.current_target = None
     return _enter_sensing(state, world)
@@ -400,7 +362,7 @@ def start_mission(world):
         pot_index=0,
         elapsed=0.0,
         battery=fresh_battery(p.battery),
-        phase_left=p.sense_settle_s + profile.inference_time_ms / 1000.0,
+        phase_left=p.timing.sense_settle + profile.inference_time_ms / 1000.0,
     )
 
 
@@ -410,9 +372,10 @@ def run_mission(env, params, seed, *, loop=False, keep_trace=False, max_hours=3.
     layout = realize_layout(env.layout, rng)
     world = MissionWorld(env, layout, params, rng, loop=loop, keep_trace=keep_trace)
     state = start_mission(world)
-    max_steps = int(max_hours * 3600.0 / params.mission_tick_s)
+    tick = params.timing.mission_tick
+    max_steps = int(max_hours * 3600.0 / tick)
     for _ in range(max_steps):
-        state = step_mission(state, world, params.mission_tick_s)
+        state = step_mission(state, world, tick)
         if state.phase in (DONE, ABORTED):
             return state, world
     raise RuntimeError("mission exceeded the simulation-time guard")
@@ -467,7 +430,7 @@ def aggregate_trial(env, world, state, trial, seed):
     total_del = sum(r.delivered for r in serviced)
     efficiency = 100.0 * total_del / total_disp if total_disp > 0 else None
     savings = (
-        water_savings_pct(total_del / total_disp, params.flood_efficiency)
+        water_savings_pct(total_del / total_disp, params.scoring.flood_efficiency)
         if total_disp > 0 and total_del > 0
         else None
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 
 from irribot.fieldsim import ENV_NAMES
 from irribot.mission import TrialReport
@@ -160,27 +160,6 @@ def trials_csv_text(env_reports):
                 ["" if (v := getattr(r, f)) is None else v for f in _CSV_FIELDS]
             )
     return buf.getvalue()
-
-
-def parse_trials_csv(text):
-    """Inverse of trials_csv_text, for consistency checks and replay tooling."""
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for raw in reader:
-        row = {}
-        for key, val in raw.items():
-            if val == "":
-                row[key] = None
-            elif key in ("env", "abort_cause"):
-                row[key] = val
-            elif key == "aborted":
-                row[key] = val == "True"
-            elif key in ("trial", "seed", "pots", "serviced"):
-                row[key] = int(val)
-            else:
-                row[key] = float(val)
-        rows.append(row)
-    return rows
 
 
 def trace_csv_text(traces):

@@ -1,6 +1,8 @@
 """Tests for config loading, report rendering, and the CLI contract."""
 
+import csv
 import dataclasses
+import io
 import json
 
 import pytest
@@ -21,13 +23,32 @@ from irribot.mission import run_trial
 from irribot.report import (
     TABLE_COLUMNS,
     build_results,
-    parse_trials_csv,
     render_report,
     render_summary_table,
     results_to_json,
     summarize_env,
     trials_csv_text,
 )
+
+
+def parse_trials_csv(text):
+    """Inverse of trials_csv_text: typed rows, empty cells back to None."""
+    rows = []
+    for raw in csv.DictReader(io.StringIO(text)):
+        row = {}
+        for key, val in raw.items():
+            if val == "":
+                row[key] = None
+            elif key in ("env", "abort_cause"):
+                row[key] = val
+            elif key == "aborted":
+                row[key] = val == "True"
+            elif key in ("trial", "seed", "pots", "serviced"):
+                row[key] = int(val)
+            else:
+                row[key] = float(val)
+        rows.append(row)
+    return rows
 
 
 def write(tmp_path, text, name="cfg.yaml"):
@@ -87,6 +108,8 @@ def test_unknown_keys_fail_with_path(tmp_path, text, frag):
     ("battery: {voltage_cutoff: 13.0}\n", "voltage_full"),
     ("detection: {conf_threshold: 2.0}\n", "conf_threshold"),
     ("leveling: {kp: 1.0}\n", "kp, ki and kd"),
+    ("leveling: {shielding_factor: 1.0}\n", "shielding_factor"),
+    ("leveling: {filter_window: 2.5}\n", "filter_window"),
 ])
 def test_bounds_violations_name_the_field(tmp_path, text, frag):
     with pytest.raises(ConfigError) as err:
@@ -274,6 +297,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", bad_yaml]) == 3
     bad_value = write(tmp_path, "trials: 0\n", name="v.yaml")
     assert main(["run", "--config", bad_value]) == 4
+    bad_type = write(tmp_path, "trials: ten\n", name="t.yaml")
+    assert main(["run", "--config", bad_type]) == 4
     assert main(["run", "--env", "mars_dome"]) == 4
     assert main(["replay", str(tmp_path / "missing.json")]) == 5
     capsys.readouterr()

@@ -30,10 +30,15 @@ from irribot.fieldsim import (
     random_layout,
     realize_layout,
     simulate_detection,
-    simulate_imu,
 )
 from irribot.kinematics import CalibrationState
-from irribot.leveling import DriftMonitor, drift_update
+from irribot.leveling import (
+    DriftMonitor,
+    PlatformPlant,
+    drift_update,
+    run_leveling_episode,
+    ziegler_nichols,
+)
 
 CAL = CalibrationState(s=0.1, u0=2000.0, v0=1500.0, z_const=150.0)
 
@@ -141,9 +146,7 @@ def test_build_unknown_environment():
 
 def test_environment_validation():
     with pytest.raises(ValueError):
-        Environment("x", -1.0, (1.0, 2.0), DetectorProfile(0.9, 0.01, 30.0), LayoutSpec("grid"))
-    with pytest.raises(ValueError):
-        Environment("x", 0.0, (2.0, 1.0), DetectorProfile(0.9, 0.01, 30.0), LayoutSpec("grid"))
+        Environment("x", -1.0, DetectorProfile(0.9, 0.01, 30.0), LayoutSpec("grid"))
 
 
 def test_detector_profile_bounds():
@@ -221,22 +224,27 @@ def test_detection_deterministic_per_seed():
 
 
 # -------------------------------------------------------------------- IMU
+# The IMU reading is taken inside the leveling episode: the first tick reads
+# true tilt plus the monitor's accumulated bias plus noise.
+
+def first_reading(slope, drift=None):
+    trace = run_leveling_episode(
+        PlatformPlant(), ziegler_nichols(1.0, 1.0), slope, 0.01, 0.01, drift=drift)
+    return trace.alpha_raw[0]
+
 
 def test_imu_clean_reading_is_truth():
-    sample = simulate_imu(3.5, 0.0, 0.0, None, np.random.default_rng(0))
-    assert sample.alpha_raw == 3.5
+    assert first_reading(3.5) == 3.5
 
 
 def test_imu_unshielded_bias_after_100s():
     mon = drift_update(DriftMonitor(drift_rate=0.02), 100.0)
-    sample = simulate_imu(0.0, 100.0, 0.0, mon, np.random.default_rng(0))
-    assert sample.alpha_raw == 2.0
+    assert first_reading(0.0, mon) == 2.0
 
 
 def test_imu_shielded_bias_after_100s():
     mon = drift_update(DriftMonitor(drift_rate=0.02, shielded=True), 100.0)
-    sample = simulate_imu(0.0, 100.0, 0.0, mon, np.random.default_rng(0))
-    assert sample.alpha_raw == pytest.approx(0.8)
+    assert first_reading(0.0, mon) == pytest.approx(0.8)
 
 
 # ------------------------------------------------------------------- pump

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from irribot.leveling import (
     DelayedIntegratorPlant,
     DriftMonitor,
-    FirstOrderLagPlant,
     ImuSample,
     LevelingController,
     MovingAverageState,
@@ -27,8 +26,26 @@ from irribot.leveling import (
     run_leveling_episode,
     tune_leveling,
     ziegler_nichols,
-    ziegler_nichols_classic,
 )
+
+
+class FirstOrderLagPlant:
+    """Stable first-order lag tilt' = (k*u - tilt)/tau; cannot self-oscillate."""
+
+    def __init__(self, gain=1.0, tau=0.1):
+        if gain <= 0 or tau <= 0:
+            raise ValueError("gain and tau must be positive")
+        self.gain = gain
+        self.tau = tau
+        self.tilt = 0.0
+
+    def reset(self, tilt=0.0):
+        self.tilt = tilt
+
+    def step(self, u, dt):
+        target = self.gain * u
+        self.tilt = target + (self.tilt - target) * math.exp(-dt / self.tau)
+        return self.tilt
 
 
 def feed(values):
@@ -150,19 +167,19 @@ def test_pid_zero_error_is_inert(dts):
 # ------------------------------------------------------------------- ZN
 
 def test_zn_classic_table():
-    g = ziegler_nichols_classic(10.0, 2.0)
+    g = ziegler_nichols(10.0, 2.0)
     assert (g.kp, g.ki, g.kd) == (6.0, 6.0, 1.5)
 
 
 def test_zn_classic_unit_point():
-    g = ziegler_nichols_classic(1.0, 1.0)
+    g = ziegler_nichols(1.0, 1.0)
     assert (g.kp, g.ki, g.kd) == pytest.approx((0.6, 1.2, 0.075))
 
 
 @given(st.floats(0.1, 100.0), st.floats(0.1, 100.0), st.floats(0.5, 4.0))
 def test_zn_linear_in_ku(ku, tu, c):
-    g1 = ziegler_nichols_classic(ku, tu)
-    g2 = ziegler_nichols_classic(c * ku, tu)
+    g1 = ziegler_nichols(ku, tu)
+    g2 = ziegler_nichols(c * ku, tu)
     assert g2.kp == pytest.approx(c * g1.kp, rel=1e-12)
     assert g2.ki == pytest.approx(c * g1.ki, rel=1e-12)
     assert g2.kd == pytest.approx(c * g1.kd, rel=1e-12)
@@ -177,9 +194,9 @@ def test_zn_variant_tables_ordered_by_aggressiveness():
 
 def test_zn_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        ziegler_nichols_classic(0.0, 1.0)
+        ziegler_nichols(0.0, 1.0)
     with pytest.raises(ValueError):
-        ziegler_nichols_classic(1.0, -1.0)
+        ziegler_nichols(1.0, -1.0)
     with pytest.raises(ValueError):
         ziegler_nichols(1.0, 1.0, "aggressive")
 
@@ -335,16 +352,25 @@ def test_episode_ten_minutes_estimation_error_within_half_degree():
     assert trace.recalibrated.sum() == 0  # shielded drift never hits 5 deg here
 
 
-def test_trace_csv_round_trip(tmp_path):
-    trace = run_leveling_episode(PlatformPlant(), platform_gains(), 2.0, 1.0, 0.01)
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,alpha_raw,alpha_filtered,u,recalibrated"
-    assert len(lines) == 1 + len(trace.t)
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[1]) == pytest.approx(2.0)
+def test_episode_reading_is_tilt_plus_bias_plus_noise():
+    # no drift, no noise: the IMU reads the true tilt, from t = 0
+    trace = run_leveling_episode(PlatformPlant(), platform_gains(), 3.5, 1.0, 0.01)
+    assert trace.t[0] == 0.0 and trace.alpha_raw[0] == 3.5
+    assert np.array_equal(trace.alpha_raw, trace.tilt)
+    # a preloaded monitor: 100 s at 0.02 deg/s is 2 deg open-air, 0.8 deg
+    # shielded, and the bias keeps growing by one tick of drift per tick
+    for shielded, bias in ((False, 2.0), (True, 0.8)):
+        mon = drift_update(DriftMonitor(drift_rate=0.02, shielded=shielded), 100.0)
+        trace = run_leveling_episode(
+            PlatformPlant(), platform_gains(), 3.5, 1.0, 0.01, drift=mon)
+        growth = np.arange(len(trace.t)) * mon.effective_rate * 0.01
+        assert trace.alpha_raw - trace.tilt == pytest.approx(bias + growth)
+    # noise adds the generator's normal draws in tick order
+    trace = run_leveling_episode(
+        PlatformPlant(), platform_gains(), 3.5, 1.0, 0.01,
+        noise_std=0.05, drift=mon, rng=np.random.default_rng(4))
+    noise = np.random.default_rng(4).normal(0.0, 0.05, size=len(trace.t))
+    assert trace.alpha_raw - trace.tilt == pytest.approx(bias + growth + noise)
 
 
 def test_controller_wrapper_matches_piecewise_calls():

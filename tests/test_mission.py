@@ -120,6 +120,17 @@ def test_step_mission_rejects_terminal_state_and_bad_dt():
         step_mission(fresh, world2, 0.0)
 
 
+def test_filter_window_reaches_leveling_episodes():
+    # an unfiltered tilt signal settles differently from the default 5-tap one
+    raw = dataclasses.replace(
+        CFG, leveling=dataclasses.replace(CFG.leveling, filter_window=1))
+    env = environment_for(CFG, "hilly_terrain")
+    default, _ = run_trial(env, params_for("hilly_terrain"), 11)
+    unfiltered, _ = run_trial(env, resolve_params(raw, "hilly_terrain", GAINS), 11)
+    assert (unfiltered.leveling_mean_s, unfiltered.sse_mean_deg) != (
+        default.leveling_mean_s, default.sse_mean_deg)
+
+
 def test_battery_voltage_monotone_over_mission():
     _, world = mission("standard_greenhouse")
     volts = [row[4] for row in world.trace_rows]
