@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from irribot.config import (
@@ -28,9 +29,10 @@ from irribot.config import (
     resolve_params,
     tuned_gains,
 )
+from irribot.fieldsim import LayoutError
 from irribot.kinematics import ArmTarget, calibrate_single_reference
 from irribot.leveling import NoOscillation
-from irribot.mission import run_trial, run_until_depleted
+from irribot.mission import MissionTimeout, run_trial, run_until_depleted
 from irribot.report import (
     build_results,
     load_results,
@@ -90,6 +92,16 @@ def _load(args):
     return default_config()
 
 
+@contextmanager
+def _naming_trial(env_name, trial, seed):
+    """Re-raise a failure the config can trigger mid-run as a ConfigError
+    naming the env, the trial ("trial 3", "endurance run") and the seed."""
+    try:
+        yield
+    except (LayoutError, MissionTimeout) as exc:
+        raise ConfigError(f"env {env_name}, {trial}, seed {seed}: {exc}") from None
+
+
 def _cmd_run(args):
     cfg = _load(args)
     overrides = {}
@@ -112,13 +124,15 @@ def _cmd_run(args):
         reports = []
         for i in range(cfg.trials):
             want_trace = args.trace and i == 0
-            report, world = run_trial(env, params, cfg.seed + i, trial=i,
-                                      keep_trace=want_trace)
+            with _naming_trial(name, f"trial {i}", cfg.seed + i):
+                report, world = run_trial(env, params, cfg.seed + i, trial=i,
+                                          keep_trace=want_trace)
             if want_trace:
                 traces[(name, i)] = world.trace_rows
             reports.append(report)
         env_reports[name] = reports
-        endurance[name] = run_until_depleted(env, params, cfg.seed)[0]
+        with _naming_trial(name, "endurance run", cfg.seed):
+            endurance[name] = run_until_depleted(env, params, cfg.seed)[0]
 
     payload = build_results(as_dict(cfg), env_reports, endurance)
     out_dir = Path(args.out_dir)

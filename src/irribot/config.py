@@ -198,6 +198,10 @@ class RunConfig:
     environments: dict = field(default_factory=_default_environments)
 
     def __post_init__(self):
+        for name in ("seed", "trials", "pot_count"):
+            value = getattr(self, name)
+            _require(isinstance(value, int) and not isinstance(value, bool),
+                     f"{name} must be an integer")
         _require(self.trials >= 1, "trials must be at least 1")
         _require(self.pot_count >= 1, "pot_count must be at least 1")
         _require(self.env == "all" or self.env in ENV_NAMES,

@@ -454,6 +454,11 @@ class BatteryModel:
         except AttributeError:
             raise ValueError(f"unknown subsystem {subsystem!r}") from None
 
+    def voltage(self, charge_mah):
+        """Terminal voltage, linear in state of charge from cutoff to full."""
+        soc = charge_mah / self.capacity_mah
+        return self.voltage_cutoff + (self.voltage_full - self.voltage_cutoff) * soc
+
 
 @dataclass(frozen=True)
 class BatteryState:
@@ -463,20 +468,29 @@ class BatteryState:
 
     @property
     def voltage(self):
-        m = self.model
-        soc = self.charge_mah / m.capacity_mah
-        return m.voltage_cutoff + (m.voltage_full - m.voltage_cutoff) * soc
+        return self.model.voltage(self.charge_mah)
 
 
 def fresh_battery(model):
     return BatteryState(model=model, charge_mah=model.capacity_mah)
 
 
-def battery_step(state, active_subsystems, dt):
-    """Drain by the sum of active draws over dt seconds; depletion latches."""
+def battery_step(state, active_subsystems, dt, ticks=1, voltages=None):
+    """Drain by the sum of active draws over `ticks` ticks of dt seconds each.
+
+    Ticks apply one at a time, so one n-tick call equals n one-tick calls bit
+    for bit. Depletion latches on the first tick whose voltage falls below the
+    cutoff. When `voltages` is a list, each tick's voltage is appended to it.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    draw = sum(state.model.draw(s) for s in active_subsystems)
-    charge = state.charge_mah - draw * dt / 3600.0
-    new = BatteryState(model=state.model, charge_mah=charge)
-    return replace(new, depleted=state.depleted or new.voltage < state.model.voltage_cutoff)
+    model = state.model
+    drain = sum(model.draw(s) for s in active_subsystems) * dt / 3600.0
+    charge, depleted = state.charge_mah, state.depleted
+    for _ in range(ticks):
+        charge = charge - drain
+        volts = model.voltage(charge)
+        depleted = depleted or volts < model.voltage_cutoff
+        if voltages is not None:
+            voltages.append(volts)
+    return BatteryState(model=model, charge_mah=charge, depleted=depleted)

@@ -165,11 +165,19 @@ class DriftMonitor:
         return self.drift_rate
 
 
-def drift_update(mon, dt):
-    """Accumulate bias over dt seconds at the shielding-adjusted rate."""
+def drift_update(mon, dt, ticks=1):
+    """Accumulate bias over `ticks` ticks of dt seconds at the shielding-adjusted rate.
+
+    Ticks apply one at a time, so one n-tick call equals n one-tick calls bit
+    for bit.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return replace(mon, cumulative_error=mon.cumulative_error + mon.effective_rate * dt)
+    rate = mon.effective_rate
+    err = mon.cumulative_error
+    for _ in range(ticks):
+        err = err + rate * dt
+    return replace(mon, cumulative_error=err)
 
 
 def maybe_recalibrate(mon, pid):

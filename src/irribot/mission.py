@@ -58,6 +58,10 @@ CAUSE_UNDETECTED = "Undetected"
 CAUSE_UNREACHABLE = "Unreachable"
 
 
+class MissionTimeout(RuntimeError):
+    """The mission neither finished nor aborted within its simulated-time guard."""
+
+
 @dataclass
 class IrrigationRecord:
     pot_id: int
@@ -108,6 +112,7 @@ class MissionWorld:
         self.matched_frames = 0
         self.pots_seen = 0
         self.current_target = None  # planned PlanItem for the pot in service
+        self.impact = None  # (x, y) spray impact offset from the pot in service, mm
         self.transitions = []
         self.trace_rows = [] if keep_trace else None
 
@@ -286,7 +291,7 @@ def _finish_positioning(state, world):
     err = math.hypot(impact_x, impact_y)
     rec = world.record(state.pot_index)
     rec.positioning_error = float(err)
-    world._impact = (impact_x, impact_y)
+    world.impact = (impact_x, impact_y)
     dispensed_volume = p.target_volume_ml * (1.0 + p.pump.dispense_overshoot)
     return _transition(
         state, world, DISPENSING, phase_left=dispensed_volume / p.pump.flow_rate
@@ -297,7 +302,7 @@ def _finish_dispensing(state, world):
     p = world.params
     pot = _pot(world, state.pot_index)
     rec = world.record(state.pot_index)
-    ix, iy = world._impact
+    ix, iy = world.impact
     err = rec.positioning_error
     direction = (ix / err, iy / err) if err > 0 else (1.0, 0.0)
     dispensed, delivered = dispense(
@@ -330,28 +335,59 @@ _FINISHERS = {
 }
 
 
-def step_mission(state, world, dt):
-    """Advance the mission by one tick; returns the new state."""
+def _countdown(state, dt, max_ticks):
+    """Tick the phase clock until phase_left runs out or max_ticks have passed.
+
+    Returns (ticks, elapsed, phase_left); a phase always takes at least one tick.
+    """
+    ticks, elapsed, left = 0, state.elapsed, state.phase_left
+    while True:
+        ticks += 1
+        elapsed = elapsed + dt
+        left = left - dt
+        if left <= 1e-9 or ticks == max_ticks:
+            return ticks, elapsed, left
+
+
+def step_mission(state, world, dt, max_ticks=None):
+    """Advance the mission through its current phase; returns (state, ticks).
+
+    The phase runs at tick resolution until its time is used up, the battery
+    depletes, or max_ticks ticks have passed (None: no limit). Battery charge
+    and drift bias accumulate tick by tick, so every float equals that of a
+    loop stepping one tick at a time; with a trace, each tick adds one row.
+    The phase's finisher then picks the next phase, unless max_ticks cut the
+    phase short.
+    """
     if state.phase in (DONE, ABORTED):
         raise ValueError(f"mission already terminal in phase {state.phase}")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    battery = battery_step(state.battery, _active_subsystems(state.phase, world), dt)
-    world.monitor = drift_update(world.monitor, dt)
-    state = replace(
-        state, elapsed=state.elapsed + dt, battery=battery,
-        phase_left=state.phase_left - dt,
-    )
-    if world.trace_rows is not None:
-        world.trace_rows.append(
-            (state.elapsed, state.phase, state.pot_index % len(world.layout.pots),
-             world.tilt, battery.voltage)
-        )
+    ticks, elapsed, left = _countdown(state, dt, max_ticks)
+    active = _active_subsystems(state.phase, world)
+    voltages = [] if world.trace_rows is not None else None
+    battery = battery_step(state.battery, active, dt, ticks, voltages)
     if battery.depleted:
-        return _transition(state, world, ABORTED, cause=CAUSE_DEPLETED)
-    if state.phase_left > 1e-9:
-        return state
-    return _FINISHERS[state.phase](state, world)
+        # replay one tick at a time to the tick that latched depletion
+        battery, ticks = state.battery, 0
+        while not battery.depleted:
+            battery = battery_step(battery, active, dt)
+            ticks += 1
+        ticks, elapsed, left = _countdown(state, dt, ticks)
+    # the finisher may read the bias: _enter_leveling hands it to the episode
+    world.monitor = drift_update(world.monitor, dt, ticks)
+    if voltages is not None:
+        pot = state.pot_index % len(world.layout.pots)
+        t = state.elapsed
+        for volts in voltages[:ticks]:
+            t = t + dt
+            world.trace_rows.append((t, state.phase, pot, world.tilt, volts))
+    state = replace(state, elapsed=elapsed, battery=battery, phase_left=left)
+    if battery.depleted:
+        return _transition(state, world, ABORTED, cause=CAUSE_DEPLETED), ticks
+    if left > 1e-9:
+        return state, ticks
+    return _FINISHERS[state.phase](state, world), ticks
 
 
 def start_mission(world):
@@ -373,12 +409,15 @@ def run_mission(env, params, seed, *, loop=False, keep_trace=False, max_hours=3.
     world = MissionWorld(env, layout, params, rng, loop=loop, keep_trace=keep_trace)
     state = start_mission(world)
     tick = params.timing.mission_tick
-    max_steps = int(max_hours * 3600.0 / tick)
-    for _ in range(max_steps):
-        state = step_mission(state, world, tick)
+    max_ticks = int(max_hours * 3600.0 / tick)
+    ticks = 0
+    while ticks < max_ticks:
+        state, n = step_mission(state, world, tick, max_ticks - ticks)
+        ticks += n
         if state.phase in (DONE, ABORTED):
             return state, world
-    raise RuntimeError("mission exceeded the simulation-time guard")
+    raise MissionTimeout(
+        f"mission exceeded the simulation-time guard of {max_hours:g} h ({max_ticks} ticks)")
 
 
 # --------------------------------------------------------------------------
@@ -468,9 +507,8 @@ def run_trial(env, params, seed, *, trial=0, keep_trace=False):
 def run_until_depleted(env, params, seed, *, max_hours=3.0):
     """Endurance run: loop the layout until the battery gives out.
 
-    Returns (minutes of runtime, pots serviced).
+    Returns (minutes of runtime, pots serviced). A looping mission never
+    reaches Done, so it ends aborted or raises MissionTimeout.
     """
     state, world = run_mission(env, params, seed, loop=True, max_hours=max_hours)
-    if state.phase != ABORTED:
-        raise RuntimeError("battery never depleted within the simulation guard")
     return state.elapsed / 60.0, world.pots_seen

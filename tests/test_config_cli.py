@@ -110,6 +110,9 @@ def test_unknown_keys_fail_with_path(tmp_path, text, frag):
     ("leveling: {kp: 1.0}\n", "kp, ki and kd"),
     ("leveling: {shielding_factor: 1.0}\n", "shielding_factor"),
     ("leveling: {filter_window: 2.5}\n", "filter_window"),
+    ("seed: abc\n", "seed"),
+    ("trials: 2.5\n", "trials"),
+    ("pot_count: true\n", "pot_count"),
 ])
 def test_bounds_violations_name_the_field(tmp_path, text, frag):
     with pytest.raises(ConfigError) as err:
@@ -289,6 +292,20 @@ def test_cli_calibrate_arm_prints_state(capsys):
     assert float(lines["delta_y"]) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("text,env,where", [
+    # a pack this large never depletes inside the 3 h endurance guard
+    ("battery: {capacity_mah: 100000}\n", "standard_greenhouse", "endurance run, seed 42"),
+    # random placement gives up near 985 pots
+    ("pot_count: 2000\n", "complex_lighting", "trial 0, seed 42"),
+])
+def test_cli_simulation_failures_exit_4_naming_the_trial(tmp_path, capsys, text, env, where):
+    cfg = write(tmp_path, text)
+    code = main(["run", "--config", cfg, "--env", env, "--trials", "1",
+                 "--out-dir", str(tmp_path)])
+    assert code == 4
+    assert f"env {env}, {where}:" in capsys.readouterr().err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--bogus"])
@@ -299,6 +316,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", bad_value]) == 4
     bad_type = write(tmp_path, "trials: ten\n", name="t.yaml")
     assert main(["run", "--config", bad_type]) == 4
+    for text, key in (("seed: abc\n", "seed"), ("trials: 2.5\n", "trials")):
+        capsys.readouterr()
+        assert main(["run", "--config", write(tmp_path, text, name="s.yaml")]) == 4
+        assert key in capsys.readouterr().err
     assert main(["run", "--env", "mars_dome"]) == 4
     assert main(["replay", str(tmp_path / "missing.json")]) == 5
     capsys.readouterr()

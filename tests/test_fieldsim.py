@@ -367,3 +367,32 @@ def test_battery_charge_non_increasing(subsystems, dt):
     state = fresh_battery(BatteryModel())
     after = battery_step(state, set(subsystems), dt)
     assert after.charge_mah <= state.charge_mah
+
+
+SUBSYSTEMS = st.sets(st.sampled_from(["drive", "pump", "arm", "compute", "leveling"]))
+
+
+@given(SUBSYSTEMS, st.floats(1e-3, 1.0), st.floats(0.01, 5.0))
+def test_battery_one_tick_is_the_linear_drain(subsystems, dt, charge):
+    model = BatteryModel(capacity_mah=5.0)
+    after = battery_step(BatteryState(model, charge), subsystems, dt)
+    draw = sum(model.draw(s) for s in subsystems)
+    expected = charge - draw * dt / 3600.0
+    soc = expected / model.capacity_mah
+    volts = model.voltage_cutoff + (model.voltage_full - model.voltage_cutoff) * soc
+    assert after.charge_mah == expected
+    assert after.voltage == volts
+    assert after.depleted == (volts < model.voltage_cutoff)
+
+
+@given(SUBSYSTEMS, st.floats(1e-3, 1.0), st.integers(1, 300), st.floats(0.5, 20.0))
+def test_battery_n_tick_call_equals_n_one_tick_calls(subsystems, dt, n, capacity):
+    # small packs deplete part-way, so the latch is exercised too
+    state = fresh_battery(BatteryModel(capacity_mah=capacity))
+    stepped, volts = state, []
+    for _ in range(n):
+        stepped = battery_step(stepped, subsystems, dt)
+        volts.append(stepped.voltage)
+    recorded = []
+    assert battery_step(state, subsystems, dt, n, recorded) == stepped
+    assert recorded == volts

@@ -257,6 +257,15 @@ def test_drift_update_is_additive(dt1, dt2, rate):
     assert split == pytest.approx(joint, rel=1e-9, abs=1e-15)
 
 
+@given(st.floats(1e-3, 1.0), st.integers(1, 500), st.floats(0.0, 2.0), st.booleans())
+def test_drift_n_tick_call_equals_n_one_tick_calls(dt, n, rate, shielded):
+    mon = DriftMonitor(drift_rate=rate, shielded=shielded, cumulative_error=0.25)
+    stepped = mon
+    for _ in range(n):
+        stepped = drift_update(stepped, dt)
+    assert drift_update(mon, dt, n) == stepped
+
+
 def test_recalibrate_fires_at_threshold():
     mon = DriftMonitor(drift_rate=1.0, cumulative_error=5.1)
     pid = PidState(integral=2.0, prev_error=0.3, prev_t=9.0)

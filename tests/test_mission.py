@@ -5,12 +5,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from irribot import mission as mission_module
 from irribot.config import default_config, environment_for, gains_for, resolve_params
 from irribot.detect import CIRCULAR, BBox, Detection
-from irribot.fieldsim import BatteryModel, build_environment, grid_layout
+from irribot.fieldsim import (
+    BatteryModel,
+    battery_step,
+    build_environment,
+    grid_layout,
+    realize_layout,
+)
 from irribot.kinematics import ArmGeometry, CalibrationState
+from irribot.leveling import drift_update
 from irribot.mission import (
+    _FINISHERS,
     ABORTED,
     ADJACENCY,
     ADVANCING,
@@ -20,7 +31,10 @@ from irribot.mission import (
     LEVELING,
     POSITIONING,
     SENSING,
+    MissionTimeout,
     MissionWorld,
+    _active_subsystems,
+    _transition,
     plan_pot_service,
     run_mission,
     run_trial,
@@ -274,3 +288,106 @@ def test_endurance_raises_when_battery_cannot_deplete():
         run_until_depleted(
             environment_for(CFG, "standard_greenhouse"),
             params_for("standard_greenhouse", battery=huge), 42, max_hours=0.02)
+
+
+# ------------------------------------------------------- per-tick reference
+
+def reference_step(state, world, dt):
+    """Advance the mission by one tick: the reference for step_mission."""
+    battery = battery_step(state.battery, _active_subsystems(state.phase, world), dt)
+    world.monitor = drift_update(world.monitor, dt)
+    state = dataclasses.replace(
+        state, elapsed=state.elapsed + dt, battery=battery,
+        phase_left=state.phase_left - dt,
+    )
+    if world.trace_rows is not None:
+        world.trace_rows.append(
+            (state.elapsed, state.phase, state.pot_index % len(world.layout.pots),
+             world.tilt, battery.voltage)
+        )
+    if battery.depleted:
+        return _transition(state, world, ABORTED, cause=CAUSE_DEPLETED)
+    if state.phase_left > 1e-9:
+        return state
+    return _FINISHERS[state.phase](state, world)
+
+
+def reference_mission(env, params, seed, *, loop=False, max_ticks=10**7):
+    """Tick-at-a-time mission; returns (state, world, ticks) when it ends or
+    when max_ticks have run."""
+    rng = np.random.default_rng(seed)
+    world = MissionWorld(env, realize_layout(env.layout, rng), params, rng,
+                         loop=loop, keep_trace=True)
+    state = start_mission(world)
+    for ticks in range(1, max_ticks + 1):
+        state = reference_step(state, world, params.timing.mission_tick)
+        if state.phase in (DONE, ABORTED):
+            break
+    return state, world, ticks
+
+
+def assert_same_mission(a, b):
+    (state_a, world_a), (state_b, world_b) = a, b
+    assert state_a == state_b
+    assert world_a.transitions == world_b.transitions
+    assert world_a.monitor == world_b.monitor
+    assert world_a.records == world_b.records
+    assert world_a.trace_rows == world_b.trace_rows
+    assert world_a.tilt == world_b.tilt
+    assert (world_a.frames, world_a.det_count, world_a.fp_count, world_a.pots_seen) == (
+        world_b.frames, world_b.det_count, world_b.fp_count, world_b.pots_seen)
+
+
+def varied_params(env_name, pot_count, tick, capacity, drift_rate, shielded):
+    cfg = dataclasses.replace(
+        CFG, pot_count=pot_count,
+        leveling=dataclasses.replace(CFG.leveling, drift_rate=drift_rate, shielded=shielded),
+        timing=dataclasses.replace(CFG.timing, mission_tick=tick),
+        battery=dataclasses.replace(CFG.battery, capacity_mah=capacity),
+    )
+    return environment_for(cfg, env_name), resolve_params(cfg, env_name, GAINS)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    env_name=st.sampled_from(["standard_greenhouse", "hilly_terrain", "complex_lighting"]),
+    seed=st.integers(0, 10_000),
+    pot_count=st.integers(1, 5),
+    tick=st.floats(0.01, 0.2),
+    # small packs abort part-way; the stock pack finishes the layout
+    capacity=st.one_of(st.just(2400.0), st.floats(0.5, 80.0)),
+    drift_rate=st.floats(0.0, 2.0),
+    shielded=st.booleans(),
+    loop=st.booleans(),
+)
+def test_phase_core_matches_tick_reference(env_name, seed, pot_count, tick, capacity,
+                                           drift_rate, shielded, loop):
+    if loop:
+        capacity = min(capacity, 80.0)  # an endurance loop must deplete
+    env, params = varied_params(env_name, pot_count, tick, capacity, drift_rate, shielded)
+    state, world, _ = reference_mission(env, params, seed, loop=loop)
+    assert state.phase in (DONE, ABORTED)
+    assert_same_mission(run_mission(env, params, seed, loop=loop, keep_trace=True),
+                        (state, world))
+
+
+@pytest.mark.parametrize("max_hours,tick", [(0.01, 0.05), (0.0123, 0.03), (0.002, 0.07)])
+def test_time_guard_fires_after_exactly_the_budgeted_ticks(monkeypatch, max_hours, tick):
+    env, params = varied_params("hilly_terrain", 20, tick, 1e7, 0.0015, True)
+    budget = int(max_hours * 3600.0 / tick)
+    last = {}
+    real_step = mission_module.step_mission
+
+    def counting_step(state, world, dt, max_ticks=None):
+        state, ticks = real_step(state, world, dt, max_ticks)
+        last["ticks"] = last.get("ticks", 0) + ticks
+        last["mission"] = (state, world)
+        return state, ticks
+
+    monkeypatch.setattr(mission_module, "step_mission", counting_step)
+    with pytest.raises(MissionTimeout):
+        run_mission(env, params, 3, keep_trace=True, max_hours=max_hours)
+    state, world, ticks = reference_mission(env, params, 3, max_ticks=budget)
+    assert ticks == budget and state.phase not in (DONE, ABORTED)
+    assert last["ticks"] == budget == len(last["mission"][1].trace_rows)
+    assert_same_mission(last["mission"], (state, world))
