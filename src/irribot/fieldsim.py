@@ -486,11 +486,12 @@ def battery_step(state, active_subsystems, dt, ticks=1, voltages=None):
         raise ValueError("dt must be positive")
     model = state.model
     drain = sum(model.draw(s) for s in active_subsystems) * dt / 3600.0
+    voltage, cutoff = model.voltage, model.voltage_cutoff
     charge, depleted = state.charge_mah, state.depleted
     for _ in range(ticks):
         charge = charge - drain
-        volts = model.voltage(charge)
-        depleted = depleted or volts < model.voltage_cutoff
+        volts = voltage(charge)
+        depleted = depleted or volts < cutoff
         if voltages is not None:
             voltages.append(volts)
     return BatteryState(model=model, charge_mah=charge, depleted=depleted)

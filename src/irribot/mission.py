@@ -349,15 +349,14 @@ def _countdown(state, dt, max_ticks):
             return ticks, elapsed, left
 
 
-def step_mission(state, world, dt, max_ticks=None):
+def step_mission(state, world, dt, max_ticks):
     """Advance the mission through its current phase; returns (state, ticks).
 
     The phase runs at tick resolution until its time is used up, the battery
-    depletes, or max_ticks ticks have passed (None: no limit). Battery charge
-    and drift bias accumulate tick by tick, so every float equals that of a
-    loop stepping one tick at a time; with a trace, each tick adds one row.
-    The phase's finisher then picks the next phase, unless max_ticks cut the
-    phase short.
+    depletes, or max_ticks ticks have passed. Battery charge and drift bias
+    accumulate tick by tick, so every float equals that of a loop stepping
+    one tick at a time; with a trace, each tick adds one row. The phase's
+    finisher then picks the next phase, unless max_ticks cut the phase short.
     """
     if state.phase in (DONE, ABORTED):
         raise ValueError(f"mission already terminal in phase {state.phase}")

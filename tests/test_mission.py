@@ -124,14 +124,14 @@ def test_step_mission_rejects_terminal_state_and_bad_dt():
     env = environment_for(CFG, "standard_greenhouse")
     state, world = mission("standard_greenhouse")
     with pytest.raises(ValueError):
-        step_mission(state, world, 0.05)
+        step_mission(state, world, 0.05, 10)
     rng = np.random.default_rng(0)
     from irribot.fieldsim import realize_layout
     layout = realize_layout(env.layout, rng)
     world2 = MissionWorld(env, layout, params_for("standard_greenhouse"), rng)
     fresh = start_mission(world2)
     with pytest.raises(ValueError):
-        step_mission(fresh, world2, 0.0)
+        step_mission(fresh, world2, 0.0, 10)
 
 
 def test_filter_window_reaches_leveling_episodes():
@@ -378,7 +378,7 @@ def test_time_guard_fires_after_exactly_the_budgeted_ticks(monkeypatch, max_hour
     last = {}
     real_step = mission_module.step_mission
 
-    def counting_step(state, world, dt, max_ticks=None):
+    def counting_step(state, world, dt, max_ticks):
         state, ticks = real_step(state, world, dt, max_ticks)
         last["ticks"] = last.get("ticks", 0) + ticks
         last["mission"] = (state, world)
