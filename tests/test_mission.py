@@ -126,7 +126,6 @@ def test_step_mission_rejects_terminal_state_and_bad_dt():
     with pytest.raises(ValueError):
         step_mission(state, world, 0.05, 10)
     rng = np.random.default_rng(0)
-    from irribot.fieldsim import realize_layout
     layout = realize_layout(env.layout, rng)
     world2 = MissionWorld(env, layout, params_for("standard_greenhouse"), rng)
     fresh = start_mission(world2)
@@ -284,7 +283,7 @@ def test_endurance_runtime_tracks_battery_capacity():
 
 def test_endurance_raises_when_battery_cannot_deplete():
     huge = BatteryModel(capacity_mah=1e7)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(MissionTimeout):
         run_until_depleted(
             environment_for(CFG, "standard_greenhouse"),
             params_for("standard_greenhouse", battery=huge), 42, max_hours=0.02)
