@@ -1,9 +1,9 @@
 """Tilt stabilization for the watering platform.
 
-Streaming 5-point moving-average prefilter, discrete PID with trapezoidal
-integration and anti-windup, Ziegler-Nichols auto-tuning from a measured
-ultimate gain, gyro-drift bookkeeping with threshold recalibration, and the
-lead-screw platform models the loop is tuned against.
+Closed-loop leveling episodes (moving-average prefilter, discrete PID with
+trapezoidal integration and anti-windup, threshold drift recalibration),
+Ziegler-Nichols auto-tuning from a measured ultimate gain, gyro-drift
+bookkeeping, and the lead-screw platform models the loop is tuned against.
 """
 
 from __future__ import annotations
@@ -22,55 +22,8 @@ ZN_TABLES = {
 }
 
 
-class NonMonotonicTimestamp(ValueError):
-    """A sample arrived at or before the previous timestamp."""
-
-
 class NoOscillation(RuntimeError):
     """Proportional feedback never destabilized the plant within the gain cap."""
-
-
-# --------------------------------------------------------------------------
-# filtering
-
-
-@dataclass(frozen=True)
-class ImuSample:
-    t: float  # s
-    alpha_raw: float  # degrees
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t) and math.isfinite(self.alpha_raw)):
-            raise ValueError("non-finite IMU sample")
-
-
-@dataclass(frozen=True)
-class MovingAverageState:
-    """Rolling window over the most recent raw tilt samples."""
-
-    size: int = 5
-    window: tuple = ()
-    count: int = 0
-    last_t: float | None = None
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("window size must be positive")
-        if len(self.window) > self.size:
-            raise ValueError("window overflow")
-
-
-def moving_average_step(state, sample):
-    """Advance the filter by one sample; returns (new state, filtered value)."""
-    if state.last_t is not None and sample.t <= state.last_t:
-        raise NonMonotonicTimestamp(
-            f"sample at t={sample.t} does not advance past t={state.last_t}"
-        )
-    window = (state.window + (sample.alpha_raw,))[-state.size:]
-    new = MovingAverageState(
-        size=state.size, window=window, count=state.count + 1, last_t=sample.t
-    )
-    return new, sum(window) / len(window)
 
 
 # --------------------------------------------------------------------------
@@ -90,36 +43,6 @@ class PidGains:
             raise ValueError("gains must be non-negative")
         if self.integral_limit is not None and self.integral_limit <= 0:
             raise ValueError("integral limit must be positive when set")
-
-
-@dataclass(frozen=True)
-class PidState:
-    integral: float = 0.0  # degree*s
-    prev_error: float = 0.0  # degrees
-    prev_t: float | None = None  # s; None until the first step
-
-
-def pid_step(gains, state, measured, t):
-    """One controller update at absolute time t; returns (new state, command).
-
-    Trapezoidal integral, backward-difference derivative on the error. The
-    first step contributes no integral area and no derivative.
-    """
-    error = gains.setpoint - measured
-    if state.prev_t is None:
-        integral = state.integral
-        derivative = 0.0
-    else:
-        dt = t - state.prev_t
-        if dt <= 0:
-            raise NonMonotonicTimestamp(f"t={t} does not advance past t={state.prev_t}")
-        integral = state.integral + 0.5 * (error + state.prev_error) * dt
-        derivative = (error - state.prev_error) / dt
-    if gains.integral_limit is not None:
-        lim = gains.integral_limit
-        integral = min(max(integral, -lim), lim)
-    command = gains.kp * error + gains.ki * integral + gains.kd * derivative
-    return PidState(integral=integral, prev_error=error, prev_t=t), command
 
 
 def ziegler_nichols(ku, tu, rule="classic"):
@@ -178,13 +101,6 @@ def drift_update(mon, dt, ticks=1):
     for _ in range(ticks):
         err = err + rate * dt
     return replace(mon, cumulative_error=err)
-
-
-def maybe_recalibrate(mon, pid):
-    """Zero the bias and the PID integral once accumulation hits the threshold."""
-    if mon.cumulative_error >= mon.reset_threshold:
-        return replace(mon, cumulative_error=0.0), replace(pid, integral=0.0), True
-    return mon, pid, False
 
 
 # --------------------------------------------------------------------------
@@ -440,25 +356,6 @@ class LevelingTrace:
         return float(np.max(np.abs(self.alpha_filtered - self.tilt)))
 
 
-class LevelingController:
-    """Stateful bundle of prefilter, PID, and drift monitor for loop callers."""
-
-    def __init__(self, gains, *, window=5, monitor=None):
-        self.gains = gains
-        self.monitor = monitor
-        self._ma = MovingAverageState(size=window)
-        self._pid = PidState()
-
-    def update(self, t, alpha_raw):
-        """Consume one raw reading; returns (command, filtered, recalibrated)."""
-        self._ma, filtered = moving_average_step(self._ma, ImuSample(t, alpha_raw))
-        recal = False
-        if self.monitor is not None:
-            self.monitor, self._pid, recal = maybe_recalibrate(self.monitor, self._pid)
-        self._pid, command = pid_step(self.gains, self._pid, filtered, t)
-        return command, filtered, recal
-
-
 def run_leveling_episode(
     plant,
     gains,
@@ -470,58 +367,89 @@ def run_leveling_episode(
     noise_std=0.0,
     drift=None,
     rng=None,
+    band=0.5,
 ):
     """Close the loop on a slope step and record the full trace.
 
     The platform starts tilted at `slope` degrees. Each tick: drift
     accumulates, the IMU reads true tilt plus bias plus noise, the reading is
-    filtered, the drift monitor may recalibrate (zeroing bias and integral),
-    the PID issues a rate command, and the plant integrates it. Saturation is
-    recorded, never raised.
+    filtered by a `window`-sample moving average, the drift monitor may
+    recalibrate (zeroing bias and integral), the PID issues a rate command
+    (trapezoidal integral clamped to the gains' limit, backward-difference
+    derivative, neither on the first tick), and the plant integrates it.
+    Saturation is recorded, never raised. `band` is the trace's settling band.
+
+    One flat loop over plain floats. The noise for the whole episode is drawn
+    in one batch, which leaves `rng` where one draw per tick would. `drift` is
+    read, never written back.
     """
     if tick <= 0:
         raise ValueError("tick must be positive")
     if duration <= 0:
         raise ValueError("duration must be positive")
+    if window < 1:
+        raise ValueError("window size must be positive")
     steps = int(round(duration / tick))
-    if noise_std > 0 and rng is None:
-        rng = np.random.default_rng(0)
+    if noise_std > 0:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        noise = rng.normal(0.0, noise_std, size=steps).tolist()
+    else:
+        noise = [0.0] * steps
 
     plant.reset(slope)
-    controller = LevelingController(gains, window=window, monitor=drift)
+    plant_step = plant.step
+    kp, ki, kd, setpoint, lim = gains.kp, gains.ki, gains.kd, gains.setpoint, gains.integral_limit
+    if drift is not None:
+        bias, rate, threshold = drift.cumulative_error, drift.effective_rate, drift.reset_threshold
+    else:
+        bias = 0.0
+    readings = deque(maxlen=window)
+    integral = prev_error = prev_t = 0.0
     tilt = float(slope)
 
-    out_t = np.empty(steps)
-    out_tilt = np.empty(steps)
-    out_raw = np.empty(steps)
-    out_filt = np.empty(steps)
-    out_u = np.empty(steps)
-    out_recal = np.zeros(steps, dtype=bool)
-    out_sat = np.zeros(steps, dtype=bool)
-
+    out_t, out_tilt, out_raw, out_filt, out_u, out_recal, out_sat = (
+        [] for _ in range(7))
     for n in range(steps):
         t = n * tick
-        if controller.monitor is not None and n > 0:
-            controller.monitor = drift_update(controller.monitor, tick)
-        bias = controller.monitor.cumulative_error if controller.monitor else 0.0
-        noise = rng.normal(0.0, noise_std) if noise_std > 0 else 0.0
-        raw = tilt + bias + noise
-        command, filtered, recal = controller.update(t, raw)
-        out_t[n] = t
-        out_tilt[n] = tilt
-        out_raw[n] = raw
-        out_filt[n] = filtered
-        out_u[n] = command
-        out_recal[n] = recal
-        tilt = plant.step(command, tick)
-        out_sat[n] = getattr(plant, "last_saturated", False)
+        if drift is not None and n > 0:
+            bias = bias + rate * tick
+        raw = tilt + bias + noise[n]
+        if not math.isfinite(raw):
+            raise ValueError(f"non-finite IMU reading at t={t}")
+        readings.append(raw)
+        filtered = sum(readings) / len(readings)
+        recal = drift is not None and bias >= threshold
+        if recal:
+            bias = 0.0
+            integral = 0.0
+        error = setpoint - filtered
+        if n > 0:
+            dt = t - prev_t
+            integral = integral + 0.5 * (error + prev_error) * dt
+            derivative = (error - prev_error) / dt
+        else:
+            derivative = 0.0
+        if lim is not None:
+            integral = min(max(integral, -lim), lim)
+        command = kp * error + ki * integral + kd * derivative
+        prev_error, prev_t = error, t
+        out_t.append(t)
+        out_tilt.append(tilt)
+        out_raw.append(raw)
+        out_filt.append(filtered)
+        out_u.append(command)
+        out_recal.append(recal)
+        tilt = plant_step(command, tick)
+        out_sat.append(getattr(plant, "last_saturated", False))
 
     return LevelingTrace(
-        t=out_t,
-        tilt=out_tilt,
-        alpha_raw=out_raw,
-        alpha_filtered=out_filt,
-        u=out_u,
-        recalibrated=out_recal,
-        saturated=out_sat,
+        t=np.array(out_t, dtype=float),
+        tilt=np.array(out_tilt, dtype=float),
+        alpha_raw=np.array(out_raw, dtype=float),
+        alpha_filtered=np.array(out_filt, dtype=float),
+        u=np.array(out_u, dtype=float),
+        recalibrated=np.array(out_recal, dtype=bool),
+        saturated=np.array(out_sat, dtype=bool),
+        band=band,
     )

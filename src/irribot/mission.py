@@ -261,10 +261,10 @@ def _enter_leveling(state, world):
     trace = run_leveling_episode(
         plant, p.gains, world.tilt, lv.episode_window, lv.episode_tick,
         window=lv.filter_window, noise_std=lv.noise_std, drift=world.monitor,
-        rng=world.rng,
+        rng=world.rng, band=lv.level_band,
     )
     settle = trace.response_time
-    if settle is None or settle == 0.0:
+    if settle is None:
         settle = lv.episode_window
     rec = world.record(state.pot_index)
     rec.leveling_time = float(settle)

@@ -34,11 +34,9 @@ from irribot.kinematics import (
 from irribot.leveling import (
     DelayedIntegratorPlant,
     DriftMonitor,
-    PidState,
+    PidGains,
     PlatformPlant,
-    drift_update,
     find_ultimate_gain,
-    maybe_recalibrate,
     run_leveling_episode,
     tune_leveling,
 )
@@ -173,13 +171,30 @@ def test_criterion_3_leveling_step_response(capsys):
 
 def test_criterion_4_drift_shielding_and_reset(capsys):
     with criterion(capsys, 4, "drift resets at 5 deg, shielding is exactly 0.4x"):
-        # reset triggers at exactly the 5 deg threshold, not a hair below
-        below = DriftMonitor(drift_rate=0.1, cumulative_error=math.nextafter(5.0, 0.0))
-        _, _, fired = maybe_recalibrate(below, PidState())
-        assert not fired
-        at = DriftMonitor(drift_rate=0.1, cumulative_error=5.0)
-        mon, pid, fired = maybe_recalibrate(at, PidState(integral=2.0))
-        assert fired and mon.cumulative_error == 0.0 and pid.integral == 0.0
+        # reset triggers at exactly the 5 deg threshold, not a hair below: a
+        # preloaded bias held still (rate 0) on a level platform, whose
+        # transport delay keeps the true tilt at exactly 0 for these 5 ticks
+        integral_only = PidGains(kp=0.0, ki=1.0, kd=0.0)
+
+        def episode(mon, duration=0.05):
+            return run_leveling_episode(
+                PlatformPlant(), integral_only, 0.0, duration, 0.01, drift=mon)
+
+        below = math.nextafter(5.0, 0.0)
+        trace = episode(DriftMonitor(drift_rate=0.0, cumulative_error=below))
+        assert not trace.recalibrated.any()
+        assert (trace.alpha_raw - trace.tilt).tolist() == [below] * 5
+        trace = episode(DriftMonitor(drift_rate=0.0, cumulative_error=5.0))
+        assert trace.recalibrated.tolist() == [True, False, False, False, False]
+        # the reading on the reset tick carries the bias; from the next on it is 0
+        assert (trace.alpha_raw - trace.tilt).tolist() == [5.0, 0.0, 0.0, 0.0, 0.0]
+        # a reset zeroes the PID integral too: with u = integral, the command
+        # on a mid-episode reset tick is that tick's trapezoid area alone
+        trace = episode(DriftMonitor(drift_rate=1.0, cumulative_error=4.9), 0.5)
+        k = int(np.flatnonzero(trace.recalibrated)[0])
+        assert k > 1 and trace.u[k - 1] != 0.0
+        error, t = 0.0 - trace.alpha_filtered, trace.t
+        assert trace.u[k] == 0.5 * (error[k] + error[k - 1]) * (t[k] - t[k - 1])
 
         for rate in (0.0015, 0.01, 0.3):
             shielded = DriftMonitor(drift_rate=rate, shielded=True)
@@ -187,17 +202,17 @@ def test_criterion_4_drift_shielding_and_reset(capsys):
             open_air = DriftMonitor(drift_rate=rate, shielded=False)
             assert open_air.effective_rate == rate
 
-        # unshielded accumulation crosses the threshold and recalibrates
-        mon = DriftMonitor(drift_rate=0.02, shielded=False)
-        for _ in range(260):
-            mon = drift_update(mon, 1.0)
-            mon, _, fired = maybe_recalibrate(mon, PidState())
-            if fired:
-                break
-        assert fired
+        # unshielded accumulation crosses the threshold and recalibrates once,
+        # 250 s in (5 deg at 0.02 deg/s)
+        gains, _, _ = tune_leveling(PlatformPlant(), integral_authority=8.0)
+        trace = run_leveling_episode(
+            PlatformPlant(), gains, 0.0, 260.0, 0.01,
+            drift=DriftMonitor(drift_rate=0.02, shielded=False),
+        )
+        fired = np.flatnonzero(trace.recalibrated)
+        assert fired.size == 1 and trace.t[fired[0]] == pytest.approx(250.0, abs=0.02)
 
         # ten simulated minutes of filtered tilt stay within +-0.5 deg
-        gains, _, _ = tune_leveling(PlatformPlant(), integral_authority=8.0)
         trace = run_leveling_episode(
             PlatformPlant(), gains, 0.0, 600.0, 0.01,
             noise_std=0.05, drift=DriftMonitor(drift_rate=0.0015, shielded=True),

@@ -1,6 +1,14 @@
-"""Tests for the tilt-stabilization loop: filter, PID, tuner, drift, episodes."""
+"""Tests for the tilt-stabilization loop: filter, PID, tuner, drift, episodes.
+
+The per-tick controller pieces below (IMU sample, moving-average filter, PID
+step, drift recalibration and the controller bundling them) are the reference
+oracle for `run_leveling_episode`, which runs the same arithmetic as one flat
+loop over plain floats: `reference_episode` composes them tick by tick and
+`test_flat_episode_matches_reference` requires bit-identical traces.
+"""
 
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -10,23 +18,160 @@ from hypothesis import strategies as st
 from irribot.leveling import (
     DelayedIntegratorPlant,
     DriftMonitor,
-    ImuSample,
-    LevelingController,
-    MovingAverageState,
+    LevelingTrace,
     NoOscillation,
-    NonMonotonicTimestamp,
     PidGains,
-    PidState,
     PlatformPlant,
     drift_update,
     find_ultimate_gain,
-    maybe_recalibrate,
-    moving_average_step,
-    pid_step,
     run_leveling_episode,
     tune_leveling,
     ziegler_nichols,
 )
+
+
+class NonMonotonicTimestamp(ValueError):
+    """A sample arrived at or before the previous timestamp."""
+
+
+@dataclass(frozen=True)
+class ImuSample:
+    t: float  # s
+    alpha_raw: float  # degrees
+
+    def __post_init__(self):
+        if not (math.isfinite(self.t) and math.isfinite(self.alpha_raw)):
+            raise ValueError("non-finite IMU sample")
+
+
+@dataclass(frozen=True)
+class MovingAverageState:
+    """Rolling window over the most recent raw tilt samples."""
+
+    size: int = 5
+    window: tuple = ()
+    count: int = 0
+    last_t: float | None = None
+
+    def __post_init__(self):
+        if self.size < 1:
+            raise ValueError("window size must be positive")
+        if len(self.window) > self.size:
+            raise ValueError("window overflow")
+
+
+def moving_average_step(state, sample):
+    """Advance the filter by one sample; returns (new state, filtered value)."""
+    if state.last_t is not None and sample.t <= state.last_t:
+        raise NonMonotonicTimestamp(
+            f"sample at t={sample.t} does not advance past t={state.last_t}"
+        )
+    window = (state.window + (sample.alpha_raw,))[-state.size:]
+    new = MovingAverageState(
+        size=state.size, window=window, count=state.count + 1, last_t=sample.t
+    )
+    return new, sum(window) / len(window)
+
+
+@dataclass(frozen=True)
+class PidState:
+    integral: float = 0.0  # degree*s
+    prev_error: float = 0.0  # degrees
+    prev_t: float | None = None  # s; None until the first step
+
+
+def pid_step(gains, state, measured, t):
+    """One controller update at absolute time t; returns (new state, command).
+
+    Trapezoidal integral, backward-difference derivative on the error. The
+    first step contributes no integral area and no derivative.
+    """
+    error = gains.setpoint - measured
+    if state.prev_t is None:
+        integral = state.integral
+        derivative = 0.0
+    else:
+        dt = t - state.prev_t
+        if dt <= 0:
+            raise NonMonotonicTimestamp(f"t={t} does not advance past t={state.prev_t}")
+        integral = state.integral + 0.5 * (error + state.prev_error) * dt
+        derivative = (error - state.prev_error) / dt
+    if gains.integral_limit is not None:
+        lim = gains.integral_limit
+        integral = min(max(integral, -lim), lim)
+    command = gains.kp * error + gains.ki * integral + gains.kd * derivative
+    return PidState(integral=integral, prev_error=error, prev_t=t), command
+
+
+def maybe_recalibrate(mon, pid):
+    """Zero the bias and the PID integral once accumulation hits the threshold."""
+    if mon.cumulative_error >= mon.reset_threshold:
+        return replace(mon, cumulative_error=0.0), replace(pid, integral=0.0), True
+    return mon, pid, False
+
+
+class LevelingController:
+    """Stateful bundle of prefilter, PID, and drift monitor for loop callers."""
+
+    def __init__(self, gains, *, window=5, monitor=None):
+        self.gains = gains
+        self.monitor = monitor
+        self._ma = MovingAverageState(size=window)
+        self._pid = PidState()
+
+    def update(self, t, alpha_raw):
+        """Consume one raw reading; returns (command, filtered, recalibrated)."""
+        self._ma, filtered = moving_average_step(self._ma, ImuSample(t, alpha_raw))
+        recal = False
+        if self.monitor is not None:
+            self.monitor, self._pid, recal = maybe_recalibrate(self.monitor, self._pid)
+        self._pid, command = pid_step(self.gains, self._pid, filtered, t)
+        return command, filtered, recal
+
+
+def reference_episode(plant, gains, slope, duration, tick=0.01, *, window=5,
+                      noise_std=0.0, drift=None, rng=None, band=0.5):
+    """`run_leveling_episode` one controller update and one noise draw per tick."""
+    if tick <= 0:
+        raise ValueError("tick must be positive")
+    if duration <= 0:
+        raise ValueError("duration must be positive")
+    steps = int(round(duration / tick))
+    if noise_std > 0 and rng is None:
+        rng = np.random.default_rng(0)
+
+    plant.reset(slope)
+    controller = LevelingController(gains, window=window, monitor=drift)
+    tilt = float(slope)
+
+    out_t = np.empty(steps)
+    out_tilt = np.empty(steps)
+    out_raw = np.empty(steps)
+    out_filt = np.empty(steps)
+    out_u = np.empty(steps)
+    out_recal = np.zeros(steps, dtype=bool)
+    out_sat = np.zeros(steps, dtype=bool)
+
+    for n in range(steps):
+        t = n * tick
+        if controller.monitor is not None and n > 0:
+            controller.monitor = drift_update(controller.monitor, tick)
+        bias = controller.monitor.cumulative_error if controller.monitor else 0.0
+        noise = rng.normal(0.0, noise_std) if noise_std > 0 else 0.0
+        raw = tilt + bias + noise
+        command, filtered, recal = controller.update(t, raw)
+        out_t[n] = t
+        out_tilt[n] = tilt
+        out_raw[n] = raw
+        out_filt[n] = filtered
+        out_u[n] = command
+        out_recal[n] = recal
+        tilt = plant.step(command, tick)
+        out_sat[n] = getattr(plant, "last_saturated", False)
+
+    return LevelingTrace(t=out_t, tilt=out_tilt, alpha_raw=out_raw,
+                         alpha_filtered=out_filt, u=out_u, recalibrated=out_recal,
+                         saturated=out_sat, band=band)
 
 
 class FirstOrderLagPlant:
@@ -390,3 +535,70 @@ def test_controller_wrapper_matches_piecewise_calls():
     assert f1 == 1.0 and f2 == 0.9
     assert not r1 and not r2
     assert u2 != u1
+
+
+def test_episode_rejects_bad_inputs():
+    gains = PidGains(1.0, 0.0, 0.0)
+    for kwargs in (dict(tick=0.0), dict(tick=-0.01), dict(duration=0.0), dict(window=0)):
+        args = dict(duration=1.0, tick=0.01) | kwargs
+        with pytest.raises(ValueError):
+            run_leveling_episode(PlatformPlant(), gains, 1.0, args.pop("duration"),
+                                 **args)
+    with pytest.raises(ValueError, match="non-finite"):
+        run_leveling_episode(PlatformPlant(), gains, math.nan, 1.0, 0.01)
+
+
+# ------------------------------------------------- flat loop vs reference
+
+PLANTS = {
+    "platform": lambda: PlatformPlant(max_rate=6.0, delay=0.04, tau=0.12),
+    "integrator": lambda: DelayedIntegratorPlant(gain=1.5, delay=0.03),
+    "lag": lambda: FirstOrderLagPlant(gain=2.0, tau=0.2),
+}
+
+TRACE_ARRAYS = ("t", "tilt", "alpha_raw", "alpha_filtered", "u", "recalibrated",
+                "saturated")
+
+MONITORS = st.builds(
+    DriftMonitor,
+    drift_rate=st.floats(0.0, 3.0),
+    shielded=st.booleans(),
+    reset_threshold=st.floats(0.2, 5.0),
+    cumulative_error=st.floats(0.0, 6.0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    plant=st.sampled_from(sorted(PLANTS)),
+    kp=st.floats(0.0, 3.0), ki=st.floats(0.0, 3.0), kd=st.floats(0.0, 0.2),
+    limit=st.none() | st.floats(0.05, 5.0),
+    slope=st.floats(-12.0, 12.0),
+    duration=st.floats(0.05, 3.0),
+    tick=st.floats(0.002, 0.05),
+    window=st.integers(1, 9),
+    noise_std=st.sampled_from([0.0, 0.05, 0.3]),
+    drift=st.none() | MONITORS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_episode_matches_reference(plant, kp, ki, kd, limit, slope, duration,
+                                        tick, window, noise_std, drift, seed):
+    gains = PidGains(kp, ki, kd, integral_limit=limit)
+    rng_flat, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    kwargs = dict(window=window, noise_std=noise_std, drift=drift, band=0.3)
+    try:
+        ref = reference_episode(PLANTS[plant](), gains, slope, duration, tick,
+                                rng=rng_ref, **kwargs)
+    except ValueError:  # the loop diverged and the IMU read a non-finite tilt
+        with pytest.raises(ValueError, match="non-finite"):
+            run_leveling_episode(PLANTS[plant](), gains, slope, duration, tick,
+                                 rng=rng_flat, **kwargs)
+        return
+    flat = run_leveling_episode(PLANTS[plant](), gains, slope, duration, tick,
+                                rng=rng_flat, **kwargs)
+    for name in TRACE_ARRAYS:
+        got, want = getattr(flat, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    assert flat.band == ref.band
+    assert rng_flat.bit_generator.state == rng_ref.bit_generator.state

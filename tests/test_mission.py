@@ -144,6 +144,24 @@ def test_filter_window_reaches_leveling_episodes():
         default.leveling_mean_s, default.sse_mean_deg)
 
 
+def test_level_band_reaches_the_settle_time():
+    env = environment_for(CFG, "hilly_terrain")
+
+    def leveling_times(band, slope=env.slope):
+        cfg = dataclasses.replace(
+            CFG, leveling=dataclasses.replace(CFG.leveling, level_band=band))
+        _, world = run_trial(dataclasses.replace(env, slope=slope),
+                             resolve_params(cfg, "hilly_terrain", GAINS), 11)
+        return [r.leveling_time for r in world.records if r.leveling_time is not None]
+
+    # a wider band is entered sooner
+    assert np.mean(leveling_times(1.0)) < np.mean(leveling_times(0.5))
+    # a tilt just outside a narrow band settles in about half a second on
+    # every pot, never charged the whole episode window
+    times = leveling_times(0.3, slope=0.45)
+    assert times and max(times) < 1.0
+
+
 def test_battery_voltage_monotone_over_mission():
     _, world = mission("standard_greenhouse")
     volts = [row[4] for row in world.trace_rows]
