@@ -539,11 +539,11 @@ def test_controller_wrapper_matches_piecewise_calls():
 
 def test_episode_rejects_bad_inputs():
     gains = PidGains(1.0, 0.0, 0.0)
-    for kwargs in (dict(tick=0.0), dict(tick=-0.01), dict(duration=0.0), dict(window=0)):
-        args = dict(duration=1.0, tick=0.01) | kwargs
+    for duration, tick, window in ((1.0, 0.0, 5), (1.0, -0.01, 5), (0.0, 0.01, 5),
+                                   (1.0, 0.01, 0)):
         with pytest.raises(ValueError):
-            run_leveling_episode(PlatformPlant(), gains, 1.0, args.pop("duration"),
-                                 **args)
+            run_leveling_episode(PlatformPlant(), gains, 1.0, duration, tick,
+                                 window=window)
     with pytest.raises(ValueError, match="non-finite"):
         run_leveling_episode(PlatformPlant(), gains, math.nan, 1.0, 0.01)
 
