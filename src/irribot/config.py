@@ -85,8 +85,7 @@ class LevelingConfig:
         if not any(manual):
             _require(self.kp > 0 and self.ki >= 0 and self.kd >= 0,
                      "manual gains must be positive (kp) and non-negative (ki, kd)")
-        _require(isinstance(self.filter_window, int) and self.filter_window >= 1,
-                 "filter_window must be an integer of at least 1")
+        _require(self.filter_window >= 1, "filter_window must be at least 1")
         _require(self.noise_std >= 0 and self.drift_rate >= 0,
                  "noise and drift rates must be non-negative")
         _require(0 <= self.shielding_factor < 1, "shielding_factor must be in [0, 1)")
@@ -198,10 +197,6 @@ class RunConfig:
     environments: dict = field(default_factory=_default_environments)
 
     def __post_init__(self):
-        for name in ("seed", "trials", "pot_count"):
-            value = getattr(self, name)
-            _require(isinstance(value, int) and not isinstance(value, bool),
-                     f"{name} must be an integer")
         _require(self.trials >= 1, "trials must be at least 1")
         _require(self.pot_count >= 1, "pot_count must be at least 1")
         _require(self.env == "all" or self.env in ENV_NAMES,
@@ -224,27 +219,53 @@ def default_config():
 # YAML plumbing
 
 
+# What a value must be for each scalar field annotation (the config
+# dataclasses annotate with strings); a YAML integer counts as a float, a
+# boolean as neither number.
+_SCALAR_CHECKS = {
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+}
+
+
+def _check_scalar(value, annotation, key):
+    kind, _, rest = annotation.partition(" | ")
+    if value is None and rest == "None":
+        return
+    accepts = _SCALAR_CHECKS.get(kind)
+    if accepts is not None and not accepts(value):
+        raise ConfigError(f"{key} must be {annotation}, got {type(value).__name__} {value!r}")
+
+
 def _overlay(base, data, path=""):
     """Apply a parsed YAML mapping onto a dataclass or a dict of dataclasses.
 
     Keys that name a nested section recurse; every other key replaces the
-    value outright. Unknown keys fail with their full path, and a value the
+    value outright. Unknown keys fail with their full path, a value of the
+    wrong type fails naming its path and the expected type, and a value the
     section rejects fails as a ConfigError naming the section.
     """
     where = path or "top level"
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be a mapping, got {type(data).__name__}")
     current = base
+    annotations = {}
     if is_dataclass(base):
         current = {f.name: getattr(base, f.name) for f in fields(base)}
+        annotations = {f.name: f.type for f in fields(base)}
     unknown = sorted(set(data) - set(current))
     if unknown:
         raise ConfigError(f"unknown key {path + '.' if path else ''}{unknown[0]!r}")
     changes = {}
     for key, value in data.items():
         child = current[key]
+        key_path = f"{path}.{key}" if path else key
         if is_dataclass(child) or isinstance(child, dict):
-            value = _overlay(child, value, f"{path}.{key}" if path else key)
+            value = _overlay(child, value, key_path)
+        else:
+            _check_scalar(value, annotations[key], key_path)
         changes[key] = value
     if not is_dataclass(base):
         return {**base, **changes}

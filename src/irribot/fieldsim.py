@@ -10,7 +10,7 @@ generator; the module holds no global randomness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from irribot.detect import CIRCULAR, RECTANGULAR, BBox, Detection
 from irribot.kinematics import ArmTarget, arm_to_pixel
@@ -65,6 +65,8 @@ class Pot:
             raise ValueError(f"unknown pot shape {self.shape!r}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("pot dimensions must be positive")
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError("pot position must be finite")
         if self.shape == CIRCULAR and self.width != self.height:
             raise ValueError("circular pots need equal width and height")
 
@@ -73,23 +75,126 @@ class Pot:
         return self.width / 2.0
 
 
+# A uniform grid whose cells are a hair wider than the spacing they serve
+# (Bentley, Stanat & Williams, "The complexity of finding fixed-radius near
+# neighbors", IPL 1977). Two points closer than the spacing lie in the same
+# or adjacent cells; the hair keeps that true when floor(x / size) rounds,
+# for coordinates up to about a million cells from the origin. The grid only
+# narrows the candidates: every result is still decided by the exact
+# predicate a scan over all pots would apply.
+
+
+def _cell_size(spacing):
+    return spacing * (1.0 + 1e-9)
+
+
+def _cell(x, y, size):
+    return math.floor(x / size), math.floor(y / size)
+
+
+def _grid(pots, size):
+    """{cell: [index, ...]}, indices ascending within each cell."""
+    cells = {}
+    for i, p in enumerate(pots):
+        cells.setdefault(_cell(p.x, p.y, size), []).append(i)
+    return cells
+
+
+def _near(cells, size, x, y, reach):
+    """Indices in every cell within reach of (x, y), cell by cell.
+
+    Covers each point whose x and y offsets from (x, y) are both within
+    reach; for reach equal to the spacing that is the 3x3 block of cells
+    around the cell of (x, y).
+    """
+    n = reach * (1.0 + 1e-9) / size  # cells to each side, before rounding up
+    side = 2.0 * n + 1.0
+    cx, cy = _cell(x, y, size)
+    if side * side > len(cells):
+        # fewer cells occupied than the block holds; d < n + 1 is d <= ceil(n)
+        return [
+            i for (gx, gy), members in cells.items()
+            if abs(gx - cx) < n + 1 and abs(gy - cy) < n + 1 for i in members
+        ]
+    n = math.ceil(n)
+    return [
+        i for gx in range(cx - n, cx + n + 1) for gy in range(cy - n, cy + n + 1)
+        for i in cells.get((gx, gy), ())
+    ]
+
+
+def _ring(cells, cx, cy, r):
+    """Indices in the square ring of cells r steps out from cell (cx, cy)."""
+    if r == 0:
+        yield from cells.get((cx, cy), ())
+        return
+    for gx in range(cx - r, cx + r + 1):
+        yield from cells.get((gx, cy - r), ())
+        yield from cells.get((gx, cy + r), ())
+    for gy in range(cy - r + 1, cy + r):
+        yield from cells.get((cx - r, gy), ())
+        yield from cells.get((cx + r, gy), ())
+
+
 @dataclass(frozen=True)
 class PotLayout:
+    """Pots in service order, with a uniform cell grid over their positions.
+
+    `cells` maps a grid cell to the indices of the pots in it, ascending. It
+    is built from the pots and takes no part in equality or repr.
+    """
+
     pots: tuple
     min_spacing: float  # mm, pairwise center-to-center floor
+    cells: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.min_spacing <= 0:
-            raise ValueError("min_spacing must be positive")
+        if not 0 < self.min_spacing < math.inf:
+            raise ValueError("min_spacing must be positive and finite")
         pots = self.pots
-        for i in range(len(pots)):
-            for j in range(i + 1, len(pots)):
-                d = math.hypot(pots[i].x - pots[j].x, pots[i].y - pots[j].y)
-                if d < self.min_spacing - 1e-9:
-                    raise ValueError(
-                        f"pots {pots[i].pot_id} and {pots[j].pot_id} are {d:.1f} mm "
-                        f"apart, below the {self.min_spacing} mm floor"
-                    )
+        size = _cell_size(self.min_spacing)
+        cells = _grid(pots, size)
+        object.__setattr__(self, "cells", cells)
+        # the first offending (i, j) in row-major order, as a scan of every
+        # pair would report it; only pots in neighbouring cells can offend
+        for i, p in enumerate(pots):
+            crowded = [
+                j for j in _near(cells, size, p.x, p.y, self.min_spacing)
+                if j > i and math.hypot(p.x - pots[j].x, p.y - pots[j].y)
+                < self.min_spacing - 1e-9
+            ]
+            if crowded:
+                q = pots[min(crowded)]
+                d = math.hypot(p.x - q.x, p.y - q.y)
+                raise ValueError(
+                    f"pots {p.pot_id} and {q.pot_id} are {d:.1f} mm "
+                    f"apart, below the {self.min_spacing} mm floor"
+                )
+
+    def _hits(self, x, y, reach):
+        """Indices, in layout order, of every pot in the cells within reach."""
+        return sorted(_near(self.cells, _cell_size(self.min_spacing), x, y, reach))
+
+    def in_box(self, x, y, half):
+        """Pots with |p.x - x| <= half and |p.y - y| <= half, in layout order."""
+        pots = self.pots
+        return [
+            p for p in map(pots.__getitem__, self._hits(x, y, half))
+            if abs(p.x - x) <= half and abs(p.y - y) <= half
+        ]
+
+    def nearest_id(self, x, y, gate):
+        """pot_id of the pot nearest (x, y) within gate, or None.
+
+        Of pots at the same distance the one later in layout order wins.
+        """
+        matched, best = None, gate
+        for i in self._hits(x, y, gate):
+            pot = self.pots[i]
+            d = math.hypot(pot.x - x, pot.y - y)
+            if d <= best:
+                matched, best = pot.pot_id, d
+        return matched
 
 
 def grid_layout(count=20, spacing=600.0, shape=CIRCULAR, width=100.0, height=None, columns=5):
@@ -123,14 +228,18 @@ def random_layout(
     Grows a connected cluster: every accepted pot sits within nn_range of its
     anchor and at least nn_range[0] from everything else, so the pairwise
     minimum-spacing invariant holds by construction. Raises LayoutError when
-    the attempt budget runs out.
+    the attempt budget runs out. A candidate is tested against the pots in
+    the 3x3 block of grid cells around it, which holds every pot that could
+    be too close.
     """
     lo, hi = nn_range
-    if not 0 < lo < hi:
-        raise ValueError("nn_range must be ordered and positive")
+    if not 0 < lo < hi < math.inf:
+        raise ValueError("nn_range must be ordered, positive and finite")
     if height is None:
         height = width
+    size = _cell_size(lo)
     pots = [Pot(0, 0.0, 0.0, shape, width, height)]
+    cells = {_cell(0.0, 0.0, size): [0]}
     attempts = 0
     while len(pots) < count:
         attempts += 1
@@ -141,25 +250,59 @@ def random_layout(
         dist = rng.uniform(lo, hi)
         x = anchor.x + dist * math.cos(angle)
         y = anchor.y + dist * math.sin(angle)
-        if all(math.hypot(p.x - x, p.y - y) >= lo for p in pots):
+        if all(math.hypot(pots[i].x - x, pots[i].y - y) >= lo
+               for i in _near(cells, size, x, y, lo)):
+            cells.setdefault(_cell(x, y, size), []).append(len(pots))
             pots.append(Pot(len(pots), x, y, shape, width, height))
-    return PotLayout(pots=_service_order(pots), min_spacing=lo)
+    return PotLayout(pots=_service_order(pots, lo), min_spacing=lo)
 
 
-def _service_order(pots):
+def _service_order(pots, spacing):
     """Re-id pots along a greedy nearest-neighbor chain from the first pot.
 
     Scattered pots come out of placement in cluster-growth order; driving
     that order would criss-cross the plot. The greedy chain is the natural
-    route a chassis takes, and it keeps consecutive hops short.
+    route a chassis takes, and it keeps consecutive hops short. Of equally
+    near pots the one placed first is taken.
+
+    Each nearest pot is searched for ring by ring outward from the last
+    pot's cell in a grid of `spacing`-wide cells. A pot r rings out is more
+    than r - 1 cells away, so the search ends once the best distance is below
+    that, or once its square would hold more cells than are left occupied,
+    when it scans those instead. A taken pot's index leaves its cell's list.
     """
-    remaining = list(pots[1:])
-    chain = [pots[0]]
-    while remaining:
+    size = _cell_size(spacing)
+    cells = _grid(pots, size)
+
+    def take(i):
+        key = _cell(pots[i].x, pots[i].y, size)
+        members = cells[key]
+        members.remove(i)
+        if not members:
+            del cells[key]
+        return pots[i]
+
+    chain = [take(0)]
+    while cells:
         last = chain[-1]
-        nearest = min(remaining, key=lambda p: math.hypot(p.x - last.x, p.y - last.y))
-        remaining.remove(nearest)
-        chain.append(nearest)
+        cx, cy = _cell(last.x, last.y, size)
+        best = None  # (distance, placement index)
+        r = 0
+        while best is None or best[0] >= (r - 1) * spacing:
+            everything = (2 * r + 1) ** 2 > len(cells)
+            if everything:
+                candidates = (i for members in cells.values() for i in members)
+            else:
+                candidates = _ring(cells, cx, cy, r)
+            for i in candidates:
+                p = pots[i]
+                key = (math.hypot(p.x - last.x, p.y - last.y), i)
+                if best is None or key < best:
+                    best = key
+            if everything:
+                break
+            r += 1
+        chain.append(take(best[1]))
     return tuple(replace(p, pot_id=i) for i, p in enumerate(chain))
 
 

@@ -390,6 +390,8 @@ def run_leveling_episode(
     if window < 1:
         raise ValueError("window size must be positive")
     steps = int(round(duration / tick))
+    if steps == 0:
+        raise ValueError("duration must round to at least one tick")
     if noise_std > 0:
         if rng is None:
             rng = np.random.default_rng(0)

@@ -146,12 +146,7 @@ def plan_pot_service(dets, layout, cal, geom, *, station=(0.0, 0.0), match_gate_
         # field-frame position of the detection, for scoring
         fx = station[0] + (target.x_a - cal.delta_x)
         fy = station[1] + (target.y_a - cal.delta_y)
-        matched = None
-        best = match_gate_mm
-        for pot in layout.pots:
-            d = math.hypot(pot.x - fx, pot.y - fy)
-            if d <= best:
-                matched, best = pot.pot_id, d
+        matched = layout.nearest_id(fx, fy, match_gate_mm)
         try:
             joints = inverse_kinematics(target, geom)
             items.append(PlanItem(det, target, joints, matched))
@@ -223,8 +218,7 @@ def _finish_sensing(state, world):
     # sensing wants arm-frame coordinates, hence the hand-eye offset shift
     in_view = [
         replace(q, x=q.x - pot.x + p.cal.delta_x, y=q.y - pot.y + p.cal.delta_y)
-        for q in world.layout.pots
-        if abs(q.x - pot.x) <= 145.0 and abs(q.y - pot.y) <= 145.0
+        for q in world.layout.in_box(pot.x, pot.y, 145.0)
     ]
     raw = simulate_detection(in_view, world.env.detector_profile, world.rng, p.cal)
     dets = enhanced_detection(
@@ -451,7 +445,8 @@ class TrialReport:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def _mean(values):
+def mean_or_none(values):
+    """Arithmetic mean of the values, or None when there are none."""
     vals = list(values)
     return sum(vals) / len(vals) if vals else None
 
@@ -482,12 +477,12 @@ def aggregate_trial(env, world, state, trial, seed):
         frame_accuracy_pct=100.0 * world.matched_frames / world.frames if world.frames else 0.0,
         fp_pct=100.0 * world.fp_count / world.det_count if world.det_count else 0.0,
         mean_inference_ms=float(env.detector_profile.inference_time_ms),
-        mean_positioning_error_mm=_mean(r.positioning_error for r in serviced),
-        leveling_mean_s=_mean(r.leveling_time for r in leveled),
+        mean_positioning_error_mm=mean_or_none(r.positioning_error for r in serviced),
+        leveling_mean_s=mean_or_none(r.leveling_time for r in leveled),
         leveling_max_s=max((r.leveling_time for r in leveled), default=None),
-        sse_mean_deg=_mean(r.leveling_sse for r in leveled),
+        sse_mean_deg=mean_or_none(r.leveling_sse for r in leveled),
         sse_max_deg=max((r.leveling_sse for r in leveled), default=None),
-        mean_volume_ml=_mean(r.dispensed for r in serviced),
+        mean_volume_ml=mean_or_none(r.dispensed for r in serviced),
         efficiency_pct=efficiency,
         water_savings_pct=savings,
         elapsed_s=state.elapsed,

@@ -14,7 +14,7 @@ import json
 from dataclasses import fields
 
 from irribot.fieldsim import ENV_NAMES
-from irribot.mission import TrialReport
+from irribot.mission import TrialReport, mean_or_none
 
 SCHEMA_VERSION = 1
 
@@ -38,25 +38,27 @@ _COLUMN_SPECS = (
 _CSV_FIELDS = tuple(f.name for f in fields(TrialReport))
 
 
-def _mean(values):
-    vals = [v for v in values if v is not None]
-    return sum(vals) / len(vals) if vals else None
-
-
 def summarize_env(reports):
-    """Column means over one environment's trials, plus derived aggregates."""
+    """Column means over one environment's trials, plus derived aggregates.
+
+    A column a trial reports as None (nothing serviced, nothing leveled) is
+    averaged over the trials that report it.
+    """
+    def present(key):
+        return [v for r in reports if (v := getattr(r, key)) is not None]
+
     summary = {
         "trials": len(reports),
-        "accuracy_pct": _mean(r.accuracy_pct for r in reports),
-        "frame_accuracy_pct": _mean(r.frame_accuracy_pct for r in reports),
-        "fp_pct": _mean(r.fp_pct for r in reports),
-        "mean_inference_ms": _mean(r.mean_inference_ms for r in reports),
-        "mean_positioning_error_mm": _mean(r.mean_positioning_error_mm for r in reports),
-        "leveling_mean_s": _mean(r.leveling_mean_s for r in reports),
-        "sse_mean_deg": _mean(r.sse_mean_deg for r in reports),
-        "mean_volume_ml": _mean(r.mean_volume_ml for r in reports),
-        "efficiency_pct": _mean(r.efficiency_pct for r in reports),
-        "water_savings_pct": _mean(r.water_savings_pct for r in reports),
+        "accuracy_pct": mean_or_none(r.accuracy_pct for r in reports),
+        "frame_accuracy_pct": mean_or_none(r.frame_accuracy_pct for r in reports),
+        "fp_pct": mean_or_none(r.fp_pct for r in reports),
+        "mean_inference_ms": mean_or_none(r.mean_inference_ms for r in reports),
+        "mean_positioning_error_mm": mean_or_none(present("mean_positioning_error_mm")),
+        "leveling_mean_s": mean_or_none(present("leveling_mean_s")),
+        "sse_mean_deg": mean_or_none(present("sse_mean_deg")),
+        "mean_volume_ml": mean_or_none(present("mean_volume_ml")),
+        "efficiency_pct": mean_or_none(present("efficiency_pct")),
+        "water_savings_pct": mean_or_none(present("water_savings_pct")),
         "serviced_total": sum(r.serviced for r in reports),
         "pots_total": sum(r.pots for r in reports),
         "aborted_trials": sum(1 for r in reports if r.aborted),

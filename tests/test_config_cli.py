@@ -113,11 +113,47 @@ def test_unknown_keys_fail_with_path(tmp_path, text, frag):
     ("seed: abc\n", "seed"),
     ("trials: 2.5\n", "trials"),
     ("pot_count: true\n", "pot_count"),
+    ("leveling: {noise_std: abc}\n", "leveling.noise_std must be float, got str"),
+    ("leveling: {shielded: 1}\n", "leveling.shielded must be bool, got int"),
+    ("leveling: {kp: [5.0]}\n", "leveling.kp must be float | None, got list"),
+    ("environments:\n  hilly_terrain: {accuracy: high}\n",
+     "environments.hilly_terrain.accuracy must be float"),
+    ("env: 3\n", "env must be str, got int"),
 ])
 def test_bounds_violations_name_the_field(tmp_path, text, frag):
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, text))
     assert frag in str(err.value)
+
+
+def leaf_fields(obj, path=""):
+    """(dotted path, value) of every scalar field under a config dataclass."""
+    items = obj.items() if isinstance(obj, dict) else (
+        (f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    for key, value in items:
+        where = f"{path}.{key}" if path else key
+        if dataclasses.is_dataclass(value) or isinstance(value, dict):
+            yield from leaf_fields(value, where)
+        else:
+            yield where, value
+
+
+def test_every_scalar_field_checks_its_type(tmp_path):
+    leaves = list(leaf_fields(default_config()))
+    assert len(leaves) > 50
+    for where, value in leaves:
+        wrong = 7 if isinstance(value, str) else "seven"
+        *sections, key = where.split(".")
+        text = "".join(f"{'  ' * d}{s}:\n" for d, s in enumerate(sections))
+        text += f"{'  ' * len(sections)}{key}: {json.dumps(wrong)}\n"
+        with pytest.raises(ConfigError, match=f"^{where} must be "):
+            load_config(write(tmp_path, text))
+
+
+def test_integers_are_accepted_as_floats(tmp_path):
+    cfg = load_config(write(tmp_path, "pump: {flow_rate: 30}\nleveling: {kp: 5, ki: 0, kd: 0}\n"))
+    assert cfg.pump.flow_rate == 30
+    assert (cfg.leveling.kp, cfg.leveling.ki) == (5, 0)
 
 
 def test_yaml_syntax_error_is_a_parse_error(tmp_path):
@@ -316,7 +352,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", bad_value]) == 4
     bad_type = write(tmp_path, "trials: ten\n", name="t.yaml")
     assert main(["run", "--config", bad_type]) == 4
-    for text, key in (("seed: abc\n", "seed"), ("trials: 2.5\n", "trials")):
+    for text, key in (("seed: abc\n", "seed"), ("trials: 2.5\n", "trials"),
+                      ("leveling: {noise_std: abc}\n", "leveling.noise_std must be float")):
         capsys.readouterr()
         assert main(["run", "--config", write(tmp_path, text, name="s.yaml")]) == 4
         assert key in capsys.readouterr().err

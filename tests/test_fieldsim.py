@@ -1,5 +1,6 @@
 """Tests for the physical models: layouts, detector, IMU, pump, battery."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from irribot.fieldsim import (
     Pot,
     PotLayout,
     PumpModel,
+    _service_order,
     battery_step,
     build_environment,
     capture_fraction,
@@ -113,6 +115,199 @@ def test_pot_validation():
         Pot(0, 0, 0, CIRCULAR, 100.0, 80.0)  # circular pots are round
     with pytest.raises(ValueError):
         Pot(0, 0, 0, "hexagonal", 100.0, 100.0)
+
+
+# ------------------------------------------- cell grid vs quadratic oracle
+# The passes over every pot (or every pair) that the layout's cell grid
+# replaced, kept verbatim as the reference: the grid may only narrow the
+# candidates, never change a result, a generator draw or an error message.
+
+
+def oracle_pair_check(pots, min_spacing):
+    for i in range(len(pots)):
+        for j in range(i + 1, len(pots)):
+            d = math.hypot(pots[i].x - pots[j].x, pots[i].y - pots[j].y)
+            if d < min_spacing - 1e-9:
+                raise ValueError(
+                    f"pots {pots[i].pot_id} and {pots[j].pot_id} are {d:.1f} mm "
+                    f"apart, below the {min_spacing} mm floor"
+                )
+
+
+def oracle_service_order(pots):
+    remaining = list(pots[1:])
+    chain = [pots[0]]
+    while remaining:
+        last = chain[-1]
+        nearest = min(remaining, key=lambda p: math.hypot(p.x - last.x, p.y - last.y))
+        remaining.remove(nearest)
+        chain.append(nearest)
+    return tuple(dataclasses.replace(p, pot_id=i) for i, p in enumerate(chain))
+
+
+def oracle_random_layout(count, rng, *, nn_range=(400.0, 800.0), max_attempts=10000):
+    """(pots, min_spacing) of random_layout, placed by scanning every pot."""
+    lo, hi = nn_range
+    pots = [Pot(0, 0.0, 0.0, CIRCULAR, 100.0, 100.0)]
+    attempts = 0
+    while len(pots) < count:
+        attempts += 1
+        if attempts > max_attempts:
+            raise LayoutError(f"failed to place pot {len(pots)} within {max_attempts} attempts")
+        anchor = pots[int(rng.integers(len(pots)))]
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        dist = rng.uniform(lo, hi)
+        x = anchor.x + dist * math.cos(angle)
+        y = anchor.y + dist * math.sin(angle)
+        if all(math.hypot(p.x - x, p.y - y) >= lo for p in pots):
+            pots.append(Pot(len(pots), x, y, CIRCULAR, 100.0, 100.0))
+    ordered = oracle_service_order(pots)
+    oracle_pair_check(ordered, lo)
+    return ordered, lo
+
+
+def oracle_in_box(layout, x, y, half):
+    return [q for q in layout.pots if abs(q.x - x) <= half and abs(q.y - y) <= half]
+
+
+def oracle_nearest_id(layout, x, y, gate):
+    matched, best = None, gate
+    for pot in layout.pots:
+        d = math.hypot(pot.x - x, pot.y - y)
+        if d <= best:
+            matched, best = pot.pot_id, d
+    return matched
+
+
+def outcome(fn, *args, **kwargs):
+    """What a layout call returns, or the text of the LayoutError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except LayoutError as exc:
+        return f"LayoutError: {exc}"
+
+
+def assert_same_placement(count, seed, nn_range=(400.0, 800.0), max_attempts=10000):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = outcome(random_layout, count, rng, nn_range=nn_range, max_attempts=max_attempts)
+    want = outcome(oracle_random_layout, count, ref_rng, nn_range=nn_range,
+                   max_attempts=max_attempts)
+    if isinstance(got, PotLayout):
+        got = (got.pots, got.min_spacing)
+    assert got == want
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.floats(20.0, 600.0),
+       st.floats(1.01, 3.0), st.sampled_from([10000, 300, 20]))
+@settings(max_examples=40, deadline=None)
+def test_random_layout_matches_quadratic_oracle(count, seed, lo, ratio, max_attempts):
+    assert_same_placement(count, seed, (lo, lo * ratio), max_attempts)
+
+
+@pytest.mark.parametrize("count, seed", [(800, 42), (800, 1044), (985, 0), (1030, 0)])
+def test_large_random_layouts_match_quadratic_oracle(count, seed):
+    # 1030 pots with seed 0 runs out of attempts: the error text must match
+    assert_same_placement(count, seed)
+
+
+def lattice_pot(k, i, j, pitch):
+    return Pot(k, i * pitch, j * pitch, CIRCULAR, 100.0, 100.0)
+
+
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1,
+                max_size=80, unique=True),
+       st.sampled_from([400.0, 600.0, 1000.0]), st.sampled_from([150.0, 400.0, 999.0]))
+@settings(max_examples=150, deadline=None)
+def test_service_order_ties_go_to_the_pot_placed_first(cells, pitch, spacing):
+    # lattice points: many pots at exactly equal distance from the last one
+    pots = [lattice_pot(k, i, j, pitch) for k, (i, j) in enumerate(cells)]
+    assert _service_order(pots, spacing) == oracle_service_order(pots)
+
+
+def test_service_order_tie_between_mirror_images():
+    pots = [lattice_pot(0, 0, 0, 500.0), lattice_pot(1, 1, 0, 500.0),
+            lattice_pot(2, -1, 0, 500.0), lattice_pot(3, 0, -1, 500.0)]
+    for order in (pots, [pots[0], pots[2], pots[1], pots[3]], [pots[0], *pots[:0:-1]]):
+        chain = _service_order(order, 400.0)
+        assert (chain[1].x, chain[1].y) == (order[1].x, order[1].y)
+        assert chain == oracle_service_order(order)
+
+
+QUERY_LAYOUTS = {
+    # min_spacing below the 145 mm in-view half-width: the box spans many cells
+    "tight_random": lambda: random_layout(250, np.random.default_rng(8), nn_range=(60.0, 130.0)),
+    "random": lambda: random_layout(300, np.random.default_rng(9)),
+    "tight_grid": lambda: grid_layout(60, spacing=100.0),
+    "grid": lambda: grid_layout(60, spacing=600.0),
+    # fewer occupied cells than a query would visit: the query scans the cells
+    "few": lambda: grid_layout(7, spacing=100.0),
+}
+
+
+@pytest.fixture(scope="module")
+def query_layouts():
+    return {name: build() for name, build in QUERY_LAYOUTS.items()}
+
+
+@given(st.sampled_from(sorted(QUERY_LAYOUTS)), st.integers(0, 10**6),
+       st.floats(-400.0, 400.0), st.floats(-400.0, 400.0),
+       st.sampled_from([1.0, 100.0, 145.0, 2.5, 900.0]))
+@settings(max_examples=300, deadline=None)
+def test_grid_queries_match_full_scans(query_layouts, name, k, dx, dy, reach):
+    # reach 2.5 is in units of min_spacing: a gate wider than two cells
+    layout = query_layouts[name]
+    if reach == 2.5:
+        reach *= layout.min_spacing
+    pot = layout.pots[k % len(layout.pots)]
+    for x, y in ((pot.x + dx, pot.y + dy), (pot.x, pot.y), (pot.x + reach, pot.y - reach)):
+        assert layout.in_box(x, y, 145.0) == oracle_in_box(layout, x, y, 145.0)
+        assert layout.in_box(x, y, reach) == oracle_in_box(layout, x, y, reach)
+        assert layout.nearest_id(x, y, reach) == oracle_nearest_id(layout, x, y, reach)
+
+
+def test_match_tie_goes_to_the_later_pot(query_layouts):
+    layout = query_layouts["tight_grid"]  # 100 mm pitch, five columns
+    for a, b in zip(layout.pots, layout.pots[1:]):
+        x, y = (a.x + b.x) / 2, (a.y + b.y) / 2  # exactly 50 mm from both
+        assert layout.nearest_id(x, y, 100.0) == b.pot_id
+        assert layout.nearest_id(x, y, 100.0) == oracle_nearest_id(layout, x, y, 100.0)
+
+
+def test_grid_index_stays_out_of_equality_and_repr():
+    a, b = grid_layout(3), grid_layout(3)
+    assert a == b and hash(a) == hash(b)
+    assert "cells" not in repr(a)
+    assert sorted(i for members in a.cells.values() for i in members) == [0, 1, 2]
+
+
+def test_grid_layout_of_20000_pots_builds():
+    layout = grid_layout(20000)
+    assert len(layout.pots) == 20000
+    assert sum(len(members) for members in layout.cells.values()) == 20000
+
+
+def test_late_crowded_pair_is_named_as_the_oracle_names_it():
+    pots = list(grid_layout(5000).pots)
+    hub = pots[4000]
+    # two pots crowd pot 4000 (and each other); (4000, 4990) comes first
+    pots[4995] = dataclasses.replace(pots[4995], x=hub.x + 150.0, y=hub.y)
+    pots[4990] = dataclasses.replace(pots[4990], x=hub.x - 150.0, y=hub.y + 30.0)
+    with pytest.raises(ValueError) as want:
+        oracle_pair_check(pots, 600.0)
+    with pytest.raises(ValueError) as got:
+        PotLayout(pots=tuple(pots), min_spacing=600.0)
+    assert str(got.value) == str(want.value)
+    assert "pots 4000 and 4990 are" in str(got.value)
+
+
+def test_layout_rejects_non_finite_inputs():
+    with pytest.raises(ValueError):
+        Pot(0, math.nan, 0.0, CIRCULAR, 100.0, 100.0)
+    with pytest.raises(ValueError):
+        PotLayout(pots=(), min_spacing=math.inf)
+    with pytest.raises(ValueError):
+        random_layout(3, np.random.default_rng(0), nn_range=(400.0, math.inf))
 
 
 # ------------------------------------------------------------ environments

@@ -540,7 +540,7 @@ def test_controller_wrapper_matches_piecewise_calls():
 def test_episode_rejects_bad_inputs():
     gains = PidGains(1.0, 0.0, 0.0)
     for duration, tick, window in ((1.0, 0.0, 5), (1.0, -0.01, 5), (0.0, 0.01, 5),
-                                   (1.0, 0.01, 0)):
+                                   (0.004, 0.01, 5), (1.0, 0.01, 0)):
         with pytest.raises(ValueError):
             run_leveling_episode(PlatformPlant(), gains, 1.0, duration, tick,
                                  window=window)
