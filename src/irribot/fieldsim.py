@@ -177,11 +177,8 @@ class PotLayout:
 
     def in_box(self, x, y, half):
         """Pots with |p.x - x| <= half and |p.y - y| <= half, in layout order."""
-        pots = self.pots
-        return [
-            p for p in map(pots.__getitem__, self._hits(x, y, half))
-            if abs(p.x - x) <= half and abs(p.y - y) <= half
-        ]
+        hits = (self.pots[i] for i in self._hits(x, y, half))
+        return [p for p in hits if abs(p.x - x) <= half and abs(p.y - y) <= half]
 
     def nearest_id(self, x, y, gate):
         """pot_id of the pot nearest (x, y) within gate, or None.

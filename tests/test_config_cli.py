@@ -19,7 +19,7 @@ from irribot.config import (
     load_config,
     resolve_params,
 )
-from irribot.mission import run_trial
+from irribot.mission import TrialReport, run_trial
 from irribot.report import (
     TABLE_COLUMNS,
     build_results,
@@ -193,6 +193,18 @@ def test_environment_for_applies_profile_and_pot_count(tmp_path):
 
 
 # ------------------------------------------------------------------ report
+
+def test_summary_means_skip_trials_without_a_value():
+    row = dict.fromkeys(f.name for f in dataclasses.fields(TrialReport))
+    row.update(env="x", trial=0, seed=0, pots=1, serviced=0, accuracy_pct=50.0,
+               frame_accuracy_pct=50.0, fp_pct=0.0, mean_inference_ms=30.0,
+               elapsed_s=1.0, battery_voltage_end=12.0, aborted=False)
+    reports = [TrialReport(**{**row, "mean_positioning_error_mm": v}) for v in (2.0, None, 5.0)]
+    summary = summarize_env(reports)
+    assert summary["mean_positioning_error_mm"] == 3.5
+    assert summary["accuracy_pct"] == 50.0
+    assert summary["leveling_mean_s"] is None
+
 
 @pytest.fixture(scope="module")
 def two_env_payload():
