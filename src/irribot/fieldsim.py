@@ -155,8 +155,8 @@ class PotLayout:
         size = _cell_size(self.min_spacing)
         cells = _grid(pots, size)
         object.__setattr__(self, "cells", cells)
-        # the first offending (i, j) in row-major order, as a scan of every
-        # pair would report it; only pots in neighbouring cells can offend
+        # name the lexicographically first offending (i, j), as a scan of
+        # every pair would; only pots in neighbouring cells can offend
         for i, p in enumerate(pots):
             crowded = [
                 j for j in _near(cells, size, p.x, p.y, self.min_spacing)
