@@ -21,7 +21,6 @@ from pathlib import Path
 from irribot.config import (
     ConfigError,
     ConfigParseError,
-    as_dict,
     default_config,
     environment_for,
     gains_for,
@@ -34,6 +33,7 @@ from irribot.kinematics import ArmTarget, calibrate_single_reference
 from irribot.leveling import NoOscillation
 from irribot.mission import MissionTimeout, run_trial, run_until_depleted
 from irribot.report import (
+    MalformedResults,
     build_results,
     load_results,
     render_report,
@@ -134,7 +134,7 @@ def _cmd_run(args):
         with _naming_trial(name, "endurance run", cfg.seed):
             endurance[name] = run_until_depleted(env, params, cfg.seed)[0]
 
-    payload = build_results(as_dict(cfg), env_reports, endurance)
+    payload = build_results(dataclasses.asdict(cfg), env_reports, endurance)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "results.json").write_text(results_to_json(payload))
@@ -188,10 +188,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except ConfigParseError as exc:
-        print(f"irribot: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except json.JSONDecodeError as exc:
+    except (ConfigParseError, json.JSONDecodeError, MalformedResults) as exc:
         print(f"irribot: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ConfigError, NoOscillation, ValueError) as exc:

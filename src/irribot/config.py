@@ -1,6 +1,6 @@
 """Run configuration: defaults, YAML overrides, validation.
 
-A RunConfig is a tree of frozen dataclasses; the battery and calibration
+A RunConfig is a tree of frozen dataclasses; the arm, battery and calibration
 sections are the model dataclasses themselves. YAML files override any subset
 of fields; unknown keys fail loudly with their full path rather than being
 ignored, since a typo that silently reverts to a default is the worst kind
@@ -11,6 +11,8 @@ trials need into the TrialParams the mission consumes.
 from __future__ import annotations
 
 import dataclasses
+import re
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import yaml
@@ -38,16 +40,6 @@ class ConfigParseError(ConfigError):
 def _require(cond, message):
     if not cond:
         raise ConfigError(message)
-
-
-@dataclass(frozen=True)
-class ArmConfig:
-    l1: float = 120.0  # mm
-    l2: float = 160.0  # mm
-    theta_offset: float = 15.0  # deg
-
-    def __post_init__(self):
-        _require(self.l1 > 0 and self.l2 > 0, "arm link lengths must be positive")
 
 
 @dataclass(frozen=True)
@@ -175,6 +167,10 @@ def _default_environments():
     }
 
 
+def _default_arm():
+    return ArmGeometry(l1=120.0, l2=160.0, theta_offset=15.0)
+
+
 def _default_calibration():
     return CalibrationState(s=0.1, u0=2000.0, v0=1500.0, delta_x=150.0)
 
@@ -185,7 +181,7 @@ class RunConfig:
     trials: int = 10
     env: str = "all"
     pot_count: int = 20
-    arm: ArmConfig = field(default_factory=ArmConfig)
+    arm: ArmGeometry = field(default_factory=_default_arm)
     calibration: CalibrationState = field(default_factory=_default_calibration)
     plant: PlantConfig = field(default_factory=PlantConfig)
     leveling: LevelingConfig = field(default_factory=LevelingConfig)
@@ -219,6 +215,18 @@ def default_config():
 # YAML plumbing
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 exponent floats (`1e3`, `1.0e3`,
+    `-2E-4`), which PyYAML's YAML 1.1 resolver leaves as strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 # What a value must be for each scalar field annotation (the config
 # dataclasses annotate with strings); a YAML integer counts as a float, a
 # boolean as neither number.
@@ -237,6 +245,9 @@ def _check_scalar(value, annotation, key):
     accepts = _SCALAR_CHECKS.get(kind)
     if accepts is not None and not accepts(value):
         raise ConfigError(f"{key} must be {annotation}, got {type(value).__name__} {value!r}")
+    # NaN fails every comparison, and so does an int too large for a float
+    if kind == "float" and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{key} must be a finite float, got {value!r}")
 
 
 def _overlay(base, data, path=""):
@@ -255,7 +266,7 @@ def _overlay(base, data, path=""):
     if is_dataclass(base):
         current = {f.name: getattr(base, f.name) for f in fields(base)}
         annotations = {f.name: f.type for f in fields(base)}
-    unknown = sorted(set(data) - set(current))
+    unknown = sorted(set(data) - set(current), key=str)
     if unknown:
         raise ConfigError(f"unknown key {path + '.' if path else ''}{unknown[0]!r}")
     changes = {}
@@ -279,27 +290,15 @@ def load_config(path):
     """Parse a YAML file into a RunConfig, overlaying the defaults."""
     with open(path) as fh:
         try:
-            data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+            data = yaml.load(fh, Loader=_Loader)
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ConfigParseError(f"could not parse {path}: {exc}") from None
     return _overlay(default_config(), {} if data is None else data)
 
 
-def as_dict(cfg):
-    """Plain nested-dict rendering, field order preserved."""
-    def plain(obj):
-        if is_dataclass(obj) and not isinstance(obj, type):
-            return {f.name: plain(getattr(obj, f.name)) for f in fields(obj)}
-        if isinstance(obj, dict):
-            return {k: plain(v) for k, v in obj.items()}
-        return obj
-
-    return plain(cfg)
-
-
 def dump_config(cfg):
     """Stable YAML rendering of the full tree, field order preserved."""
-    return yaml.safe_dump(as_dict(cfg), sort_keys=False)
+    return yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=False)
 
 
 # --------------------------------------------------------------------------
@@ -358,7 +357,7 @@ def resolve_params(cfg, env_name, gains=None):
     tuning = cfg.environments[env_name]
     return TrialParams(
         cal=cfg.calibration,
-        geom=ArmGeometry(cfg.arm.l1, cfg.arm.l2, cfg.arm.theta_offset),
+        geom=cfg.arm,
         gains=gains,
         pump=PumpModel(
             flow_rate=cfg.pump.flow_rate,

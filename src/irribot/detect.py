@@ -7,12 +7,10 @@ handling here. All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 CIRCULAR = "circular"
 RECTANGULAR = "rectangular"
-
-KNOWN_CLASSES = (CIRCULAR, RECTANGULAR)
 
 
 class UnknownContainerClass(Exception):
@@ -58,7 +56,7 @@ class Detection:
     """One candidate container detection."""
 
     bbox: BBox
-    cls: str          # container class, one of KNOWN_CLASSES
+    cls: str          # container class, CIRCULAR or RECTANGULAR
     conf: float       # confidence in [0, 1]
 
     def __post_init__(self):
@@ -71,15 +69,12 @@ class GeometryBands:
     """Per-class aspect-ratio acceptance intervals.
 
     Membership is strict on both ends: a ratio exactly on a bound is
-    rejected. Defaults assign the near-square band to circular pots and
-    the elongated band to rectangular pots.
+    rejected. Circular pots use band_a (near-square by default) and
+    rectangular pots band_b (elongated by default).
     """
 
-    band_a: tuple[float, float] = (0.9, 1.1)
-    band_b: tuple[float, float] = (1.2, 1.5)
-    assignment: dict[str, str] = field(
-        default_factory=lambda: {CIRCULAR: "a", RECTANGULAR: "b"}
-    )
+    band_a: tuple[float, float] = (0.9, 1.1)  # CIRCULAR
+    band_b: tuple[float, float] = (1.2, 1.5)  # RECTANGULAR
 
     def __post_init__(self):
         for lo, hi in (self.band_a, self.band_b):
@@ -89,16 +84,13 @@ class GeometryBands:
         b_lo, b_hi = self.band_b
         if max(a_lo, b_lo) < min(a_hi, b_hi):
             raise ValueError("geometry bands overlap")
-        for cls, name in self.assignment.items():
-            if name not in ("a", "b"):
-                raise ValueError(f"class {cls!r} assigned to unknown band {name!r}")
 
     def band_for(self, cls: str) -> tuple[float, float]:
-        try:
-            name = self.assignment[cls]
-        except KeyError:
-            raise UnknownContainerClass(cls) from None
-        return self.band_a if name == "a" else self.band_b
+        if cls == CIRCULAR:
+            return self.band_a
+        if cls == RECTANGULAR:
+            return self.band_b
+        raise UnknownContainerClass(cls)
 
 
 def confidence_gate(dets: list[Detection], threshold: float) -> list[Detection]:
@@ -131,19 +123,14 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def nms(
-    dets: list[Detection],
-    iou_threshold: float,
-    *,
-    class_agnostic: bool = True,
-) -> list[Detection]:
+def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
     """Greedy non-maximum suppression.
 
     Repeatedly keeps the highest-confidence remaining detection and
     discards the others overlapping it with IoU > iou_threshold. Output
     is sorted by descending confidence (stable for ties), which makes
-    the operation idempotent. With class_agnostic=False, suppression
-    only applies between detections of the same class.
+    the operation idempotent. Suppression ignores the class: overlapping
+    boxes of different classes compete for the same container.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold out of [0, 1]: {iou_threshold}")
@@ -152,12 +139,7 @@ def nms(
     while remaining:
         best = remaining.pop(0)
         kept.append(best)
-        remaining = [
-            d
-            for d in remaining
-            if (not class_agnostic and d.cls != best.cls)
-            or iou(d.bbox, best.bbox) <= iou_threshold
-        ]
+        remaining = [d for d in remaining if iou(d.bbox, best.bbox) <= iou_threshold]
     return kept
 
 
@@ -166,11 +148,9 @@ def enhanced_detection(
     bands: GeometryBands,
     conf_threshold: float = 0.5,
     iou_threshold: float = 0.3,
-    *,
-    class_agnostic: bool = True,
 ) -> list[Detection]:
     """Full post-processing pipeline: confidence gate, then geometry
     validation, then NMS, in that order."""
     gated = confidence_gate(dets, conf_threshold)
     validated = [d for d in gated if aspect_ratio_valid(d, bands)]
-    return nms(validated, iou_threshold, class_agnostic=class_agnostic)
+    return nms(validated, iou_threshold)

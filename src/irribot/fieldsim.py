@@ -619,19 +619,20 @@ def battery_step(state, active_subsystems, dt, ticks=1, voltages=None):
     """Drain by the sum of active draws over `ticks` ticks of dt seconds each.
 
     Ticks apply one at a time, so one n-tick call equals n one-tick calls bit
-    for bit. Depletion latches on the first tick whose voltage falls below the
-    cutoff. When `voltages` is a list, each tick's voltage is appended to it.
+    for bit. The draws are non-negative, so charge never rises, and voltage is
+    monotone in charge: if any tick's voltage falls below the cutoff, the last
+    tick's does, so depletion is decided from the last tick alone. When
+    `voltages` is a list, each tick's voltage is appended to it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     model = state.model
     drain = sum(model.draw(s) for s in active_subsystems) * dt / 3600.0
-    voltage, cutoff = model.voltage, model.voltage_cutoff
     charge, depleted = state.charge_mah, state.depleted
     for _ in range(ticks):
         charge = charge - drain
-        volts = voltage(charge)
-        depleted = depleted or volts < cutoff
         if voltages is not None:
-            voltages.append(volts)
+            voltages.append(model.voltage(charge))
+    if ticks > 0:
+        depleted = depleted or model.voltage(charge) < model.voltage_cutoff
     return BatteryState(model=model, charge_mah=charge, depleted=depleted)

@@ -1,4 +1,4 @@
-"""Eye-in-hand calibration and closed-form 3-DoF arm kinematics.
+"""Eye-in-hand calibration and closed-form 3-DoF arm inverse kinematics.
 
 The camera-to-arm mapping is a calibrated affine transform at a fixed
 working height: single-reference calibration pins the static offsets so
@@ -44,32 +44,15 @@ class CalibrationState:
 
 @dataclass(frozen=True)
 class ArmGeometry:
-    """Link lengths and mounting offset of the planar pair.
-
-    Joint limits default to the full closed-form range: theta1 covers the
-    whole circle and theta2 spans the arccos image shifted by the mounting
-    offset.
-    """
+    """Link lengths and mounting offset of the planar pair."""
 
     l1: float                          # mm
     l2: float                          # mm
     theta_offset: float = 0.0          # deg
-    theta1_limits: tuple[float, float] | None = None
-    theta2_limits: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not (self.l1 > 0 and self.l2 > 0):
-            raise ValueError("link lengths must be positive")
-
-    @property
-    def t1_limits(self) -> tuple[float, float]:
-        return self.theta1_limits if self.theta1_limits else (-180.0, 180.0)
-
-    @property
-    def t2_limits(self) -> tuple[float, float]:
-        if self.theta2_limits:
-            return self.theta2_limits
-        return (0.0 - self.theta_offset, 180.0 - self.theta_offset)
+            raise ValueError("arm link lengths must be positive")
 
 
 @dataclass(frozen=True)
@@ -168,39 +151,3 @@ def inverse_kinematics(target: ArmTarget, geom: ArmGeometry) -> JointAngles:
     theta1 = math.degrees(math.atan2(target.y_a, target.x_a))
     theta2 = math.degrees(math.acos(c)) - geom.theta_offset
     return JointAngles.from_base_elbow(theta1, theta2)
-
-
-def planar_reach(angles: JointAngles, geom: ArmGeometry) -> float:
-    """Radial distance of the two-link pair at the given elbow angle."""
-    elbow = math.radians(angles.theta2 + geom.theta_offset)
-    r_sq = geom.l1**2 + geom.l2**2 + 2.0 * geom.l1 * geom.l2 * math.cos(elbow)
-    return math.sqrt(max(0.0, r_sq))
-
-
-def forward_kinematics(angles: JointAngles, geom: ArmGeometry) -> ArmTarget:
-    """Reconstruct a target from joint angles.
-
-    The closed-form inverse keeps only two independent quantities: the
-    base angle and the planar reach. The reach is re-spread over the
-    X/Z pair and the base angle over X/Y so that both invariants of the
-    inverse are reproduced; the remaining freedom is fixed by taking Z
-    non-negative.
-    """
-    r = planar_reach(angles, geom)
-    t1 = math.radians(angles.theta1)
-    return ArmTarget(
-        x_a=r * math.cos(t1),
-        y_a=r * math.sin(t1),
-        z_a=r * abs(math.sin(t1)),
-    )
-
-
-def workspace_contains(target: ArmTarget, geom: ArmGeometry) -> bool:
-    """True iff the target solves and the solution respects joint limits."""
-    try:
-        angles = inverse_kinematics(target, geom)
-    except (UnreachableTarget, SingularBase):
-        return False
-    lo1, hi1 = geom.t1_limits
-    lo2, hi2 = geom.t2_limits
-    return lo1 <= angles.theta1 <= hi1 and lo2 <= angles.theta2 <= hi2

@@ -35,6 +35,9 @@ _COLUMN_SPECS = (
     ("efficiency_pct", 1),
 )
 
+# every summary value render_report formats
+_RENDERED_SUMMARY_KEYS = (*(key for key, _ in _COLUMN_SPECS), "water_savings_pct")
+
 _CSV_FIELDS = tuple(f.name for f in fields(TrialReport))
 
 
@@ -89,9 +92,37 @@ def results_to_json(payload):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+class MalformedResults(ValueError):
+    """A file that parses as JSON but is not a results payload of this schema."""
+
+
 def load_results(path):
+    """Read a results.json, checking the structure the renderers read."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            payload = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise MalformedResults(f"could not read {path}: {exc}") from None
+
+    def require(cond, what):
+        if not cond:
+            raise MalformedResults(f"{path} is not a schema-{SCHEMA_VERSION} "
+                                   f"irribot results file: {what}")
+
+    require(isinstance(payload, dict), f"top level is a {type(payload).__name__}")
+    version = payload.get("schema_version")
+    require(version == SCHEMA_VERSION, f"schema_version is {version!r}")
+    envs = payload.get("environments")
+    require(isinstance(envs, dict), "no 'environments' mapping")
+    for name, entry in envs.items():
+        require(isinstance(entry, dict) and isinstance(entry.get("summary"), dict),
+                f"environment {name!r} has no 'summary' mapping")
+        checked = [(key, entry["summary"].get(key)) for key in _RENDERED_SUMMARY_KEYS]
+        checked.append(("endurance_runtime_min", entry.get("endurance_runtime_min")))
+        for key, value in checked:
+            require(value is None or isinstance(value, (int, float)),
+                    f"environment {name!r}: {key} is not a number")
+    return payload
 
 
 # --------------------------------------------------------------------------

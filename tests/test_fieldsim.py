@@ -591,3 +591,17 @@ def test_battery_n_tick_call_equals_n_one_tick_calls(subsystems, dt, n, capacity
     recorded = []
     assert battery_step(state, subsystems, dt, n, recorded) == stepped
     assert recorded == volts
+    # without a voltage list, depletion is read off the last tick alone
+    assert battery_step(state, subsystems, dt, n) == stepped
+    assert stepped.depleted == any(v < stepped.model.voltage_cutoff for v in volts)
+
+
+@given(st.floats(1e-3, 1e5), st.floats(1e-3, 50.0), st.floats(1e-3, 50.0),
+       st.floats(-1e5, 1e5), st.floats(-1e5, 1e5))
+def test_battery_voltage_never_falls_as_charge_grows(capacity, cutoff, span, a, b):
+    # the last-tick depletion latch rests on this: a lower charge never reads
+    # a higher voltage, below zero charge too
+    model = BatteryModel(capacity_mah=capacity, voltage_full=cutoff + span,
+                         voltage_cutoff=cutoff)
+    low, high = min(a, b), max(a, b)
+    assert model.voltage(low) <= model.voltage(high)

