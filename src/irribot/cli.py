@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -188,7 +187,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (ConfigParseError, json.JSONDecodeError, MalformedResults) as exc:
+    except (ConfigParseError, MalformedResults) as exc:
         print(f"irribot: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ConfigError, NoOscillation, ValueError) as exc:

@@ -117,8 +117,8 @@ class DelayedIntegratorPlant:
     """
 
     def __init__(self, gain=1.0, delay=0.05):
-        if gain <= 0 or delay < 0:
-            raise ValueError("gain must be positive and delay non-negative")
+        if not (gain > 0 and 0 <= delay < math.inf):
+            raise ValueError("gain must be positive and delay finite and non-negative")
         self.gain = gain
         self.delay = delay
         self.tilt = 0.0
@@ -142,12 +142,15 @@ class PlatformPlant:
     """Lead-screw pitch platform: rate command through a transport delay and a
     first-order actuator lag, rate-saturated, then integrated into tilt.
 
-    `last_saturated` flags rate clipping on the most recent step so callers
-    can record saturation as an event. Fixed-tick stepping is assumed.
+    `last_saturated` flags rate clipping on the most recent step, which ends
+    a tuner probe. Fixed-tick stepping is assumed. `max_rate=math.inf` means
+    no clipping; NaN parameters and an infinite delay or lag are rejected.
+    `run_leveling_episode` runs this same model inline from the three
+    parameters; `step` serves the tuner.
     """
 
     def __init__(self, max_rate=8.0, delay=0.05, tau=0.15):
-        if max_rate <= 0 or delay < 0 or tau <= 0:
+        if not (max_rate > 0 and 0 <= delay < math.inf and 0 < tau < math.inf):
             raise ValueError("invalid platform parameters")
         self.max_rate = max_rate  # degrees/s
         self.delay = delay  # s
@@ -371,17 +374,20 @@ def run_leveling_episode(
 ):
     """Close the loop on a slope step and record the full trace.
 
-    The platform starts tilted at `slope` degrees. Each tick: drift
+    The `PlatformPlant` starts tilted at `slope` degrees. Each tick: drift
     accumulates, the IMU reads true tilt plus bias plus noise, the reading is
     filtered by a `window`-sample moving average, the drift monitor may
     recalibrate (zeroing bias and integral), the PID issues a rate command
     (trapezoidal integral clamped to the gains' limit, backward-difference
-    derivative, neither on the first tick), and the plant integrates it.
+    derivative, neither on the first tick), and the platform integrates it.
     Saturation is recorded, never raised. `band` is the trace's settling band.
 
-    One flat loop over plain floats. The noise for the whole episode is drawn
-    in one batch, which leaves `rng` where one draw per tick would. `drift` is
-    read, never written back.
+    One flat loop over plain floats that runs the platform model of
+    `PlatformPlant.step` inline: the command list is the transport-delay
+    line. The plant's parameters are read, the plant itself is never stepped
+    or changed. The noise for the whole episode is drawn in one batch, which
+    leaves `rng` where one draw per tick would. `drift` is read, never
+    written back.
     """
     if tick <= 0:
         raise ValueError("tick must be positive")
@@ -399,23 +405,25 @@ def run_leveling_episode(
     else:
         noise = [0.0] * steps
 
-    plant.reset(slope)
-    plant_step = plant.step
+    max_rate = plant.max_rate
+    delay = max(0, round(plant.delay / tick))
+    lag = math.exp(-tick / plant.tau)
     kp, ki, kd, setpoint, lim = gains.kp, gains.ki, gains.kd, gains.setpoint, gains.integral_limit
     if drift is not None:
-        bias, rate, threshold = drift.cumulative_error, drift.effective_rate, drift.reset_threshold
+        bias, drift_rate, threshold = (drift.cumulative_error, drift.effective_rate,
+                                       drift.reset_threshold)
     else:
         bias = 0.0
     readings = deque(maxlen=window)
     integral = prev_error = prev_t = 0.0
+    speed = 0.0  # platform rate after the actuator lag, degrees/s
     tilt = float(slope)
 
-    out_t, out_tilt, out_raw, out_filt, out_u, out_recal, out_sat = (
-        [] for _ in range(7))
+    out_tilt, out_raw, out_filt, out_u, out_recal, out_sat = ([] for _ in range(6))
     for n in range(steps):
         t = n * tick
         if drift is not None and n > 0:
-            bias = bias + rate * tick
+            bias = bias + drift_rate * tick
         raw = tilt + bias + noise[n]
         if not math.isfinite(raw):
             raise ValueError(f"non-finite IMU reading at t={t}")
@@ -433,25 +441,37 @@ def run_leveling_episode(
         else:
             derivative = 0.0
         if lim is not None:
-            integral = min(max(integral, -lim), lim)
+            if integral > lim:
+                integral = lim
+            elif integral < -lim:
+                integral = -lim
         command = kp * error + ki * integral + kd * derivative
         prev_error, prev_t = error, t
-        out_t.append(t)
         out_tilt.append(tilt)
         out_raw.append(raw)
         out_filt.append(filtered)
         out_u.append(command)
         out_recal.append(recal)
-        tilt = plant_step(command, tick)
-        out_sat.append(getattr(plant, "last_saturated", False))
+        u = out_u[n - delay] if n >= delay else 0.0
+        speed = u + (speed - u) * lag
+        # a NaN speed fails both bounds: it counts as saturated and stays NaN,
+        # as min/max leave it in PlatformPlant.step
+        saturated = not -max_rate <= speed <= max_rate
+        if saturated:
+            if speed > max_rate:
+                speed = max_rate
+            elif speed < -max_rate:
+                speed = -max_rate
+        out_sat.append(saturated)
+        tilt = tilt + speed * tick
 
     return LevelingTrace(
-        t=np.array(out_t, dtype=float),
-        tilt=np.array(out_tilt, dtype=float),
-        alpha_raw=np.array(out_raw, dtype=float),
-        alpha_filtered=np.array(out_filt, dtype=float),
-        u=np.array(out_u, dtype=float),
-        recalibrated=np.array(out_recal, dtype=bool),
-        saturated=np.array(out_sat, dtype=bool),
+        t=np.arange(steps, dtype=float) * tick,
+        tilt=np.fromiter(out_tilt, float, steps),
+        alpha_raw=np.fromiter(out_raw, float, steps),
+        alpha_filtered=np.fromiter(out_filt, float, steps),
+        u=np.fromiter(out_u, float, steps),
+        recalibrated=np.fromiter(out_recal, bool, steps),
+        saturated=np.fromiter(out_sat, bool, steps),
         band=band,
     )

@@ -93,22 +93,26 @@ def results_to_json(payload):
 
 
 class MalformedResults(ValueError):
-    """A file that parses as JSON but is not a results payload of this schema."""
+    """A file that is not a results payload of this schema."""
 
 
 def load_results(path):
     """Read a results.json, checking the structure the renderers read."""
+    def malformed(what):
+        return MalformedResults(f"{path} is not a schema-{SCHEMA_VERSION} "
+                                f"irribot results file: {what}")
+
+    def require(cond, what):
+        if not cond:
+            raise malformed(what)
+
     with open(path) as fh:
         try:
             payload = json.load(fh)
         except UnicodeDecodeError as exc:
             raise MalformedResults(f"could not read {path}: {exc}") from None
-
-    def require(cond, what):
-        if not cond:
-            raise MalformedResults(f"{path} is not a schema-{SCHEMA_VERSION} "
-                                   f"irribot results file: {what}")
-
+        except json.JSONDecodeError as exc:
+            raise malformed(f"not JSON: {exc}") from None
     require(isinstance(payload, dict), f"top level is a {type(payload).__name__}")
     version = payload.get("schema_version")
     require(version == SCHEMA_VERSION, f"schema_version is {version!r}")

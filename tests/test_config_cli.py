@@ -407,7 +407,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["run", "--config", write(tmp_path, text, name="f.yaml")]) == 4
         assert f"{key} must be a finite float" in capsys.readouterr().err
     assert main(["replay", str(tmp_path / "missing.json")]) == 5
-    for text, what in (("{}", "schema_version is None"), ("[1]", "top level is a list"),
+    for text, what in (("nul", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+                       ("{}", "schema_version is None"), ("[1]", "top level is a list"),
                        ('{"schema_version": 2, "environments": {}}', "schema_version is 2"),
                        ('{"schema_version": 1, "environments": {"x": 3}}',
                         "environment 'x' has no 'summary' mapping"),

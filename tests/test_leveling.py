@@ -3,12 +3,16 @@
 The per-tick controller pieces below (IMU sample, moving-average filter, PID
 step, drift recalibration and the controller bundling them) are the reference
 oracle for `run_leveling_episode`, which runs the same arithmetic as one flat
-loop over plain floats: `reference_episode` composes them tick by tick and
-`test_flat_episode_matches_reference` requires bit-identical traces.
+loop over plain floats with the platform model inline: `reference_episode`
+composes them tick by tick around the generic `plant.step`, and
+`test_flat_episode_matches_reference` requires bit-identical traces. The
+oracle also closes the loop on plants the episode does not take.
 """
 
 import math
+import runpy
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,7 +135,8 @@ class LevelingController:
 
 def reference_episode(plant, gains, slope, duration, tick=0.01, *, window=5,
                       noise_std=0.0, drift=None, rng=None, band=0.5):
-    """`run_leveling_episode` one controller update and one noise draw per tick."""
+    """`run_leveling_episode` one controller update, one noise draw and one
+    `plant.step` per tick, for any plant with `reset` and `step`."""
     if tick <= 0:
         raise ValueError("tick must be positive")
     if duration <= 0:
@@ -372,7 +377,7 @@ def test_stable_lag_plant_never_oscillates():
 def test_tuned_gains_stabilize_delayed_integrator():
     plant = DelayedIntegratorPlant(gain=1.0, delay=0.05)
     gains, ku, tu = tune_leveling(plant)
-    trace = run_leveling_episode(DelayedIntegratorPlant(1.0, 0.05), gains, 10.0, 6.0, 0.002)
+    trace = reference_episode(DelayedIntegratorPlant(1.0, 0.05), gains, 10.0, 6.0, 0.002)
     assert trace.steady_state_error < 0.4
 
 
@@ -477,8 +482,8 @@ def test_episode_envelope_decays_monotonically():
 
 
 def test_episode_doubling_kp_does_not_raise_sse_on_linear_plant():
-    lo = run_leveling_episode(FirstOrderLagPlant(1.0, 0.5), PidGains(0.5, 0, 0), 1.0, 2.0, 0.01)
-    hi = run_leveling_episode(FirstOrderLagPlant(1.0, 0.5), PidGains(1.0, 0, 0), 1.0, 2.0, 0.01)
+    lo = reference_episode(FirstOrderLagPlant(1.0, 0.5), PidGains(0.5, 0, 0), 1.0, 2.0, 0.01)
+    hi = reference_episode(FirstOrderLagPlant(1.0, 0.5), PidGains(1.0, 0, 0), 1.0, 2.0, 0.01)
     assert hi.steady_state_error <= lo.steady_state_error
 
 
@@ -550,12 +555,6 @@ def test_episode_rejects_bad_inputs():
 
 # ------------------------------------------------- flat loop vs reference
 
-PLANTS = {
-    "platform": lambda: PlatformPlant(max_rate=6.0, delay=0.04, tau=0.12),
-    "integrator": lambda: DelayedIntegratorPlant(gain=1.5, delay=0.03),
-    "lag": lambda: FirstOrderLagPlant(gain=2.0, tau=0.2),
-}
-
 TRACE_ARRAYS = ("t", "tilt", "alpha_raw", "alpha_filtered", "u", "recalibrated",
                 "saturated")
 
@@ -568,9 +567,20 @@ MONITORS = st.builds(
 )
 
 
+def assert_same_trace(flat, ref):
+    """Every array equal in dtype and value (NaN equal to NaN), and the band."""
+    for name in TRACE_ARRAYS:
+        got, want = getattr(flat, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want, equal_nan=want.dtype == float), name
+    assert flat.band == ref.band
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    plant=st.sampled_from(sorted(PLANTS)),
+    max_rate=st.floats(0.5, 20.0) | st.just(math.inf),
+    delay=st.just(0.0) | st.floats(0.0, 0.2),
+    tau=st.floats(0.005, 1.0),
     kp=st.floats(0.0, 3.0), ki=st.floats(0.0, 3.0), kd=st.floats(0.0, 0.2),
     limit=st.none() | st.floats(0.05, 5.0),
     slope=st.floats(-12.0, 12.0),
@@ -581,24 +591,82 @@ MONITORS = st.builds(
     drift=st.none() | MONITORS,
     seed=st.integers(0, 2**32 - 1),
 )
-def test_flat_episode_matches_reference(plant, kp, ki, kd, limit, slope, duration,
-                                        tick, window, noise_std, drift, seed):
+def test_flat_episode_matches_reference(max_rate, delay, tau, kp, ki, kd, limit, slope,
+                                        duration, tick, window, noise_std, drift, seed):
     gains = PidGains(kp, ki, kd, integral_limit=limit)
     rng_flat, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     kwargs = dict(window=window, noise_std=noise_std, drift=drift, band=0.3)
+    plant = PlatformPlant(max_rate, delay, tau)
+    untouched = dict(vars(plant))
     try:
-        ref = reference_episode(PLANTS[plant](), gains, slope, duration, tick,
-                                rng=rng_ref, **kwargs)
+        ref = reference_episode(PlatformPlant(max_rate, delay, tau), gains, slope,
+                                duration, tick, rng=rng_ref, **kwargs)
     except ValueError:  # the loop diverged and the IMU read a non-finite tilt
         with pytest.raises(ValueError, match="non-finite"):
-            run_leveling_episode(PLANTS[plant](), gains, slope, duration, tick,
-                                 rng=rng_flat, **kwargs)
-        return
-    flat = run_leveling_episode(PLANTS[plant](), gains, slope, duration, tick,
-                                rng=rng_flat, **kwargs)
-    for name in TRACE_ARRAYS:
-        got, want = getattr(flat, name), getattr(ref, name)
-        assert got.dtype == want.dtype, name
-        assert np.array_equal(got, want), name
-    assert flat.band == ref.band
+            run_leveling_episode(plant, gains, slope, duration, tick, rng=rng_flat,
+                                 **kwargs)
+    else:
+        flat = run_leveling_episode(plant, gains, slope, duration, tick, rng=rng_flat,
+                                    **kwargs)
+        assert_same_trace(flat, ref)
     assert rng_flat.bit_generator.state == rng_ref.bit_generator.state
+    assert vars(plant) == untouched  # the episode reads the plant, never steps it
+
+
+def test_flat_episode_matches_reference_when_the_rate_turns_nan():
+    # 207 ticks: on the last one the command overflows to -inf, the lagged
+    # rate becomes inf + (-inf) = NaN, and an unclipped platform still counts
+    # that as a saturated tick
+    args = (PidGains(5000.0, 0.0, 0.0), 1.0, 2.07, 0.01)
+    ref = reference_episode(PlatformPlant(math.inf, 0.0, 0.01), *args, window=1)
+    flat = run_leveling_episode(PlatformPlant(math.inf, 0.0, 0.01), *args, window=1)
+    assert len(flat.t) == 207 and flat.u[-1] == -math.inf
+    assert ref.saturated[-1] and not ref.saturated[:-1].any()
+    assert_same_trace(flat, ref)
+
+
+def test_plants_reject_non_finite_parameters():
+    for max_rate, delay, tau in ((math.nan, 0.05, 0.15), (8.0, math.nan, 0.15),
+                                 (8.0, 0.05, math.nan), (8.0, math.inf, 0.15),
+                                 (8.0, 0.05, math.inf)):
+        with pytest.raises(ValueError):
+            PlatformPlant(max_rate, delay, tau)
+    for gain, delay in ((math.nan, 0.05), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            DelayedIntegratorPlant(gain, delay)
+    # an unbounded rate is a platform without clipping: the tilt falls far
+    # faster than the default 8 deg/s (0.08 deg per tick) allows
+    trace = run_leveling_episode(PlatformPlant(max_rate=math.inf), PidGains(20.0, 0.0, 0.0),
+                                 10.0, 1.0, 0.01)
+    assert not trace.saturated.any() and np.diff(trace.tilt).min() < -1.0
+
+
+# The only pinned output that reads `saturated` and `alpha_filtered`; the
+# campaign digests see neither, because the mission reads only `tilt`.
+TUNE_LEVELING_STDOUT = """\
+platform plant (max_rate 8 deg/s, delay 0.05 s, tau 0.15 s):
+  Ku = 21.000000   Tu = 0.574560 s
+  Kp = 12.600000   Ki = 43.859656   Kd = 0.904932
+  integral clamp = 0.182400 deg*s
+
+10 deg step, noise free:
+  response time       = 1.64 s
+  steady-state error  = 0.0004 deg
+  saturated ticks     = 125
+
+10 deg step, IMU noise 0.05 deg + shielded drift:
+  response time       = 1.64 s
+  steady-state error  = 0.0428 deg
+  max estimation gap  = 0.1913 deg
+
+delayed-integrator cross-check (Ku = pi/(2kL), Tu = 4L):
+  k=1.0 L=0.05:  Ku  31.0000 vs  31.4159  (-1.32%)   Tu 0.2036 vs 0.2000  (+1.81%)
+  k=2.0 L=0.08:  Ku   9.7500 vs   9.8175  (-0.69%)   Tu 0.3235 vs 0.3200  (+1.09%)
+  k=0.5 L=0.10:  Ku  31.0000 vs  31.4159  (-1.32%)   Tu 0.4044 vs 0.4000  (+1.10%)
+"""
+
+
+def test_tune_leveling_script_output_is_pinned(capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "tune_leveling.py"
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out == TUNE_LEVELING_STDOUT
