@@ -15,7 +15,7 @@ statistics are invariant to whatever this prints. Run from the repo root:
 
 from dataclasses import replace
 
-from irribot.config import default_config, environment_for, gains_for, resolve_params
+from irribot.config import default_config, environment_for, gains_for
 from irribot.mission import run_until_depleted
 
 SEED = 42
@@ -23,9 +23,9 @@ CFG = default_config()
 
 
 def runtime_minutes(env_name, battery, speed, gains, seed=SEED):
-    params = replace(resolve_params(CFG, env_name, gains),
-                     battery=battery, drive_speed_mm_s=speed)
-    minutes, _ = run_until_depleted(environment_for(CFG, env_name), params, seed)
+    cfg = replace(CFG, battery=battery)
+    env = replace(environment_for(cfg, env_name), drive_speed=speed)
+    minutes, _ = run_until_depleted(env, cfg, gains, seed)
     return minutes
 
 

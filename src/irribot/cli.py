@@ -24,7 +24,6 @@ from irribot.config import (
     environment_for,
     gains_for,
     load_config,
-    resolve_params,
     tuned_gains,
 )
 from irribot.fieldsim import LayoutError
@@ -119,19 +118,18 @@ def _cmd_run(args):
     traces = {}
     for name in cfg.env_names():
         env = environment_for(cfg, name)
-        params = resolve_params(cfg, name, gains)
         reports = []
         for i in range(cfg.trials):
             want_trace = args.trace and i == 0
             with _naming_trial(name, f"trial {i}", cfg.seed + i):
-                report, world = run_trial(env, params, cfg.seed + i, trial=i,
+                report, world = run_trial(env, cfg, gains, cfg.seed + i, trial=i,
                                           keep_trace=want_trace)
             if want_trace:
                 traces[(name, i)] = world.trace_rows
             reports.append(report)
         env_reports[name] = reports
         with _naming_trial(name, "endurance run", cfg.seed):
-            endurance[name] = run_until_depleted(env, params, cfg.seed)[0]
+            endurance[name] = run_until_depleted(env, cfg, gains, cfg.seed)[0]
 
     payload = build_results(dataclasses.asdict(cfg), env_reports, endurance)
     out_dir = Path(args.out_dir)

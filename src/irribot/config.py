@@ -4,8 +4,9 @@ A RunConfig is a tree of frozen dataclasses; the arm, battery and calibration
 sections are the model dataclasses themselves. YAML files override any subset
 of fields; unknown keys fail loudly with their full path rather than being
 ignored, since a typo that silently reverts to a default is the worst kind
-of configuration bug. `resolve_params` picks the sections one environment's
-trials need into the TrialParams the mission consumes.
+of configuration bug. `environment_for` resolves one environment's terrain,
+detector profile, pump and drive speed; a mission reads everything else from
+the RunConfig itself.
 """
 
 from __future__ import annotations
@@ -17,13 +18,17 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import yaml
 
+from irribot.detect import CIRCULAR, RECTANGULAR
 from irribot.fieldsim import (
-    _ENV_TABLE,
+    ENV_COMPLEX,
+    ENV_HILLY,
     ENV_NAMES,
+    ENV_STANDARD,
     BatteryModel,
     DetectorProfile,
+    Environment,
+    LayoutSpec,
     PumpModel,
-    build_environment,
 )
 from irribot.kinematics import ArmGeometry, CalibrationState
 from irribot.leveling import PidGains, PlatformPlant, tune_leveling
@@ -157,13 +162,29 @@ class EnvTuning:
         _require(self.center_noise_px >= 0, "center_noise_px must be non-negative")
 
 
+# The fixed facts of each environment: terrain slope (degrees) and layout
+# recipe. Everything that may be tuned is in EnvTuning.
+_TERRAIN = {
+    ENV_STANDARD: (0.0, LayoutSpec(kind="grid", spacing=600.0, shape=CIRCULAR,
+                                   width=100.0, height=100.0)),
+    ENV_HILLY: (10.0, LayoutSpec(kind="grid", spacing=600.0, shape=RECTANGULAR,
+                                 width=120.0, height=80.0)),
+    ENV_COMPLEX: (0.0, LayoutSpec(kind="random", nn_range=(400.0, 800.0), shape=CIRCULAR,
+                                  width=100.0, height=100.0)),
+}
+
+
 def _default_environments():
     return {
-        name: EnvTuning(
-            row["dispense_overshoot"], row["spray_efficiency"], row["drive_speed"],
-            **dataclasses.asdict(row["profile"]),
-        )
-        for name, row in _ENV_TABLE.items()
+        ENV_STANDARD: EnvTuning(
+            dispense_overshoot=0.05, spray_efficiency=0.952, drive_speed=300.0,
+            accuracy=0.987, fp_rate=0.012, inference_time_ms=32.0, center_noise_px=11.0),
+        ENV_HILLY: EnvTuning(
+            dispense_overshoot=0.08, spray_efficiency=0.926, drive_speed=300.0,
+            accuracy=0.975, fp_rate=0.021, inference_time_ms=35.0, center_noise_px=26.0),
+        ENV_COMPLEX: EnvTuning(
+            dispense_overshoot=0.07, spray_efficiency=0.935, drive_speed=241.0,
+            accuracy=0.960, fp_rate=0.035, inference_time_ms=38.0, center_noise_px=33.0),
     }
 
 
@@ -323,54 +344,22 @@ def gains_for(cfg):
 
 
 def environment_for(cfg, name):
-    """Canonical environment with this config's detector profile applied."""
-    env = build_environment(name, cfg.pot_count)
+    """One environment as this config sets it up: terrain, a layout of
+    pot_count pots, and the tuned detector profile, pump and drive speed."""
+    try:
+        slope, layout = _TERRAIN[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown environment {name!r}; expected one of {', '.join(ENV_NAMES)}"
+        ) from None
     t = cfg.environments[name]
-    profile = DetectorProfile(t.accuracy, t.fp_rate, t.inference_time_ms,
-                              t.center_noise_px)
-    return dataclasses.replace(env, detector_profile=profile)
-
-
-@dataclass(frozen=True)
-class TrialParams:
-    """Everything a single trial needs: config sections plus the arm, pump
-    and gains resolved for one environment."""
-
-    cal: CalibrationState
-    geom: ArmGeometry
-    gains: PidGains
-    pump: PumpModel
-    battery: BatteryModel
-    plant: PlantConfig
-    leveling: LevelingConfig
-    detection: DetectionConfig
-    timing: TimingConfig
-    scoring: ScoringConfig
-    target_volume_ml: float
-    drive_speed_mm_s: float
-
-
-def resolve_params(cfg, env_name, gains=None):
-    """Resolve the config tree for one environment into TrialParams."""
-    if gains is None:
-        gains = gains_for(cfg)
-    tuning = cfg.environments[env_name]
-    return TrialParams(
-        cal=cfg.calibration,
-        geom=cfg.arm,
-        gains=gains,
-        pump=PumpModel(
-            flow_rate=cfg.pump.flow_rate,
-            dispense_overshoot=tuning.dispense_overshoot,
-            spray_radius=cfg.pump.spray_radius,
-            spray_efficiency=tuning.spray_efficiency,
-        ),
-        battery=cfg.battery,
-        plant=cfg.plant,
-        leveling=cfg.leveling,
-        detection=cfg.detection,
-        timing=cfg.timing,
-        scoring=cfg.scoring,
-        target_volume_ml=cfg.pump.target_volume,
-        drive_speed_mm_s=tuning.drive_speed,
+    return Environment(
+        name=name,
+        slope=slope,
+        detector_profile=DetectorProfile(t.accuracy, t.fp_rate, t.inference_time_ms,
+                                         t.center_noise_px),
+        layout=dataclasses.replace(layout, count=cfg.pot_count),
+        pump=PumpModel(cfg.pump.flow_rate, t.dispense_overshoot, cfg.pump.spray_radius,
+                       t.spray_efficiency),
+        drive_speed=t.drive_speed,
     )

@@ -20,6 +20,9 @@ ENV_HILLY = "hilly_terrain"
 ENV_COMPLEX = "complex_lighting"
 ENV_NAMES = (ENV_STANDARD, ENV_HILLY, ENV_COMPLEX)
 
+# battery consumers, in BatteryModel's field order
+SUBSYSTEMS = ("drive", "leveling", "arm", "pump", "compute")
+
 # aspect-ratio sampling stays strictly inside the geometry bands so the
 # detector's own boxes never land on an excluded boundary
 _RATIO_RANGES = {CIRCULAR: (0.92, 1.08), RECTANGULAR: (1.25, 1.47)}
@@ -333,62 +336,20 @@ def realize_layout(spec, rng):
 
 @dataclass(frozen=True)
 class Environment:
+    """One test environment, as `irribot.config.environment_for` builds it."""
+
     name: str
     slope: float  # degrees
     detector_profile: DetectorProfile
     layout: LayoutSpec
+    pump: PumpModel
+    drive_speed: float  # mm/s
 
     def __post_init__(self):
         if self.slope < 0:
             raise ValueError("slope must be non-negative")
-
-
-# Per environment: terrain, detector profile, layout recipe, and the
-# operating point of the pump (overshoot, spray efficiency) and the chassis
-# (drive speed, mm/s).
-_ENV_TABLE = {
-    ENV_STANDARD: dict(
-        slope=0.0,
-        profile=DetectorProfile(0.987, 0.012, 32.0, center_noise_px=11.0),
-        layout=LayoutSpec(kind="grid", spacing=600.0, shape=CIRCULAR, width=100.0, height=100.0),
-        dispense_overshoot=0.05,
-        spray_efficiency=0.952,
-        drive_speed=300.0,
-    ),
-    ENV_HILLY: dict(
-        slope=10.0,
-        profile=DetectorProfile(0.975, 0.021, 35.0, center_noise_px=26.0),
-        layout=LayoutSpec(kind="grid", spacing=600.0, shape=RECTANGULAR, width=120.0, height=80.0),
-        dispense_overshoot=0.08,
-        spray_efficiency=0.926,
-        drive_speed=300.0,
-    ),
-    ENV_COMPLEX: dict(
-        slope=0.0,
-        profile=DetectorProfile(0.960, 0.035, 38.0, center_noise_px=33.0),
-        layout=LayoutSpec(kind="random", nn_range=(400.0, 800.0), shape=CIRCULAR,
-                          width=100.0, height=100.0),
-        dispense_overshoot=0.07,
-        spray_efficiency=0.935,
-        drive_speed=241.0,
-    ),
-}
-
-
-def build_environment(name, pot_count=20):
-    """Standard test environments with their detector profiles and layouts."""
-    try:
-        row = _ENV_TABLE[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown environment {name!r}; expected one of {', '.join(ENV_NAMES)}"
-        ) from None
-    return Environment(
-        name=name,
-        slope=row["slope"],
-        detector_profile=row["profile"],
-        layout=replace(row["layout"], count=pot_count),
-    )
+        if not self.drive_speed > 0:
+            raise ValueError("drive speed must be positive")
 
 
 # --------------------------------------------------------------------------
@@ -584,9 +545,9 @@ class BatteryModel:
             raise ValueError("capacity must be positive")
         if not self.voltage_full > self.voltage_cutoff > 0:
             raise ValueError("voltage_full must exceed voltage_cutoff, which must be positive")
-        for name in ("drive_ma", "leveling_ma", "arm_ma", "pump_ma", "compute_ma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} cannot be negative")
+        for name in SUBSYSTEMS:
+            if getattr(self, f"{name}_ma") < 0:
+                raise ValueError(f"{name}_ma cannot be negative")
 
     def draw(self, subsystem):
         try:
@@ -622,12 +583,15 @@ def battery_step(state, active_subsystems, dt, ticks=1, voltages=None):
     for bit. The draws are non-negative, so charge never rises, and voltage is
     monotone in charge: if any tick's voltage falls below the cutoff, the last
     tick's does, so depletion is decided from the last tick alone. When
-    `voltages` is a list, each tick's voltage is appended to it.
+    `voltages` is a list, each tick's voltage is appended to it. The draws
+    are summed in SUBSYSTEMS order, whatever order the collection iterates
+    in, so a set of names drains the same in every process.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     model = state.model
-    drain = sum(model.draw(s) for s in active_subsystems) * dt / 3600.0
+    draws = {s: model.draw(s) for s in active_subsystems}  # rejects unknown names
+    drain = sum(draws[s] for s in SUBSYSTEMS if s in draws) * dt / 3600.0
     charge, depleted = state.charge_mah, state.depleted
     for _ in range(ticks):
         charge = charge - drain

@@ -39,9 +39,10 @@ class PidGains:
     integral_limit: float | None = None  # degree*s, clamp on |integral|
 
     def __post_init__(self):
-        if self.kp < 0 or self.ki < 0 or self.kd < 0:
+        # written so that NaN, which fails every comparison, is rejected too
+        if not (self.kp >= 0 and self.ki >= 0 and self.kd >= 0):
             raise ValueError("gains must be non-negative")
-        if self.integral_limit is not None and self.integral_limit <= 0:
+        if self.integral_limit is not None and not (self.integral_limit > 0):
             raise ValueError("integral limit must be positive when set")
 
 

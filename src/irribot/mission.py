@@ -90,14 +90,15 @@ class MissionState:
 class MissionWorld:
     """Mutable simulation handles shared by all ticks of one mission."""
 
-    def __init__(self, env, layout, params, rng, *, loop=False, keep_trace=False):
+    def __init__(self, env, layout, cfg, gains, rng, *, loop=False, keep_trace=False):
         self.env = env
         self.layout = layout
-        self.params = params
+        self.cfg = cfg
+        self.gains = gains
         self.rng = rng
         self.loop = loop  # endurance mode: wrap to pot 0 instead of finishing
         self.bands = GeometryBands()
-        lv = params.leveling
+        lv = cfg.leveling
         self.monitor = DriftMonitor(
             drift_rate=lv.drift_rate,
             shielded=lv.shielded,
@@ -191,14 +192,12 @@ def _pot(world, index):
 
 
 def _enter_sensing(state, world, *, retried=False):
-    p = world.params
     profile = world.env.detector_profile
-    duration = p.timing.sense_settle + profile.inference_time_ms / 1000.0
+    duration = world.cfg.timing.sense_settle + profile.inference_time_ms / 1000.0
     return _transition(state, world, SENSING, phase_left=duration, retried=retried)
 
 
 def _enter_advancing(state, world, cause=None):
-    p = world.params
     rec = world.record(state.pot_index)
     if cause is not None:
         rec.cause = cause
@@ -207,27 +206,28 @@ def _enter_advancing(state, world, cause=None):
     distance = math.hypot(nxt.x - here.x, nxt.y - here.y)
     if distance == 0.0:
         distance = world.layout.min_spacing
-    return _transition(state, world, ADVANCING, phase_left=distance / p.drive_speed_mm_s)
+    return _transition(state, world, ADVANCING, phase_left=distance / world.env.drive_speed)
 
 
 def _finish_sensing(state, world):
-    p = world.params
+    cfg = world.cfg
+    cal = cfg.calibration
     world.frames += 1
     pot = _pot(world, state.pot_index)
     # the station frame is centered on the pot the chassis parked at;
     # sensing wants arm-frame coordinates, hence the hand-eye offset shift
     in_view = [
-        replace(q, x=q.x - pot.x + p.cal.delta_x, y=q.y - pot.y + p.cal.delta_y)
+        replace(q, x=q.x - pot.x + cal.delta_x, y=q.y - pot.y + cal.delta_y)
         for q in world.layout.in_box(pot.x, pot.y, 145.0)
     ]
-    raw = simulate_detection(in_view, world.env.detector_profile, world.rng, p.cal)
+    raw = simulate_detection(in_view, world.env.detector_profile, world.rng, cal)
     dets = enhanced_detection(
-        raw, world.bands, conf_threshold=p.detection.conf_threshold,
-        iou_threshold=p.detection.iou_threshold,
+        raw, world.bands, conf_threshold=cfg.detection.conf_threshold,
+        iou_threshold=cfg.detection.iou_threshold,
     )
     plan = plan_pot_service(
-        dets, world.layout, p.cal, p.geom,
-        station=(pot.x, pot.y), match_gate_mm=p.scoring.match_gate,
+        dets, world.layout, cal, cfg.arm,
+        station=(pot.x, pot.y), match_gate_mm=cfg.scoring.match_gate,
     )
     world.det_count += len(plan)
     world.fp_count += sum(1 for item in plan if item.matched_pot is None)
@@ -243,17 +243,17 @@ def _finish_sensing(state, world):
             return _enter_sensing(state, world, retried=True)
         return _enter_advancing(state, world, cause=CAUSE_UNDETECTED)
     world.current_target = target
-    if abs(world.tilt) > p.leveling.level_band:
+    if abs(world.tilt) > cfg.leveling.level_band:
         return _enter_leveling(state, world)
-    return _transition(state, world, POSITIONING, phase_left=p.timing.arm_move)
+    return _transition(state, world, POSITIONING, phase_left=cfg.timing.arm_move)
 
 
 def _enter_leveling(state, world):
-    p = world.params
-    lv = p.leveling
-    plant = PlatformPlant(p.plant.max_rate, p.plant.delay, p.plant.tau)
+    lv = world.cfg.leveling
+    pc = world.cfg.plant
+    plant = PlatformPlant(pc.max_rate, pc.delay, pc.tau)
     trace = run_leveling_episode(
-        plant, p.gains, world.tilt, lv.episode_window, lv.episode_tick,
+        plant, world.gains, world.tilt, lv.episode_window, lv.episode_tick,
         window=lv.filter_window, noise_std=lv.noise_std, drift=world.monitor,
         rng=world.rng, band=lv.level_band,
     )
@@ -268,39 +268,40 @@ def _enter_leveling(state, world):
 
 
 def _finish_leveling(state, world):
-    return _transition(state, world, POSITIONING, phase_left=world.params.timing.arm_move)
+    return _transition(state, world, POSITIONING, phase_left=world.cfg.timing.arm_move)
 
 
 def _finish_positioning(state, world):
-    p = world.params
+    scoring = world.cfg.scoring
+    cal = world.cfg.calibration
     item = world.current_target
     if item is None or item.joints is None:
         return _enter_advancing(state, world,
                                 cause=None if item is None else item.cause)
-    jitter = world.rng.normal(0.0, p.scoring.sigma_mech, size=2)
-    lever = math.tan(math.radians(world.tilt)) * p.scoring.tilt_lever
-    impact_x = (item.target.x_a - p.cal.delta_x) + jitter[0] + lever
-    impact_y = (item.target.y_a - p.cal.delta_y) + jitter[1]
+    jitter = world.rng.normal(0.0, scoring.sigma_mech, size=2)
+    lever = math.tan(math.radians(world.tilt)) * scoring.tilt_lever
+    impact_x = (item.target.x_a - cal.delta_x) + jitter[0] + lever
+    impact_y = (item.target.y_a - cal.delta_y) + jitter[1]
     # station frame is pot-centered, so the impact offset IS the error vector
     err = math.hypot(impact_x, impact_y)
     rec = world.record(state.pot_index)
     rec.positioning_error = float(err)
     world.impact = (impact_x, impact_y)
-    dispensed_volume = p.target_volume_ml * (1.0 + p.pump.dispense_overshoot)
+    pump = world.env.pump
+    dispensed_volume = world.cfg.pump.target_volume * (1.0 + pump.dispense_overshoot)
     return _transition(
-        state, world, DISPENSING, phase_left=dispensed_volume / p.pump.flow_rate
+        state, world, DISPENSING, phase_left=dispensed_volume / pump.flow_rate
     )
 
 
 def _finish_dispensing(state, world):
-    p = world.params
     pot = _pot(world, state.pot_index)
     rec = world.record(state.pot_index)
     ix, iy = world.impact
     err = rec.positioning_error
     direction = (ix / err, iy / err) if err > 0 else (1.0, 0.0)
     dispensed, delivered = dispense(
-        p.pump, p.target_volume_ml, err, pot, direction=direction
+        world.env.pump, world.cfg.pump.target_volume, err, pot, direction=direction
     )
     rec.dispensed = dispensed
     rec.delivered = delivered
@@ -384,24 +385,24 @@ def step_mission(state, world, dt, max_ticks):
 
 
 def start_mission(world):
-    p = world.params
     profile = world.env.detector_profile
     return MissionState(
         phase=SENSING,
         pot_index=0,
         elapsed=0.0,
-        battery=fresh_battery(p.battery),
-        phase_left=p.timing.sense_settle + profile.inference_time_ms / 1000.0,
+        battery=fresh_battery(world.cfg.battery),
+        phase_left=world.cfg.timing.sense_settle + profile.inference_time_ms / 1000.0,
     )
 
 
-def run_mission(env, params, seed, *, loop=False, keep_trace=False, max_hours=3.0):
-    """Run one full mission; returns (final state, world)."""
+def run_mission(env, cfg, gains, seed, *, loop=False, keep_trace=False, max_hours=3.0):
+    """Run one full mission in env, as `environment_for(cfg, name)` resolves
+    it, with these leveling gains; returns (final state, world)."""
     rng = np.random.default_rng(seed)
     layout = realize_layout(env.layout, rng)
-    world = MissionWorld(env, layout, params, rng, loop=loop, keep_trace=keep_trace)
+    world = MissionWorld(env, layout, cfg, gains, rng, loop=loop, keep_trace=keep_trace)
     state = start_mission(world)
-    tick = params.timing.mission_tick
+    tick = cfg.timing.mission_tick
     max_ticks = int(max_hours * 3600.0 / tick)
     ticks = 0
     while ticks < max_ticks:
@@ -453,7 +454,6 @@ def mean_or_none(values):
 
 def aggregate_trial(env, world, state, trial, seed):
     """Fold the mission's records into one report row of plain floats."""
-    params = world.params
     records = world.records
     pots = len(records)
     serviced = [r for r in records if r.serviced]
@@ -463,7 +463,7 @@ def aggregate_trial(env, world, state, trial, seed):
     total_del = sum(r.delivered for r in serviced)
     efficiency = 100.0 * total_del / total_disp if total_disp > 0 else None
     savings = (
-        water_savings_pct(total_del / total_disp, params.scoring.flood_efficiency)
+        water_savings_pct(total_del / total_disp, world.cfg.scoring.flood_efficiency)
         if total_disp > 0 and total_del > 0
         else None
     )
@@ -492,17 +492,17 @@ def aggregate_trial(env, world, state, trial, seed):
     )
 
 
-def run_trial(env, params, seed, *, trial=0, keep_trace=False):
+def run_trial(env, cfg, gains, seed, *, trial=0, keep_trace=False):
     """One metrics trial over the full layout; returns (report, world)."""
-    state, world = run_mission(env, params, seed, loop=False, keep_trace=keep_trace)
+    state, world = run_mission(env, cfg, gains, seed, loop=False, keep_trace=keep_trace)
     return aggregate_trial(env, world, state, trial, seed), world
 
 
-def run_until_depleted(env, params, seed, *, max_hours=3.0):
+def run_until_depleted(env, cfg, gains, seed, *, max_hours=3.0):
     """Endurance run: loop the layout until the battery gives out.
 
     Returns (minutes of runtime, pots serviced). A looping mission never
     reaches Done, so it ends aborted or raises MissionTimeout.
     """
-    state, world = run_mission(env, params, seed, loop=True, max_hours=max_hours)
+    state, world = run_mission(env, cfg, gains, seed, loop=True, max_hours=max_hours)
     return state.elapsed / 60.0, world.pots_seen

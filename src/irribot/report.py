@@ -139,12 +139,16 @@ def _cell(value, digits):
     return f"{value:.{digits}f}"
 
 
+def _env_order(payload):
+    """The payload's environments, the standard ones first in ENV_NAMES order."""
+    names = [n for n in ENV_NAMES if n in payload["environments"]]
+    return names + [n for n in payload["environments"] if n not in ENV_NAMES]
+
+
 def render_summary_table(payload):
     """Fixed-column table, one row per environment present in the payload."""
-    names = [n for n in ENV_NAMES if n in payload["environments"]]
-    names += [n for n in payload["environments"] if n not in ENV_NAMES]
     rows = []
-    for name in names:
+    for name in _env_order(payload):
         summary = payload["environments"][name]["summary"]
         rows.append([name] + [_cell(summary.get(key), d) for key, d in _COLUMN_SPECS])
     headers = ["Environment", *TABLE_COLUMNS]
@@ -162,8 +166,7 @@ def render_summary_table(payload):
 def render_report(payload):
     """Table plus the derived lines a field report would quote."""
     out = [render_summary_table(payload)]
-    names = [n for n in ENV_NAMES if n in payload["environments"]]
-    names += [n for n in payload["environments"] if n not in ENV_NAMES]
+    names = _env_order(payload)
     savings = []
     for name in names:
         s = payload["environments"][name]["summary"].get("water_savings_pct")

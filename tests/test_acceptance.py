@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from irribot.cli import main
-from irribot.config import default_config, environment_for, gains_for, resolve_params
+from irribot.config import default_config, environment_for, gains_for
 from irribot.detect import (
     CIRCULAR,
     RECTANGULAR,
@@ -232,8 +232,7 @@ STAT_SEED_BASE = 32
 
 def _ten_trials(cfg, gains, name):
     env = environment_for(cfg, name)
-    params = resolve_params(cfg, name, gains)
-    return [run_trial(env, params, STAT_SEED_BASE + i, trial=i)[0] for i in range(10)]
+    return [run_trial(env, cfg, gains, STAT_SEED_BASE + i, trial=i)[0] for i in range(10)]
 
 
 def test_criterion_5_field_statistics(capsys):
@@ -264,9 +263,7 @@ def test_criterion_6_water_savings_band(capsys):
         cfg = default_config()
         gains = gains_for(cfg)
         for name in TABLE_TARGETS:
-            env = environment_for(cfg, name)
-            params = resolve_params(cfg, name, gains)
-            report, _ = run_trial(env, params, STAT_SEED_BASE)
+            report, _ = run_trial(environment_for(cfg, name), cfg, gains, STAT_SEED_BASE)
             assert 30.0 <= report.water_savings_pct <= 50.0, (
                 f"{name} savings {report.water_savings_pct:.1f}%")
 
@@ -285,9 +282,7 @@ def test_criterion_7_battery_runtimes(capsys):
         cfg = default_config()
         gains = gains_for(cfg)
         for name, want in RUNTIME_TARGETS.items():
-            env = environment_for(cfg, name)
-            params = resolve_params(cfg, name, gains)
-            minutes, _ = run_until_depleted(env, params, 42)
+            minutes, _ = run_until_depleted(environment_for(cfg, name), cfg, gains, 42)
             assert abs(minutes - want) <= 2.0, f"{name} ran {minutes:.2f} min"
 
 

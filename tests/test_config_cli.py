@@ -16,7 +16,6 @@ from irribot.config import (
     environment_for,
     gains_for,
     load_config,
-    resolve_params,
 )
 from irribot.mission import TrialReport, run_trial
 from irribot.report import (
@@ -192,26 +191,29 @@ def test_manual_gains_bypass_tuning(tmp_path):
 
 def test_resolved_params_carry_env_operating_point():
     cfg = default_config()
-    gains = gains_for(cfg)
-    hilly = resolve_params(cfg, "hilly_terrain", gains)
-    complex_ = resolve_params(cfg, "complex_lighting", gains)
+    hilly = environment_for(cfg, "hilly_terrain")
+    complex_ = environment_for(cfg, "complex_lighting")
     assert hilly.pump.dispense_overshoot == 0.08
-    assert hilly.drive_speed_mm_s == 300.0
-    assert complex_.drive_speed_mm_s == 241.0
+    assert hilly.drive_speed == 300.0
+    assert complex_.drive_speed == 241.0
     assert complex_.pump.spray_efficiency == 0.935
-    assert hilly.cal.delta_x == 150.0
-    assert hilly.geom.l2 == 160.0
+    assert (hilly.pump.flow_rate, hilly.pump.spray_radius) == (30.0, 20.0)
 
 
 def test_environment_for_applies_profile_and_pot_count(tmp_path):
     path = write(
         tmp_path,
-        "pot_count: 8\nenvironments:\n  complex_lighting: {accuracy: 0.5}\n",
+        "pot_count: 8\npump: {flow_rate: 40}\nenvironments:\n"
+        "  complex_lighting: {accuracy: 0.5, drive_speed: 200.0}\n",
     )
     cfg = load_config(path)
     env = environment_for(cfg, "complex_lighting")
     assert env.detector_profile.accuracy == 0.5
     assert env.layout.count == 8
+    assert env.pump.flow_rate == 40
+    assert env.drive_speed == 200.0
+    # the other environments keep their defaults
+    assert environment_for(cfg, "hilly_terrain").drive_speed == 300.0
 
 
 # ------------------------------------------------------------------ report
@@ -235,8 +237,7 @@ def two_env_payload():
     env_reports = {}
     for name in ("standard_greenhouse", "hilly_terrain"):
         env = environment_for(cfg, name)
-        params = resolve_params(cfg, name, gains)
-        env_reports[name] = [run_trial(env, params, 30 + i, trial=i)[0]
+        env_reports[name] = [run_trial(env, cfg, gains, 30 + i, trial=i)[0]
                              for i in range(3)]
     payload = build_results(dataclasses.asdict(cfg), env_reports, {"hilly_terrain": 20.1})
     return payload, env_reports

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irribot.config import default_config, environment_for
 from irribot.detect import CIRCULAR, RECTANGULAR, GeometryBands, enhanced_detection
 from irribot.fieldsim import (
     ENV_COMPLEX,
     ENV_HILLY,
+    ENV_NAMES,
     ENV_STANDARD,
     BatteryModel,
     BatteryState,
@@ -24,7 +26,6 @@ from irribot.fieldsim import (
     PumpModel,
     _service_order,
     battery_step,
-    build_environment,
     capture_fraction,
     dispense,
     fresh_battery,
@@ -313,21 +314,21 @@ def test_layout_rejects_non_finite_inputs():
 # ------------------------------------------------------------ environments
 
 def test_build_standard_environment():
-    env = build_environment(ENV_STANDARD)
+    env = environment_for(default_config(), ENV_STANDARD)
     assert env.slope == 0.0
     assert env.detector_profile.accuracy == 0.987
     assert env.layout.kind == "grid" and env.layout.shape == CIRCULAR
 
 
 def test_build_hilly_environment():
-    env = build_environment(ENV_HILLY)
+    env = environment_for(default_config(), ENV_HILLY)
     assert env.slope == 10.0
     assert env.layout.shape == RECTANGULAR
     assert (env.layout.width, env.layout.height) == (120.0, 80.0)
 
 
 def test_build_complex_environment():
-    env = build_environment(ENV_COMPLEX)
+    env = environment_for(default_config(), ENV_COMPLEX)
     assert env.layout.kind == "random"
     assert env.layout.nn_range == (400.0, 800.0)
     layout = realize_layout(env.layout, np.random.default_rng(5))
@@ -335,13 +336,21 @@ def test_build_complex_environment():
 
 
 def test_build_unknown_environment():
-    with pytest.raises(ValueError):
-        build_environment("lunar_regolith")
+    with pytest.raises(ValueError, match=", ".join(ENV_NAMES)):
+        environment_for(default_config(), "lunar_regolith")
 
 
 def test_environment_validation():
+    def environment(slope=0.0, drive_speed=300.0):
+        return Environment("x", slope, DetectorProfile(0.9, 0.01, 30.0), LayoutSpec("grid"),
+                           PumpModel(30.0), drive_speed)
+
+    environment()
     with pytest.raises(ValueError):
-        Environment("x", -1.0, DetectorProfile(0.9, 0.01, 30.0), LayoutSpec("grid"))
+        environment(slope=-1.0)
+    for speed in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            environment(drive_speed=speed)
 
 
 def test_detector_profile_bounds():
@@ -554,6 +563,19 @@ def test_battery_depletion_latches():
 def test_battery_rejects_unknown_subsystem():
     with pytest.raises(ValueError):
         battery_step(fresh_battery(BatteryModel()), {"warp_core"}, 1.0)
+    with pytest.raises(ValueError):
+        battery_step(fresh_battery(BatteryModel()), ["compute", "warp_core"], 1.0)
+
+
+def test_battery_drain_does_not_depend_on_subsystem_order():
+    # with non-integer draws the float sum depends on its order; a set of
+    # names iterates in an order that changes with the string hash seed
+    model = BatteryModel(capacity_mah=5.1147, drive_ma=9965.0, leveling_ma=821.2,
+                         compute_ma=767.2)
+    state = BatteryState(model, 1.0)
+    a = battery_step(state, ["compute", "leveling", "drive"], 0.05)
+    b = battery_step(state, ["compute", "drive", "leveling"], 0.05)
+    assert a == b
 
 
 @given(st.lists(st.sampled_from(["drive", "pump", "arm", "compute", "leveling"]),

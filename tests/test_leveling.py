@@ -292,6 +292,18 @@ def test_pid_rejects_negative_gains():
         PidGains(kp=-1.0, ki=0.0, kd=0.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(kp=math.nan, ki=0.0, kd=0.0),
+    dict(kp=1.0, ki=math.nan, kd=0.0),
+    dict(kp=1.0, ki=0.0, kd=math.nan),
+    dict(kp=2.0, ki=5.0, kd=0.0, integral_limit=math.nan),
+])
+def test_pid_rejects_nan_gains_and_limit(kwargs):
+    # a NaN limit would clamp nothing, so anti-windup would be silently off
+    with pytest.raises(ValueError):
+        PidGains(**kwargs)
+
+
 def test_pid_integral_clamp():
     gains = PidGains(kp=0.0, ki=1.0, kd=0.0, integral_limit=0.5)
     state = PidState()

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irribot import mission as mission_module
-from irribot.config import default_config, environment_for, gains_for, resolve_params
+from irribot.config import default_config, environment_for, gains_for
 from irribot.detect import CIRCULAR, BBox, Detection
 from irribot.fieldsim import (
     BatteryModel,
     battery_step,
-    build_environment,
     grid_layout,
     realize_layout,
 )
@@ -52,15 +53,16 @@ CAL = CalibrationState(s=0.1, u0=2000.0, v0=1500.0, delta_x=150.0, delta_y=0.0,
 GEOM = ArmGeometry(l1=120.0, l2=160.0, theta_offset=15.0)
 
 
-def params_for(env_name, **overrides):
-    params = resolve_params(CFG, env_name, GAINS)
-    return dataclasses.replace(params, **overrides) if overrides else params
+def config_with(**overrides):
+    return dataclasses.replace(CFG, **overrides)
 
 
-def mission(env_name, seed=7, **overrides):
-    env = environment_for(CFG, env_name)
-    return run_mission(env, params_for(env_name, **overrides), seed,
-                       keep_trace=True)
+def mission(env_name, seed=7):
+    return run_mission(environment_for(CFG, env_name), CFG, GAINS, seed, keep_trace=True)
+
+
+def trial(env_name, seed, cfg=CFG):
+    return run_trial(environment_for(cfg, env_name), cfg, GAINS, seed)
 
 
 # ------------------------------------------------------- state machine
@@ -96,7 +98,7 @@ def test_platform_is_level_whenever_the_arm_moves():
 
 def test_flat_environments_never_enter_leveling():
     for name in ("standard_greenhouse", "complex_lighting"):
-        report, world = run_trial(environment_for(CFG, name), params_for(name), 11)
+        report, world = trial(name, 11)
         phases = {dst for _, dst in world.transitions}
         assert LEVELING not in phases
         assert report.leveling_mean_s is None
@@ -104,16 +106,14 @@ def test_flat_environments_never_enter_leveling():
 
 
 def test_sloped_environment_reports_leveling_columns():
-    report, _ = run_trial(environment_for(CFG, "hilly_terrain"),
-                          params_for("hilly_terrain"), 11)
+    report, _ = trial("hilly_terrain", 11)
     assert 1.0 < report.leveling_mean_s < 3.0
     assert 0.0 <= report.sse_mean_deg <= 0.4
 
 
 def test_depleted_battery_aborts_with_cause():
     tiny = BatteryModel(capacity_mah=3.0)
-    report, world = run_trial(environment_for(CFG, "standard_greenhouse"),
-                              params_for("standard_greenhouse", battery=tiny), 5)
+    report, world = trial("standard_greenhouse", 5, config_with(battery=tiny))
     assert report.aborted
     assert report.abort_cause == CAUSE_DEPLETED
     assert world.transitions[-1][1] == ABORTED
@@ -127,7 +127,7 @@ def test_step_mission_rejects_terminal_state_and_bad_dt():
         step_mission(state, world, 0.05, 10)
     rng = np.random.default_rng(0)
     layout = realize_layout(env.layout, rng)
-    world2 = MissionWorld(env, layout, params_for("standard_greenhouse"), rng)
+    world2 = MissionWorld(env, layout, CFG, GAINS, rng)
     fresh = start_mission(world2)
     with pytest.raises(ValueError):
         step_mission(fresh, world2, 0.0, 10)
@@ -135,11 +135,9 @@ def test_step_mission_rejects_terminal_state_and_bad_dt():
 
 def test_filter_window_reaches_leveling_episodes():
     # an unfiltered tilt signal settles differently from the default 5-tap one
-    raw = dataclasses.replace(
-        CFG, leveling=dataclasses.replace(CFG.leveling, filter_window=1))
-    env = environment_for(CFG, "hilly_terrain")
-    default, _ = run_trial(env, params_for("hilly_terrain"), 11)
-    unfiltered, _ = run_trial(env, resolve_params(raw, "hilly_terrain", GAINS), 11)
+    raw = config_with(leveling=dataclasses.replace(CFG.leveling, filter_window=1))
+    default, _ = trial("hilly_terrain", 11)
+    unfiltered, _ = trial("hilly_terrain", 11, raw)
     assert (unfiltered.leveling_mean_s, unfiltered.sse_mean_deg) != (
         default.leveling_mean_s, default.sse_mean_deg)
 
@@ -148,10 +146,8 @@ def test_level_band_reaches_the_settle_time():
     env = environment_for(CFG, "hilly_terrain")
 
     def leveling_times(band, slope=env.slope):
-        cfg = dataclasses.replace(
-            CFG, leveling=dataclasses.replace(CFG.leveling, level_band=band))
-        _, world = run_trial(dataclasses.replace(env, slope=slope),
-                             resolve_params(cfg, "hilly_terrain", GAINS), 11)
+        cfg = config_with(leveling=dataclasses.replace(CFG.leveling, level_band=band))
+        _, world = run_trial(dataclasses.replace(env, slope=slope), cfg, GAINS, 11)
         return [r.leveling_time for r in world.records if r.leveling_time is not None]
 
     # a wider band is entered sooner
@@ -171,8 +167,7 @@ def test_battery_voltage_monotone_over_mission():
 # ------------------------------------------------------- reports
 
 def test_report_matches_record_recomputation():
-    report, world = run_trial(environment_for(CFG, "complex_lighting"),
-                              params_for("complex_lighting"), 21)
+    report, world = trial("complex_lighting", 21)
     records = world.records
     serviced = [r for r in records if r.serviced]
     assert report.serviced == len(serviced)
@@ -189,38 +184,33 @@ def test_report_matches_record_recomputation():
 
 
 def test_savings_follow_efficiency_identity():
-    report, _ = run_trial(environment_for(CFG, "standard_greenhouse"),
-                          params_for("standard_greenhouse"), 3)
+    report, _ = trial("standard_greenhouse", 3)
     eff = report.efficiency_pct / 100.0
     assert report.water_savings_pct == pytest.approx(100.0 * (1.0 - 0.6 / eff))
     assert 30.0 <= report.water_savings_pct <= 50.0
 
 
 def test_same_seed_reproduces_identical_report():
-    env = environment_for(CFG, "hilly_terrain")
-    a, _ = run_trial(env, params_for("hilly_terrain"), 19)
-    b, _ = run_trial(env, params_for("hilly_terrain"), 19)
+    a, _ = trial("hilly_terrain", 19)
+    b, _ = trial("hilly_terrain", 19)
     assert a == b
 
 
 def test_different_seeds_differ_somewhere():
-    env = environment_for(CFG, "complex_lighting")
-    a, _ = run_trial(env, params_for("complex_lighting"), 19)
-    b, _ = run_trial(env, params_for("complex_lighting"), 20)
+    a, _ = trial("complex_lighting", 19)
+    b, _ = trial("complex_lighting", 20)
     assert a != b
 
 
 def test_delivered_never_exceeds_dispensed():
     for seed in (1, 2, 3):
-        _, world = run_trial(environment_for(CFG, "hilly_terrain"),
-                             params_for("hilly_terrain"), seed)
+        _, world = trial("hilly_terrain", seed)
         for r in world.records:
             assert r.delivered <= r.dispensed + 1e-12
 
 
 def test_dispensed_volume_includes_overshoot_exactly():
-    report, _ = run_trial(environment_for(CFG, "standard_greenhouse"),
-                          params_for("standard_greenhouse"), 9)
+    report, _ = trial("standard_greenhouse", 9)
     assert report.mean_volume_ml == pytest.approx(105.0)
 
 
@@ -275,13 +265,12 @@ def test_plan_matches_by_station_gate():
 
 def test_mission_retry_consumes_one_extra_sensing_pass():
     # a blind detector forces retry-then-skip on every pot
-    blind = params_for("standard_greenhouse")
     cfg_env = environment_for(CFG, "standard_greenhouse")
     env = dataclasses.replace(
         cfg_env,
         detector_profile=dataclasses.replace(cfg_env.detector_profile, accuracy=0.0),
     )
-    report, world = run_trial(env, blind, 13)
+    report, world = run_trial(env, CFG, GAINS, 13)
     assert report.serviced == 0
     assert report.accuracy_pct == 0.0
     assert world.frames == 2 * report.pots  # one retry per pot, then skip
@@ -292,19 +281,43 @@ def test_mission_retry_consumes_one_extra_sensing_pass():
 
 def test_endurance_runtime_tracks_battery_capacity():
     small = BatteryModel(capacity_mah=240.0)  # a tenth of the stock pack
+    cfg = config_with(battery=small)
     minutes, pots = run_until_depleted(
-        environment_for(CFG, "standard_greenhouse"),
-        params_for("standard_greenhouse", battery=small), 42)
+        environment_for(cfg, "standard_greenhouse"), cfg, GAINS, 42)
     assert 2.0 < minutes < 4.0  # stock pack lasts ~30 min in this environment
     assert pots >= 15
 
 
 def test_endurance_raises_when_battery_cannot_deplete():
     huge = BatteryModel(capacity_mah=1e7)
+    cfg = config_with(battery=huge)
     with pytest.raises(MissionTimeout):
         run_until_depleted(
-            environment_for(CFG, "standard_greenhouse"),
-            params_for("standard_greenhouse", battery=huge), 42, max_hours=0.02)
+            environment_for(cfg, "standard_greenhouse"), cfg, GAINS, 42, max_hours=0.02)
+
+
+# The script overrides a drive speed on the resolved environment; its
+# bisections land on the stock draws and the complex-lighting speed.
+CALIBRATE_BATTERY_STDOUT = """\
+drive_ma      ->  10824.0   (standard runtime 29.99 min)
+leveling_ma   ->   3416.0   (hilly runtime 20.01 min)
+complex speed ->    241.0   (complex runtime 26.01 min)
+
+verification at nearby seeds:
+  standard_greenhouse     29.99   29.98   30.02 min
+  hilly_terrain           20.01   20.05   20.05 min
+  complex_lighting        26.01   25.65   26.60 min
+
+frozen battery model:
+  BatteryModel(capacity_mah=2400.0, voltage_full=12.6, voltage_cutoff=11.1, drive_ma=10824, leveling_ma=3416, arm_ma=1100.0, pump_ma=1400.0, compute_ma=900.0)
+  complex drive speed: 241 mm/s
+"""
+
+
+def test_calibrate_battery_script_output_is_pinned(capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "calibrate_battery.py"
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out == CALIBRATE_BATTERY_STDOUT
 
 
 # ------------------------------------------------------- per-tick reference
@@ -329,15 +342,15 @@ def reference_step(state, world, dt):
     return _FINISHERS[state.phase](state, world)
 
 
-def reference_mission(env, params, seed, *, loop=False, max_ticks=10**7):
+def reference_mission(env, cfg, seed, *, loop=False, max_ticks=10**7):
     """Tick-at-a-time mission; returns (state, world, ticks) when it ends or
     when max_ticks have run."""
     rng = np.random.default_rng(seed)
-    world = MissionWorld(env, realize_layout(env.layout, rng), params, rng,
+    world = MissionWorld(env, realize_layout(env.layout, rng), cfg, GAINS, rng,
                          loop=loop, keep_trace=True)
     state = start_mission(world)
     for ticks in range(1, max_ticks + 1):
-        state = reference_step(state, world, params.timing.mission_tick)
+        state = reference_step(state, world, cfg.timing.mission_tick)
         if state.phase in (DONE, ABORTED):
             break
     return state, world, ticks
@@ -355,14 +368,14 @@ def assert_same_mission(a, b):
         world_b.frames, world_b.det_count, world_b.fp_count, world_b.pots_seen)
 
 
-def varied_params(env_name, pot_count, tick, capacity, drift_rate, shielded):
-    cfg = dataclasses.replace(
-        CFG, pot_count=pot_count,
+def varied_config(env_name, pot_count, tick, capacity, drift_rate, shielded):
+    cfg = config_with(
+        pot_count=pot_count,
         leveling=dataclasses.replace(CFG.leveling, drift_rate=drift_rate, shielded=shielded),
         timing=dataclasses.replace(CFG.timing, mission_tick=tick),
         battery=dataclasses.replace(CFG.battery, capacity_mah=capacity),
     )
-    return environment_for(cfg, env_name), resolve_params(cfg, env_name, GAINS)
+    return environment_for(cfg, env_name), cfg
 
 
 @settings(max_examples=30, deadline=None)
@@ -381,16 +394,16 @@ def test_phase_core_matches_tick_reference(env_name, seed, pot_count, tick, capa
                                            drift_rate, shielded, loop):
     if loop:
         capacity = min(capacity, 80.0)  # an endurance loop must deplete
-    env, params = varied_params(env_name, pot_count, tick, capacity, drift_rate, shielded)
-    state, world, _ = reference_mission(env, params, seed, loop=loop)
+    env, cfg = varied_config(env_name, pot_count, tick, capacity, drift_rate, shielded)
+    state, world, _ = reference_mission(env, cfg, seed, loop=loop)
     assert state.phase in (DONE, ABORTED)
-    assert_same_mission(run_mission(env, params, seed, loop=loop, keep_trace=True),
+    assert_same_mission(run_mission(env, cfg, GAINS, seed, loop=loop, keep_trace=True),
                         (state, world))
 
 
 @pytest.mark.parametrize("max_hours,tick", [(0.01, 0.05), (0.0123, 0.03), (0.002, 0.07)])
 def test_time_guard_fires_after_exactly_the_budgeted_ticks(monkeypatch, max_hours, tick):
-    env, params = varied_params("hilly_terrain", 20, tick, 1e7, 0.0015, True)
+    env, cfg = varied_config("hilly_terrain", 20, tick, 1e7, 0.0015, True)
     budget = int(max_hours * 3600.0 / tick)
     last = {}
     real_step = mission_module.step_mission
@@ -403,8 +416,8 @@ def test_time_guard_fires_after_exactly_the_budgeted_ticks(monkeypatch, max_hour
 
     monkeypatch.setattr(mission_module, "step_mission", counting_step)
     with pytest.raises(MissionTimeout):
-        run_mission(env, params, 3, keep_trace=True, max_hours=max_hours)
-    state, world, ticks = reference_mission(env, params, 3, max_ticks=budget)
+        run_mission(env, cfg, GAINS, 3, keep_trace=True, max_hours=max_hours)
+    state, world, ticks = reference_mission(env, cfg, 3, max_ticks=budget)
     assert ticks == budget and state.phase not in (DONE, ABORTED)
     assert last["ticks"] == budget == len(last["mission"][1].trace_rows)
     assert_same_mission(last["mission"], (state, world))
