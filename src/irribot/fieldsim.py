@@ -203,6 +203,8 @@ def grid_layout(count=20, spacing=600.0, shape=CIRCULAR, width=100.0, height=Non
     Odd rows run right-to-left so consecutive pots are always one pitch
     apart, which is what a chassis driving the bench actually does.
     """
+    if count < 1:
+        raise ValueError("count must be at least 1")
     if height is None:
         height = width if shape == CIRCULAR else width * 2 / 3
     pots = []
@@ -230,31 +232,90 @@ def random_layout(
     minimum-spacing invariant holds by construction. Raises LayoutError when
     the attempt budget runs out. A candidate is tested against the pots in
     the 3x3 block of grid cells around it, which holds every pot that could
-    be too close.
+    be too close. The draws are read in bulk, so rng must use PCG64, as
+    `numpy.random.default_rng` does; any other bit generator is a TypeError.
     """
+    if count < 1:
+        raise ValueError("count must be at least 1")
     lo, hi = nn_range
     if not 0 < lo < hi < math.inf:
         raise ValueError("nn_range must be ordered, positive and finite")
     if height is None:
         height = width
+    pots = [Pot(0, 0.0, 0.0, shape, width, height)]  # checks the pot before any draw
     size = _cell_size(lo)
-    pots = [Pot(0, 0.0, 0.0, shape, width, height)]
-    cells = {_cell(0.0, 0.0, size): [0]}
+    xs, ys = [0.0], [0.0]
+    # each pot is filed under the 3x3 cells around its own (pot 0's is (0, 0)),
+    # so the pots in the 3x3 cells around a candidate are those filed under its cell
+    near = {(dx, dy): [0] for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
     attempts = 0
-    while len(pots) < count:
-        attempts += 1
-        if attempts > max_attempts:
-            raise LayoutError(f"failed to place pot {len(pots)} within {max_attempts} attempts")
-        anchor = pots[int(rng.integers(len(pots)))]
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        dist = rng.uniform(lo, hi)
-        x = anchor.x + dist * math.cos(angle)
-        y = anchor.y + dist * math.sin(angle)
-        if all(math.hypot(pots[i].x - x, pots[i].y - y) >= lo
-               for i in _near(cells, size, x, y, lo)):
-            cells.setdefault(_cell(x, y, size), []).append(len(pots))
-            pots.append(Pot(len(pots), x, y, shape, width, height))
+    with _PCG64Draws(rng) as draws:
+        while len(xs) < count:
+            attempts += 1
+            if attempts > max_attempts:
+                raise LayoutError(f"failed to place pot {len(xs)} within {max_attempts} attempts")
+            anchor = draws.below(len(xs))
+            angle = draws.uniform(0.0, 2.0 * math.pi)
+            dist = draws.uniform(lo, hi)
+            x = xs[anchor] + dist * math.cos(angle)
+            y = ys[anchor] + dist * math.sin(angle)
+            cx, cy = _cell(x, y, size)
+            for i in near.get((cx, cy), ()):
+                if not math.hypot(xs[i] - x, ys[i] - y) >= lo:
+                    break  # the first conflict rejects the candidate
+            else:
+                for dx in (-1, 0, 1):
+                    for dy in (-1, 0, 1):
+                        near.setdefault((cx + dx, cy + dy), []).append(len(xs))
+                xs.append(x)
+                ys.append(y)
+    pots += [Pot(i, xs[i], ys[i], shape, width, height) for i in range(1, len(xs))]
     return PotLayout(pots=_service_order(pots, lo), min_spacing=lo)
+
+
+class _PCG64Draws:
+    """rng.integers(n) and rng.uniform(lo, hi), bit for bit, read from the PCG64
+    stream (O'Neill 2014) 1,024 outputs at a time: `below` is numpy's Lemire
+    rejection (ACM TOMACS 2019) on 32-bit half-outputs, `uniform` scales an
+    output's top 53 bits. On exit the generator is where those calls leave it."""
+
+    def __init__(self, rng):
+        self._bitgen, self._entry = rng.bit_generator, rng.bit_generator.state
+        if self._entry["bit_generator"] != "PCG64":
+            raise TypeError(f"placement needs a PCG64 generator, got {type(self._bitgen).__name__}")
+        # numpy keeps the last high half in the state even once it is used
+        self._has_half, self._half = self._entry["has_uint32"], self._entry["uinteger"]
+        self._used, self._outputs = 0, []
+
+    def _output(self):
+        if not self._outputs:  # a chunk, reversed so pop() takes it in stream order
+            self._outputs = self._bitgen.random_raw(1024).tolist()[::-1]
+        self._used += 1
+        return self._outputs.pop()
+
+    def below(self, n):
+        """rng.integers(n), for 1 <= n < 2**32."""
+        while n > 1:
+            if self._has_half:
+                self._has_half, word = 0, self._half
+            else:
+                r = self._output()
+                self._has_half, self._half, word = 1, r >> 32, r & 0xFFFFFFFF
+            m = word * n
+            if (m & 0xFFFFFFFF) >= 0x100000000 % n:
+                return m >> 32
+        return 0
+
+    def uniform(self, lo, hi):
+        """rng.uniform(lo, hi)."""
+        return lo + (hi - lo) * ((self._output() >> 11) * 2.0**-53)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._bitgen.state = dict(self._entry, has_uint32=self._has_half, uinteger=self._half)
+        self._bitgen.random_raw(self._used)
 
 
 def _service_order(pots, spacing):

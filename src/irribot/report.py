@@ -204,11 +204,9 @@ def trials_csv_text(env_reports):
 
 def trace_csv_text(traces):
     """Tick-level mission traces: {(env, trial): [(t, phase, pot, tilt, V), ...]}."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["env", "trial", "t", "phase", "pot", "tilt_deg", "voltage"])
+    # env and phase names are fixed identifiers: no field ever needs CSV quoting
+    lines = ["env,trial,t,phase,pot,tilt_deg,voltage\n"]
     for (env, trial), rows in traces.items():
-        for t, phase, pot, tilt, volts in rows:
-            writer.writerow([env, trial, f"{t:.2f}", phase, pot,
-                             f"{tilt:.4f}", f"{volts:.4f}"])
-    return buf.getvalue()
+        lines += [f"{env},{trial},{t:.2f},{phase},{pot},{tilt:.4f},{volts:.4f}\n"
+                  for t, phase, pot, tilt, volts in rows]
+    return "".join(lines)

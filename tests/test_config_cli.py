@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from irribot import cli
 from irribot.cli import main
 from irribot.config import (
     ConfigError,
@@ -25,6 +26,7 @@ from irribot.report import (
     render_summary_table,
     results_to_json,
     summarize_env,
+    trace_csv_text,
     trials_csv_text,
 )
 
@@ -347,6 +349,39 @@ def test_cli_trace_flag_writes_tick_trace(tmp_path):
     trace = (out / "trace.csv").read_text()
     assert trace.splitlines()[0] == "env,trial,t,phase,pot,tilt_deg,voltage"
     assert "Sensing" in trace
+
+
+def csv_writer_trace_text(traces):
+    """trace.csv as the csv.writer-based writer produced it, kept as the oracle."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["env", "trial", "t", "phase", "pot", "tilt_deg", "voltage"])
+    for (env, trial), rows in traces.items():
+        for t, phase, pot, tilt, volts in rows:
+            writer.writerow([env, trial, f"{t:.2f}", phase, pot,
+                             f"{tilt:.4f}", f"{volts:.4f}"])
+    return buf.getvalue()
+
+
+def test_trace_csv_matches_csv_writer_oracle(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(traces):
+        seen.append(traces)
+        return trace_csv_text(traces)
+
+    monkeypatch.setattr(cli, "trace_csv_text", spy)
+    out = tmp_path / "out"
+    assert main(["run", "--env", "all", "--trials", "1", "--trace",
+                 "--out-dir", str(out)]) == 0
+    [traces] = seen
+    assert [env for env, _ in traces] == list(default_config().env_names())
+    assert sum(map(len, traces.values())) > 1000
+    got = (out / "trace.csv").read_text().splitlines(keepends=True)
+    want = csv_writer_trace_text(traces).splitlines(keepends=True)
+    # name the first differing rows; a diff of the whole ~10,000-row file is slow
+    assert [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w][:3] == []
+    assert len(got) == len(want)
 
 
 def test_cli_tune_prints_gain_set(capsys):

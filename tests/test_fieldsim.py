@@ -24,6 +24,7 @@ from irribot.fieldsim import (
     Pot,
     PotLayout,
     PumpModel,
+    _PCG64Draws,
     _service_order,
     battery_step,
     capture_fraction,
@@ -116,6 +117,80 @@ def test_pot_validation():
         Pot(0, 0, 0, CIRCULAR, 100.0, 80.0)  # circular pots are round
     with pytest.raises(ValueError):
         Pot(0, 0, 0, "hexagonal", 100.0, 100.0)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("build", [grid_layout,
+                                   lambda n: random_layout(n, np.random.default_rng(0))])
+def test_layout_builders_reject_counts_below_one(build, count):
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        build(count)
+
+
+# ------------------------------------------------- bulk draws vs numpy calls
+# _PCG64Draws must return what rng.integers(n) / rng.uniform(lo, hi) return
+# and leave the generator in the state those calls leave it in.
+
+
+def twin_generators(seed, buffered):
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:  # one 32-bit draw leaves the high half of an output buffered
+        a.integers(7)
+        b.integers(7)
+    return a, b
+
+
+def assert_twins_agree(rng, ref):
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.integers(1000, size=5).tolist() == ref.integers(1000, size=5).tolist()
+    assert rng.random() == ref.random()
+
+
+# b: below(n), u: uniform; odd and even counts of b, entered with and without a
+# buffered half, end both with and without one
+PATTERNS = ["b", "bb", "bub", "ububbbu", "u", "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbu"]
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 800, 2**31 + 5, 3_000_000_000])
+def test_bulk_draws_match_scalar_calls(n, buffered, pattern):
+    for seed in range(4):
+        rng, ref = twin_generators(seed, buffered)
+        got, want = [], []
+        with _PCG64Draws(rng) as draws:
+            for k, op in enumerate(pattern):
+                lo, hi = -3.5 * k, 2.0 * math.pi + k
+                if op == "b":
+                    got.append(draws.below(n))
+                    want.append(int(ref.integers(n)))
+                else:
+                    got.append(draws.uniform(lo, hi))
+                    want.append(ref.uniform(lo, hi))
+            words = 2 * (draws._used - pattern.count("u")) + buffered - draws._has_half
+        assert got == want
+        assert_twins_agree(rng, ref)
+        if n > 2**31 and len(pattern) > 20:
+            # a word is rejected with p = (2**32 % n) / 2**32, 0.3 to 0.5 here
+            assert words > pattern.count("b")
+
+
+def test_bulk_draws_restore_the_generator_when_placement_fails():
+    rng, ref = twin_generators(3, True)
+    with pytest.raises(LayoutError) as got:
+        random_layout(40, rng, max_attempts=30)
+    with pytest.raises(LayoutError) as want:
+        oracle_random_layout(40, ref, max_attempts=30)
+    assert str(got.value) == str(want.value)
+    assert_twins_agree(rng, ref)
+
+
+def test_bulk_draws_need_a_pcg64_generator():
+    mt = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(TypeError, match="MT19937"):
+        _PCG64Draws(mt)
+    with pytest.raises(TypeError, match="MT19937"):
+        random_layout(5, mt)
 
 
 # ------------------------------------------- cell grid vs quadratic oracle
