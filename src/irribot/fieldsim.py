@@ -205,6 +205,8 @@ def grid_layout(count=20, spacing=600.0, shape=CIRCULAR, width=100.0, height=Non
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if columns < 1:
+        raise ValueError("columns must be at least 1")
     if height is None:
         height = width if shape == CIRCULAR else width * 2 / 3
     pots = []

@@ -127,6 +127,13 @@ def test_layout_builders_reject_counts_below_one(build, count):
         build(count)
 
 
+@pytest.mark.parametrize("columns", [0, -2])
+def test_grid_layout_rejects_columns_below_one(columns):
+    # columns=0 divided by zero, and columns=-2 mirrored the field
+    with pytest.raises(ValueError, match="columns must be at least 1"):
+        grid_layout(3, columns=columns)
+
+
 # ------------------------------------------------- bulk draws vs numpy calls
 # _PCG64Draws must return what rng.integers(n) / rng.uniform(lo, hi) return
 # and leave the generator in the state those calls leave it in.
