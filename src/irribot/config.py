@@ -12,11 +12,10 @@ the RunConfig itself.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
-
-import yaml
 
 from irribot.detect import CIRCULAR, RECTANGULAR
 from irribot.fieldsim import (
@@ -236,16 +235,22 @@ def default_config():
 # YAML plumbing
 
 
-class _Loader(yaml.SafeLoader):
+@functools.cache
+def _loader():
     """SafeLoader that also reads YAML 1.2 exponent floats (`1e3`, `1.0e3`,
-    `-2E-4`), which PyYAML's YAML 1.1 resolver leaves as strings."""
+    `-2E-4`), which PyYAML's YAML 1.1 resolver leaves as strings. Built on
+    first use, so a run without a config file never imports yaml."""
+    import yaml
 
+    class Loader(yaml.SafeLoader):
+        pass
 
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"),
-)
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"),
+    )
+    return Loader
 
 
 # What a value must be for each scalar field annotation (the config
@@ -309,9 +314,11 @@ def _overlay(base, data, path=""):
 
 def load_config(path):
     """Parse a YAML file into a RunConfig, overlaying the defaults."""
+    import yaml
+
     with open(path) as fh:
         try:
-            data = yaml.load(fh, Loader=_Loader)
+            data = yaml.load(fh, Loader=_loader())
         except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ConfigParseError(f"could not parse {path}: {exc}") from None
     return _overlay(default_config(), {} if data is None else data)
@@ -319,6 +326,8 @@ def load_config(path):
 
 def dump_config(cfg):
     """Stable YAML rendering of the full tree, field order preserved."""
+    import yaml
+
     return yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=False)
 
 

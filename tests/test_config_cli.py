@@ -4,6 +4,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +181,18 @@ def test_yaml_exponent_floats_load_as_floats(tmp_path):
     for text, want in (("'1e3'", "1e3"), ("e3", "e3"), ("1e", "1e"), ("1.e", "1.e")):
         cfg = load_config(write(tmp_path, f"leveling: {{rule: {text}}}\n", name="r.yaml"))
         assert cfg.leveling.rule == want
+
+
+def test_importing_the_cli_does_not_import_yaml():
+    # a run without --config never needs yaml; a fresh interpreter shows
+    # what the import alone pulls in
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = "import sys, irribot.cli; print('yaml' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_yaml_syntax_error_is_a_parse_error(tmp_path):
