@@ -242,9 +242,7 @@ def _loader():
     first use, so a run without a config file never imports yaml."""
     import yaml
 
-    class Loader(yaml.SafeLoader):
-        pass
-
+    Loader = type("Loader", (yaml.SafeLoader,), {})
     Loader.add_implicit_resolver(
         "tag:yaml.org,2002:float",
         re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),

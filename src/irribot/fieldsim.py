@@ -419,22 +419,26 @@ class Environment:
 # detector
 
 
-def simulate_detection(pots, profile, rng, cal, frame_px=(4000, 3000)):
+def simulate_detection(pots, station, profile, rng, cal, frame_px=(4000, 3000)):
     """One detector frame over the pots currently in view.
 
-    Pot x/y are camera-axis offsets in mm (the frame is centered on the
-    station). Each pot is found with probability `accuracy`; found pots get a
-    box whose center scatters by center_noise_px and whose aspect ratio is
-    drawn consistently with the pot shape. One spurious detection is injected
-    with probability `fp_rate`, placed away from every true pot so it can
-    never be confused with one. Draw order is fixed per pot for determinism.
+    Pots are in the field frame, seen from the station (x, y) the chassis
+    parked at, through the hand-eye offset: a pot's camera-axis offset is
+    (pot.x - x) + cal.delta_x, and likewise in y. Each pot is found with
+    probability `accuracy`; found pots get a box whose center scatters by
+    center_noise_px and whose aspect ratio is drawn consistently with the pot
+    shape. One spurious detection is injected with probability `fp_rate`,
+    placed away from every true pot so it can never be confused with one.
+    Draw order is fixed per pot for determinism.
     """
     frame_w, frame_h = frame_px
+    sx, sy = station
+    offsets = [((pot.x - sx) + cal.delta_x, (pot.y - sy) + cal.delta_y) for pot in pots]
     detections = []
-    for pot in pots:
+    for pot, (x, y) in zip(pots, offsets):
         if rng.random() >= profile.accuracy:
             continue
-        u, v = arm_to_pixel(ArmTarget(pot.x, pot.y, cal.z_const), cal)
+        u, v = arm_to_pixel(ArmTarget(x, y, cal.z_const), cal)
         cu = u + rng.normal(0.0, profile.center_noise_px)
         cv = v + rng.normal(0.0, profile.center_noise_px)
         w = (pot.width / cal.s) * (1.0 + rng.normal(0.0, 0.02))
@@ -446,21 +450,22 @@ def simulate_detection(pots, profile, rng, cal, frame_px=(4000, 3000)):
             Detection(BBox(cu - w / 2, cv - h / 2, cu + w / 2, cv + h / 2), pot.shape, conf)
         )
     if rng.random() < profile.fp_rate:
-        fp = _spurious_detection(pots, rng, cal, frame_w, frame_h)
+        fp = _spurious_detection(offsets, rng, cal, frame_w, frame_h)
         if fp is not None:
             detections.append(fp)
     return detections
 
 
-def _spurious_detection(pots, rng, cal, frame_w, frame_h, keepout_px=1200.0, attempts=100):
-    """A plausible-looking false box, at least keepout_px from every true pot."""
+def _spurious_detection(offsets, rng, cal, frame_w, frame_h, keepout_px=1200.0, attempts=100):
+    """A plausible-looking false box, at least keepout_px from every true pot
+    at its camera-axis (x, y) offset."""
     cls = CIRCULAR if rng.random() < 0.5 else RECTANGULAR
     lo, hi = _RATIO_RANGES[cls]
     ratio = rng.uniform(lo, hi)
     w = rng.uniform(600.0, 1400.0)
     h = w / ratio
     conf = rng.uniform(0.55, 0.95)
-    centers = [arm_to_pixel(ArmTarget(p.x, p.y, cal.z_const), cal) for p in pots]
+    centers = [arm_to_pixel(ArmTarget(x, y, cal.z_const), cal) for x, y in offsets]
     for _ in range(attempts):
         cu = rng.uniform(w / 2 + 1, frame_w - w / 2 - 1)
         cv = rng.uniform(h / 2 + 1, frame_h - h / 2 - 1)
@@ -612,11 +617,17 @@ class BatteryModel:
             if getattr(self, f"{name}_ma") < 0:
                 raise ValueError(f"{name}_ma cannot be negative")
 
-    def draw(self, subsystem):
-        try:
-            return getattr(self, f"{subsystem}_ma")
-        except AttributeError:
-            raise ValueError(f"unknown subsystem {subsystem!r}") from None
+    def current_ma(self, subsystems):
+        """Summed draw of the named subsystems, mA.
+
+        The draws are summed in SUBSYSTEMS order, whatever order the
+        collection iterates in, so a set of names drains the same in every
+        process.
+        """
+        unknown = set(subsystems).difference(SUBSYSTEMS)
+        if unknown:
+            raise ValueError(f"unknown subsystem {min(unknown)!r}")
+        return sum(getattr(self, f"{s}_ma") for s in SUBSYSTEMS if s in subsystems)
 
     def voltage(self, charge_mah):
         """Terminal voltage, linear in state of charge from cutoff to full."""
@@ -624,42 +635,21 @@ class BatteryModel:
         return self.voltage_cutoff + (self.voltage_full - self.voltage_cutoff) * soc
 
 
-@dataclass(frozen=True)
-class BatteryState:
-    model: BatteryModel
-    charge_mah: float
-    depleted: bool = False
+def battery_step(model, charge, current_ma, dt, ticks=1, voltages=None):
+    """Drain `charge` (mAh) at `current_ma` over `ticks` ticks of dt seconds each.
 
-    @property
-    def voltage(self):
-        return self.model.voltage(self.charge_mah)
-
-
-def fresh_battery(model):
-    return BatteryState(model=model, charge_mah=model.capacity_mah)
-
-
-def battery_step(state, active_subsystems, dt, ticks=1, voltages=None):
-    """Drain by the sum of active draws over `ticks` ticks of dt seconds each.
-
-    Ticks apply one at a time, so one n-tick call equals n one-tick calls bit
-    for bit. The draws are non-negative, so charge never rises, and voltage is
-    monotone in charge: if any tick's voltage falls below the cutoff, the last
-    tick's does, so depletion is decided from the last tick alone. When
-    `voltages` is a list, each tick's voltage is appended to it. The draws
-    are summed in SUBSYSTEMS order, whatever order the collection iterates
-    in, so a set of names drains the same in every process.
+    Returns (charge, depleted). Ticks apply one at a time, so one n-tick call
+    equals n one-tick calls bit for bit. A draw is non-negative, so charge
+    never rises, and voltage is monotone in charge: if any tick's voltage
+    falls below the cutoff, the last tick's does, so depletion is decided
+    from the last tick alone. When `voltages` is a list, each tick's voltage
+    is appended to it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    model = state.model
-    draws = {s: model.draw(s) for s in active_subsystems}  # rejects unknown names
-    drain = sum(draws[s] for s in SUBSYSTEMS if s in draws) * dt / 3600.0
-    charge, depleted = state.charge_mah, state.depleted
+    drain = current_ma * dt / 3600.0
     for _ in range(ticks):
         charge = charge - drain
         if voltages is not None:
             voltages.append(model.voltage(charge))
-    if ticks > 0:
-        depleted = depleted or model.voltage(charge) < model.voltage_cutoff
-    return BatteryState(model=model, charge_mah=charge, depleted=depleted)
+    return charge, model.voltage(charge) < model.voltage_cutoff

@@ -70,7 +70,6 @@ class DriftMonitor:
     shielded: bool = False
     shielding_factor: float = 0.6  # fraction of drift removed by shielding
     reset_threshold: float = 5.0  # degrees
-    cumulative_error: float = 0.0  # degrees, current integrated bias
 
     def __post_init__(self):
         if self.drift_rate < 0:
@@ -79,8 +78,6 @@ class DriftMonitor:
             raise ValueError("shielding factor must be in [0, 1)")
         if self.reset_threshold <= 0:
             raise ValueError("reset threshold must be positive")
-        if self.cumulative_error < 0:
-            raise ValueError("cumulative error cannot be negative")
 
     @property
     def effective_rate(self):
@@ -89,8 +86,9 @@ class DriftMonitor:
         return self.drift_rate
 
 
-def drift_update(mon, dt, ticks=1):
-    """Accumulate bias over `ticks` ticks of dt seconds at the shielding-adjusted rate.
+def drift_update(mon, bias, dt, ticks=1):
+    """The bias (degrees) after `ticks` ticks of dt seconds at the monitor's
+    shielding-adjusted rate.
 
     Ticks apply one at a time, so one n-tick call equals n one-tick calls bit
     for bit.
@@ -98,10 +96,9 @@ def drift_update(mon, dt, ticks=1):
     if dt <= 0:
         raise ValueError("dt must be positive")
     rate = mon.effective_rate
-    err = mon.cumulative_error
     for _ in range(ticks):
-        err = err + rate * dt
-    return replace(mon, cumulative_error=err)
+        bias = bias + rate * dt
+    return bias
 
 
 # --------------------------------------------------------------------------
@@ -370,13 +367,15 @@ def run_leveling_episode(
     window=5,
     noise_std=0.0,
     drift=None,
+    bias=0.0,
     rng=None,
     band=0.5,
 ):
     """Close the loop on a slope step and record the full trace.
 
-    The `PlatformPlant` starts tilted at `slope` degrees. Each tick: drift
-    accumulates, the IMU reads true tilt plus bias plus noise, the reading is
+    The `PlatformPlant` starts tilted at `slope` degrees and the IMU bias at
+    `bias` degrees. Each tick: drift accumulates at the `drift` monitor's
+    rate, the IMU reads true tilt plus bias plus noise, the reading is
     filtered by a `window`-sample moving average, the drift monitor may
     recalibrate (zeroing bias and integral), the PID issues a rate command
     (trapezoidal integral clamped to the gains' limit, backward-difference
@@ -387,8 +386,8 @@ def run_leveling_episode(
     `PlatformPlant.step` inline: the command list is the transport-delay
     line. The plant's parameters are read, the plant itself is never stepped
     or changed. The noise for the whole episode is drawn in one batch, which
-    leaves `rng` where one draw per tick would. `drift` is read, never
-    written back.
+    leaves `rng` where one draw per tick would. The bias inside the episode
+    is not handed back.
     """
     if tick <= 0:
         raise ValueError("tick must be positive")
@@ -396,6 +395,8 @@ def run_leveling_episode(
         raise ValueError("duration must be positive")
     if window < 1:
         raise ValueError("window size must be positive")
+    if not bias >= 0:
+        raise ValueError("bias cannot be negative")
     steps = int(round(duration / tick))
     if steps == 0:
         raise ValueError("duration must round to at least one tick")
@@ -411,10 +412,7 @@ def run_leveling_episode(
     lag = math.exp(-tick / plant.tau)
     kp, ki, kd, setpoint, lim = gains.kp, gains.ki, gains.kd, gains.setpoint, gains.integral_limit
     if drift is not None:
-        bias, drift_rate, threshold = (drift.cumulative_error, drift.effective_rate,
-                                       drift.reset_threshold)
-    else:
-        bias = 0.0
+        drift_rate, threshold = drift.effective_rate, drift.reset_threshold
     readings = deque(maxlen=window)
     integral = prev_error = prev_t = 0.0
     speed = 0.0  # platform rate after the actuator lag, degrees/s

@@ -10,7 +10,7 @@ system's field-results table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from irribot.detect import GeometryBands, enhanced_detection
 from irribot.fieldsim import (
     battery_step,
     dispense,
-    fresh_battery,
     realize_layout,
     simulate_detection,
 )
@@ -76,19 +75,9 @@ class IrrigationRecord:
     cause: str | None = None
 
 
-@dataclass(frozen=True)
-class MissionState:
-    phase: str
-    pot_index: int
-    elapsed: float
-    battery: object
-    phase_left: float
-    retried: bool = False
-    cause: str | None = None
-
-
-class MissionWorld:
-    """Mutable simulation handles shared by all ticks of one mission."""
+class Mission:
+    """One mission's simulation handles and all of its mutable state, which
+    `step_mission` and the phase finishers change in place."""
 
     def __init__(self, env, layout, cfg, gains, rng, *, loop=False, keep_trace=False):
         self.env = env
@@ -99,12 +88,19 @@ class MissionWorld:
         self.loop = loop  # endurance mode: wrap to pot 0 instead of finishing
         self.bands = GeometryBands()
         lv = cfg.leveling
-        self.monitor = DriftMonitor(
-            drift_rate=lv.drift_rate,
-            shielded=lv.shielded,
-            shielding_factor=lv.shielding_factor,
-            reset_threshold=lv.reset_threshold,
-        )
+        self.monitor = DriftMonitor(lv.drift_rate, lv.shielded, lv.shielding_factor,
+                                    lv.reset_threshold)
+        # summed battery draw of each phase, mA
+        self.draw_ma = {p: cfg.battery.current_ma(_active_subsystems(p, env)) for p in _FINISHERS}
+        self.phase = SENSING
+        self.pot_index = 0
+        self.elapsed = 0.0  # s
+        self.phase_left = _sensing_time(self)  # s
+        self.retried = False
+        self.cause = None
+        self.charge = cfg.battery.capacity_mah  # mAh
+        self.depleted = False
+        self.bias = 0.0  # degrees, integrated drift of the tilt reading
         self.tilt = float(env.slope)
         self.records = [IrrigationRecord(pot_id=p.pot_id) for p in layout.pots]
         self.frames = 0
@@ -117,8 +113,14 @@ class MissionWorld:
         self.transitions = []
         self.trace_rows = [] if keep_trace else None
 
-    def record(self, index):
-        return self.records[index % len(self.records)]
+    def record(self):
+        """The record of the pot in service."""
+        return self.records[self.pot_index % len(self.records)]
+
+    def pot(self, offset=0):
+        """The pot in service, or the one `offset` places after it."""
+        pots = self.layout.pots
+        return pots[(self.pot_index + offset) % len(pots)]
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,7 @@ def water_savings_pct(system_efficiency, flood_efficiency):
 # state machine
 
 
-def _active_subsystems(phase, world):
+def _active_subsystems(phase, env):
     active = {"compute"}
     if phase == LEVELING:
         active.add("leveling")
@@ -177,148 +179,142 @@ def _active_subsystems(phase, world):
         active.add("pump")
     elif phase == ADVANCING:
         active.add("drive")
-    if world.env.slope > 0:
+    if env.slope > 0:
         active.add("leveling")  # holding the platform against the slope
     return active
 
 
-def _transition(state, world, phase, **changes):
-    world.transitions.append((state.phase, phase))
-    return replace(state, phase=phase, **changes)
+def _transition(m, phase, phase_left):
+    m.transitions.append((m.phase, phase))
+    m.phase = phase
+    m.phase_left = phase_left
 
 
-def _pot(world, index):
-    return world.layout.pots[index % len(world.layout.pots)]
+def _sensing_time(m):
+    return m.cfg.timing.sense_settle + m.env.detector_profile.inference_time_ms / 1000.0
 
 
-def _enter_sensing(state, world, *, retried=False):
-    profile = world.env.detector_profile
-    duration = world.cfg.timing.sense_settle + profile.inference_time_ms / 1000.0
-    return _transition(state, world, SENSING, phase_left=duration, retried=retried)
+def _enter_sensing(m, *, retried=False):
+    m.retried = retried
+    _transition(m, SENSING, _sensing_time(m))
 
 
-def _enter_advancing(state, world, cause=None):
-    rec = world.record(state.pot_index)
+def _enter_advancing(m, cause=None):
     if cause is not None:
-        rec.cause = cause
-    here = _pot(world, state.pot_index)
-    nxt = _pot(world, state.pot_index + 1)
+        m.record().cause = cause
+    here, nxt = m.pot(), m.pot(1)
     distance = math.hypot(nxt.x - here.x, nxt.y - here.y)
     if distance == 0.0:
-        distance = world.layout.min_spacing
-    return _transition(state, world, ADVANCING, phase_left=distance / world.env.drive_speed)
+        distance = m.layout.min_spacing
+    _transition(m, ADVANCING, distance / m.env.drive_speed)
 
 
-def _finish_sensing(state, world):
-    cfg = world.cfg
+def _finish_sensing(m):
+    cfg = m.cfg
     cal = cfg.calibration
-    world.frames += 1
-    pot = _pot(world, state.pot_index)
-    # the station frame is centered on the pot the chassis parked at;
-    # sensing wants arm-frame coordinates, hence the hand-eye offset shift
-    in_view = [
-        replace(q, x=q.x - pot.x + cal.delta_x, y=q.y - pot.y + cal.delta_y)
-        for q in world.layout.in_box(pot.x, pot.y, 145.0)
-    ]
-    raw = simulate_detection(in_view, world.env.detector_profile, world.rng, cal)
+    m.frames += 1
+    pot = m.pot()
+    # the station frame is centered on the pot the chassis parked at
+    raw = simulate_detection(m.layout.in_box(pot.x, pot.y, 145.0), (pot.x, pot.y),
+                             m.env.detector_profile, m.rng, cal)
     dets = enhanced_detection(
-        raw, world.bands, conf_threshold=cfg.detection.conf_threshold,
+        raw, m.bands, conf_threshold=cfg.detection.conf_threshold,
         iou_threshold=cfg.detection.iou_threshold,
     )
     plan = plan_pot_service(
-        dets, world.layout, cal, cfg.arm,
+        dets, m.layout, cal, cfg.arm,
         station=(pot.x, pot.y), match_gate_mm=cfg.scoring.match_gate,
     )
-    world.det_count += len(plan)
-    world.fp_count += sum(1 for item in plan if item.matched_pot is None)
+    m.det_count += len(plan)
+    m.fp_count += sum(1 for item in plan if item.matched_pot is None)
     target = next((item for item in plan if item.matched_pot == pot.pot_id), None)
     if target is not None:
-        world.matched_frames += 1
-    rec = world.record(state.pot_index)
-    if target is not None and not state.retried:
+        m.matched_frames += 1
+    rec = m.record()
+    if target is not None and not m.retried:
         rec.detected = True
     if target is None:
-        if not state.retried:
+        if not m.retried:
             rec.retried = True
-            return _enter_sensing(state, world, retried=True)
-        return _enter_advancing(state, world, cause=CAUSE_UNDETECTED)
-    world.current_target = target
-    if abs(world.tilt) > cfg.leveling.level_band:
-        return _enter_leveling(state, world)
-    return _transition(state, world, POSITIONING, phase_left=cfg.timing.arm_move)
+            _enter_sensing(m, retried=True)
+        else:
+            _enter_advancing(m, cause=CAUSE_UNDETECTED)
+    else:
+        m.current_target = target
+        if abs(m.tilt) > cfg.leveling.level_band:
+            _enter_leveling(m)
+        else:
+            _transition(m, POSITIONING, cfg.timing.arm_move)
 
 
-def _enter_leveling(state, world):
-    lv = world.cfg.leveling
-    pc = world.cfg.plant
+def _enter_leveling(m):
+    lv = m.cfg.leveling
+    pc = m.cfg.plant
     plant = PlatformPlant(pc.max_rate, pc.delay, pc.tau)
     trace = run_leveling_episode(
-        plant, world.gains, world.tilt, lv.episode_window, lv.episode_tick,
-        window=lv.filter_window, noise_std=lv.noise_std, drift=world.monitor,
-        rng=world.rng, band=lv.level_band,
+        plant, m.gains, m.tilt, lv.episode_window, lv.episode_tick,
+        window=lv.filter_window, noise_std=lv.noise_std, drift=m.monitor, bias=m.bias,
+        rng=m.rng, band=lv.level_band,
     )
     settle = trace.response_time
     if settle is None:
         settle = lv.episode_window
-    rec = world.record(state.pot_index)
+    rec = m.record()
     rec.leveling_time = float(settle)
     rec.leveling_sse = trace.steady_state_error
-    world.tilt = float(trace.tilt[-1])
-    return _transition(state, world, LEVELING, phase_left=float(settle))
+    m.tilt = float(trace.tilt[-1])
+    _transition(m, LEVELING, float(settle))
 
 
-def _finish_leveling(state, world):
-    return _transition(state, world, POSITIONING, phase_left=world.cfg.timing.arm_move)
+def _finish_leveling(m):
+    _transition(m, POSITIONING, m.cfg.timing.arm_move)
 
 
-def _finish_positioning(state, world):
-    scoring = world.cfg.scoring
-    cal = world.cfg.calibration
-    item = world.current_target
+def _finish_positioning(m):
+    scoring = m.cfg.scoring
+    cal = m.cfg.calibration
+    item = m.current_target
     if item is None or item.joints is None:
-        return _enter_advancing(state, world,
-                                cause=None if item is None else item.cause)
-    jitter = world.rng.normal(0.0, scoring.sigma_mech, size=2)
-    lever = math.tan(math.radians(world.tilt)) * scoring.tilt_lever
+        _enter_advancing(m, cause=None if item is None else item.cause)
+        return
+    jitter = m.rng.normal(0.0, scoring.sigma_mech, size=2)
+    lever = math.tan(math.radians(m.tilt)) * scoring.tilt_lever
     impact_x = (item.target.x_a - cal.delta_x) + jitter[0] + lever
     impact_y = (item.target.y_a - cal.delta_y) + jitter[1]
     # station frame is pot-centered, so the impact offset IS the error vector
     err = math.hypot(impact_x, impact_y)
-    rec = world.record(state.pot_index)
-    rec.positioning_error = float(err)
-    world.impact = (impact_x, impact_y)
-    pump = world.env.pump
-    dispensed_volume = world.cfg.pump.target_volume * (1.0 + pump.dispense_overshoot)
-    return _transition(
-        state, world, DISPENSING, phase_left=dispensed_volume / pump.flow_rate
-    )
+    m.record().positioning_error = float(err)
+    m.impact = (impact_x, impact_y)
+    pump = m.env.pump
+    dispensed_volume = m.cfg.pump.target_volume * (1.0 + pump.dispense_overshoot)
+    _transition(m, DISPENSING, dispensed_volume / pump.flow_rate)
 
 
-def _finish_dispensing(state, world):
-    pot = _pot(world, state.pot_index)
-    rec = world.record(state.pot_index)
-    ix, iy = world.impact
+def _finish_dispensing(m):
+    rec = m.record()
+    ix, iy = m.impact
     err = rec.positioning_error
     direction = (ix / err, iy / err) if err > 0 else (1.0, 0.0)
     dispensed, delivered = dispense(
-        world.env.pump, world.cfg.pump.target_volume, err, pot, direction=direction
+        m.env.pump, m.cfg.pump.target_volume, err, m.pot(), direction=direction
     )
     rec.dispensed = dispensed
     rec.delivered = delivered
     rec.serviced = True
-    world.pots_seen += 1
-    return _enter_advancing(state, world)
+    m.pots_seen += 1
+    _enter_advancing(m)
 
 
-def _finish_advancing(state, world):
-    nxt = state.pot_index + 1
-    if nxt >= len(world.layout.pots) and not world.loop:
-        return _transition(state, world, DONE, phase_left=0.0)
-    if world.env.slope > 0:
-        world.tilt = float(world.env.slope)  # new ground re-tilts the chassis
-    state = replace(state, pot_index=nxt, retried=False)
-    world.current_target = None
-    return _enter_sensing(state, world)
+def _finish_advancing(m):
+    nxt = m.pot_index + 1
+    if nxt >= len(m.layout.pots) and not m.loop:
+        _transition(m, DONE, 0.0)
+        return
+    if m.env.slope > 0:
+        m.tilt = float(m.env.slope)  # new ground re-tilts the chassis
+    m.pot_index = nxt
+    m.current_target = None
+    _enter_sensing(m)
 
 
 _FINISHERS = {
@@ -330,86 +326,79 @@ _FINISHERS = {
 }
 
 
-def _countdown(state, dt, max_ticks):
-    """Tick the phase clock until phase_left runs out or max_ticks have passed.
+def _countdown(elapsed, left, dt, max_ticks):
+    """Tick the phase clock until `left` runs out or max_ticks have passed.
 
-    Returns (ticks, elapsed, phase_left); a phase always takes at least one tick.
+    Returns (ticks, elapsed, left); a phase always takes at least one tick.
     """
-    ticks, elapsed, left = 0, state.elapsed, state.phase_left
-    while True:
-        ticks += 1
+    for ticks in range(1, max_ticks + 1):
         elapsed = elapsed + dt
         left = left - dt
-        if left <= 1e-9 or ticks == max_ticks:
-            return ticks, elapsed, left
+        if left <= 1e-9:
+            break
+    return ticks, elapsed, left
 
 
-def step_mission(state, world, dt, max_ticks):
-    """Advance the mission through its current phase; returns (state, ticks).
+def step_mission(mission, dt, max_ticks):
+    """Advance the mission through its current phase; returns the tick count.
 
-    The phase runs at tick resolution until its time is used up, the battery
-    depletes, or max_ticks ticks have passed. Battery charge and drift bias
-    accumulate tick by tick, so every float equals that of a loop stepping
-    one tick at a time; with a trace, each tick adds one row. The phase's
-    finisher then picks the next phase, unless max_ticks cut the phase short.
+    Mutates `mission` in place. The phase runs at tick resolution until its
+    time is used up, the battery depletes, or max_ticks ticks have passed.
+    Battery charge and drift bias are plain floats that accumulate tick by
+    tick, so every float equals that of a loop stepping one tick at a time;
+    with a trace, each tick adds one row. The phase's finisher then picks
+    the next phase and updates the mission, unless max_ticks cut the phase
+    short.
     """
-    if state.phase in (DONE, ABORTED):
-        raise ValueError(f"mission already terminal in phase {state.phase}")
+    m = mission
+    phase = m.phase
+    if phase in (DONE, ABORTED):
+        raise ValueError(f"mission already terminal in phase {phase}")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    ticks, elapsed, left = _countdown(state, dt, max_ticks)
-    active = _active_subsystems(state.phase, world)
-    voltages = [] if world.trace_rows is not None else None
-    battery = battery_step(state.battery, active, dt, ticks, voltages)
-    if battery.depleted:
+    if max_ticks < 1:
+        raise ValueError("max_ticks must be at least 1")
+    ticks, elapsed, left = _countdown(m.elapsed, m.phase_left, dt, max_ticks)
+    model, draw = m.cfg.battery, m.draw_ma[phase]
+    voltages = [] if m.trace_rows is not None else None
+    charge, depleted = battery_step(model, m.charge, draw, dt, ticks, voltages)
+    if depleted:
         # replay one tick at a time to the tick that latched depletion
-        battery, ticks = state.battery, 0
-        while not battery.depleted:
-            battery = battery_step(battery, active, dt)
+        charge, depleted, ticks = m.charge, False, 0
+        while not depleted:
+            charge, depleted = battery_step(model, charge, draw, dt)
             ticks += 1
-        ticks, elapsed, left = _countdown(state, dt, ticks)
+        ticks, elapsed, left = _countdown(m.elapsed, m.phase_left, dt, ticks)
     # the finisher may read the bias: _enter_leveling hands it to the episode
-    world.monitor = drift_update(world.monitor, dt, ticks)
+    m.bias = drift_update(m.monitor, m.bias, dt, ticks)
     if voltages is not None:
-        pot = state.pot_index % len(world.layout.pots)
-        t = state.elapsed
+        pot = m.pot_index % len(m.layout.pots)
+        t, rows, tilt = m.elapsed, m.trace_rows, m.tilt
         for volts in voltages[:ticks]:
             t = t + dt
-            world.trace_rows.append((t, state.phase, pot, world.tilt, volts))
-    state = replace(state, elapsed=elapsed, battery=battery, phase_left=left)
-    if battery.depleted:
-        return _transition(state, world, ABORTED, cause=CAUSE_DEPLETED), ticks
-    if left > 1e-9:
-        return state, ticks
-    return _FINISHERS[state.phase](state, world), ticks
-
-
-def start_mission(world):
-    profile = world.env.detector_profile
-    return MissionState(
-        phase=SENSING,
-        pot_index=0,
-        elapsed=0.0,
-        battery=fresh_battery(world.cfg.battery),
-        phase_left=world.cfg.timing.sense_settle + profile.inference_time_ms / 1000.0,
-    )
+            rows.append((t, phase, pot, tilt, volts))
+    m.elapsed, m.charge, m.phase_left = elapsed, charge, left
+    if depleted:
+        m.depleted, m.cause = True, CAUSE_DEPLETED
+        _transition(m, ABORTED, left)
+    elif left <= 1e-9:
+        _FINISHERS[phase](m)
+    return ticks
 
 
 def run_mission(env, cfg, gains, seed, *, loop=False, keep_trace=False, max_hours=3.0):
     """Run one full mission in env, as `environment_for(cfg, name)` resolves
-    it, with these leveling gains; returns (final state, world)."""
+    it, with these leveling gains; returns the finished Mission."""
     rng = np.random.default_rng(seed)
     layout = realize_layout(env.layout, rng)
-    world = MissionWorld(env, layout, cfg, gains, rng, loop=loop, keep_trace=keep_trace)
-    state = start_mission(world)
+    mission = Mission(env, layout, cfg, gains, rng, loop=loop, keep_trace=keep_trace)
     tick = cfg.timing.mission_tick
     max_ticks = int(max_hours * 3600.0 / tick)
     ticks = 0
     while ticks < max_ticks:
-        state, n = step_mission(state, world, tick, max_ticks - ticks)
-        ticks += n
-        if state.phase in (DONE, ABORTED):
-            return state, world
+        ticks += step_mission(mission, tick, max_ticks - ticks)
+        if mission.phase in (DONE, ABORTED):
+            return mission
     raise MissionTimeout(
         f"mission exceeded the simulation-time guard of {max_hours:g} h ({max_ticks} ticks)")
 
@@ -452,9 +441,10 @@ def mean_or_none(values):
     return sum(vals) / len(vals) if vals else None
 
 
-def aggregate_trial(env, world, state, trial, seed):
+def aggregate_trial(env, mission, trial, seed):
     """Fold the mission's records into one report row of plain floats."""
-    records = world.records
+    m = mission
+    records = m.records
     pots = len(records)
     serviced = [r for r in records if r.serviced]
     detected = sum(1 for r in records if r.detected)
@@ -463,7 +453,7 @@ def aggregate_trial(env, world, state, trial, seed):
     total_del = sum(r.delivered for r in serviced)
     efficiency = 100.0 * total_del / total_disp if total_disp > 0 else None
     savings = (
-        water_savings_pct(total_del / total_disp, world.cfg.scoring.flood_efficiency)
+        water_savings_pct(total_del / total_disp, m.cfg.scoring.flood_efficiency)
         if total_disp > 0 and total_del > 0
         else None
     )
@@ -474,8 +464,8 @@ def aggregate_trial(env, world, state, trial, seed):
         pots=pots,
         serviced=len(serviced),
         accuracy_pct=100.0 * detected / pots,
-        frame_accuracy_pct=100.0 * world.matched_frames / world.frames if world.frames else 0.0,
-        fp_pct=100.0 * world.fp_count / world.det_count if world.det_count else 0.0,
+        frame_accuracy_pct=100.0 * m.matched_frames / m.frames if m.frames else 0.0,
+        fp_pct=100.0 * m.fp_count / m.det_count if m.det_count else 0.0,
         mean_inference_ms=float(env.detector_profile.inference_time_ms),
         mean_positioning_error_mm=mean_or_none(r.positioning_error for r in serviced),
         leveling_mean_s=mean_or_none(r.leveling_time for r in leveled),
@@ -485,17 +475,17 @@ def aggregate_trial(env, world, state, trial, seed):
         mean_volume_ml=mean_or_none(r.dispensed for r in serviced),
         efficiency_pct=efficiency,
         water_savings_pct=savings,
-        elapsed_s=state.elapsed,
-        battery_voltage_end=float(state.battery.voltage),
-        aborted=state.phase == ABORTED,
-        abort_cause=state.cause,
+        elapsed_s=m.elapsed,
+        battery_voltage_end=float(m.cfg.battery.voltage(m.charge)),
+        aborted=m.phase == ABORTED,
+        abort_cause=m.cause,
     )
 
 
 def run_trial(env, cfg, gains, seed, *, trial=0, keep_trace=False):
-    """One metrics trial over the full layout; returns (report, world)."""
-    state, world = run_mission(env, cfg, gains, seed, loop=False, keep_trace=keep_trace)
-    return aggregate_trial(env, world, state, trial, seed), world
+    """One metrics trial over the full layout; returns (report, mission)."""
+    mission = run_mission(env, cfg, gains, seed, loop=False, keep_trace=keep_trace)
+    return aggregate_trial(env, mission, trial, seed), mission
 
 
 def run_until_depleted(env, cfg, gains, seed, *, max_hours=3.0):
@@ -504,5 +494,5 @@ def run_until_depleted(env, cfg, gains, seed, *, max_hours=3.0):
     Returns (minutes of runtime, pots serviced). A looping mission never
     reaches Done, so it ends aborted or raises MissionTimeout.
     """
-    state, world = run_mission(env, cfg, gains, seed, loop=True, max_hours=max_hours)
-    return state.elapsed / 60.0, world.pots_seen
+    mission = run_mission(env, cfg, gains, seed, loop=True, max_hours=max_hours)
+    return mission.elapsed / 60.0, mission.pots_seen

@@ -172,21 +172,21 @@ def test_criterion_4_drift_shielding_and_reset(capsys):
         # transport delay keeps the true tilt at exactly 0 for these 5 ticks
         integral_only = PidGains(kp=0.0, ki=1.0, kd=0.0)
 
-        def episode(mon, duration=0.05):
+        def episode(mon, bias, duration=0.05):
             return run_leveling_episode(
-                PlatformPlant(), integral_only, 0.0, duration, 0.01, drift=mon)
+                PlatformPlant(), integral_only, 0.0, duration, 0.01, drift=mon, bias=bias)
 
         below = math.nextafter(5.0, 0.0)
-        trace = episode(DriftMonitor(drift_rate=0.0, cumulative_error=below))
+        trace = episode(DriftMonitor(drift_rate=0.0), below)
         assert not trace.recalibrated.any()
         assert (trace.alpha_raw - trace.tilt).tolist() == [below] * 5
-        trace = episode(DriftMonitor(drift_rate=0.0, cumulative_error=5.0))
+        trace = episode(DriftMonitor(drift_rate=0.0), 5.0)
         assert trace.recalibrated.tolist() == [True, False, False, False, False]
         # the reading on the reset tick carries the bias; from the next on it is 0
         assert (trace.alpha_raw - trace.tilt).tolist() == [5.0, 0.0, 0.0, 0.0, 0.0]
         # a reset zeroes the PID integral too: with u = integral, the command
         # on a mid-episode reset tick is that tick's trapezoid area alone
-        trace = episode(DriftMonitor(drift_rate=1.0, cumulative_error=4.9), 0.5)
+        trace = episode(DriftMonitor(drift_rate=1.0), 4.9, 0.5)
         k = int(np.flatnonzero(trace.recalibrated)[0])
         assert k > 1 and trace.u[k - 1] != 0.0
         error, t = 0.0 - trace.alpha_filtered, trace.t

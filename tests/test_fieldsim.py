@@ -16,7 +16,6 @@ from irribot.fieldsim import (
     ENV_NAMES,
     ENV_STANDARD,
     BatteryModel,
-    BatteryState,
     DetectorProfile,
     Environment,
     LayoutError,
@@ -29,7 +28,6 @@ from irribot.fieldsim import (
     battery_step,
     capture_fraction,
     dispense,
-    fresh_battery,
     grid_layout,
     random_layout,
     realize_layout,
@@ -444,6 +442,10 @@ def test_detector_profile_bounds():
 
 # --------------------------------------------------------------- detector
 
+# the station from which a pot at the field origin sits on the camera axis
+AT_CAMERA = (CAL.delta_x, CAL.delta_y)
+
+
 def one_pot_view():
     return [Pot(0, 0.0, 0.0, CIRCULAR, 100.0, 100.0)]
 
@@ -454,14 +456,14 @@ def test_perfect_detector_returns_exactly_the_pots():
         Pot(0, 0.0, 0.0, CIRCULAR, 100.0, 100.0),
         Pot(1, 80.0, -40.0, RECTANGULAR, 120.0, 80.0),
     ]
-    dets = simulate_detection(pots, profile, np.random.default_rng(0), CAL)
+    dets = simulate_detection(pots, AT_CAMERA, profile, np.random.default_rng(0), CAL)
     assert len(dets) == 2
     assert [d.cls for d in dets] == [CIRCULAR, RECTANGULAR]
 
 
 def test_blind_detector_returns_nothing():
     profile = DetectorProfile(accuracy=0.0, fp_rate=0.0, inference_time_ms=32.0)
-    dets = simulate_detection(one_pot_view(), profile, np.random.default_rng(0), CAL)
+    dets = simulate_detection(one_pot_view(), AT_CAMERA, profile, np.random.default_rng(0), CAL)
     assert dets == []
 
 
@@ -470,7 +472,7 @@ def test_detection_boxes_survive_the_pipeline():
     rng = np.random.default_rng(42)
     bands = GeometryBands()
     for _ in range(200):
-        dets = simulate_detection(one_pot_view(), profile, rng, CAL)
+        dets = simulate_detection(one_pot_view(), AT_CAMERA, profile, rng, CAL)
         assert len(enhanced_detection(dets, bands)) == len(dets) == 1
 
 
@@ -479,7 +481,7 @@ def test_spurious_detections_survive_the_pipeline_and_keep_distance():
     rng = np.random.default_rng(7)
     bands = GeometryBands()
     for _ in range(100):
-        dets = simulate_detection(one_pot_view(), profile, rng, CAL)
+        dets = simulate_detection(one_pot_view(), AT_CAMERA, profile, rng, CAL)
         assert len(dets) == 2
         assert len(enhanced_detection(dets, bands)) == 2
         fp = dets[1]
@@ -493,7 +495,7 @@ def test_detection_rates_match_profile_over_many_frames():
     frames = 10_000
     hits = fps = 0
     for _ in range(frames):
-        dets = simulate_detection(one_pot_view(), profile, rng, CAL)
+        dets = simulate_detection(one_pot_view(), AT_CAMERA, profile, rng, CAL)
         tp = [d for d in dets if math.hypot(d.bbox.center[0] - CAL.u0, d.bbox.center[1] - CAL.v0) < 1000]
         hits += len(tp)
         fps += len(dets) - len(tp)
@@ -504,8 +506,8 @@ def test_detection_rates_match_profile_over_many_frames():
 
 def test_detection_deterministic_per_seed():
     profile = DetectorProfile(accuracy=0.9, fp_rate=0.5, inference_time_ms=32.0)
-    a = simulate_detection(one_pot_view(), profile, np.random.default_rng(9), CAL)
-    b = simulate_detection(one_pot_view(), profile, np.random.default_rng(9), CAL)
+    a = simulate_detection(one_pot_view(), AT_CAMERA, profile, np.random.default_rng(9), CAL)
+    b = simulate_detection(one_pot_view(), AT_CAMERA, profile, np.random.default_rng(9), CAL)
     assert a == b
 
 
@@ -513,9 +515,10 @@ def test_detection_deterministic_per_seed():
 # The IMU reading is taken inside the leveling episode: the first tick reads
 # true tilt plus the monitor's accumulated bias plus noise.
 
-def first_reading(slope, drift=None):
+def first_reading(slope, drift=None, bias=0.0):
     trace = run_leveling_episode(
-        PlatformPlant(), ziegler_nichols(1.0, 1.0), slope, 0.01, 0.01, drift=drift)
+        PlatformPlant(), ziegler_nichols(1.0, 1.0), slope, 0.01, 0.01, drift=drift,
+        bias=bias)
     return trace.alpha_raw[0]
 
 
@@ -524,13 +527,13 @@ def test_imu_clean_reading_is_truth():
 
 
 def test_imu_unshielded_bias_after_100s():
-    mon = drift_update(DriftMonitor(drift_rate=0.02), 100.0)
-    assert first_reading(0.0, mon) == 2.0
+    mon = DriftMonitor(drift_rate=0.02)
+    assert first_reading(0.0, mon, drift_update(mon, 0.0, 100.0)) == 2.0
 
 
 def test_imu_shielded_bias_after_100s():
-    mon = drift_update(DriftMonitor(drift_rate=0.02, shielded=True), 100.0)
-    assert first_reading(0.0, mon) == pytest.approx(0.8)
+    mon = DriftMonitor(drift_rate=0.02, shielded=True)
+    assert first_reading(0.0, mon, drift_update(mon, 0.0, 100.0)) == pytest.approx(0.8)
 
 
 # ------------------------------------------------------------------- pump
@@ -614,39 +617,37 @@ def test_dispense_never_exceeds_dispensed(error, overshoot):
 # ---------------------------------------------------------------- battery
 
 def test_battery_idle_holds_charge():
-    state = fresh_battery(BatteryModel())
-    after = battery_step(state, set(), 10.0)
-    assert after.charge_mah == state.charge_mah
-    assert not after.depleted
+    model = BatteryModel()
+    charge, depleted = battery_step(model, model.capacity_mah, model.current_ma(set()), 10.0)
+    assert charge == model.capacity_mah
+    assert not depleted
 
 
 def test_battery_voltage_endpoints():
     model = BatteryModel()
-    assert fresh_battery(model).voltage == pytest.approx(12.6)
-    assert BatteryState(model, 0.0).voltage == pytest.approx(11.1)
+    assert model.voltage(model.capacity_mah) == pytest.approx(12.6)
+    assert model.voltage(0.0) == pytest.approx(11.1)
 
 
 def test_battery_known_draw_arithmetic():
     model = BatteryModel(compute_ma=900.0)
-    state = fresh_battery(model)
-    after = battery_step(state, {"compute"}, 3600.0)
-    assert after.charge_mah == pytest.approx(2400.0 - 900.0)
+    charge, _ = battery_step(model, model.capacity_mah, model.current_ma({"compute"}), 3600.0)
+    assert charge == pytest.approx(2400.0 - 900.0)
 
 
 def test_battery_depletion_latches():
     model = BatteryModel(compute_ma=900.0)
-    state = BatteryState(model, charge_mah=0.1)
-    state = battery_step(state, {"compute"}, 3600.0)
-    assert state.depleted
-    state = battery_step(state, set(), 1.0)  # idle does not revive it
-    assert state.depleted
+    charge, depleted = battery_step(model, 0.1, model.current_ma({"compute"}), 3600.0)
+    assert depleted
+    _, depleted = battery_step(model, charge, model.current_ma(set()), 1.0)
+    assert depleted  # idle does not revive it
 
 
 def test_battery_rejects_unknown_subsystem():
-    with pytest.raises(ValueError):
-        battery_step(fresh_battery(BatteryModel()), {"warp_core"}, 1.0)
-    with pytest.raises(ValueError):
-        battery_step(fresh_battery(BatteryModel()), ["compute", "warp_core"], 1.0)
+    with pytest.raises(ValueError, match="warp_core"):
+        BatteryModel().current_ma({"warp_core"})
+    with pytest.raises(ValueError, match="warp_core"):
+        BatteryModel().current_ma(["compute", "warp_core"])
 
 
 def test_battery_drain_does_not_depend_on_subsystem_order():
@@ -654,18 +655,19 @@ def test_battery_drain_does_not_depend_on_subsystem_order():
     # names iterates in an order that changes with the string hash seed
     model = BatteryModel(capacity_mah=5.1147, drive_ma=9965.0, leveling_ma=821.2,
                          compute_ma=767.2)
-    state = BatteryState(model, 1.0)
-    a = battery_step(state, ["compute", "leveling", "drive"], 0.05)
-    b = battery_step(state, ["compute", "drive", "leveling"], 0.05)
+    a = battery_step(model, 1.0, model.current_ma(["compute", "leveling", "drive"]), 0.05)
+    b = battery_step(model, 1.0, model.current_ma(["compute", "drive", "leveling"]), 0.05)
     assert a == b
+    # the draws are summed in SUBSYSTEMS order: drive, leveling, compute
+    assert model.current_ma(["compute", "leveling", "drive"]) == (9965.0 + 821.2) + 767.2
 
 
 @given(st.lists(st.sampled_from(["drive", "pump", "arm", "compute", "leveling"]),
                 max_size=5), st.floats(0.1, 100.0))
 def test_battery_charge_non_increasing(subsystems, dt):
-    state = fresh_battery(BatteryModel())
-    after = battery_step(state, set(subsystems), dt)
-    assert after.charge_mah <= state.charge_mah
+    model = BatteryModel()
+    charge, _ = battery_step(model, model.capacity_mah, model.current_ma(set(subsystems)), dt)
+    assert charge <= model.capacity_mah
 
 
 SUBSYSTEMS = st.sets(st.sampled_from(["drive", "pump", "arm", "compute", "leveling"]))
@@ -674,30 +676,31 @@ SUBSYSTEMS = st.sets(st.sampled_from(["drive", "pump", "arm", "compute", "leveli
 @given(SUBSYSTEMS, st.floats(1e-3, 1.0), st.floats(0.01, 5.0))
 def test_battery_one_tick_is_the_linear_drain(subsystems, dt, charge):
     model = BatteryModel(capacity_mah=5.0)
-    after = battery_step(BatteryState(model, charge), subsystems, dt)
-    draw = sum(model.draw(s) for s in subsystems)
+    after, depleted = battery_step(model, charge, model.current_ma(subsystems), dt)
+    draw = sum(getattr(model, f"{s}_ma") for s in subsystems)
     expected = charge - draw * dt / 3600.0
     soc = expected / model.capacity_mah
     volts = model.voltage_cutoff + (model.voltage_full - model.voltage_cutoff) * soc
-    assert after.charge_mah == expected
-    assert after.voltage == volts
-    assert after.depleted == (volts < model.voltage_cutoff)
+    assert after == expected
+    assert model.voltage(after) == volts
+    assert depleted == (volts < model.voltage_cutoff)
 
 
 @given(SUBSYSTEMS, st.floats(1e-3, 1.0), st.integers(1, 300), st.floats(0.5, 20.0))
 def test_battery_n_tick_call_equals_n_one_tick_calls(subsystems, dt, n, capacity):
     # small packs deplete part-way, so the latch is exercised too
-    state = fresh_battery(BatteryModel(capacity_mah=capacity))
-    stepped, volts = state, []
+    model = BatteryModel(capacity_mah=capacity)
+    draw = model.current_ma(subsystems)
+    stepped, volts = (capacity, False), []
     for _ in range(n):
-        stepped = battery_step(stepped, subsystems, dt)
-        volts.append(stepped.voltage)
+        stepped = battery_step(model, stepped[0], draw, dt)
+        volts.append(model.voltage(stepped[0]))
     recorded = []
-    assert battery_step(state, subsystems, dt, n, recorded) == stepped
+    assert battery_step(model, capacity, draw, dt, n, recorded) == stepped
     assert recorded == volts
     # without a voltage list, depletion is read off the last tick alone
-    assert battery_step(state, subsystems, dt, n) == stepped
-    assert stepped.depleted == any(v < stepped.model.voltage_cutoff for v in volts)
+    assert battery_step(model, capacity, draw, dt, n) == stepped
+    assert stepped[1] == any(v < model.voltage_cutoff for v in volts)
 
 
 @given(st.floats(1e-3, 1e5), st.floats(1e-3, 50.0), st.floats(1e-3, 50.0),

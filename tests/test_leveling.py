@@ -107,19 +107,21 @@ def pid_step(gains, state, measured, t):
     return PidState(integral=integral, prev_error=error, prev_t=t), command
 
 
-def maybe_recalibrate(mon, pid):
-    """Zero the bias and the PID integral once accumulation hits the threshold."""
-    if mon.cumulative_error >= mon.reset_threshold:
-        return replace(mon, cumulative_error=0.0), replace(pid, integral=0.0), True
-    return mon, pid, False
+def maybe_recalibrate(mon, bias, pid):
+    """Zero the bias and the PID integral once accumulation hits the
+    monitor's threshold; returns (bias, pid, fired)."""
+    if bias >= mon.reset_threshold:
+        return 0.0, replace(pid, integral=0.0), True
+    return bias, pid, False
 
 
 class LevelingController:
     """Stateful bundle of prefilter, PID, and drift monitor for loop callers."""
 
-    def __init__(self, gains, *, window=5, monitor=None):
+    def __init__(self, gains, *, window=5, monitor=None, bias=0.0):
         self.gains = gains
         self.monitor = monitor
+        self.bias = bias
         self._ma = MovingAverageState(size=window)
         self._pid = PidState()
 
@@ -128,13 +130,13 @@ class LevelingController:
         self._ma, filtered = moving_average_step(self._ma, ImuSample(t, alpha_raw))
         recal = False
         if self.monitor is not None:
-            self.monitor, self._pid, recal = maybe_recalibrate(self.monitor, self._pid)
+            self.bias, self._pid, recal = maybe_recalibrate(self.monitor, self.bias, self._pid)
         self._pid, command = pid_step(self.gains, self._pid, filtered, t)
         return command, filtered, recal
 
 
 def reference_episode(plant, gains, slope, duration, tick=0.01, *, window=5,
-                      noise_std=0.0, drift=None, rng=None, band=0.5):
+                      noise_std=0.0, drift=None, bias=0.0, rng=None, band=0.5):
     """`run_leveling_episode` one controller update, one noise draw and one
     `plant.step` per tick, for any plant with `reset` and `step`."""
     if tick <= 0:
@@ -146,7 +148,7 @@ def reference_episode(plant, gains, slope, duration, tick=0.01, *, window=5,
         rng = np.random.default_rng(0)
 
     plant.reset(slope)
-    controller = LevelingController(gains, window=window, monitor=drift)
+    controller = LevelingController(gains, window=window, monitor=drift, bias=bias)
     tilt = float(slope)
 
     out_t = np.empty(steps)
@@ -160,8 +162,8 @@ def reference_episode(plant, gains, slope, duration, tick=0.01, *, window=5,
     for n in range(steps):
         t = n * tick
         if controller.monitor is not None and n > 0:
-            controller.monitor = drift_update(controller.monitor, tick)
-        bias = controller.monitor.cumulative_error if controller.monitor else 0.0
+            controller.bias = drift_update(controller.monitor, controller.bias, tick)
+        bias = controller.bias
         noise = rng.normal(0.0, noise_std) if noise_std > 0 else 0.0
         raw = tilt + bias + noise
         command, filtered, recal = controller.update(t, raw)
@@ -397,67 +399,67 @@ def test_tuned_gains_stabilize_delayed_integrator():
 
 def test_drift_unshielded_accumulation():
     mon = DriftMonitor(drift_rate=1.0)
-    assert drift_update(mon, 3.0).cumulative_error == 3.0
+    assert drift_update(mon, 0.0, 3.0) == 3.0
 
 
 def test_drift_shielding_cuts_rate_to_exactly_point_four():
     mon = DriftMonitor(drift_rate=1.0, shielded=True)
     assert mon.effective_rate == 0.4 * mon.drift_rate
-    assert drift_update(mon, 3.0).cumulative_error == pytest.approx(1.2)
+    assert drift_update(mon, 0.0, 3.0) == pytest.approx(1.2)
 
 
 def test_drift_rejects_non_positive_dt():
     with pytest.raises(ValueError):
-        drift_update(DriftMonitor(drift_rate=1.0), 0.0)
+        drift_update(DriftMonitor(drift_rate=1.0), 0.0, 0.0)
 
 
 @given(st.floats(1e-6, 100.0), st.floats(1e-6, 100.0), st.floats(0.0, 0.01))
 def test_drift_update_is_additive(dt1, dt2, rate):
     mon = DriftMonitor(drift_rate=rate, shielded=True)
-    split = drift_update(drift_update(mon, dt1), dt2).cumulative_error
-    joint = drift_update(mon, dt1 + dt2).cumulative_error
+    split = drift_update(mon, drift_update(mon, 0.0, dt1), dt2)
+    joint = drift_update(mon, 0.0, dt1 + dt2)
     assert split == pytest.approx(joint, rel=1e-9, abs=1e-15)
 
 
 @given(st.floats(1e-3, 1.0), st.integers(1, 500), st.floats(0.0, 2.0), st.booleans())
 def test_drift_n_tick_call_equals_n_one_tick_calls(dt, n, rate, shielded):
-    mon = DriftMonitor(drift_rate=rate, shielded=shielded, cumulative_error=0.25)
-    stepped = mon
+    mon = DriftMonitor(drift_rate=rate, shielded=shielded)
+    stepped = 0.25
     for _ in range(n):
-        stepped = drift_update(stepped, dt)
-    assert drift_update(mon, dt, n) == stepped
+        stepped = drift_update(mon, stepped, dt)
+    assert drift_update(mon, 0.25, dt, n) == stepped
 
 
 def test_recalibrate_fires_at_threshold():
-    mon = DriftMonitor(drift_rate=1.0, cumulative_error=5.1)
+    mon = DriftMonitor(drift_rate=1.0)
     pid = PidState(integral=2.0, prev_error=0.3, prev_t=9.0)
-    mon2, pid2, fired = maybe_recalibrate(mon, pid)
+    bias, pid2, fired = maybe_recalibrate(mon, 5.1, pid)
     assert fired
-    assert mon2.cumulative_error == 0.0
+    assert bias == 0.0
     assert pid2.integral == 0.0
     assert pid2.prev_t == 9.0  # only the integral resets
 
 
 def test_recalibrate_exact_threshold_crossing():
-    mon = DriftMonitor(drift_rate=1.0)
+    mon, bias = DriftMonitor(drift_rate=1.0), 0.0
     for _ in range(5):
-        mon, _, fired = maybe_recalibrate(drift_update(mon, 1.0), PidState())
+        bias, _, fired = maybe_recalibrate(mon, drift_update(mon, bias, 1.0), PidState())
     assert fired  # hits 5.0 exactly on the fifth second
-    assert mon.cumulative_error == 0.0
+    assert bias == 0.0
 
 
 def test_recalibrate_below_threshold_is_noop():
-    mon = DriftMonitor(drift_rate=1.0, cumulative_error=4.9)
+    mon = DriftMonitor(drift_rate=1.0)
     pid = PidState(integral=2.0)
-    mon2, pid2, fired = maybe_recalibrate(mon, pid)
+    bias, pid2, fired = maybe_recalibrate(mon, 4.9, pid)
     assert not fired
-    assert mon2 == mon and pid2 == pid
+    assert bias == 4.9 and pid2 == pid
 
 
 def test_recalibrate_idempotent_after_reset():
-    mon = DriftMonitor(drift_rate=1.0, cumulative_error=6.0)
-    mon, pid, _ = maybe_recalibrate(mon, PidState())
-    _, _, fired = maybe_recalibrate(mon, pid)
+    mon = DriftMonitor(drift_rate=1.0)
+    bias, pid, _ = maybe_recalibrate(mon, 6.0, PidState())
+    _, _, fired = maybe_recalibrate(mon, bias, pid)
     assert not fired
 
 
@@ -531,15 +533,16 @@ def test_episode_reading_is_tilt_plus_bias_plus_noise():
     # a preloaded monitor: 100 s at 0.02 deg/s is 2 deg open-air, 0.8 deg
     # shielded, and the bias keeps growing by one tick of drift per tick
     for shielded, bias in ((False, 2.0), (True, 0.8)):
-        mon = drift_update(DriftMonitor(drift_rate=0.02, shielded=shielded), 100.0)
+        mon = DriftMonitor(drift_rate=0.02, shielded=shielded)
+        preload = drift_update(mon, 0.0, 100.0)
         trace = run_leveling_episode(
-            PlatformPlant(), platform_gains(), 3.5, 1.0, 0.01, drift=mon)
+            PlatformPlant(), platform_gains(), 3.5, 1.0, 0.01, drift=mon, bias=preload)
         growth = np.arange(len(trace.t)) * mon.effective_rate * 0.01
         assert trace.alpha_raw - trace.tilt == pytest.approx(bias + growth)
     # noise adds the generator's normal draws in tick order
     trace = run_leveling_episode(
         PlatformPlant(), platform_gains(), 3.5, 1.0, 0.01,
-        noise_std=0.05, drift=mon, rng=np.random.default_rng(4))
+        noise_std=0.05, drift=mon, bias=preload, rng=np.random.default_rng(4))
     noise = np.random.default_rng(4).normal(0.0, 0.05, size=len(trace.t))
     assert trace.alpha_raw - trace.tilt == pytest.approx(bias + growth + noise)
 
@@ -563,6 +566,10 @@ def test_episode_rejects_bad_inputs():
                                  window=window)
     with pytest.raises(ValueError, match="non-finite"):
         run_leveling_episode(PlatformPlant(), gains, math.nan, 1.0, 0.01)
+    for bias in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="bias cannot be negative"):
+            run_leveling_episode(PlatformPlant(), gains, 1.0, 1.0, 0.01,
+                                 drift=DriftMonitor(drift_rate=1.0), bias=bias)
 
 
 # ------------------------------------------------- flat loop vs reference
@@ -575,7 +582,6 @@ MONITORS = st.builds(
     drift_rate=st.floats(0.0, 3.0),
     shielded=st.booleans(),
     reset_threshold=st.floats(0.2, 5.0),
-    cumulative_error=st.floats(0.0, 6.0),
 )
 
 
@@ -601,13 +607,14 @@ def assert_same_trace(flat, ref):
     window=st.integers(1, 9),
     noise_std=st.sampled_from([0.0, 0.05, 0.3]),
     drift=st.none() | MONITORS,
+    bias=st.floats(0.0, 6.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_flat_episode_matches_reference(max_rate, delay, tau, kp, ki, kd, limit, slope,
-                                        duration, tick, window, noise_std, drift, seed):
+                                        duration, tick, window, noise_std, drift, bias, seed):
     gains = PidGains(kp, ki, kd, integral_limit=limit)
     rng_flat, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    kwargs = dict(window=window, noise_std=noise_std, drift=drift, band=0.3)
+    kwargs = dict(window=window, noise_std=noise_std, drift=drift, bias=bias, band=0.3)
     plant = PlatformPlant(max_rate, delay, tau)
     untouched = dict(vars(plant))
     try:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import runpy
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,15 +33,14 @@ from irribot.mission import (
     LEVELING,
     POSITIONING,
     SENSING,
+    Mission,
     MissionTimeout,
-    MissionWorld,
     _active_subsystems,
     _transition,
     plan_pot_service,
     run_mission,
     run_trial,
     run_until_depleted,
-    start_mission,
     step_mission,
     water_savings_pct,
 )
@@ -69,37 +69,37 @@ def trial(env_name, seed, cfg=CFG):
 
 def test_phase_transitions_respect_adjacency():
     for name in ("standard_greenhouse", "hilly_terrain", "complex_lighting"):
-        _, world = mission(name)
-        for src, dst in world.transitions:
+        for src, dst in mission(name).transitions:
             assert dst in ADJACENCY[src], f"{src} -> {dst} in {name}"
 
 
 def test_mission_finishes_done_on_full_battery():
-    state, world = mission("standard_greenhouse")
-    assert state.phase == DONE
-    assert state.cause is None
-    assert all(r.serviced or r.cause for r in world.records)
+    m = mission("standard_greenhouse")
+    assert m.phase == DONE
+    assert m.cause is None
+    assert not m.depleted
+    assert all(r.serviced or r.cause for r in m.records)
 
 
 def test_sloped_start_levels_before_first_arm_move():
-    state, world = mission("hilly_terrain")
-    assert world.transitions[0] == (SENSING, LEVELING)
-    phases = [dst for _, dst in world.transitions]
+    m = mission("hilly_terrain")
+    assert m.transitions[0] == (SENSING, LEVELING)
+    phases = [dst for _, dst in m.transitions]
     assert phases.index(LEVELING) < phases.index(POSITIONING)
 
 
 def test_platform_is_level_whenever_the_arm_moves():
     # trace rows are (t, phase, pot, tilt, voltage); drift bias can leave a
     # few tenths of residual true tilt after a measured-zero episode
-    _, world = mission("hilly_terrain")
-    tilts = [row[3] for row in world.trace_rows if row[1] == POSITIONING]
+    m = mission("hilly_terrain")
+    tilts = [row[3] for row in m.trace_rows if row[1] == POSITIONING]
     assert tilts and max(abs(t) for t in tilts) < 0.75
 
 
 def test_flat_environments_never_enter_leveling():
     for name in ("standard_greenhouse", "complex_lighting"):
-        report, world = trial(name, 11)
-        phases = {dst for _, dst in world.transitions}
+        report, m = trial(name, 11)
+        phases = {dst for _, dst in m.transitions}
         assert LEVELING not in phases
         assert report.leveling_mean_s is None
         assert report.sse_mean_deg is None
@@ -113,24 +113,24 @@ def test_sloped_environment_reports_leveling_columns():
 
 def test_depleted_battery_aborts_with_cause():
     tiny = BatteryModel(capacity_mah=3.0)
-    report, world = trial("standard_greenhouse", 5, config_with(battery=tiny))
+    report, m = trial("standard_greenhouse", 5, config_with(battery=tiny))
     assert report.aborted
     assert report.abort_cause == CAUSE_DEPLETED
-    assert world.transitions[-1][1] == ABORTED
+    assert m.depleted
+    assert m.transitions[-1][1] == ABORTED
     assert report.serviced < report.pots
 
 
 def test_step_mission_rejects_terminal_state_and_bad_dt():
     env = environment_for(CFG, "standard_greenhouse")
-    state, world = mission("standard_greenhouse")
     with pytest.raises(ValueError):
-        step_mission(state, world, 0.05, 10)
+        step_mission(mission("standard_greenhouse"), 0.05, 10)
     rng = np.random.default_rng(0)
-    layout = realize_layout(env.layout, rng)
-    world2 = MissionWorld(env, layout, CFG, GAINS, rng)
-    fresh = start_mission(world2)
+    fresh = Mission(env, realize_layout(env.layout, rng), CFG, GAINS, rng)
     with pytest.raises(ValueError):
-        step_mission(fresh, world2, 0.0, 10)
+        step_mission(fresh, 0.0, 10)
+    with pytest.raises(ValueError):
+        step_mission(fresh, 0.05, 0)
 
 
 def test_filter_window_reaches_leveling_episodes():
@@ -147,8 +147,8 @@ def test_level_band_reaches_the_settle_time():
 
     def leveling_times(band, slope=env.slope):
         cfg = config_with(leveling=dataclasses.replace(CFG.leveling, level_band=band))
-        _, world = run_trial(dataclasses.replace(env, slope=slope), cfg, GAINS, 11)
-        return [r.leveling_time for r in world.records if r.leveling_time is not None]
+        _, m = run_trial(dataclasses.replace(env, slope=slope), cfg, GAINS, 11)
+        return [r.leveling_time for r in m.records if r.leveling_time is not None]
 
     # a wider band is entered sooner
     assert np.mean(leveling_times(1.0)) < np.mean(leveling_times(0.5))
@@ -159,22 +159,21 @@ def test_level_band_reaches_the_settle_time():
 
 
 def test_battery_voltage_monotone_over_mission():
-    _, world = mission("standard_greenhouse")
-    volts = [row[4] for row in world.trace_rows]
+    volts = [row[4] for row in mission("standard_greenhouse").trace_rows]
     assert all(b <= a + 1e-12 for a, b in zip(volts, volts[1:]))
 
 
 # ------------------------------------------------------- reports
 
 def test_report_matches_record_recomputation():
-    report, world = trial("complex_lighting", 21)
-    records = world.records
+    report, m = trial("complex_lighting", 21)
+    records = m.records
     serviced = [r for r in records if r.serviced]
     assert report.serviced == len(serviced)
     assert report.accuracy_pct == pytest.approx(
         100.0 * sum(r.detected for r in records) / len(records))
     assert report.fp_pct == pytest.approx(
-        100.0 * world.fp_count / world.det_count)
+        100.0 * m.fp_count / m.det_count)
     total_disp = sum(r.dispensed for r in serviced)
     total_del = sum(r.delivered for r in serviced)
     assert report.efficiency_pct == pytest.approx(100.0 * total_del / total_disp)
@@ -204,8 +203,8 @@ def test_different_seeds_differ_somewhere():
 
 def test_delivered_never_exceeds_dispensed():
     for seed in (1, 2, 3):
-        _, world = trial("hilly_terrain", seed)
-        for r in world.records:
+        _, m = trial("hilly_terrain", seed)
+        for r in m.records:
             assert r.delivered <= r.dispensed + 1e-12
 
 
@@ -270,11 +269,11 @@ def test_mission_retry_consumes_one_extra_sensing_pass():
         cfg_env,
         detector_profile=dataclasses.replace(cfg_env.detector_profile, accuracy=0.0),
     )
-    report, world = run_trial(env, CFG, GAINS, 13)
+    report, m = run_trial(env, CFG, GAINS, 13)
     assert report.serviced == 0
     assert report.accuracy_pct == 0.0
-    assert world.frames == 2 * report.pots  # one retry per pot, then skip
-    assert all(r.cause == "Undetected" for r in world.records)
+    assert m.frames == 2 * report.pots  # one retry per pot, then skip
+    assert all(r.cause == "Undetected" for r in m.records)
 
 
 # ------------------------------------------------------- endurance
@@ -322,50 +321,64 @@ def test_calibrate_battery_script_output_is_pinned(capsys):
 
 # ------------------------------------------------------- per-tick reference
 
-def reference_step(state, world, dt):
+def reference_step(m, dt):
     """Advance the mission by one tick: the reference for step_mission."""
-    battery = battery_step(state.battery, _active_subsystems(state.phase, world), dt)
-    world.monitor = drift_update(world.monitor, dt)
-    state = dataclasses.replace(
-        state, elapsed=state.elapsed + dt, battery=battery,
-        phase_left=state.phase_left - dt,
-    )
-    if world.trace_rows is not None:
-        world.trace_rows.append(
-            (state.elapsed, state.phase, state.pot_index % len(world.layout.pots),
-             world.tilt, battery.voltage)
-        )
-    if battery.depleted:
-        return _transition(state, world, ABORTED, cause=CAUSE_DEPLETED)
-    if state.phase_left > 1e-9:
-        return state
-    return _FINISHERS[state.phase](state, world)
+    model = m.cfg.battery
+    draw = model.current_ma(_active_subsystems(m.phase, m.env))
+    m.charge, depleted = battery_step(model, m.charge, draw, dt)
+    m.bias = drift_update(m.monitor, m.bias, dt)
+    m.elapsed = m.elapsed + dt
+    m.phase_left = m.phase_left - dt
+    if m.trace_rows is not None:
+        m.trace_rows.append((m.elapsed, m.phase, m.pot_index % len(m.layout.pots), m.tilt,
+                             model.voltage(m.charge)))
+    if depleted:
+        m.depleted, m.cause = True, CAUSE_DEPLETED
+        _transition(m, ABORTED, m.phase_left)
+    elif m.phase_left <= 1e-9:
+        _FINISHERS[m.phase](m)
 
 
 def reference_mission(env, cfg, seed, *, loop=False, max_ticks=10**7):
-    """Tick-at-a-time mission; returns (state, world, ticks) when it ends or
-    when max_ticks have run."""
+    """Tick-at-a-time mission; returns (mission, ticks) when it ends or when
+    max_ticks have run."""
     rng = np.random.default_rng(seed)
-    world = MissionWorld(env, realize_layout(env.layout, rng), cfg, GAINS, rng,
-                         loop=loop, keep_trace=True)
-    state = start_mission(world)
+    m = Mission(env, realize_layout(env.layout, rng), cfg, GAINS, rng, loop=loop,
+                keep_trace=True)
     for ticks in range(1, max_ticks + 1):
-        state = reference_step(state, world, cfg.timing.mission_tick)
-        if state.phase in (DONE, ABORTED):
+        reference_step(m, cfg.timing.mission_tick)
+        if m.phase in (DONE, ABORTED):
             break
-    return state, world, ticks
+    return m, ticks
+
+
+# everything a mission mutates as it runs
+MISSION_STATE = (
+    "phase", "pot_index", "elapsed", "phase_left", "retried", "cause", "charge", "depleted",
+    "bias", "tilt", "records", "transitions", "trace_rows", "frames", "det_count",
+    "fp_count", "matched_frames", "pots_seen",
+)
 
 
 def assert_same_mission(a, b):
-    (state_a, world_a), (state_b, world_b) = a, b
-    assert state_a == state_b
-    assert world_a.transitions == world_b.transitions
-    assert world_a.monitor == world_b.monitor
-    assert world_a.records == world_b.records
-    assert world_a.trace_rows == world_b.trace_rows
-    assert world_a.tilt == world_b.tilt
-    assert (world_a.frames, world_a.det_count, world_a.fp_count, world_a.pots_seen) == (
-        world_b.frames, world_b.det_count, world_b.fp_count, world_b.pots_seen)
+    for name in MISSION_STATE:
+        assert getattr(a, name) == getattr(b, name), name
+
+
+@contextmanager
+def counted_steps():
+    """Record (mission, ticks) for each step_mission call run_mission makes."""
+    calls = []
+    real_step = mission_module.step_mission
+
+    def counting_step(mission, dt, max_ticks):
+        ticks = real_step(mission, dt, max_ticks)
+        calls.append((mission, ticks))
+        return ticks
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mission_module, "step_mission", counting_step)
+        yield calls
 
 
 def varied_config(env_name, pot_count, tick, capacity, drift_rate, shielded):
@@ -395,29 +408,24 @@ def test_phase_core_matches_tick_reference(env_name, seed, pot_count, tick, capa
     if loop:
         capacity = min(capacity, 80.0)  # an endurance loop must deplete
     env, cfg = varied_config(env_name, pot_count, tick, capacity, drift_rate, shielded)
-    state, world, _ = reference_mission(env, cfg, seed, loop=loop)
-    assert state.phase in (DONE, ABORTED)
-    assert_same_mission(run_mission(env, cfg, GAINS, seed, loop=loop, keep_trace=True),
-                        (state, world))
+    ref, ref_ticks = reference_mission(env, cfg, seed, loop=loop)
+    assert ref.phase in (DONE, ABORTED)
+    with counted_steps() as calls:
+        m = run_mission(env, cfg, GAINS, seed, loop=loop, keep_trace=True)
+    assert_same_mission(m, ref)
+    assert sum(ticks for _, ticks in calls) == ref_ticks == len(m.trace_rows)
+    for src, dst in m.transitions:
+        assert dst in ADJACENCY[src], (src, dst)
 
 
 @pytest.mark.parametrize("max_hours,tick", [(0.01, 0.05), (0.0123, 0.03), (0.002, 0.07)])
-def test_time_guard_fires_after_exactly_the_budgeted_ticks(monkeypatch, max_hours, tick):
+def test_time_guard_fires_after_exactly_the_budgeted_ticks(max_hours, tick):
     env, cfg = varied_config("hilly_terrain", 20, tick, 1e7, 0.0015, True)
     budget = int(max_hours * 3600.0 / tick)
-    last = {}
-    real_step = mission_module.step_mission
-
-    def counting_step(state, world, dt, max_ticks):
-        state, ticks = real_step(state, world, dt, max_ticks)
-        last["ticks"] = last.get("ticks", 0) + ticks
-        last["mission"] = (state, world)
-        return state, ticks
-
-    monkeypatch.setattr(mission_module, "step_mission", counting_step)
-    with pytest.raises(MissionTimeout):
+    with counted_steps() as calls, pytest.raises(MissionTimeout):
         run_mission(env, cfg, GAINS, 3, keep_trace=True, max_hours=max_hours)
-    state, world, ticks = reference_mission(env, cfg, 3, max_ticks=budget)
-    assert ticks == budget and state.phase not in (DONE, ABORTED)
-    assert last["ticks"] == budget == len(last["mission"][1].trace_rows)
-    assert_same_mission(last["mission"], (state, world))
+    ref, ticks = reference_mission(env, cfg, 3, max_ticks=budget)
+    assert ticks == budget and ref.phase not in (DONE, ABORTED)
+    m = calls[-1][0]
+    assert sum(n for _, n in calls) == budget == len(m.trace_rows)
+    assert_same_mission(m, ref)
