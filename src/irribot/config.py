@@ -1,12 +1,12 @@
 """Run configuration: defaults, YAML overrides, validation.
 
-A RunConfig is a tree of frozen dataclasses; the arm, battery and calibration
-sections are the model dataclasses themselves. YAML files override any subset
-of fields; unknown keys fail loudly with their full path rather than being
-ignored, since a typo that silently reverts to a default is the worst kind
-of configuration bug. `environment_for` resolves one environment's terrain,
-detector profile, pump and drive speed; a mission reads everything else from
-the RunConfig itself.
+A RunConfig is a tree of frozen dataclasses; the arm, battery, calibration
+and plant sections are the model dataclasses themselves. YAML files override
+any subset of fields; unknown keys fail loudly with their full path rather
+than being ignored, since a typo that silently reverts to a default is the
+worst kind of configuration bug. `environment_for` resolves one
+environment's terrain, detector profile, pump and drive speed; a mission
+reads everything else from the RunConfig itself.
 """
 
 from __future__ import annotations
@@ -44,17 +44,6 @@ class ConfigParseError(ConfigError):
 def _require(cond, message):
     if not cond:
         raise ConfigError(message)
-
-
-@dataclass(frozen=True)
-class PlantConfig:
-    max_rate: float = 8.0  # deg/s actuator authority
-    delay: float = 0.05  # s transport delay
-    tau: float = 0.15  # s actuator lag
-
-    def __post_init__(self):
-        _require(self.max_rate > 0, "max_rate must be positive")
-        _require(self.delay >= 0 and self.tau > 0, "delay >= 0 and tau > 0 required")
 
 
 @dataclass(frozen=True)
@@ -203,7 +192,7 @@ class RunConfig:
     pot_count: int = 20
     arm: ArmGeometry = field(default_factory=_default_arm)
     calibration: CalibrationState = field(default_factory=_default_calibration)
-    plant: PlantConfig = field(default_factory=PlantConfig)
+    plant: PlatformPlant = field(default_factory=PlatformPlant)
     leveling: LevelingConfig = field(default_factory=LevelingConfig)
     detection: DetectionConfig = field(default_factory=DetectionConfig)
     pump: PumpConfig = field(default_factory=PumpConfig)
@@ -335,9 +324,8 @@ def dump_config(cfg):
 
 def tuned_gains(cfg):
     """Auto-tune the leveling loop for the configured platform."""
-    plant = PlatformPlant(cfg.plant.max_rate, cfg.plant.delay, cfg.plant.tau)
-    return tune_leveling(plant, rule=cfg.leveling.rule,
-                         integral_authority=cfg.leveling.integral_authority)
+    lv = cfg.leveling
+    return tune_leveling(cfg.plant, rule=lv.rule, integral_authority=lv.integral_authority)
 
 
 def gains_for(cfg):

@@ -105,78 +105,51 @@ def drift_update(mon, bias, dt, ticks=1):
 # plants
 
 
-class DelayedIntegratorPlant:
-    """Pure integrator behind a transport delay: tilt' = k*u(t - delay).
-
-    Under proportional feedback the loop sustains oscillation at the
-    closed-form point ku = pi / (2*k*delay), tu = 4*delay, which makes this
-    the reference plant for tuner verification. Fixed-tick stepping is
-    assumed; the delay is quantized to whole ticks on the first step.
-    """
-
-    def __init__(self, gain=1.0, delay=0.05):
-        if not (gain > 0 and 0 <= delay < math.inf):
-            raise ValueError("gain must be positive and delay finite and non-negative")
-        self.gain = gain
-        self.delay = delay
-        self.tilt = 0.0
-        self._queue = None
-
-    def reset(self, tilt=0.0):
-        self.tilt = tilt
-        self._queue = None
-
-    def step(self, u, dt):
-        if self._queue is None:
-            self._queue = deque([0.0] * max(0, round(self.delay / dt)))
-        if self._queue:
-            self._queue.append(u)
-            u = self._queue.popleft()
-        self.tilt += self.gain * u * dt
-        return self.tilt
-
-
+@dataclass(frozen=True)
 class PlatformPlant:
     """Lead-screw pitch platform: rate command through a transport delay and a
     first-order actuator lag, rate-saturated, then integrated into tilt.
 
-    `last_saturated` flags rate clipping on the most recent step, which ends
-    a tuner probe. Fixed-tick stepping is assumed. `max_rate=math.inf` means
-    no clipping; NaN parameters and an infinite delay or lag are rejected.
-    `run_leveling_episode` runs this same model inline from the three
-    parameters; `step` serves the tuner.
+    A frozen parameter record; whatever runs the model owns its state.
+    Fixed-tick stepping is assumed, so the delay is quantized to whole ticks.
+    `max_rate=math.inf` means no clipping; NaN parameters and an infinite
+    delay or lag are rejected. `gain`, the tilt rate per unit of screw rate,
+    is 1 and is not a field.
     """
 
-    def __init__(self, max_rate=8.0, delay=0.05, tau=0.15):
-        if not (max_rate > 0 and 0 <= delay < math.inf and 0 < tau < math.inf):
-            raise ValueError("invalid platform parameters")
-        self.max_rate = max_rate  # degrees/s
-        self.delay = delay  # s
-        self.tau = tau  # s
-        self.tilt = 0.0
-        self.last_saturated = False
-        self._rate = 0.0
-        self._queue = None
+    max_rate: float = 8.0  # degrees/s
+    delay: float = 0.05  # s
+    tau: float = 0.15  # s
+    gain = 1.0
 
-    def reset(self, tilt=0.0):
-        self.tilt = tilt
-        self._rate = 0.0
-        self._queue = None
-        self.last_saturated = False
+    def __post_init__(self):
+        # written so that NaN, which fails every comparison, is rejected too
+        if not self.max_rate > 0:
+            raise ValueError("max_rate must be positive")
+        if not 0 <= self.delay < math.inf:
+            raise ValueError("delay must be finite and non-negative")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
 
-    def step(self, u, dt):
-        if self._queue is None:
-            self._queue = deque([0.0] * max(0, round(self.delay / dt)))
-        if self._queue:
-            self._queue.append(u)
-            u = self._queue.popleft()
-        self._rate = u + (self._rate - u) * math.exp(-dt / self.tau)
-        rate = min(max(self._rate, -self.max_rate), self.max_rate)
-        self.last_saturated = rate != self._rate
-        if self.last_saturated:
-            self._rate = rate  # the screw cannot store speed it never reached
-        self.tilt += rate * dt
-        return self.tilt
+
+@dataclass(frozen=True)
+class DelayedIntegratorPlant:
+    """Pure integrator behind a transport delay: tilt' = gain*u(t - delay).
+
+    The platform model with this gain, no lag (`tau` 0) and no rate limit.
+    Under proportional feedback the loop sustains oscillation at the
+    closed-form point ku = pi / (2*gain*delay), tu = 4*delay, which makes
+    this the reference plant for tuner verification.
+    """
+
+    gain: float = 1.0
+    delay: float = 0.05  # s
+    max_rate = math.inf
+    tau = 0.0
+
+    def __post_init__(self):
+        if not (self.gain > 0 and 0 <= self.delay < math.inf):
+            raise ValueError("gain must be positive and delay finite and non-negative")
 
 
 # --------------------------------------------------------------------------
@@ -184,13 +157,20 @@ class PlatformPlant:
 
 
 def _probe_oscillation(plant, gain, dt, probe_time, initial_tilt, band, cycles):
-    """Run a P-only loop and classify the envelope.
+    """Run a P-only loop on the plant's model and classify the envelope.
 
-    Returns (classification, period). Classification is one of "decaying",
-    "sustained", "growing". Period comes from rising zero crossings with
-    linear interpolation and is None when fewer than three crossings exist.
+    Each step the command enters the transport-delay line, the delayed
+    command passes the actuator lag (none when `tau` is 0), and a rate
+    beyond `max_rate` ends the probe as saturated; otherwise the tilt
+    integrates `plant.gain` times the rate. Returns (classification,
+    period). Classification is one of "decaying", "sustained", "growing".
+    Period comes from rising zero crossings with linear interpolation and is
+    None when fewer than three crossings exist.
     """
-    plant.reset(initial_tilt)
+    k, max_rate = plant.gain, plant.max_rate
+    lag = math.exp(-dt / plant.tau) if plant.tau else 0.0
+    line = deque([0.0] * max(0, round(plant.delay / dt)))
+    rate = 0.0
     tilt = initial_tilt
     prev = prev2 = None
     peaks = []
@@ -199,12 +179,14 @@ def _probe_oscillation(plant, gain, dt, probe_time, initial_tilt, band, cycles):
     blewup = False
     steps = int(round(probe_time / dt))
     for i in range(1, steps + 1):
-        u = gain * (0.0 - tilt)
-        new = plant.step(u, dt)
-        t = i * dt
-        if getattr(plant, "last_saturated", False):
+        line.append(gain * (0.0 - tilt))
+        u = line.popleft()
+        rate = u + (rate - u) * lag
+        if not -max_rate <= rate <= max_rate:
             saturated = True
             break
+        new = tilt + k * rate * dt
+        t = i * dt
         if tilt < 0 <= new:
             crossings.append(t - dt + dt * (-tilt) / (new - tilt))
         if prev is not None and prev2 is not None and prev > prev2 and prev >= tilt and prev > 0:
@@ -321,40 +303,15 @@ def tune_leveling(plant, rule="classic", *, integral_authority=None, **probe_kwa
 # closed-loop episodes
 
 
-@dataclass
-class LevelingTrace:
-    """Fixed-tick closed-loop record of one leveling episode."""
+@dataclass(frozen=True)
+class EpisodeSummary:
+    """What one leveling episode did, computed as it runs."""
 
-    t: np.ndarray  # s
-    tilt: np.ndarray  # degrees, true platform tilt at the sample instant
-    alpha_raw: np.ndarray  # degrees, biased/noisy IMU reading
-    alpha_filtered: np.ndarray  # degrees
-    u: np.ndarray  # commanded platform rate, degrees/s
-    recalibrated: np.ndarray  # bool, drift reset fired this tick
-    saturated: np.ndarray  # bool, actuator rate-clipped this tick
-    band: float = 0.5  # degrees, settling band
-
-    @property
-    def response_time(self):
-        """Time of the first entry into the +/-band that is never left."""
-        outside = np.flatnonzero(np.abs(self.tilt) > self.band)
-        if outside.size == 0:
-            return float(self.t[0])
-        last = outside[-1]
-        if last + 1 >= len(self.t):
-            return None
-        return float(self.t[last + 1])
-
-    @property
-    def steady_state_error(self):
-        """Largest true-tilt magnitude over the final quarter of the episode."""
-        tail = max(1, len(self.tilt) // 4)
-        return float(np.max(np.abs(self.tilt[-tail:])))
-
-    @property
-    def max_estimation_error(self):
-        """Worst absolute gap between the filtered reading and the true tilt."""
-        return float(np.max(np.abs(self.alpha_filtered - self.tilt)))
+    settle_time: float | None  # s, first entry into the band that is never left
+    sse: float  # degrees, largest true-tilt magnitude over the final quarter
+    final_tilt: float  # degrees, true tilt at the last recorded tick
+    saturated_ticks: int  # ticks on which the actuator rate was clipped
+    resets: tuple  # indices of the ticks on which the drift monitor fired
 
 
 def run_leveling_episode(
@@ -370,24 +327,26 @@ def run_leveling_episode(
     bias=0.0,
     rng=None,
     band=0.5,
+    rows=None,
 ):
-    """Close the loop on a slope step and record the full trace.
+    """Close the loop on a slope step; returns an `EpisodeSummary`.
 
     The `PlatformPlant` starts tilted at `slope` degrees and the IMU bias at
-    `bias` degrees. Each tick: drift accumulates at the `drift` monitor's
-    rate, the IMU reads true tilt plus bias plus noise, the reading is
-    filtered by a `window`-sample moving average, the drift monitor may
-    recalibrate (zeroing bias and integral), the PID issues a rate command
-    (trapezoidal integral clamped to the gains' limit, backward-difference
-    derivative, neither on the first tick), and the platform integrates it.
-    Saturation is recorded, never raised. `band` is the trace's settling band.
+    `bias` degrees. Each tick: the IMU reads true tilt plus bias plus noise,
+    the reading is filtered by a `window`-sample moving average, the drift
+    monitor may recalibrate (zeroing bias and integral), the PID issues a
+    rate command (trapezoidal integral clamped to the gains' limit,
+    backward-difference derivative, neither on the first tick), the platform
+    integrates it, and drift grows the bias at the `drift` monitor's rate.
+    Saturation is counted, never raised. `band` is the settling band.
 
-    One flat loop over plain floats that runs the platform model of
-    `PlatformPlant.step` inline: the command list is the transport-delay
-    line. The plant's parameters are read, the plant itself is never stepped
-    or changed. The noise for the whole episode is drawn in one batch, which
-    leaves `rng` where one draw per tick would. The bias inside the episode
-    is not handed back.
+    One flat loop over plain floats that runs the platform model inline: the
+    command list, pre-filled with the delay's ticks of zeros, is the
+    transport-delay line. The plant is only read. The noise for the whole
+    episode is drawn in one batch, which leaves `rng` where one draw per tick
+    would. When `rows` is a list, one tuple per tick is appended to it:
+    (t, tilt, raw reading, filtered reading, command, recalibrated,
+    saturated).
     """
     if tick <= 0:
         raise ValueError("tick must be positive")
@@ -397,6 +356,8 @@ def run_leveling_episode(
         raise ValueError("window size must be positive")
     if not bias >= 0:
         raise ValueError("bias cannot be negative")
+    if not noise_std >= 0:
+        raise ValueError("noise_std cannot be negative")
     steps = int(round(duration / tick))
     if steps == 0:
         raise ValueError("duration must round to at least one tick")
@@ -408,69 +369,72 @@ def run_leveling_episode(
         noise = [0.0] * steps
 
     max_rate = plant.max_rate
-    delay = max(0, round(plant.delay / tick))
+    line = [0.0] * max(0, round(plant.delay / tick))
     lag = math.exp(-tick / plant.tau)
-    kp, ki, kd, setpoint, lim = gains.kp, gains.ki, gains.kd, gains.setpoint, gains.integral_limit
-    if drift is not None:
-        drift_rate, threshold = drift.effective_rate, drift.reset_threshold
+    kp, ki, kd, setpoint = gains.kp, gains.ki, gains.kd, gains.setpoint
+    lim = math.inf if gains.integral_limit is None else gains.integral_limit
+    if drift is None:
+        growth, threshold = 0.0, math.inf
+    else:
+        growth, threshold = drift.effective_rate * tick, drift.reset_threshold
     readings = deque(maxlen=window)
     integral = prev_error = prev_t = 0.0
     speed = 0.0  # platform rate after the actuator lag, degrees/s
-    tilt = float(slope)
+    tilt = final = float(slope)
+    tail_start = steps - max(1, steps // 4)
+    last_outside = -1
+    sse = 0.0
+    saturated_ticks = 0
+    resets = []
+    keep = rows is not None
+    isfinite = math.isfinite
 
-    out_tilt, out_raw, out_filt, out_u, out_recal, out_sat = ([] for _ in range(6))
-    for n in range(steps):
+    for n, e in enumerate(noise):
         t = n * tick
-        if drift is not None and n > 0:
-            bias = bias + drift_rate * tick
-        raw = tilt + bias + noise[n]
-        if not math.isfinite(raw):
+        raw = tilt + bias + e
+        if not isfinite(raw):
             raise ValueError(f"non-finite IMU reading at t={t}")
         readings.append(raw)
         filtered = sum(readings) / len(readings)
-        recal = drift is not None and bias >= threshold
+        recal = bias >= threshold
         if recal:
             bias = 0.0
             integral = 0.0
+            resets.append(n)
         error = setpoint - filtered
-        if n > 0:
+        if n:
             dt = t - prev_t
             integral = integral + 0.5 * (error + prev_error) * dt
             derivative = (error - prev_error) / dt
         else:
             derivative = 0.0
-        if lim is not None:
-            if integral > lim:
-                integral = lim
-            elif integral < -lim:
-                integral = -lim
+        if integral > lim:
+            integral = lim
+        elif integral < -lim:
+            integral = -lim
         command = kp * error + ki * integral + kd * derivative
         prev_error, prev_t = error, t
-        out_tilt.append(tilt)
-        out_raw.append(raw)
-        out_filt.append(filtered)
-        out_u.append(command)
-        out_recal.append(recal)
-        u = out_u[n - delay] if n >= delay else 0.0
+        line.append(command)
+        u = line[n]
         speed = u + (speed - u) * lag
-        # a NaN speed fails both bounds: it counts as saturated and stays NaN,
-        # as min/max leave it in PlatformPlant.step
+        # a NaN speed fails both bounds: it counts as saturated and stays NaN
         saturated = not -max_rate <= speed <= max_rate
         if saturated:
+            saturated_ticks += 1
             if speed > max_rate:
                 speed = max_rate
             elif speed < -max_rate:
                 speed = -max_rate
-        out_sat.append(saturated)
+        if not -band <= tilt <= band:
+            last_outside = n
+        if n >= tail_start:
+            final = tilt
+            if abs(tilt) > sse:
+                sse = abs(tilt)
+        if keep:
+            rows.append((t, tilt, raw, filtered, command, recal, saturated))
         tilt = tilt + speed * tick
+        bias = bias + growth
 
-    return LevelingTrace(
-        t=np.arange(steps, dtype=float) * tick,
-        tilt=np.fromiter(out_tilt, float, steps),
-        alpha_raw=np.fromiter(out_raw, float, steps),
-        alpha_filtered=np.fromiter(out_filt, float, steps),
-        u=np.fromiter(out_u, float, steps),
-        recalibrated=np.fromiter(out_recal, bool, steps),
-        saturated=np.fromiter(out_sat, bool, steps),
-        band=band,
-    )
+    settle = None if last_outside == steps - 1 else (last_outside + 1) * tick
+    return EpisodeSummary(settle, sse, final, saturated_ticks, tuple(resets))

@@ -28,12 +28,7 @@ from irribot.kinematics import (
     inverse_kinematics,
     pixel_to_arm,
 )
-from irribot.leveling import (
-    DriftMonitor,
-    PlatformPlant,
-    drift_update,
-    run_leveling_episode,
-)
+from irribot.leveling import DriftMonitor, drift_update, run_leveling_episode
 
 SENSING = "Sensing"
 LEVELING = "Leveling"
@@ -101,6 +96,7 @@ class Mission:
         self.charge = cfg.battery.capacity_mah  # mAh
         self.depleted = False
         self.bias = 0.0  # degrees, integrated drift of the tilt reading
+        self.leveled_bias = None  # bias after the leveling phase, set by a reset in it
         self.tilt = float(env.slope)
         self.records = [IrrigationRecord(pot_id=p.pot_id) for p in layout.pots]
         self.frames = 0
@@ -249,24 +245,36 @@ def _finish_sensing(m):
 
 def _enter_leveling(m):
     lv = m.cfg.leveling
-    pc = m.cfg.plant
-    plant = PlatformPlant(pc.max_rate, pc.delay, pc.tau)
-    trace = run_leveling_episode(
-        plant, m.gains, m.tilt, lv.episode_window, lv.episode_tick,
+    tick = lv.episode_tick
+    summary = run_leveling_episode(
+        m.cfg.plant, m.gains, m.tilt, lv.episode_window, tick,
         window=lv.filter_window, noise_std=lv.noise_std, drift=m.monitor, bias=m.bias,
         rng=m.rng, band=lv.level_band,
     )
-    settle = trace.response_time
+    settle = summary.settle_time
     if settle is None:
         settle = lv.episode_window
     rec = m.record()
     rec.leveling_time = float(settle)
-    rec.leveling_sse = trace.steady_state_error
-    m.tilt = float(trace.tilt[-1])
+    rec.leveling_sse = summary.sse
+    m.tilt = summary.final_tilt
+    # The phase charges the episode up to its settle tick. The last reset at or
+    # before it zeroes the bias, which then grows again from the mission tick
+    # the reset falls in to the end of the phase.
+    charged = [r for r in summary.resets if r * tick <= settle]
+    m.leveled_bias = None
+    if charged:
+        dt = m.cfg.timing.mission_tick
+        # the phase's own tick count; the countdown ends before that bound
+        phase_ticks = _countdown(0.0, float(settle), dt, int(settle / dt) + 2)[0]
+        since = phase_ticks - int(charged[-1] * tick / dt + 1e-9)
+        m.leveled_bias = drift_update(m.monitor, 0.0, dt, since)
     _transition(m, LEVELING, float(settle))
 
 
 def _finish_leveling(m):
+    if m.leveled_bias is not None:
+        m.bias = m.leveled_bias
     _transition(m, POSITIONING, m.cfg.timing.arm_move)
 
 

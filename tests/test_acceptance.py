@@ -37,6 +37,7 @@ from irribot.leveling import (
 )
 from irribot.mission import run_trial, run_until_depleted
 from test_kinematics import forward_kinematics  # the round-trip oracle
+from test_leveling import episode  # the production episode with its per-tick rows
 
 
 @contextmanager
@@ -155,11 +156,11 @@ def test_criterion_3_leveling_step_response(capsys):
     with criterion(capsys, 3, "10 deg step settles at 1.8 +- 0.5 s, SSE <= 0.4 deg"):
         t0 = time.perf_counter()
         gains, _, _ = tune_leveling(PlatformPlant(), integral_authority=8.0)
-        trace = run_leveling_episode(PlatformPlant(), gains, 10.0, 8.0, 0.01)
+        summary = run_leveling_episode(PlatformPlant(), gains, 10.0, 8.0, 0.01)
         elapsed = time.perf_counter() - t0
-        assert trace.response_time is not None
-        assert 1.3 <= trace.response_time <= 2.3, trace.response_time
-        assert trace.steady_state_error <= 0.4, trace.steady_state_error
+        assert summary.settle_time is not None
+        assert 1.3 <= summary.settle_time <= 2.3, summary.settle_time
+        assert summary.sse <= 0.4, summary.sse
         assert elapsed < 5.0, f"tuning plus episode took {elapsed:.3f} s"
 
 
@@ -172,22 +173,24 @@ def test_criterion_4_drift_shielding_and_reset(capsys):
         # transport delay keeps the true tilt at exactly 0 for these 5 ticks
         integral_only = PidGains(kp=0.0, ki=1.0, kd=0.0)
 
-        def episode(mon, bias, duration=0.05):
-            return run_leveling_episode(
-                PlatformPlant(), integral_only, 0.0, duration, 0.01, drift=mon, bias=bias)
+        def integral_episode(mon, bias, duration=0.05):
+            return episode(PlatformPlant(), integral_only, 0.0, duration, 0.01, drift=mon,
+                           bias=bias)
 
         below = math.nextafter(5.0, 0.0)
-        trace = episode(DriftMonitor(drift_rate=0.0), below)
-        assert not trace.recalibrated.any()
+        summary, trace = integral_episode(DriftMonitor(drift_rate=0.0), below)
+        assert not trace.recalibrated.any() and summary.resets == ()
         assert (trace.alpha_raw - trace.tilt).tolist() == [below] * 5
-        trace = episode(DriftMonitor(drift_rate=0.0), 5.0)
+        summary, trace = integral_episode(DriftMonitor(drift_rate=0.0), 5.0)
         assert trace.recalibrated.tolist() == [True, False, False, False, False]
+        assert summary.resets == (0,)
         # the reading on the reset tick carries the bias; from the next on it is 0
         assert (trace.alpha_raw - trace.tilt).tolist() == [5.0, 0.0, 0.0, 0.0, 0.0]
         # a reset zeroes the PID integral too: with u = integral, the command
         # on a mid-episode reset tick is that tick's trapezoid area alone
-        trace = episode(DriftMonitor(drift_rate=1.0), 4.9, 0.5)
+        summary, trace = integral_episode(DriftMonitor(drift_rate=1.0), 4.9, 0.5)
         k = int(np.flatnonzero(trace.recalibrated)[0])
+        assert summary.resets == (k,)
         assert k > 1 and trace.u[k - 1] != 0.0
         error, t = 0.0 - trace.alpha_filtered, trace.t
         assert trace.u[k] == 0.5 * (error[k] + error[k - 1]) * (t[k] - t[k - 1])
@@ -201,15 +204,16 @@ def test_criterion_4_drift_shielding_and_reset(capsys):
         # unshielded accumulation crosses the threshold and recalibrates once,
         # 250 s in (5 deg at 0.02 deg/s)
         gains, _, _ = tune_leveling(PlatformPlant(), integral_authority=8.0)
-        trace = run_leveling_episode(
+        summary, trace = episode(
             PlatformPlant(), gains, 0.0, 260.0, 0.01,
             drift=DriftMonitor(drift_rate=0.02, shielded=False),
         )
         fired = np.flatnonzero(trace.recalibrated)
         assert fired.size == 1 and trace.t[fired[0]] == pytest.approx(250.0, abs=0.02)
+        assert summary.resets == (fired[0],)
 
         # ten simulated minutes of filtered tilt stay within +-0.5 deg
-        trace = run_leveling_episode(
+        _, trace = episode(
             PlatformPlant(), gains, 0.0, 600.0, 0.01,
             noise_std=0.05, drift=DriftMonitor(drift_rate=0.0015, shielded=True),
             rng=np.random.default_rng(7),
@@ -324,6 +328,6 @@ def test_criterion_9_tuner_recovers_analytic_plant(capsys):
             assert ku == pytest.approx(ku_true, rel=0.05), (k, delay, ku, ku_true)
             assert tu == pytest.approx(tu_true, rel=0.05), (k, delay, tu, tu_true)
         gains, _, _ = tune_leveling(PlatformPlant(), integral_authority=8.0)
-        trace = run_leveling_episode(PlatformPlant(), gains, 10.0, 8.0, 0.01)
-        assert trace.response_time is not None  # settles and stays settled
-        assert abs(trace.tilt[-1]) < 0.5
+        summary = run_leveling_episode(PlatformPlant(), gains, 10.0, 8.0, 0.01)
+        assert summary.settle_time is not None  # settles and stays settled
+        assert abs(summary.final_tilt) < 0.5

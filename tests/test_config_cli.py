@@ -115,6 +115,10 @@ def test_unknown_keys_fail_with_path(tmp_path, text, frag):
     ("leveling: {kp: 1.0}\n", "kp, ki and kd"),
     ("leveling: {shielding_factor: 1.0}\n", "shielding_factor"),
     ("leveling: {filter_window: 2.5}\n", "filter_window"),
+    ("plant: {max_rate: fast}\n", "plant.max_rate must be float, got str"),
+    ("plant: {max_rate: 0}\n", "bad value in plant: max_rate must be positive"),
+    ("plant: {delay: -0.01}\n", "bad value in plant: delay must be finite"),
+    ("plant: {tau: 0.0}\n", "bad value in plant: tau must be positive"),
     ("seed: abc\n", "seed"),
     ("trials: 2.5\n", "trials"),
     ("pot_count: true\n", "pot_count"),

@@ -29,7 +29,7 @@ CASES = {
         "  hilly_terrain: {dispense_overshoot: 0.1, center_noise_px: 20.0}\n",
         ["--env", "all", "--trials", "3", "--seed", "7"],
     ),
-    # pins the drift bias the mission keeps across episodes as it is today
+    # pins the drift bias the mission carries out of episodes that reset
     "unshielded_hilly": (
         "leveling: {drift_rate: 2.0, shielded: false, reset_threshold: 1.0}\n",
         ["--env", "hilly_terrain", "--trials", "3", "--seed", "42"],
@@ -56,10 +56,10 @@ DIGESTS = {
         "stdout": "6af3ac13a8fd62cf3be4c7fa695ef8a185f381480b66a06b32f369b124f23bd2",
     },
     "unshielded_hilly": {
-        "results.json": "9cc65e4e8a97fb06c0461ad9b1baf0cf7d18984c888426a8b6fcb34a838a47e2",
-        "trials.csv": "ea8511e814d496ed01764b10423e9b824e5c828b1e17ec2d4be473b43dfbd159",
-        "trace.csv": "f53550fda203cb382846740d7bed28b6bfa7c9eb0f3df0781d2279c85dd75137",
-        "stdout": "986735712b2130a9f57159ac12c14718dc064a9c7ccf0f1518540018325ae995",
+        "results.json": "82e032174f920effb28f9443984e945a3bd1abd132595e815f4f5905ac263d5e",
+        "trials.csv": "c4e1d5bc5d69c061b15bde3e77428892cc22573f23baf05ed1abb82c0beab9c8",
+        "trace.csv": "1515356749860c4e154bf0f115d3b9b221b5ff5f2ba1adf9af6002ab25184556",
+        "stdout": "b947cfce495c09846f2025afc24c639dec0229e6934595951cfcfd6f0227da87",
     },
 }
 

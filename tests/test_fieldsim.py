@@ -516,10 +516,11 @@ def test_detection_deterministic_per_seed():
 # true tilt plus the monitor's accumulated bias plus noise.
 
 def first_reading(slope, drift=None, bias=0.0):
-    trace = run_leveling_episode(
+    rows = []  # (t, tilt, raw reading, ...) per tick
+    run_leveling_episode(
         PlatformPlant(), ziegler_nichols(1.0, 1.0), slope, 0.01, 0.01, drift=drift,
-        bias=bias)
-    return trace.alpha_raw[0]
+        bias=bias, rows=rows)
+    return rows[0][2]
 
 
 def test_imu_clean_reading_is_truth():

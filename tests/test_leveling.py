@@ -1,17 +1,22 @@
 """Tests for the tilt-stabilization loop: filter, PID, tuner, drift, episodes.
 
 The per-tick controller pieces below (IMU sample, moving-average filter, PID
-step, drift recalibration and the controller bundling them) are the reference
-oracle for `run_leveling_episode`, which runs the same arithmetic as one flat
-loop over plain floats with the platform model inline: `reference_episode`
-composes them tick by tick around the generic `plant.step`, and
-`test_flat_episode_matches_reference` requires bit-identical traces. The
-oracle also closes the loop on plants the episode does not take.
+step, drift recalibration and the controller bundling them), the stepping
+plants and `LevelingTrace` are the reference oracle for
+`run_leveling_episode`, which runs the same arithmetic as one flat loop over
+plain floats with the platform model inline and returns only a summary:
+`reference_episode` composes the pieces tick by tick around the generic
+`plant.step`, and the episode's summary and per-tick rows must equal the
+oracle's trace bit for bit. `reference_probe` steps a plant the same way for
+the tuner, whose production probe runs the model inline. The oracle also
+closes the loop on plants the episode does not take.
 """
 
+import functools
 import math
 import runpy
-from dataclasses import dataclass, replace
+from collections import deque
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irribot import leveling
 from irribot.leveling import (
     DelayedIntegratorPlant,
     DriftMonitor,
-    LevelingTrace,
     NoOscillation,
     PidGains,
     PlatformPlant,
@@ -135,6 +140,119 @@ class LevelingController:
         return command, filtered, recal
 
 
+class SteppingDelayedIntegrator:
+    """`DelayedIntegratorPlant` as a stepping model: tilt' = k*u(t - delay),
+    the delay quantized to whole ticks on the first step."""
+
+    def __init__(self, gain=1.0, delay=0.05):
+        self.gain = gain
+        self.delay = delay
+        self.tilt = 0.0
+        self._queue = None
+
+    def reset(self, tilt=0.0):
+        self.tilt = tilt
+        self._queue = None
+
+    def step(self, u, dt):
+        if self._queue is None:
+            self._queue = deque([0.0] * max(0, round(self.delay / dt)))
+        if self._queue:
+            self._queue.append(u)
+            u = self._queue.popleft()
+        self.tilt += self.gain * u * dt
+        return self.tilt
+
+
+class SteppingPlatform:
+    """`PlatformPlant` as a stepping model; `last_saturated` flags rate
+    clipping on the most recent step."""
+
+    def __init__(self, max_rate=8.0, delay=0.05, tau=0.15):
+        self.max_rate = max_rate
+        self.delay = delay
+        self.tau = tau
+        self.reset()
+
+    def reset(self, tilt=0.0):
+        self.tilt = tilt
+        self._rate = 0.0
+        self._queue = None
+        self.last_saturated = False
+
+    def step(self, u, dt):
+        if self._queue is None:
+            self._queue = deque([0.0] * max(0, round(self.delay / dt)))
+        if self._queue:
+            self._queue.append(u)
+            u = self._queue.popleft()
+        self._rate = u + (self._rate - u) * math.exp(-dt / self.tau)
+        rate = min(max(self._rate, -self.max_rate), self.max_rate)
+        self.last_saturated = rate != self._rate
+        if self.last_saturated:
+            self._rate = rate  # the screw cannot store speed it never reached
+        self.tilt += rate * dt
+        return self.tilt
+
+
+def stepping(plant):
+    """The stepping model of a plant record."""
+    if isinstance(plant, PlatformPlant):
+        return SteppingPlatform(plant.max_rate, plant.delay, plant.tau)
+    return SteppingDelayedIntegrator(plant.gain, plant.delay)
+
+
+@dataclass
+class LevelingTrace:
+    """Fixed-tick closed-loop record of one leveling episode."""
+
+    t: np.ndarray  # s
+    tilt: np.ndarray  # degrees, true platform tilt at the sample instant
+    alpha_raw: np.ndarray  # degrees, biased/noisy IMU reading
+    alpha_filtered: np.ndarray  # degrees
+    u: np.ndarray  # commanded platform rate, degrees/s
+    recalibrated: np.ndarray  # bool, drift reset fired this tick
+    saturated: np.ndarray  # bool, actuator rate-clipped this tick
+    band: float = 0.5  # degrees, settling band
+
+    @property
+    def response_time(self):
+        """Time of the first entry into the +/-band that is never left."""
+        outside = np.flatnonzero(np.abs(self.tilt) > self.band)
+        if outside.size == 0:
+            return float(self.t[0])
+        last = outside[-1]
+        if last + 1 >= len(self.t):
+            return None
+        return float(self.t[last + 1])
+
+    @property
+    def steady_state_error(self):
+        """Largest true-tilt magnitude over the final quarter of the episode."""
+        tail = max(1, len(self.tilt) // 4)
+        return float(np.max(np.abs(self.tilt[-tail:])))
+
+    @property
+    def max_estimation_error(self):
+        """Worst absolute gap between the filtered reading and the true tilt."""
+        return float(np.max(np.abs(self.alpha_filtered - self.tilt)))
+
+
+def trace_from_rows(rows, band=0.5):
+    """The `LevelingTrace` of an episode's per-tick rows."""
+    t, tilt, raw, filtered, u, recal, sat = zip(*rows)
+    floats = (np.array(col, dtype=float) for col in (t, tilt, raw, filtered, u))
+    return LevelingTrace(*floats, np.array(recal, dtype=bool), np.array(sat, dtype=bool),
+                         band=band)
+
+
+def episode(plant, gains, slope, duration, tick=0.01, **kwargs):
+    """Run the production episode keeping its rows; returns (summary, trace)."""
+    rows = []
+    summary = run_leveling_episode(plant, gains, slope, duration, tick, rows=rows, **kwargs)
+    return summary, trace_from_rows(rows, kwargs.get("band", 0.5))
+
+
 def reference_episode(plant, gains, slope, duration, tick=0.01, *, window=5,
                       noise_std=0.0, drift=None, bias=0.0, rng=None, band=0.5):
     """`run_leveling_episode` one controller update, one noise draw and one
@@ -179,6 +297,63 @@ def reference_episode(plant, gains, slope, duration, tick=0.01, *, window=5,
     return LevelingTrace(t=out_t, tilt=out_tilt, alpha_raw=out_raw,
                          alpha_filtered=out_filt, u=out_u, recalibrated=out_recal,
                          saturated=out_sat, band=band)
+
+
+def reference_probe(plant, gain, dt, probe_time, initial_tilt, band, cycles):
+    """`leveling._probe_oscillation` stepping a plant with `reset` and `step`
+    (a stepping model, not a record) one `plant.step` per tick."""
+    plant.reset(initial_tilt)
+    tilt = initial_tilt
+    prev = prev2 = None
+    peaks = []
+    crossings = []
+    saturated = False
+    blewup = False
+    steps = int(round(probe_time / dt))
+    for i in range(1, steps + 1):
+        u = gain * (0.0 - tilt)
+        new = plant.step(u, dt)
+        t = i * dt
+        if getattr(plant, "last_saturated", False):
+            saturated = True
+            break
+        if tilt < 0 <= new:
+            crossings.append(t - dt + dt * (-tilt) / (new - tilt))
+        if prev is not None and prev2 is not None and prev > prev2 and prev >= tilt and prev > 0:
+            peaks.append(prev)
+            if len(peaks) >= 2 and peaks[-1] < 1e-4 * initial_tilt:
+                break
+            if len(peaks) >= cycles + 3:
+                break
+        if abs(new) > 1e6 * initial_tilt:
+            blewup = True
+            break
+        prev2, prev, tilt = prev, tilt, new
+
+    period = None
+    if len(crossings) >= 3:
+        first = min(2, len(crossings) - 2)
+        period = (crossings[-1] - crossings[first]) / (len(crossings) - 1 - first)
+    if period is not None and period < 8 * dt and not saturated:
+        return "decaying", None
+    if saturated or blewup:
+        return "growing", period
+    if len(peaks) < 4:
+        return "decaying", period
+    n_ratios = min(cycles, len(peaks) - 1)
+    ratios = [peaks[-i] / peaks[-i - 1] for i in range(1, n_ratios + 1)]
+    if all(1 - band <= r <= 1 + band for r in ratios):
+        return "sustained", period
+    geo = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
+    return ("growing" if geo > 1 else "decaying"), period
+
+
+def reference_ultimate_gain(model, **kwargs):
+    """`find_ultimate_gain`'s search with every probe run by `reference_probe`
+    on a stepping model."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(leveling, "_probe_oscillation", reference_probe)
+        return find_ultimate_gain(model, **kwargs)
 
 
 class FirstOrderLagPlant:
@@ -384,15 +559,43 @@ def test_ultimate_gain_falls_with_longer_delay():
 
 
 def test_stable_lag_plant_never_oscillates():
+    # a platform without transport delay or rate limit is a lag in front of
+    # an integrator, whose phase never reaches -180 degrees
+    for tau in (0.15, 0.05):
+        with pytest.raises(NoOscillation):
+            find_ultimate_gain(PlatformPlant(math.inf, 0.0, tau), gain_cap=1e3)
     with pytest.raises(NoOscillation):
-        find_ultimate_gain(FirstOrderLagPlant(), gain_cap=1e3)
+        reference_ultimate_gain(FirstOrderLagPlant(), gain_cap=1e3)
 
 
 def test_tuned_gains_stabilize_delayed_integrator():
     plant = DelayedIntegratorPlant(gain=1.0, delay=0.05)
     gains, ku, tu = tune_leveling(plant)
-    trace = reference_episode(DelayedIntegratorPlant(1.0, 0.05), gains, 10.0, 6.0, 0.002)
+    trace = reference_episode(stepping(plant), gains, 10.0, 6.0, 0.002)
     assert trace.steady_state_error < 0.4
+
+
+PROBE_PLANTS = (PlatformPlant(), DelayedIntegratorPlant(1.0, 0.05),
+                DelayedIntegratorPlant(2.0, 0.08), DelayedIntegratorPlant(0.5, 0.1))
+
+
+@pytest.mark.parametrize("plant", PROBE_PLANTS, ids=repr)
+def test_inline_probe_matches_stepping_oracle(plant):
+    # the platform's tuned point and criterion 9's three integrators, bit for bit
+    assert find_ultimate_gain(plant) == reference_ultimate_gain(stepping(plant))
+    # and each probe's classification and period, across decaying, sustained,
+    # growing and (on the platform) saturating gains
+    args = (0.002, 12.0, 0.2, 0.05, 10)
+    for gain in (0.5, 5.0, 15.0, 21.0, 31.0, 40.0, 120.0, 1e3):
+        assert (leveling._probe_oscillation(plant, gain, *args)
+                == reference_probe(stepping(plant), gain, *args)), gain
+
+
+def test_tuned_platform_gains_are_pinned():
+    gains, ku, tu = tune_leveling(PlatformPlant(), integral_authority=8.0)
+    assert (ku, tu) == (21.0, 0.5745599094367895)
+    assert gains == PidGains(kp=12.6, ki=43.85965603604717, kd=0.9049318573629433,
+                             integral_limit=0.18239997124977445)
 
 
 # ------------------------------------------------------------- drift
@@ -465,31 +668,33 @@ def test_recalibrate_idempotent_after_reset():
 
 # ----------------------------------------------------------- episodes
 
+@functools.cache
 def platform_gains():
     gains, _, _ = tune_leveling(PlatformPlant(), integral_authority=8.0)
     return gains
 
 
 def test_episode_level_start_is_trivially_settled():
-    trace = run_leveling_episode(PlatformPlant(), platform_gains(), 0.0, 2.0, 0.01)
-    assert trace.response_time == 0.0
-    assert trace.steady_state_error == 0.0
+    summary = run_leveling_episode(PlatformPlant(), platform_gains(), 0.0, 2.0, 0.01)
+    assert summary.settle_time == 0.0
+    assert summary.sse == 0.0
 
 
 def test_episode_ten_degree_step_meets_budget():
-    trace = run_leveling_episode(PlatformPlant(), platform_gains(), 10.0, 8.0, 0.01)
-    assert 1.3 <= trace.response_time <= 2.3
-    assert trace.steady_state_error <= 0.4
+    summary = run_leveling_episode(PlatformPlant(), platform_gains(), 10.0, 8.0, 0.01)
+    assert 1.3 <= summary.settle_time <= 2.3
+    assert summary.sse <= 0.4
 
 
 def test_episode_records_saturation_events():
-    trace = run_leveling_episode(PlatformPlant(), platform_gains(), 10.0, 8.0, 0.01)
+    summary, trace = episode(PlatformPlant(), platform_gains(), 10.0, 8.0)
     assert trace.saturated.any()  # 10 deg at 8 deg/s must clip for over a second
     assert trace.saturated.sum() >= 100
+    assert summary.saturated_ticks == trace.saturated.sum()
 
 
 def test_episode_envelope_decays_monotonically():
-    trace = run_leveling_episode(PlatformPlant(), platform_gains(), 10.0, 8.0, 0.01)
+    _, trace = episode(PlatformPlant(), platform_gains(), 10.0, 8.0)
     a = np.abs(trace.tilt)
     peaks = [a[i] for i in range(1, len(a) - 1) if a[i] > a[i - 1] and a[i] >= a[i + 1]]
     assert all(peaks[i + 1] <= peaks[i] + 1e-9 for i in range(len(peaks) - 1))
@@ -504,11 +709,10 @@ def test_episode_doubling_kp_does_not_raise_sse_on_linear_plant():
 def test_episode_recalibration_mid_run():
     # fast unshielded drift forces a reset well inside the episode
     mon = DriftMonitor(drift_rate=0.5, shielded=False)
-    trace = run_leveling_episode(
-        PlatformPlant(), platform_gains(), 0.0, 15.0, 0.01, drift=mon
-    )
+    summary, trace = episode(PlatformPlant(), platform_gains(), 0.0, 15.0, drift=mon)
     assert trace.recalibrated.sum() >= 1
     first = int(np.flatnonzero(trace.recalibrated)[0])
+    assert summary.resets[0] == first
     # bias ramps to the 5 deg threshold; the reading taken on the reset tick
     # still carries it, and the next tick starts from zero again
     assert trace.alpha_raw[first] - trace.tilt[first] == pytest.approx(5.0, abs=0.01)
@@ -517,17 +721,18 @@ def test_episode_recalibration_mid_run():
 
 def test_episode_ten_minutes_estimation_error_within_half_degree():
     mon = DriftMonitor(drift_rate=0.0015, shielded=True)
-    trace = run_leveling_episode(
-        PlatformPlant(), platform_gains(), 0.0, 600.0, 0.01,
+    summary, trace = episode(
+        PlatformPlant(), platform_gains(), 0.0, 600.0,
         noise_std=0.05, drift=mon, rng=np.random.default_rng(7),
     )
     assert trace.max_estimation_error < 0.5
     assert trace.recalibrated.sum() == 0  # shielded drift never hits 5 deg here
+    assert summary.resets == ()
 
 
 def test_episode_reading_is_tilt_plus_bias_plus_noise():
     # no drift, no noise: the IMU reads the true tilt, from t = 0
-    trace = run_leveling_episode(PlatformPlant(), platform_gains(), 3.5, 1.0, 0.01)
+    _, trace = episode(PlatformPlant(), platform_gains(), 3.5, 1.0)
     assert trace.t[0] == 0.0 and trace.alpha_raw[0] == 3.5
     assert np.array_equal(trace.alpha_raw, trace.tilt)
     # a preloaded monitor: 100 s at 0.02 deg/s is 2 deg open-air, 0.8 deg
@@ -535,13 +740,13 @@ def test_episode_reading_is_tilt_plus_bias_plus_noise():
     for shielded, bias in ((False, 2.0), (True, 0.8)):
         mon = DriftMonitor(drift_rate=0.02, shielded=shielded)
         preload = drift_update(mon, 0.0, 100.0)
-        trace = run_leveling_episode(
-            PlatformPlant(), platform_gains(), 3.5, 1.0, 0.01, drift=mon, bias=preload)
+        _, trace = episode(PlatformPlant(), platform_gains(), 3.5, 1.0, drift=mon,
+                           bias=preload)
         growth = np.arange(len(trace.t)) * mon.effective_rate * 0.01
         assert trace.alpha_raw - trace.tilt == pytest.approx(bias + growth)
     # noise adds the generator's normal draws in tick order
-    trace = run_leveling_episode(
-        PlatformPlant(), platform_gains(), 3.5, 1.0, 0.01,
+    _, trace = episode(
+        PlatformPlant(), platform_gains(), 3.5, 1.0,
         noise_std=0.05, drift=mon, bias=preload, rng=np.random.default_rng(4))
     noise = np.random.default_rng(4).normal(0.0, 0.05, size=len(trace.t))
     assert trace.alpha_raw - trace.tilt == pytest.approx(bias + growth + noise)
@@ -572,6 +777,14 @@ def test_episode_rejects_bad_inputs():
                                  drift=DriftMonitor(drift_rate=1.0), bias=bias)
 
 
+def test_episode_rejects_negative_or_nan_noise():
+    # both fail `noise_std > 0`, so they would run silently noise-free
+    for noise_std in (-0.05, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="noise_std cannot be negative"):
+            run_leveling_episode(PlatformPlant(), platform_gains(), 1.0, 1.0, 0.01,
+                                 noise_std=noise_std, rng=np.random.default_rng(0))
+
+
 # ------------------------------------------------- flat loop vs reference
 
 TRACE_ARRAYS = ("t", "tilt", "alpha_raw", "alpha_filtered", "u", "recalibrated",
@@ -594,6 +807,30 @@ def assert_same_trace(flat, ref):
     assert flat.band == ref.band
 
 
+def assert_summary_of(summary, ref):
+    """The summary holds the oracle trace's values bit for bit, as the types
+    the trace's properties give."""
+    settle = ref.response_time
+    assert summary.settle_time == settle and type(summary.settle_time) is type(settle)
+    assert summary.sse == ref.steady_state_error and type(summary.sse) is float
+    assert summary.final_tilt == float(ref.tilt[-1]) and type(summary.final_tilt) is float
+    assert summary.saturated_ticks == int(ref.saturated.sum())
+    assert summary.resets == tuple(np.flatnonzero(ref.recalibrated).tolist())
+
+
+def assert_episode_matches_reference(plant, gains, slope, duration, tick, seed, **kwargs):
+    """Production summary and rows against the stepping oracle on the same
+    inputs and generator seed; returns the summary."""
+    rng_flat, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref = reference_episode(stepping(plant), gains, slope, duration, tick, rng=rng_ref,
+                            **kwargs)
+    summary, flat = episode(plant, gains, slope, duration, tick, rng=rng_flat, **kwargs)
+    assert_same_trace(flat, ref)
+    assert_summary_of(summary, ref)
+    assert rng_flat.bit_generator.state == rng_ref.bit_generator.state
+    return summary
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     max_rate=st.floats(0.5, 20.0) | st.just(math.inf),
@@ -613,23 +850,58 @@ def assert_same_trace(flat, ref):
 def test_flat_episode_matches_reference(max_rate, delay, tau, kp, ki, kd, limit, slope,
                                         duration, tick, window, noise_std, drift, bias, seed):
     gains = PidGains(kp, ki, kd, integral_limit=limit)
-    rng_flat, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     kwargs = dict(window=window, noise_std=noise_std, drift=drift, bias=bias, band=0.3)
     plant = PlatformPlant(max_rate, delay, tau)
-    untouched = dict(vars(plant))
     try:
-        ref = reference_episode(PlatformPlant(max_rate, delay, tau), gains, slope,
-                                duration, tick, rng=rng_ref, **kwargs)
+        assert_episode_matches_reference(plant, gains, slope, duration, tick, seed, **kwargs)
     except ValueError:  # the loop diverged and the IMU read a non-finite tilt
         with pytest.raises(ValueError, match="non-finite"):
-            run_leveling_episode(plant, gains, slope, duration, tick, rng=rng_flat,
-                                 **kwargs)
-    else:
-        flat = run_leveling_episode(plant, gains, slope, duration, tick, rng=rng_flat,
-                                    **kwargs)
-        assert_same_trace(flat, ref)
-    assert rng_flat.bit_generator.state == rng_ref.bit_generator.state
-    assert vars(plant) == untouched  # the episode reads the plant, never steps it
+            reference_episode(stepping(plant), gains, slope, duration, tick,
+                              rng=np.random.default_rng(seed), **kwargs)
+        with pytest.raises(ValueError, match="non-finite"):
+            run_leveling_episode(plant, gains, slope, duration, tick,
+                                 rng=np.random.default_rng(seed), **kwargs)
+    assert plant == PlatformPlant(max_rate, delay, tau)
+
+
+def test_summary_matches_reference_over_mission_like_episodes():
+    # 120 episodes at the mission's operating point: tuned gains, a 4 s window
+    # of 0.01 s ticks, IMU noise, and a drift monitor that either never fires
+    # or fires every half second
+    gains = platform_gains()
+    slow = DriftMonitor(drift_rate=0.0015, shielded=True)
+    fast = DriftMonitor(drift_rate=2.0, shielded=False, reset_threshold=1.0)
+    resets = 0
+    for seed in range(5):
+        for slope in (-10.0, -3.0, 0.7, 2.5, 6.0, 10.0):
+            for bias, drift in ((0.0, slow), (0.4, slow), (0.0, fast), (0.99, fast)):
+                summary = assert_episode_matches_reference(
+                    PlatformPlant(), gains, slope, 4.0, 0.01, seed,
+                    noise_std=0.05, drift=drift, bias=bias)
+                resets += len(summary.resets)
+    assert resets >= 60 * 7  # the fast monitor fires 7 or 8 times per episode
+
+
+def test_summary_matches_reference_at_the_edges():
+    gains = platform_gains()
+    check = assert_episode_matches_reference
+    # fewer than 4 ticks: the steady-state tail is the last tick alone
+    for duration in (0.01, 0.02, 0.03):
+        summary = check(PlatformPlant(), gains, 3.0, duration, 0.01, 0)
+        assert summary.settle_time is None and summary.sse == summary.final_tilt == 3.0
+    # never settling: the budget ends outside the band
+    assert check(PlatformPlant(), gains, 10.0, 0.5, 0.01, 1).settle_time is None
+    # starting inside the band and staying there
+    summary = check(PlatformPlant(), gains, 0.3, 2.0, 0.01, 2, noise_std=0.05)
+    assert summary.settle_time == 0.0
+    # several resets inside one episode
+    fast = DriftMonitor(drift_rate=2.0, shielded=False, reset_threshold=1.0)
+    assert len(check(PlatformPlant(), gains, 5.0, 4.0, 0.01, 3, drift=fast,
+                     bias=0.7).resets) >= 7
+    # a saturated start: the first command already clips a slow screw
+    summary = check(PlatformPlant(max_rate=0.5, delay=0.0, tau=0.01), gains, 10.0, 1.0,
+                    0.01, 4)
+    assert summary.saturated_ticks == 100
 
 
 def test_flat_episode_matches_reference_when_the_rate_turns_nan():
@@ -637,11 +909,12 @@ def test_flat_episode_matches_reference_when_the_rate_turns_nan():
     # rate becomes inf + (-inf) = NaN, and an unclipped platform still counts
     # that as a saturated tick
     args = (PidGains(5000.0, 0.0, 0.0), 1.0, 2.07, 0.01)
-    ref = reference_episode(PlatformPlant(math.inf, 0.0, 0.01), *args, window=1)
-    flat = run_leveling_episode(PlatformPlant(math.inf, 0.0, 0.01), *args, window=1)
+    ref = reference_episode(SteppingPlatform(math.inf, 0.0, 0.01), *args, window=1)
+    summary, flat = episode(PlatformPlant(math.inf, 0.0, 0.01), *args, window=1)
     assert len(flat.t) == 207 and flat.u[-1] == -math.inf
     assert ref.saturated[-1] and not ref.saturated[:-1].any()
     assert_same_trace(flat, ref)
+    assert_summary_of(summary, ref)
 
 
 def test_plants_reject_non_finite_parameters():
@@ -655,13 +928,27 @@ def test_plants_reject_non_finite_parameters():
             DelayedIntegratorPlant(gain, delay)
     # an unbounded rate is a platform without clipping: the tilt falls far
     # faster than the default 8 deg/s (0.08 deg per tick) allows
-    trace = run_leveling_episode(PlatformPlant(max_rate=math.inf), PidGains(20.0, 0.0, 0.0),
-                                 10.0, 1.0, 0.01)
+    summary, trace = episode(PlatformPlant(max_rate=math.inf), PidGains(20.0, 0.0, 0.0),
+                             10.0, 1.0)
     assert not trace.saturated.any() and np.diff(trace.tilt).min() < -1.0
+    assert summary.saturated_ticks == 0
 
 
-# The only pinned output that reads `saturated` and `alpha_filtered`; the
-# campaign digests see neither, because the mission reads only `tilt`.
+def test_plants_are_frozen_parameter_records():
+    plant = PlatformPlant()
+    with pytest.raises(AttributeError):
+        plant.tau = 0.2
+    # the platform's unit gain is a class constant, not a field
+    assert [f.name for f in fields(plant)] == ["max_rate", "delay", "tau"]
+    assert plant.gain == 1.0
+    integrator = DelayedIntegratorPlant(2.0, 0.08)
+    assert (integrator.gain, integrator.delay) == (2.0, 0.08)
+    assert (integrator.max_rate, integrator.tau) == (math.inf, 0.0)
+
+
+# The only pinned output that reads the saturated-tick count and the filtered
+# reading; the campaign digests see neither, because the mission reads only
+# the settle time, the SSE, the final tilt and the resets.
 TUNE_LEVELING_STDOUT = """\
 platform plant (max_rate 8 deg/s, delay 0.05 s, tau 0.15 s):
   Ku = 21.000000   Tu = 0.574560 s

@@ -142,6 +142,44 @@ def test_filter_window_reaches_leveling_episodes():
         default.leveling_mean_s, default.sse_mean_deg)
 
 
+def test_reset_inside_an_episode_carries_into_the_next_episode():
+    # unshielded drift at 2 deg/s with a 1 deg threshold resets every half
+    # second, so every episode resets before it settles
+    cfg = config_with(leveling=dataclasses.replace(
+        CFG.leveling, drift_rate=2.0, shielded=False, reset_threshold=1.0))
+    episodes = []  # (entry bias, summary)
+    real_episode = mission_module.run_leveling_episode
+
+    def recording_episode(*args, **kwargs):
+        summary = real_episode(*args, **kwargs)
+        episodes.append((kwargs["bias"], summary))
+        return summary
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mission_module, "run_leveling_episode", recording_episode)
+        m = run_mission(environment_for(cfg, "hilly_terrain"), cfg, GAINS, 42,
+                        keep_trace=True)
+    assert m.phase == DONE and len(episodes) >= 10
+    # each episode's run of Leveling ticks, as (first, end) row indices
+    phases = [row[1] for row in m.trace_rows]
+    runs = [i for i, p in enumerate(phases) if p == LEVELING and phases[i - 1] != LEVELING]
+    runs = [(i, next(j for j in range(i, len(phases)) if phases[j] != LEVELING))
+            for i in runs]
+    assert len(runs) == len(episodes)
+    dt, tick = cfg.timing.mission_tick, cfg.leveling.episode_tick
+    for (_, summary), (first, end), (entry, _), (nxt, _) in zip(
+            episodes, runs, episodes[1:], runs[1:]):
+        settle = summary.settle_time
+        settle = cfg.leveling.episode_window if settle is None else settle
+        reset = max(r for r in summary.resets if r * tick <= settle)
+        # the bias restarts from zero on the mission tick the last charged
+        # reset falls in and grows on every mission tick up to the next episode
+        since = (end - first) - int(reset * tick / dt + 1e-9) + (nxt - end)
+        assert entry == drift_update(m.monitor, 0.0, dt, since)
+        # so it never exceeds the drift since the previous episode began
+        assert entry <= drift_update(m.monitor, 0.0, dt, nxt - first)
+
+
 def test_level_band_reaches_the_settle_time():
     env = environment_for(CFG, "hilly_terrain")
 
