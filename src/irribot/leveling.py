@@ -387,6 +387,7 @@ def run_leveling_episode(
     saturated_ticks = 0
     resets = []
     keep = rows is not None
+    lo_lim, lo_rate, lo_band = -lim, -max_rate, -band
     isfinite = math.isfinite
 
     for n, e in enumerate(noise):
@@ -410,22 +411,22 @@ def run_leveling_episode(
             derivative = 0.0
         if integral > lim:
             integral = lim
-        elif integral < -lim:
-            integral = -lim
+        elif integral < lo_lim:
+            integral = lo_lim
         command = kp * error + ki * integral + kd * derivative
         prev_error, prev_t = error, t
         line.append(command)
         u = line[n]
         speed = u + (speed - u) * lag
         # a NaN speed fails both bounds: it counts as saturated and stays NaN
-        saturated = not -max_rate <= speed <= max_rate
+        saturated = not lo_rate <= speed <= max_rate
         if saturated:
             saturated_ticks += 1
             if speed > max_rate:
                 speed = max_rate
-            elif speed < -max_rate:
-                speed = -max_rate
-        if not -band <= tilt <= band:
+            elif speed < lo_rate:
+                speed = lo_rate
+        if tilt > band or tilt < lo_band:
             last_outside = n
         if n >= tail_start:
             final = tilt
