@@ -3,7 +3,7 @@
 Closed-loop leveling episodes (moving-average prefilter, discrete PID with
 trapezoidal integration and anti-windup, threshold drift recalibration),
 Ziegler-Nichols auto-tuning from a measured ultimate gain, gyro-drift
-bookkeeping, and the lead-screw platform models the loop is tuned against.
+bookkeeping, and the plant parameter records the loop is tuned against.
 """
 
 from __future__ import annotations
@@ -435,7 +435,7 @@ def run_leveling_episode(
         if keep:
             rows.append((t, tilt, raw, filtered, command, recal, saturated))
         tilt = tilt + speed * tick
-        bias = bias + growth
+        bias = bias + growth  # the next tick's bias, as drift_update grows it
 
     settle = None if last_outside == steps - 1 else (last_outside + 1) * tick
     return EpisodeSummary(settle, sse, final, saturated_ticks, tuple(resets))
