@@ -11,12 +11,13 @@ ultimate point is known in closed form. Run from the repo root:
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from irribot.leveling import (
     DelayedIntegratorPlant,
-    DriftMonitor,
+    LevelingConfig,
     PlatformPlant,
     find_ultimate_gain,
     run_leveling_episode,
@@ -31,20 +32,18 @@ def main():
     print(f"  Kp = {gains.kp:.6f}   Ki = {gains.ki:.6f}   Kd = {gains.kd:.6f}")
     print(f"  integral clamp = {gains.integral_limit:.6f} deg*s")
 
-    clean = run_leveling_episode(PlatformPlant(), gains, 10.0, 8.0, 0.01)
+    # an 8 s episode at the mission's operating point: IMU noise and shielded drift
+    noisy_lv = LevelingConfig(episode_window=8.0)
+    clean = run_leveling_episode(PlatformPlant(), gains, 10.0,
+                                 replace(noisy_lv, noise_std=0.0, drift_rate=0.0))
     print("\n10 deg step, noise free:")
     print(f"  response time       = {clean.settle_time:.2f} s")
     print(f"  steady-state error  = {clean.sse:.4f} deg")
     print(f"  saturated ticks     = {clean.saturated_ticks}")
 
     rows = []
-    noisy = run_leveling_episode(
-        PlatformPlant(), gains, 10.0, 8.0, 0.01,
-        noise_std=0.05,
-        drift=DriftMonitor(drift_rate=0.0015, shielded=True),
-        rng=np.random.default_rng(7),
-        rows=rows,
-    )
+    noisy = run_leveling_episode(PlatformPlant(), gains, 10.0, noisy_lv,
+                                 rng=np.random.default_rng(7), rows=rows)
     # rows are (t, tilt, raw, filtered, command, recalibrated, saturated)
     gap = max(abs(filtered - tilt) for _, tilt, _, filtered, *_ in rows)
     print("\n10 deg step, IMU noise 0.05 deg + shielded drift:")

@@ -1,10 +1,10 @@
 """Run configuration: defaults, YAML overrides, validation.
 
-A RunConfig is a tree of frozen dataclasses; the arm, battery, calibration
-and plant sections are the model dataclasses themselves. YAML files override
-any subset of fields; unknown keys fail loudly with their full path rather
-than being ignored, since a typo that silently reverts to a default is the
-worst kind of configuration bug. `environment_for` resolves one
+A RunConfig is a tree of frozen dataclasses; the arm, battery, calibration,
+leveling and plant sections are the model dataclasses themselves. YAML files
+override any subset of fields; unknown keys fail loudly with their full path
+rather than being ignored, since a typo that silently reverts to a default is
+the worst kind of configuration bug. `environment_for` resolves one
 environment's terrain, detector profile, pump and drive speed; a mission
 reads everything else from the RunConfig itself.
 """
@@ -30,7 +30,7 @@ from irribot.fieldsim import (
     PumpModel,
 )
 from irribot.kinematics import ArmGeometry, CalibrationState
-from irribot.leveling import PidGains, PlatformPlant, tune_leveling
+from irribot.leveling import LevelingConfig, PidGains, PlatformPlant, tune_leveling
 
 
 class ConfigError(ValueError):
@@ -44,40 +44,6 @@ class ConfigParseError(ConfigError):
 def _require(cond, message):
     if not cond:
         raise ConfigError(message)
-
-
-@dataclass(frozen=True)
-class LevelingConfig:
-    rule: str = "classic"  # which tuning table to apply
-    integral_authority: float = 8.0  # deg/s of control the integral may hold
-    filter_window: int = 5  # moving-average depth on the tilt signal
-    noise_std: float = 0.05  # deg, sensor noise fed to mission episodes
-    drift_rate: float = 0.0015  # deg/s of gyro bias growth
-    shielded: bool = True
-    shielding_factor: float = 0.6
-    reset_threshold: float = 5.0  # deg of accumulated bias forcing a reset
-    level_band: float = 0.5  # deg; inside this the platform counts as level
-    episode_window: float = 4.0  # s budget for one leveling episode
-    episode_tick: float = 0.01  # s
-    kp: float | None = None  # set all three to bypass auto-tuning
-    ki: float | None = None
-    kd: float | None = None
-
-    def __post_init__(self):
-        manual = [self.kp is None, self.ki is None, self.kd is None]
-        _require(all(manual) or not any(manual),
-                 "manual gains need kp, ki and kd together")
-        if not any(manual):
-            _require(self.kp > 0 and self.ki >= 0 and self.kd >= 0,
-                     "manual gains must be positive (kp) and non-negative (ki, kd)")
-        _require(self.filter_window >= 1, "filter_window must be at least 1")
-        _require(self.noise_std >= 0 and self.drift_rate >= 0,
-                 "noise and drift rates must be non-negative")
-        _require(0 <= self.shielding_factor < 1, "shielding_factor must be in [0, 1)")
-        _require(self.reset_threshold > 0, "reset_threshold must be positive")
-        _require(self.level_band > 0, "level_band must be positive")
-        _require(self.episode_tick > 0 and self.episode_window > self.episode_tick,
-                 "episode window must exceed the tick")
 
 
 @dataclass(frozen=True)
@@ -202,6 +168,7 @@ class RunConfig:
     environments: dict = field(default_factory=_default_environments)
 
     def __post_init__(self):
+        _require(self.seed >= 0, "seed must be non-negative")
         _require(self.trials >= 1, "trials must be at least 1")
         _require(self.pot_count >= 1, "pot_count must be at least 1")
         _require(self.env == "all" or self.env in ENV_NAMES,

@@ -3,7 +3,8 @@
 Closed-loop leveling episodes (moving-average prefilter, discrete PID with
 trapezoidal integration and anti-windup, threshold drift recalibration),
 Ziegler-Nichols auto-tuning from a measured ultimate gain, gyro-drift
-bookkeeping, and the plant parameter records the loop is tuned against.
+bookkeeping, the plant parameter records the loop is tuned against, and the
+`LevelingConfig` record that sets the loop's operating point.
 """
 
 from __future__ import annotations
@@ -59,43 +60,66 @@ def ziegler_nichols(ku, tu, rule="classic"):
 
 
 # --------------------------------------------------------------------------
-# drift
+# the loop's operating point
 
 
 @dataclass(frozen=True)
-class DriftMonitor:
-    """Integrated gyro-bias bookkeeping with a hard recalibration threshold."""
+class LevelingConfig:
+    """The leveling loop's operating point, and the config's `leveling` section."""
 
-    drift_rate: float  # degrees/s, bias growth of the raw tilt reading
-    shielded: bool = False
+    rule: str = "classic"  # which tuning table to apply
+    integral_authority: float = 8.0  # deg/s of control the integral may hold
+    filter_window: int = 5  # moving-average depth on the tilt signal
+    noise_std: float = 0.05  # deg, sensor noise fed to mission episodes
+    drift_rate: float = 0.0015  # deg/s of gyro bias growth
+    shielded: bool = True
     shielding_factor: float = 0.6  # fraction of drift removed by shielding
-    reset_threshold: float = 5.0  # degrees
+    reset_threshold: float = 5.0  # deg of accumulated bias forcing a reset
+    level_band: float = 0.5  # deg; inside this the platform counts as level
+    episode_window: float = 4.0  # s budget for one leveling episode
+    episode_tick: float = 0.01  # s
+    kp: float | None = None  # set all three to bypass auto-tuning
+    ki: float | None = None
+    kd: float | None = None
 
     def __post_init__(self):
-        if self.drift_rate < 0:
-            raise ValueError("drift rate must be non-negative")
+        # written so that NaN, which fails every comparison, is rejected too
+        manual = [self.kp is None, self.ki is None, self.kd is None]
+        if any(manual) and not all(manual):
+            raise ValueError("manual gains need kp, ki and kd together")
+        if not any(manual) and not (self.kp > 0 and self.ki >= 0 and self.kd >= 0):
+            raise ValueError("manual gains must be positive (kp) and non-negative (ki, kd)")
+        if not self.filter_window >= 1:
+            raise ValueError("filter_window must be at least 1")
+        if not (self.noise_std >= 0 and self.drift_rate >= 0):
+            raise ValueError("noise and drift rates must be non-negative")
         if not 0 <= self.shielding_factor < 1:
-            raise ValueError("shielding factor must be in [0, 1)")
-        if self.reset_threshold <= 0:
-            raise ValueError("reset threshold must be positive")
+            raise ValueError("shielding_factor must be in [0, 1)")
+        if not self.reset_threshold > 0:
+            raise ValueError("reset_threshold must be positive")
+        if not self.level_band > 0:
+            raise ValueError("level_band must be positive")
+        if not (self.episode_tick > 0 and self.episode_window > self.episode_tick):
+            raise ValueError("episode window must exceed the tick")
 
     @property
     def effective_rate(self):
+        """Gyro bias growth after shielding, degrees/s."""
         if self.shielded:
             return self.drift_rate * (1.0 - self.shielding_factor)
         return self.drift_rate
 
 
-def drift_update(mon, bias, dt, ticks=1):
-    """The bias (degrees) after `ticks` ticks of dt seconds at the monitor's
-    shielding-adjusted rate.
+def drift_update(lv, bias, dt, ticks=1):
+    """The bias (degrees) after `ticks` ticks of dt seconds at the leveling
+    record's `effective_rate`.
 
     Ticks apply one at a time, so one n-tick call equals n one-tick calls bit
     for bit.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    rate = mon.effective_rate
+    rate = lv.effective_rate
     for _ in range(ticks):
         bias = bias + rate * dt
     return bias
@@ -169,7 +193,9 @@ def _probe_oscillation(plant, gain, dt, probe_time, initial_tilt, band, cycles):
     """
     k, max_rate = plant.gain, plant.max_rate
     lag = math.exp(-dt / plant.tau) if plant.tau else 0.0
-    line = deque([0.0] * max(0, round(plant.delay / dt)))
+    steps = int(round(probe_time / dt))
+    # a command delayed past the last step is never read
+    line = deque([0.0] * min(steps, max(0, round(plant.delay / dt))))
     rate = 0.0
     tilt = initial_tilt
     prev = prev2 = None
@@ -177,7 +203,6 @@ def _probe_oscillation(plant, gain, dt, probe_time, initial_tilt, band, cycles):
     crossings = []
     saturated = False
     blewup = False
-    steps = int(round(probe_time / dt))
     for i in range(1, steps + 1):
         line.append(gain * (0.0 - tilt))
         u = line.popleft()
@@ -311,73 +336,48 @@ class EpisodeSummary:
     sse: float  # degrees, largest true-tilt magnitude over the final quarter
     final_tilt: float  # degrees, true tilt at the last recorded tick
     saturated_ticks: int  # ticks on which the actuator rate was clipped
-    resets: tuple  # indices of the ticks on which the drift monitor fired
+    resets: tuple  # indices of the ticks on which drift recalibration fired
 
 
-def run_leveling_episode(
-    plant,
-    gains,
-    slope,
-    duration,
-    tick=0.01,
-    *,
-    window=5,
-    noise_std=0.0,
-    drift=None,
-    bias=0.0,
-    rng=None,
-    band=0.5,
-    rows=None,
-):
+def run_leveling_episode(plant, gains, slope, lv, *, bias=0.0, rng=None, rows=None):
     """Close the loop on a slope step; returns an `EpisodeSummary`.
 
-    The `PlatformPlant` starts tilted at `slope` degrees and the IMU bias at
-    `bias` degrees. Each tick: the IMU reads true tilt plus bias plus noise,
-    the reading is filtered by a `window`-sample moving average, the drift
-    monitor may recalibrate (zeroing bias and integral), the PID issues a
-    rate command (trapezoidal integral clamped to the gains' limit,
-    backward-difference derivative, neither on the first tick), the platform
-    integrates it, and drift grows the bias at the `drift` monitor's rate.
-    Saturation is counted, never raised. `band` is the settling band.
+    The plant starts tilted at `slope` degrees and the IMU bias at `bias`
+    degrees; the `LevelingConfig` `lv` sets everything else. Each tick: the
+    IMU reads true tilt plus bias plus noise, the reading is filtered by a
+    `filter_window`-sample moving average, a bias at the reset threshold
+    recalibrates (zeroing bias and integral), the PID issues a rate command
+    (trapezoidal integral clamped to the gains' limit, backward-difference
+    derivative, neither on the first tick), the plant integrates it, and the
+    bias grows at `lv.effective_rate`. Saturation is counted, never raised.
 
-    One flat loop over plain floats that runs the platform model inline: the
-    command list, pre-filled with the delay's ticks of zeros, is the
-    transport-delay line. The plant is only read. The noise for the whole
-    episode is drawn in one batch, which leaves `rng` where one draw per tick
-    would. When `rows` is a list, one tuple per tick is appended to it:
-    (t, tilt, raw reading, filtered reading, command, recalibrated,
-    saturated).
+    One flat loop over plain floats that runs the plant model inline, as the
+    tuner's probe does: the command list, pre-filled with the delay's ticks
+    of zeros, is the transport-delay line. The plant is only read. The noise for the whole episode is drawn in one
+    batch, which leaves `rng` where one draw per tick would. When `rows` is
+    a list, one tuple per tick is appended to it: (t, tilt, raw reading,
+    filtered reading, command, recalibrated, saturated).
     """
-    if tick <= 0:
-        raise ValueError("tick must be positive")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    if window < 1:
-        raise ValueError("window size must be positive")
     if not bias >= 0:
         raise ValueError("bias cannot be negative")
-    if not noise_std >= 0:
-        raise ValueError("noise_std cannot be negative")
-    steps = int(round(duration / tick))
-    if steps == 0:
-        raise ValueError("duration must round to at least one tick")
-    if noise_std > 0:
+    tick = lv.episode_tick
+    steps = int(round(lv.episode_window / tick))  # at least 1: the window exceeds a tick
+    if lv.noise_std > 0:
         if rng is None:
             rng = np.random.default_rng(0)
-        noise = rng.normal(0.0, noise_std, size=steps).tolist()
+        noise = rng.normal(0.0, lv.noise_std, size=steps).tolist()
     else:
         noise = [0.0] * steps
 
     max_rate = plant.max_rate
-    line = [0.0] * max(0, round(plant.delay / tick))
-    lag = math.exp(-tick / plant.tau)
+    # a command delayed past the last tick is never read
+    line = [0.0] * min(steps, max(0, round(plant.delay / tick)))
+    lag = math.exp(-tick / plant.tau) if plant.tau else 0.0
+    step = plant.gain * tick  # tilt per unit of rate per tick
     kp, ki, kd, setpoint = gains.kp, gains.ki, gains.kd, gains.setpoint
     lim = math.inf if gains.integral_limit is None else gains.integral_limit
-    if drift is None:
-        growth, threshold = 0.0, math.inf
-    else:
-        growth, threshold = drift.effective_rate * tick, drift.reset_threshold
-    readings = deque(maxlen=window)
+    growth, threshold, band = lv.effective_rate * tick, lv.reset_threshold, lv.level_band
+    readings = deque(maxlen=lv.filter_window)
     integral = prev_error = prev_t = 0.0
     speed = 0.0  # platform rate after the actuator lag, degrees/s
     tilt = final = float(slope)
@@ -434,7 +434,7 @@ def run_leveling_episode(
                 sse = abs(tilt)
         if keep:
             rows.append((t, tilt, raw, filtered, command, recal, saturated))
-        tilt = tilt + speed * tick
+        tilt = tilt + speed * step
         bias = bias + growth  # the next tick's bias, as drift_update grows it
 
     settle = None if last_outside == steps - 1 else (last_outside + 1) * tick

@@ -28,7 +28,7 @@ from irribot.kinematics import (
     inverse_kinematics,
     pixel_to_arm,
 )
-from irribot.leveling import DriftMonitor, drift_update, run_leveling_episode
+from irribot.leveling import drift_update, run_leveling_episode
 
 SENSING = "Sensing"
 LEVELING = "Leveling"
@@ -82,9 +82,6 @@ class Mission:
         self.rng = rng
         self.loop = loop  # endurance mode: wrap to pot 0 instead of finishing
         self.bands = GeometryBands()
-        lv = cfg.leveling
-        self.monitor = DriftMonitor(lv.drift_rate, lv.shielded, lv.shielding_factor,
-                                    lv.reset_threshold)
         # summed battery draw of each phase, mA
         self.draw_ma = {p: cfg.battery.current_ma(_active_subsystems(p, env)) for p in _FINISHERS}
         self.phase = SENSING
@@ -246,11 +243,7 @@ def _finish_sensing(m):
 def _enter_leveling(m):
     lv = m.cfg.leveling
     tick = lv.episode_tick
-    summary = run_leveling_episode(
-        m.cfg.plant, m.gains, m.tilt, lv.episode_window, tick,
-        window=lv.filter_window, noise_std=lv.noise_std, drift=m.monitor, bias=m.bias,
-        rng=m.rng, band=lv.level_band,
-    )
+    summary = run_leveling_episode(m.cfg.plant, m.gains, m.tilt, lv, bias=m.bias, rng=m.rng)
     settle = summary.settle_time
     if settle is None:
         settle = lv.episode_window
@@ -268,7 +261,7 @@ def _enter_leveling(m):
         # the phase's own tick count; the countdown ends before that bound
         phase_ticks = _countdown(0.0, float(settle), dt, int(settle / dt) + 2)[0]
         since = phase_ticks - int(charged[-1] * tick / dt + 1e-9)
-        m.leveled_bias = drift_update(m.monitor, 0.0, dt, since)
+        m.leveled_bias = drift_update(lv, 0.0, dt, since)
     _transition(m, LEVELING, float(settle))
 
 
@@ -378,7 +371,7 @@ def step_mission(mission, dt, max_ticks):
             ticks += 1
         ticks, elapsed, left = _countdown(m.elapsed, m.phase_left, dt, ticks)
     # the finisher may read the bias: _enter_leveling hands it to the episode
-    m.bias = drift_update(m.monitor, m.bias, dt, ticks)
+    m.bias = drift_update(m.cfg.leveling, m.bias, dt, ticks)
     if voltages is not None:
         pot = m.pot_index % len(m.layout.pots)
         t, rows, tilt = m.elapsed, m.trace_rows, m.tilt

@@ -28,7 +28,7 @@ from irribot.detect import (
 from irribot.kinematics import ArmGeometry, ArmTarget, inverse_kinematics
 from irribot.leveling import (
     DelayedIntegratorPlant,
-    DriftMonitor,
+    LevelingConfig,
     PidGains,
     PlatformPlant,
     find_ultimate_gain,
@@ -37,7 +37,7 @@ from irribot.leveling import (
 )
 from irribot.mission import run_trial, run_until_depleted
 from test_kinematics import forward_kinematics  # the round-trip oracle
-from test_leveling import episode  # the production episode with its per-tick rows
+from test_leveling import episode, record  # the production episode and its quiet record
 
 
 @contextmanager
@@ -156,7 +156,7 @@ def test_criterion_3_leveling_step_response(capsys):
     with criterion(capsys, 3, "10 deg step settles at 1.8 +- 0.5 s, SSE <= 0.4 deg"):
         t0 = time.perf_counter()
         gains, _, _ = tune_leveling(PlatformPlant(), integral_authority=8.0)
-        summary = run_leveling_episode(PlatformPlant(), gains, 10.0, 8.0, 0.01)
+        summary = run_leveling_episode(PlatformPlant(), gains, 10.0, record(8.0))
         elapsed = time.perf_counter() - t0
         assert summary.settle_time is not None
         assert 1.3 <= summary.settle_time <= 2.3, summary.settle_time
@@ -173,22 +173,21 @@ def test_criterion_4_drift_shielding_and_reset(capsys):
         # transport delay keeps the true tilt at exactly 0 for these 5 ticks
         integral_only = PidGains(kp=0.0, ki=1.0, kd=0.0)
 
-        def integral_episode(mon, bias, duration=0.05):
-            return episode(PlatformPlant(), integral_only, 0.0, duration, 0.01, drift=mon,
-                           bias=bias)
+        def integral_episode(lv, bias):
+            return episode(PlatformPlant(), integral_only, 0.0, lv, bias=bias)
 
         below = math.nextafter(5.0, 0.0)
-        summary, trace = integral_episode(DriftMonitor(drift_rate=0.0), below)
+        summary, trace = integral_episode(record(0.05), below)
         assert not trace.recalibrated.any() and summary.resets == ()
         assert (trace.alpha_raw - trace.tilt).tolist() == [below] * 5
-        summary, trace = integral_episode(DriftMonitor(drift_rate=0.0), 5.0)
+        summary, trace = integral_episode(record(0.05), 5.0)
         assert trace.recalibrated.tolist() == [True, False, False, False, False]
         assert summary.resets == (0,)
         # the reading on the reset tick carries the bias; from the next on it is 0
         assert (trace.alpha_raw - trace.tilt).tolist() == [5.0, 0.0, 0.0, 0.0, 0.0]
         # a reset zeroes the PID integral too: with u = integral, the command
         # on a mid-episode reset tick is that tick's trapezoid area alone
-        summary, trace = integral_episode(DriftMonitor(drift_rate=1.0), 4.9, 0.5)
+        summary, trace = integral_episode(record(0.5, drift_rate=1.0, shielded=False), 4.9)
         k = int(np.flatnonzero(trace.recalibrated)[0])
         assert summary.resets == (k,)
         assert k > 1 and trace.u[k - 1] != 0.0
@@ -196,28 +195,24 @@ def test_criterion_4_drift_shielding_and_reset(capsys):
         assert trace.u[k] == 0.5 * (error[k] + error[k - 1]) * (t[k] - t[k - 1])
 
         for rate in (0.0015, 0.01, 0.3):
-            shielded = DriftMonitor(drift_rate=rate, shielded=True)
+            shielded = LevelingConfig(drift_rate=rate, shielded=True)
             assert shielded.effective_rate == 0.4 * rate  # exact, not approx
-            open_air = DriftMonitor(drift_rate=rate, shielded=False)
+            open_air = LevelingConfig(drift_rate=rate, shielded=False)
             assert open_air.effective_rate == rate
 
         # unshielded accumulation crosses the threshold and recalibrates once,
         # 250 s in (5 deg at 0.02 deg/s)
         gains, _, _ = tune_leveling(PlatformPlant(), integral_authority=8.0)
-        summary, trace = episode(
-            PlatformPlant(), gains, 0.0, 260.0, 0.01,
-            drift=DriftMonitor(drift_rate=0.02, shielded=False),
-        )
+        summary, trace = episode(PlatformPlant(), gains, 0.0,
+                                 record(260.0, drift_rate=0.02, shielded=False))
         fired = np.flatnonzero(trace.recalibrated)
         assert fired.size == 1 and trace.t[fired[0]] == pytest.approx(250.0, abs=0.02)
         assert summary.resets == (fired[0],)
 
-        # ten simulated minutes of filtered tilt stay within +-0.5 deg
-        _, trace = episode(
-            PlatformPlant(), gains, 0.0, 600.0, 0.01,
-            noise_std=0.05, drift=DriftMonitor(drift_rate=0.0015, shielded=True),
-            rng=np.random.default_rng(7),
-        )
+        # ten simulated minutes of filtered tilt stay within +-0.5 deg at the
+        # mission's IMU noise and shielded drift
+        _, trace = episode(PlatformPlant(), gains, 0.0, LevelingConfig(episode_window=600.0),
+                           rng=np.random.default_rng(7))
         assert trace.max_estimation_error < 0.5, trace.max_estimation_error
 
 
@@ -328,6 +323,6 @@ def test_criterion_9_tuner_recovers_analytic_plant(capsys):
             assert ku == pytest.approx(ku_true, rel=0.05), (k, delay, ku, ku_true)
             assert tu == pytest.approx(tu_true, rel=0.05), (k, delay, tu, tu_true)
         gains, _, _ = tune_leveling(PlatformPlant(), integral_authority=8.0)
-        summary = run_leveling_episode(PlatformPlant(), gains, 10.0, 8.0, 0.01)
+        summary = run_leveling_episode(PlatformPlant(), gains, 10.0, record(8.0))
         assert summary.settle_time is not None  # settles and stays settled
         assert abs(summary.final_tilt) < 0.5

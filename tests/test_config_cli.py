@@ -120,6 +120,7 @@ def test_unknown_keys_fail_with_path(tmp_path, text, frag):
     ("plant: {delay: -0.01}\n", "bad value in plant: delay must be finite"),
     ("plant: {tau: 0.0}\n", "bad value in plant: tau must be positive"),
     ("seed: abc\n", "seed"),
+    ("seed: -1\n", "bad value in top level: seed must be non-negative"),
     ("trials: 2.5\n", "trials"),
     ("pot_count: true\n", "pot_count"),
     ("leveling: {noise_std: abc}\n", "leveling.noise_std must be float, got str"),
@@ -430,6 +431,13 @@ def test_cli_simulation_failures_exit_4_naming_the_trial(tmp_path, capsys, text,
                  "--out-dir", str(tmp_path)])
     assert code == 4
     assert f"env {env}, {where}:" in capsys.readouterr().err
+
+
+def test_cli_negative_seed_exits_4_naming_the_seed(tmp_path, capsys):
+    # numpy's own message ("expected non-negative integer") names neither
+    assert main(["run", "--seed", "-1", "--out-dir", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == "irribot: validation error: seed must be non-negative\n"
+    assert not (tmp_path / "results.json").exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):

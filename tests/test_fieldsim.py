@@ -35,7 +35,7 @@ from irribot.fieldsim import (
 )
 from irribot.kinematics import CalibrationState
 from irribot.leveling import (
-    DriftMonitor,
+    LevelingConfig,
     PlatformPlant,
     drift_update,
     run_leveling_episode,
@@ -513,13 +513,12 @@ def test_detection_deterministic_per_seed():
 
 # -------------------------------------------------------------------- IMU
 # The IMU reading is taken inside the leveling episode: the first tick reads
-# true tilt plus the monitor's accumulated bias plus noise.
+# true tilt plus the accumulated drift bias plus noise.
 
-def first_reading(slope, drift=None, bias=0.0):
+def first_reading(slope, lv=LevelingConfig(noise_std=0.0, drift_rate=0.0), bias=0.0):
     rows = []  # (t, tilt, raw reading, ...) per tick
-    run_leveling_episode(
-        PlatformPlant(), ziegler_nichols(1.0, 1.0), slope, 0.01, 0.01, drift=drift,
-        bias=bias, rows=rows)
+    run_leveling_episode(PlatformPlant(), ziegler_nichols(1.0, 1.0), slope, lv, bias=bias,
+                         rows=rows)
     return rows[0][2]
 
 
@@ -528,13 +527,13 @@ def test_imu_clean_reading_is_truth():
 
 
 def test_imu_unshielded_bias_after_100s():
-    mon = DriftMonitor(drift_rate=0.02)
-    assert first_reading(0.0, mon, drift_update(mon, 0.0, 100.0)) == 2.0
+    lv = LevelingConfig(noise_std=0.0, drift_rate=0.02, shielded=False)
+    assert first_reading(0.0, lv, drift_update(lv, 0.0, 100.0)) == 2.0
 
 
 def test_imu_shielded_bias_after_100s():
-    mon = DriftMonitor(drift_rate=0.02, shielded=True)
-    assert first_reading(0.0, mon, drift_update(mon, 0.0, 100.0)) == pytest.approx(0.8)
+    lv = LevelingConfig(noise_std=0.0, drift_rate=0.02, shielded=True)
+    assert first_reading(0.0, lv, drift_update(lv, 0.0, 100.0)) == pytest.approx(0.8)
 
 
 # ------------------------------------------------------------------- pump

@@ -4,17 +4,19 @@ The per-tick controller pieces below (IMU sample, moving-average filter, PID
 step, drift recalibration and the controller bundling them), the stepping
 plants and `LevelingTrace` are the reference oracle for
 `run_leveling_episode`, which runs the same arithmetic as one flat loop over
-plain floats with the platform model inline and returns only a summary:
+plain floats with the plant model inline and returns only a summary:
 `reference_episode` composes the pieces tick by tick around the generic
 `plant.step`, and the episode's summary and per-tick rows must equal the
-oracle's trace bit for bit. `reference_probe` steps a plant the same way for
-the tuner, whose production probe runs the model inline. The oracle also
-closes the loop on plants the episode does not take.
+oracle's trace bit for bit, on the platform and on the delayed integrator.
+`reference_probe` steps a plant the same way for the tuner, whose production
+probe runs the model inline. The oracle also closes the loop on plants the
+episode does not take. `record` builds the `LevelingConfig` an episode reads.
 """
 
 import functools
 import math
 import runpy
+import tracemalloc
 from collections import deque
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 from irribot import leveling
 from irribot.leveling import (
     DelayedIntegratorPlant,
-    DriftMonitor,
+    LevelingConfig,
     NoOscillation,
     PidGains,
     PlatformPlant,
@@ -112,30 +114,29 @@ def pid_step(gains, state, measured, t):
     return PidState(integral=integral, prev_error=error, prev_t=t), command
 
 
-def maybe_recalibrate(mon, bias, pid):
-    """Zero the bias and the PID integral once accumulation hits the
-    monitor's threshold; returns (bias, pid, fired)."""
-    if bias >= mon.reset_threshold:
+def maybe_recalibrate(lv, bias, pid):
+    """Zero the bias and the PID integral once accumulation hits the leveling
+    record's reset threshold; returns (bias, pid, fired)."""
+    if bias >= lv.reset_threshold:
         return 0.0, replace(pid, integral=0.0), True
     return bias, pid, False
 
 
 class LevelingController:
-    """Stateful bundle of prefilter, PID, and drift monitor for loop callers."""
+    """Stateful bundle of prefilter, PID, and drift recalibration for loop
+    callers, at a leveling record's filter depth and reset threshold."""
 
-    def __init__(self, gains, *, window=5, monitor=None, bias=0.0):
+    def __init__(self, gains, lv=LevelingConfig(), *, bias=0.0):
         self.gains = gains
-        self.monitor = monitor
+        self.lv = lv
         self.bias = bias
-        self._ma = MovingAverageState(size=window)
+        self._ma = MovingAverageState(size=lv.filter_window)
         self._pid = PidState()
 
     def update(self, t, alpha_raw):
         """Consume one raw reading; returns (command, filtered, recalibrated)."""
         self._ma, filtered = moving_average_step(self._ma, ImuSample(t, alpha_raw))
-        recal = False
-        if self.monitor is not None:
-            self.bias, self._pid, recal = maybe_recalibrate(self.monitor, self.bias, self._pid)
+        self.bias, self._pid, recal = maybe_recalibrate(self.lv, self.bias, self._pid)
         self._pid, command = pid_step(self.gains, self._pid, filtered, t)
         return command, filtered, recal
 
@@ -246,27 +247,30 @@ def trace_from_rows(rows, band=0.5):
                          band=band)
 
 
-def episode(plant, gains, slope, duration, tick=0.01, **kwargs):
+def record(window, tick=0.01, **fields):
+    """The leveling record of a `window`-second episode of `tick`-second
+    ticks: quiet (no IMU noise, no drift) unless `fields` say otherwise."""
+    return LevelingConfig(episode_window=window, episode_tick=tick,
+                          **{"noise_std": 0.0, "drift_rate": 0.0, **fields})
+
+
+def episode(plant, gains, slope, lv, **kwargs):
     """Run the production episode keeping its rows; returns (summary, trace)."""
     rows = []
-    summary = run_leveling_episode(plant, gains, slope, duration, tick, rows=rows, **kwargs)
-    return summary, trace_from_rows(rows, kwargs.get("band", 0.5))
+    summary = run_leveling_episode(plant, gains, slope, lv, rows=rows, **kwargs)
+    return summary, trace_from_rows(rows, lv.level_band)
 
 
-def reference_episode(plant, gains, slope, duration, tick=0.01, *, window=5,
-                      noise_std=0.0, drift=None, bias=0.0, rng=None, band=0.5):
+def reference_episode(plant, gains, slope, lv, *, bias=0.0, rng=None):
     """`run_leveling_episode` one controller update, one noise draw and one
     `plant.step` per tick, for any plant with `reset` and `step`."""
-    if tick <= 0:
-        raise ValueError("tick must be positive")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    steps = int(round(duration / tick))
+    tick, noise_std = lv.episode_tick, lv.noise_std
+    steps = int(round(lv.episode_window / tick))
     if noise_std > 0 and rng is None:
         rng = np.random.default_rng(0)
 
     plant.reset(slope)
-    controller = LevelingController(gains, window=window, monitor=drift, bias=bias)
+    controller = LevelingController(gains, lv, bias=bias)
     tilt = float(slope)
 
     out_t = np.empty(steps)
@@ -279,8 +283,8 @@ def reference_episode(plant, gains, slope, duration, tick=0.01, *, window=5,
 
     for n in range(steps):
         t = n * tick
-        if controller.monitor is not None and n > 0:
-            controller.bias = drift_update(controller.monitor, controller.bias, tick)
+        if n > 0:
+            controller.bias = drift_update(lv, controller.bias, tick)
         bias = controller.bias
         noise = rng.normal(0.0, noise_std) if noise_std > 0 else 0.0
         raw = tilt + bias + noise
@@ -296,7 +300,7 @@ def reference_episode(plant, gains, slope, duration, tick=0.01, *, window=5,
 
     return LevelingTrace(t=out_t, tilt=out_tilt, alpha_raw=out_raw,
                          alpha_filtered=out_filt, u=out_u, recalibrated=out_recal,
-                         saturated=out_sat, band=band)
+                         saturated=out_sat, band=lv.level_band)
 
 
 def reference_probe(plant, gain, dt, probe_time, initial_tilt, band, cycles):
@@ -571,7 +575,7 @@ def test_stable_lag_plant_never_oscillates():
 def test_tuned_gains_stabilize_delayed_integrator():
     plant = DelayedIntegratorPlant(gain=1.0, delay=0.05)
     gains, ku, tu = tune_leveling(plant)
-    trace = reference_episode(stepping(plant), gains, 10.0, 6.0, 0.002)
+    trace = reference_episode(stepping(plant), gains, 10.0, record(6.0, 0.002))
     assert trace.steady_state_error < 0.4
 
 
@@ -601,42 +605,43 @@ def test_tuned_platform_gains_are_pinned():
 # ------------------------------------------------------------- drift
 
 def test_drift_unshielded_accumulation():
-    mon = DriftMonitor(drift_rate=1.0)
-    assert drift_update(mon, 0.0, 3.0) == 3.0
+    lv = LevelingConfig(drift_rate=1.0, shielded=False)
+    assert lv.effective_rate == lv.drift_rate
+    assert drift_update(lv, 0.0, 3.0) == 3.0
 
 
 def test_drift_shielding_cuts_rate_to_exactly_point_four():
-    mon = DriftMonitor(drift_rate=1.0, shielded=True)
-    assert mon.effective_rate == 0.4 * mon.drift_rate
-    assert drift_update(mon, 0.0, 3.0) == pytest.approx(1.2)
+    lv = LevelingConfig(drift_rate=1.0)  # shielded, as the mission runs
+    assert lv.shielded and lv.effective_rate == 0.4 * lv.drift_rate
+    assert drift_update(lv, 0.0, 3.0) == pytest.approx(1.2)
 
 
 def test_drift_rejects_non_positive_dt():
     with pytest.raises(ValueError):
-        drift_update(DriftMonitor(drift_rate=1.0), 0.0, 0.0)
+        drift_update(LevelingConfig(drift_rate=1.0), 0.0, 0.0)
 
 
 @given(st.floats(1e-6, 100.0), st.floats(1e-6, 100.0), st.floats(0.0, 0.01))
 def test_drift_update_is_additive(dt1, dt2, rate):
-    mon = DriftMonitor(drift_rate=rate, shielded=True)
-    split = drift_update(mon, drift_update(mon, 0.0, dt1), dt2)
-    joint = drift_update(mon, 0.0, dt1 + dt2)
+    lv = LevelingConfig(drift_rate=rate, shielded=True)
+    split = drift_update(lv, drift_update(lv, 0.0, dt1), dt2)
+    joint = drift_update(lv, 0.0, dt1 + dt2)
     assert split == pytest.approx(joint, rel=1e-9, abs=1e-15)
 
 
 @given(st.floats(1e-3, 1.0), st.integers(1, 500), st.floats(0.0, 2.0), st.booleans())
 def test_drift_n_tick_call_equals_n_one_tick_calls(dt, n, rate, shielded):
-    mon = DriftMonitor(drift_rate=rate, shielded=shielded)
+    lv = LevelingConfig(drift_rate=rate, shielded=shielded)
     stepped = 0.25
     for _ in range(n):
-        stepped = drift_update(mon, stepped, dt)
-    assert drift_update(mon, 0.25, dt, n) == stepped
+        stepped = drift_update(lv, stepped, dt)
+    assert drift_update(lv, 0.25, dt, n) == stepped
 
 
 def test_recalibrate_fires_at_threshold():
-    mon = DriftMonitor(drift_rate=1.0)
+    lv = LevelingConfig(drift_rate=1.0, shielded=False)
     pid = PidState(integral=2.0, prev_error=0.3, prev_t=9.0)
-    bias, pid2, fired = maybe_recalibrate(mon, 5.1, pid)
+    bias, pid2, fired = maybe_recalibrate(lv, 5.1, pid)
     assert fired
     assert bias == 0.0
     assert pid2.integral == 0.0
@@ -644,25 +649,25 @@ def test_recalibrate_fires_at_threshold():
 
 
 def test_recalibrate_exact_threshold_crossing():
-    mon, bias = DriftMonitor(drift_rate=1.0), 0.0
+    lv, bias = LevelingConfig(drift_rate=1.0, shielded=False), 0.0
     for _ in range(5):
-        bias, _, fired = maybe_recalibrate(mon, drift_update(mon, bias, 1.0), PidState())
+        bias, _, fired = maybe_recalibrate(lv, drift_update(lv, bias, 1.0), PidState())
     assert fired  # hits 5.0 exactly on the fifth second
     assert bias == 0.0
 
 
 def test_recalibrate_below_threshold_is_noop():
-    mon = DriftMonitor(drift_rate=1.0)
+    lv = LevelingConfig(drift_rate=1.0, shielded=False)
     pid = PidState(integral=2.0)
-    bias, pid2, fired = maybe_recalibrate(mon, 4.9, pid)
+    bias, pid2, fired = maybe_recalibrate(lv, 4.9, pid)
     assert not fired
     assert bias == 4.9 and pid2 == pid
 
 
 def test_recalibrate_idempotent_after_reset():
-    mon = DriftMonitor(drift_rate=1.0)
-    bias, pid, _ = maybe_recalibrate(mon, 6.0, PidState())
-    _, _, fired = maybe_recalibrate(mon, bias, pid)
+    lv = LevelingConfig(drift_rate=1.0, shielded=False)
+    bias, pid, _ = maybe_recalibrate(lv, 6.0, PidState())
+    _, _, fired = maybe_recalibrate(lv, bias, pid)
     assert not fired
 
 
@@ -675,41 +680,42 @@ def platform_gains():
 
 
 def test_episode_level_start_is_trivially_settled():
-    summary = run_leveling_episode(PlatformPlant(), platform_gains(), 0.0, 2.0, 0.01)
+    summary = run_leveling_episode(PlatformPlant(), platform_gains(), 0.0, record(2.0))
     assert summary.settle_time == 0.0
     assert summary.sse == 0.0
 
 
 def test_episode_ten_degree_step_meets_budget():
-    summary = run_leveling_episode(PlatformPlant(), platform_gains(), 10.0, 8.0, 0.01)
+    summary = run_leveling_episode(PlatformPlant(), platform_gains(), 10.0, record(8.0))
     assert 1.3 <= summary.settle_time <= 2.3
     assert summary.sse <= 0.4
 
 
 def test_episode_records_saturation_events():
-    summary, trace = episode(PlatformPlant(), platform_gains(), 10.0, 8.0)
+    summary, trace = episode(PlatformPlant(), platform_gains(), 10.0, record(8.0))
     assert trace.saturated.any()  # 10 deg at 8 deg/s must clip for over a second
     assert trace.saturated.sum() >= 100
     assert summary.saturated_ticks == trace.saturated.sum()
 
 
 def test_episode_envelope_decays_monotonically():
-    _, trace = episode(PlatformPlant(), platform_gains(), 10.0, 8.0)
+    _, trace = episode(PlatformPlant(), platform_gains(), 10.0, record(8.0))
     a = np.abs(trace.tilt)
     peaks = [a[i] for i in range(1, len(a) - 1) if a[i] > a[i - 1] and a[i] >= a[i + 1]]
     assert all(peaks[i + 1] <= peaks[i] + 1e-9 for i in range(len(peaks) - 1))
 
 
 def test_episode_doubling_kp_does_not_raise_sse_on_linear_plant():
-    lo = reference_episode(FirstOrderLagPlant(1.0, 0.5), PidGains(0.5, 0, 0), 1.0, 2.0, 0.01)
-    hi = reference_episode(FirstOrderLagPlant(1.0, 0.5), PidGains(1.0, 0, 0), 1.0, 2.0, 0.01)
+    lv = record(2.0)
+    lo = reference_episode(FirstOrderLagPlant(1.0, 0.5), PidGains(0.5, 0, 0), 1.0, lv)
+    hi = reference_episode(FirstOrderLagPlant(1.0, 0.5), PidGains(1.0, 0, 0), 1.0, lv)
     assert hi.steady_state_error <= lo.steady_state_error
 
 
 def test_episode_recalibration_mid_run():
     # fast unshielded drift forces a reset well inside the episode
-    mon = DriftMonitor(drift_rate=0.5, shielded=False)
-    summary, trace = episode(PlatformPlant(), platform_gains(), 0.0, 15.0, drift=mon)
+    lv = record(15.0, drift_rate=0.5, shielded=False)
+    summary, trace = episode(PlatformPlant(), platform_gains(), 0.0, lv)
     assert trace.recalibrated.sum() >= 1
     first = int(np.flatnonzero(trace.recalibrated)[0])
     assert summary.resets[0] == first
@@ -720,11 +726,10 @@ def test_episode_recalibration_mid_run():
 
 
 def test_episode_ten_minutes_estimation_error_within_half_degree():
-    mon = DriftMonitor(drift_rate=0.0015, shielded=True)
-    summary, trace = episode(
-        PlatformPlant(), platform_gains(), 0.0, 600.0,
-        noise_std=0.05, drift=mon, rng=np.random.default_rng(7),
-    )
+    # the mission's noise and shielded drift over ten minutes
+    summary, trace = episode(PlatformPlant(), platform_gains(), 0.0,
+                             LevelingConfig(episode_window=600.0),
+                             rng=np.random.default_rng(7))
     assert trace.max_estimation_error < 0.5
     assert trace.recalibrated.sum() == 0  # shielded drift never hits 5 deg here
     assert summary.resets == ()
@@ -732,22 +737,20 @@ def test_episode_ten_minutes_estimation_error_within_half_degree():
 
 def test_episode_reading_is_tilt_plus_bias_plus_noise():
     # no drift, no noise: the IMU reads the true tilt, from t = 0
-    _, trace = episode(PlatformPlant(), platform_gains(), 3.5, 1.0)
+    _, trace = episode(PlatformPlant(), platform_gains(), 3.5, record(1.0))
     assert trace.t[0] == 0.0 and trace.alpha_raw[0] == 3.5
     assert np.array_equal(trace.alpha_raw, trace.tilt)
-    # a preloaded monitor: 100 s at 0.02 deg/s is 2 deg open-air, 0.8 deg
+    # a preloaded bias: 100 s at 0.02 deg/s is 2 deg open-air, 0.8 deg
     # shielded, and the bias keeps growing by one tick of drift per tick
     for shielded, bias in ((False, 2.0), (True, 0.8)):
-        mon = DriftMonitor(drift_rate=0.02, shielded=shielded)
-        preload = drift_update(mon, 0.0, 100.0)
-        _, trace = episode(PlatformPlant(), platform_gains(), 3.5, 1.0, drift=mon,
-                           bias=preload)
-        growth = np.arange(len(trace.t)) * mon.effective_rate * 0.01
+        lv = record(1.0, drift_rate=0.02, shielded=shielded)
+        preload = drift_update(lv, 0.0, 100.0)
+        _, trace = episode(PlatformPlant(), platform_gains(), 3.5, lv, bias=preload)
+        growth = np.arange(len(trace.t)) * lv.effective_rate * 0.01
         assert trace.alpha_raw - trace.tilt == pytest.approx(bias + growth)
     # noise adds the generator's normal draws in tick order
-    _, trace = episode(
-        PlatformPlant(), platform_gains(), 3.5, 1.0,
-        noise_std=0.05, drift=mon, bias=preload, rng=np.random.default_rng(4))
+    _, trace = episode(PlatformPlant(), platform_gains(), 3.5, replace(lv, noise_std=0.05),
+                       bias=preload, rng=np.random.default_rng(4))
     noise = np.random.default_rng(4).normal(0.0, 0.05, size=len(trace.t))
     assert trace.alpha_raw - trace.tilt == pytest.approx(bias + growth + noise)
 
@@ -763,26 +766,59 @@ def test_controller_wrapper_matches_piecewise_calls():
 
 
 def test_episode_rejects_bad_inputs():
-    gains = PidGains(1.0, 0.0, 0.0)
-    for duration, tick, window in ((1.0, 0.0, 5), (1.0, -0.01, 5), (0.0, 0.01, 5),
-                                   (0.004, 0.01, 5), (1.0, 0.01, 0)):
+    # the leveling record rejects a budget no episode can run
+    for window, tick, depth in ((1.0, 0.0, 5), (1.0, -0.01, 5), (0.0, 0.01, 5),
+                                (0.004, 0.01, 5), (0.01, 0.01, 5), (1.0, 0.01, 0)):
         with pytest.raises(ValueError):
-            run_leveling_episode(PlatformPlant(), gains, 1.0, duration, tick,
-                                 window=window)
+            record(window, tick, filter_window=depth)
     with pytest.raises(ValueError, match="non-finite"):
-        run_leveling_episode(PlatformPlant(), gains, math.nan, 1.0, 0.01)
+        run_leveling_episode(PlatformPlant(), PidGains(1.0, 0.0, 0.0), math.nan, record(1.0))
     for bias in (-0.1, math.nan):
         with pytest.raises(ValueError, match="bias cannot be negative"):
-            run_leveling_episode(PlatformPlant(), gains, 1.0, 1.0, 0.01,
-                                 drift=DriftMonitor(drift_rate=1.0), bias=bias)
+            run_leveling_episode(PlatformPlant(), PidGains(1.0, 0.0, 0.0), 1.0,
+                                 record(1.0, drift_rate=1.0), bias=bias)
 
 
 def test_episode_rejects_negative_or_nan_noise():
-    # both fail `noise_std > 0`, so they would run silently noise-free
-    for noise_std in (-0.05, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="noise_std cannot be negative"):
-            run_leveling_episode(PlatformPlant(), platform_gains(), 1.0, 1.0, 0.01,
-                                 noise_std=noise_std, rng=np.random.default_rng(0))
+    # each fails `> 0`, so an episode would run silently noise- or drift-free
+    for rate in (-0.05, -math.inf, math.nan):
+        for field in ("noise_std", "drift_rate"):
+            with pytest.raises(ValueError, match="noise and drift rates must be non-negative"):
+                record(1.0, **{field: rate})
+
+
+@pytest.mark.parametrize("plant", PROBE_PLANTS[1:], ids=repr)
+def test_episode_on_delayed_integrator_matches_stepping_oracle(plant):
+    # the integrator has no lag (tau 0) and a gain: with tuned gains, noise and
+    # open-air drift the episode equals the stepping integrator bit for bit
+    # (the gains 0.5, 1 and 2 scale exactly, so the oracle's gain*u*dt and the
+    # episode's u*(gain*tick) agree)
+    gains, _, _ = tune_leveling(plant)
+    lv = record(2.0, 0.002, noise_std=0.05, drift_rate=0.3, shielded=False,
+                reset_threshold=0.4)
+    summary = assert_episode_matches_reference(plant, gains, 10.0, lv, 5)
+    assert summary.settle_time is not None and summary.resets
+
+
+def test_delay_beyond_the_run_costs_no_memory():
+    # a command delayed past the last tick is never read, so a delay line
+    # longer than the run changes nothing, and it is not built
+    gains, args = platform_gains(), (0.002, 12.0, 0.2, 0.05, 10)
+    just_past, far = PlatformPlant(delay=12.01), PlatformPlant(delay=1e3)
+    lv = LevelingConfig()
+    tracemalloc.start()
+    try:
+        for gain in (0.5, 21.0):
+            probe = leveling._probe_oscillation(far, gain, *args)
+            assert probe == leveling._probe_oscillation(just_past, gain, *args)
+        summary = run_leveling_episode(far, gains, 10.0, lv, rng=np.random.default_rng(3))
+        assert summary == run_leveling_episode(PlatformPlant(delay=4.01), gains, 10.0, lv,
+                                               rng=np.random.default_rng(3))
+        # the unbounded line would hold 500,000 entries (4 MB) in the probe
+        assert tracemalloc.get_traced_memory()[1] < 1_000_000
+    finally:
+        tracemalloc.stop()
+    assert summary.settle_time is None and summary.final_tilt == 10.0
 
 
 # ------------------------------------------------- flat loop vs reference
@@ -790,9 +826,10 @@ def test_episode_rejects_negative_or_nan_noise():
 TRACE_ARRAYS = ("t", "tilt", "alpha_raw", "alpha_filtered", "u", "recalibrated",
                 "saturated")
 
+# leveling records with no drift, shielded drift or open-air drift
 MONITORS = st.builds(
-    DriftMonitor,
-    drift_rate=st.floats(0.0, 3.0),
+    LevelingConfig,
+    drift_rate=st.just(0.0) | st.floats(0.0, 3.0),
     shielded=st.booleans(),
     reset_threshold=st.floats(0.2, 5.0),
 )
@@ -818,13 +855,12 @@ def assert_summary_of(summary, ref):
     assert summary.resets == tuple(np.flatnonzero(ref.recalibrated).tolist())
 
 
-def assert_episode_matches_reference(plant, gains, slope, duration, tick, seed, **kwargs):
+def assert_episode_matches_reference(plant, gains, slope, lv, seed, **kwargs):
     """Production summary and rows against the stepping oracle on the same
     inputs and generator seed; returns the summary."""
     rng_flat, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    ref = reference_episode(stepping(plant), gains, slope, duration, tick, rng=rng_ref,
-                            **kwargs)
-    summary, flat = episode(plant, gains, slope, duration, tick, rng=rng_flat, **kwargs)
+    ref = reference_episode(stepping(plant), gains, slope, lv, rng=rng_ref, **kwargs)
+    summary, flat = episode(plant, gains, slope, lv, rng=rng_flat, **kwargs)
     assert_same_trace(flat, ref)
     assert_summary_of(summary, ref)
     assert rng_flat.bit_generator.state == rng_ref.bit_generator.state
@@ -839,68 +875,67 @@ def assert_episode_matches_reference(plant, gains, slope, duration, tick, seed, 
     kp=st.floats(0.0, 3.0), ki=st.floats(0.0, 3.0), kd=st.floats(0.0, 0.2),
     limit=st.none() | st.floats(0.05, 5.0),
     slope=st.floats(-12.0, 12.0),
-    duration=st.floats(0.05, 3.0),
+    duration=st.floats(0.06, 3.0),
     tick=st.floats(0.002, 0.05),
     window=st.integers(1, 9),
     noise_std=st.sampled_from([0.0, 0.05, 0.3]),
-    drift=st.none() | MONITORS,
+    drift=MONITORS,
     bias=st.floats(0.0, 6.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_flat_episode_matches_reference(max_rate, delay, tau, kp, ki, kd, limit, slope,
                                         duration, tick, window, noise_std, drift, bias, seed):
     gains = PidGains(kp, ki, kd, integral_limit=limit)
-    kwargs = dict(window=window, noise_std=noise_std, drift=drift, bias=bias, band=0.3)
+    lv = replace(drift, episode_window=duration, episode_tick=tick, filter_window=window,
+                 noise_std=noise_std, level_band=0.3)
     plant = PlatformPlant(max_rate, delay, tau)
     try:
-        assert_episode_matches_reference(plant, gains, slope, duration, tick, seed, **kwargs)
+        assert_episode_matches_reference(plant, gains, slope, lv, seed, bias=bias)
     except ValueError:  # the loop diverged and the IMU read a non-finite tilt
         with pytest.raises(ValueError, match="non-finite"):
-            reference_episode(stepping(plant), gains, slope, duration, tick,
-                              rng=np.random.default_rng(seed), **kwargs)
+            reference_episode(stepping(plant), gains, slope, lv, bias=bias,
+                              rng=np.random.default_rng(seed))
         with pytest.raises(ValueError, match="non-finite"):
-            run_leveling_episode(plant, gains, slope, duration, tick,
-                                 rng=np.random.default_rng(seed), **kwargs)
+            run_leveling_episode(plant, gains, slope, lv, bias=bias,
+                                 rng=np.random.default_rng(seed))
     assert plant == PlatformPlant(max_rate, delay, tau)
 
 
 def test_summary_matches_reference_over_mission_like_episodes():
-    # 120 episodes at the mission's operating point: tuned gains, a 4 s window
-    # of 0.01 s ticks, IMU noise, and a drift monitor that either never fires
-    # or fires every half second
+    # 120 episodes at the mission's operating point (the default record):
+    # tuned gains, a 4 s window of 0.01 s ticks, IMU noise, and drift that
+    # either never resets or resets every half second
     gains = platform_gains()
-    slow = DriftMonitor(drift_rate=0.0015, shielded=True)
-    fast = DriftMonitor(drift_rate=2.0, shielded=False, reset_threshold=1.0)
+    slow = LevelingConfig()
+    fast = replace(slow, drift_rate=2.0, shielded=False, reset_threshold=1.0)
     resets = 0
     for seed in range(5):
         for slope in (-10.0, -3.0, 0.7, 2.5, 6.0, 10.0):
-            for bias, drift in ((0.0, slow), (0.4, slow), (0.0, fast), (0.99, fast)):
+            for bias, lv in ((0.0, slow), (0.4, slow), (0.0, fast), (0.99, fast)):
                 summary = assert_episode_matches_reference(
-                    PlatformPlant(), gains, slope, 4.0, 0.01, seed,
-                    noise_std=0.05, drift=drift, bias=bias)
+                    PlatformPlant(), gains, slope, lv, seed, bias=bias)
                 resets += len(summary.resets)
-    assert resets >= 60 * 7  # the fast monitor fires 7 or 8 times per episode
+    assert resets >= 60 * 7  # the fast drift resets 7 or 8 times per episode
 
 
 def test_summary_matches_reference_at_the_edges():
     gains = platform_gains()
     check = assert_episode_matches_reference
     # fewer than 4 ticks: the steady-state tail is the last tick alone
-    for duration in (0.01, 0.02, 0.03):
-        summary = check(PlatformPlant(), gains, 3.0, duration, 0.01, 0)
+    for window in (0.012, 0.02, 0.03):
+        summary = check(PlatformPlant(), gains, 3.0, record(window), 0)
         assert summary.settle_time is None and summary.sse == summary.final_tilt == 3.0
     # never settling: the budget ends outside the band
-    assert check(PlatformPlant(), gains, 10.0, 0.5, 0.01, 1).settle_time is None
+    assert check(PlatformPlant(), gains, 10.0, record(0.5), 1).settle_time is None
     # starting inside the band and staying there
-    summary = check(PlatformPlant(), gains, 0.3, 2.0, 0.01, 2, noise_std=0.05)
+    summary = check(PlatformPlant(), gains, 0.3, record(2.0, noise_std=0.05), 2)
     assert summary.settle_time == 0.0
     # several resets inside one episode
-    fast = DriftMonitor(drift_rate=2.0, shielded=False, reset_threshold=1.0)
-    assert len(check(PlatformPlant(), gains, 5.0, 4.0, 0.01, 3, drift=fast,
-                     bias=0.7).resets) >= 7
+    fast = record(4.0, drift_rate=2.0, shielded=False, reset_threshold=1.0)
+    assert len(check(PlatformPlant(), gains, 5.0, fast, 3, bias=0.7).resets) >= 7
     # a saturated start: the first command already clips a slow screw
-    summary = check(PlatformPlant(max_rate=0.5, delay=0.0, tau=0.01), gains, 10.0, 1.0,
-                    0.01, 4)
+    summary = check(PlatformPlant(max_rate=0.5, delay=0.0, tau=0.01), gains, 10.0,
+                    record(1.0), 4)
     assert summary.saturated_ticks == 100
 
 
@@ -908,9 +943,9 @@ def test_flat_episode_matches_reference_when_the_rate_turns_nan():
     # 207 ticks: on the last one the command overflows to -inf, the lagged
     # rate becomes inf + (-inf) = NaN, and an unclipped platform still counts
     # that as a saturated tick
-    args = (PidGains(5000.0, 0.0, 0.0), 1.0, 2.07, 0.01)
-    ref = reference_episode(SteppingPlatform(math.inf, 0.0, 0.01), *args, window=1)
-    summary, flat = episode(PlatformPlant(math.inf, 0.0, 0.01), *args, window=1)
+    args = (PidGains(5000.0, 0.0, 0.0), 1.0, record(2.07, filter_window=1))
+    ref = reference_episode(SteppingPlatform(math.inf, 0.0, 0.01), *args)
+    summary, flat = episode(PlatformPlant(math.inf, 0.0, 0.01), *args)
     assert len(flat.t) == 207 and flat.u[-1] == -math.inf
     assert ref.saturated[-1] and not ref.saturated[:-1].any()
     assert_same_trace(flat, ref)
@@ -929,7 +964,7 @@ def test_plants_reject_non_finite_parameters():
     # an unbounded rate is a platform without clipping: the tilt falls far
     # faster than the default 8 deg/s (0.08 deg per tick) allows
     summary, trace = episode(PlatformPlant(max_rate=math.inf), PidGains(20.0, 0.0, 0.0),
-                             10.0, 1.0)
+                             10.0, record(1.0))
     assert not trace.saturated.any() and np.diff(trace.tilt).min() < -1.0
     assert summary.saturated_ticks == 0
 

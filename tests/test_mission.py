@@ -175,9 +175,9 @@ def test_reset_inside_an_episode_carries_into_the_next_episode():
         # the bias restarts from zero on the mission tick the last charged
         # reset falls in and grows on every mission tick up to the next episode
         since = (end - first) - int(reset * tick / dt + 1e-9) + (nxt - end)
-        assert entry == drift_update(m.monitor, 0.0, dt, since)
+        assert entry == drift_update(cfg.leveling, 0.0, dt, since)
         # so it never exceeds the drift since the previous episode began
-        assert entry <= drift_update(m.monitor, 0.0, dt, nxt - first)
+        assert entry <= drift_update(cfg.leveling, 0.0, dt, nxt - first)
 
 
 def test_level_band_reaches_the_settle_time():
@@ -364,7 +364,7 @@ def reference_step(m, dt):
     model = m.cfg.battery
     draw = model.current_ma(_active_subsystems(m.phase, m.env))
     m.charge, depleted = battery_step(model, m.charge, draw, dt)
-    m.bias = drift_update(m.monitor, m.bias, dt)
+    m.bias = drift_update(m.cfg.leveling, m.bias, dt)
     m.elapsed = m.elapsed + dt
     m.phase_left = m.phase_left - dt
     if m.trace_rows is not None:
