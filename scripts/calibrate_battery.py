@@ -24,7 +24,8 @@ CFG = default_config()
 
 def runtime_minutes(env_name, battery, speed, gains, seed=SEED):
     cfg = replace(CFG, battery=battery)
-    env = replace(environment_for(cfg, env_name), drive_speed=speed)
+    env = environment_for(cfg, env_name)
+    env = replace(env, tuning=replace(env.tuning, drive_speed=speed))
     minutes, _ = run_until_depleted(env, cfg, gains, seed)
     return minutes
 

@@ -1,12 +1,13 @@
 """Run configuration: defaults, YAML overrides, validation.
 
 A RunConfig is a tree of frozen dataclasses; the arm, battery, calibration,
-leveling and plant sections are the model dataclasses themselves. YAML files
-override any subset of fields; unknown keys fail loudly with their full path
-rather than being ignored, since a typo that silently reverts to a default is
-the worst kind of configuration bug. `environment_for` resolves one
-environment's terrain, detector profile, pump and drive speed; a mission
-reads everything else from the RunConfig itself.
+leveling, plant, pump and per-environment sections are the model dataclasses
+themselves. YAML files override any subset of fields; unknown keys fail
+loudly with their full path rather than being ignored, since a typo that
+silently reverts to a default is the worst kind of configuration bug.
+`environment_for` resolves one environment's terrain and layout around its
+`environments` record; a mission reads everything else from the RunConfig
+itself.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from irribot.fieldsim import (
     ENV_NAMES,
     ENV_STANDARD,
     BatteryModel,
-    DetectorProfile,
     Environment,
+    EnvTuning,
     LayoutSpec,
-    PumpModel,
+    PumpConfig,
 )
 from irribot.kinematics import ArmGeometry, CalibrationState
 from irribot.leveling import LevelingConfig, PidGains, PlatformPlant, tune_leveling
@@ -57,18 +58,6 @@ class DetectionConfig:
 
 
 @dataclass(frozen=True)
-class PumpConfig:
-    flow_rate: float = 30.0  # mL/s
-    spray_radius: float = 20.0  # mm
-    target_volume: float = 100.0  # mL per pot
-
-    def __post_init__(self):
-        _require(self.flow_rate > 0, "flow_rate must be positive")
-        _require(self.spray_radius > 0, "spray_radius must be positive")
-        _require(self.target_volume > 0, "target_volume must be positive")
-
-
-@dataclass(frozen=True)
 class TimingConfig:
     sense_settle: float = 0.5  # s of camera settling before inference
     arm_move: float = 1.5  # s per positioning move
@@ -92,28 +81,6 @@ class ScoringConfig:
         _require(self.sigma_mech >= 0, "sigma_mech must be non-negative")
         _require(self.tilt_lever >= 0, "tilt_lever must be non-negative")
         _require(0 < self.flood_efficiency < 1, "flood_efficiency must be in (0, 1)")
-
-
-@dataclass(frozen=True)
-class EnvTuning:
-    """Per-environment operating point: detector profile plus dispense/drive."""
-
-    dispense_overshoot: float
-    spray_efficiency: float
-    drive_speed: float  # mm/s
-    accuracy: float  # detector per-pot-per-frame hit probability
-    fp_rate: float  # spurious detections per frame
-    inference_time_ms: float
-    center_noise_px: float
-
-    def __post_init__(self):
-        _require(0 <= self.dispense_overshoot < 1, "dispense_overshoot must be in [0, 1)")
-        _require(0 < self.spray_efficiency <= 1, "spray_efficiency must be in (0, 1]")
-        _require(self.drive_speed > 0, "drive_speed must be positive")
-        _require(0 <= self.accuracy <= 1, "accuracy must be in [0, 1]")
-        _require(0 <= self.fp_rate <= 1, "fp_rate must be in [0, 1]")
-        _require(self.inference_time_ms >= 0, "inference_time_ms must be non-negative")
-        _require(self.center_noise_px >= 0, "center_noise_px must be non-negative")
 
 
 # The fixed facts of each environment: terrain slope (degrees) and layout
@@ -307,21 +274,12 @@ def gains_for(cfg):
 
 def environment_for(cfg, name):
     """One environment as this config sets it up: terrain, a layout of
-    pot_count pots, and the tuned detector profile, pump and drive speed."""
+    pot_count pots, and the config's own tuning record for it."""
     try:
         slope, layout = _TERRAIN[name]
     except KeyError:
         raise ValueError(
             f"unknown environment {name!r}; expected one of {', '.join(ENV_NAMES)}"
         ) from None
-    t = cfg.environments[name]
-    return Environment(
-        name=name,
-        slope=slope,
-        detector_profile=DetectorProfile(t.accuracy, t.fp_rate, t.inference_time_ms,
-                                         t.center_noise_px),
-        layout=dataclasses.replace(layout, count=cfg.pot_count),
-        pump=PumpModel(cfg.pump.flow_rate, t.dispense_overshoot, cfg.pump.spray_radius,
-                       t.spray_efficiency),
-        drive_speed=t.drive_speed,
-    )
+    return Environment(name, slope, dataclasses.replace(layout, count=cfg.pot_count),
+                       cfg.environments[name])

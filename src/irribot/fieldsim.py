@@ -1,10 +1,11 @@
 """Seeded models of everything physical in the field.
 
-Environments (terrain slope, detector profile, dispense and drive operating
-point), pot layouts, a stochastic detector standing in for the onboard vision
-model, pump dispensing with exact spray-disk/pot-opening overlap, and a
-linear-voltage battery budget. Every stochastic draw flows from an injected
-generator; the module holds no global randomness.
+Environments (terrain slope, layout recipe, and the detector, dispense and
+drive operating point the config sets), pot layouts, a stochastic detector
+standing in for the onboard vision model, pump dispensing with exact
+spray-disk/pot-opening overlap, and a linear-voltage battery budget. Every
+stochastic draw flows from an injected generator; the module holds no global
+randomness.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 from irribot.detect import CIRCULAR, RECTANGULAR, BBox, Detection
 from irribot.kinematics import ArmTarget, arm_to_pixel
+from irribot.sums import ltr_sum
 
 ENV_STANDARD = "standard_greenhouse"
 ENV_HILLY = "hilly_terrain"
@@ -30,28 +32,6 @@ _RATIO_RANGES = {CIRCULAR: (0.92, 1.08), RECTANGULAR: (1.25, 1.47)}
 
 class LayoutError(RuntimeError):
     """Random placement failed to satisfy spacing within the attempt budget."""
-
-
-@dataclass(frozen=True)
-class DetectorProfile:
-    """Aggregate behavior of the detector in one environment.
-
-    center_noise_px is the per-axis localization scatter of a reported box
-    center; it drives the positioning-error budget downstream.
-    """
-
-    accuracy: float  # per-pot-per-frame detection probability
-    fp_rate: float  # spurious detections per frame
-    inference_time_ms: float
-    center_noise_px: float = 10.0
-
-    def __post_init__(self):
-        if not 0 <= self.accuracy <= 1:
-            raise ValueError("accuracy must be in [0, 1]")
-        if not 0 <= self.fp_rate <= 1:
-            raise ValueError("fp_rate must be in [0, 1]")
-        if self.inference_time_ms < 0 or self.center_noise_px < 0:
-            raise ValueError("times and noise must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -398,36 +378,61 @@ def realize_layout(spec, rng):
 
 
 @dataclass(frozen=True)
+class EnvTuning:
+    """One environment's operating point (detector, dispense and drive), and
+    the config's `environments.<name>` section."""
+
+    dispense_overshoot: float  # ratio above the target volume actually pumped
+    spray_efficiency: float  # captured fraction retained after drift/splash
+    drive_speed: float  # mm/s
+    accuracy: float  # detector per-pot-per-frame hit probability
+    fp_rate: float  # spurious detections per frame
+    inference_time_ms: float
+    center_noise_px: float  # per-axis scatter of a reported box center
+
+    def __post_init__(self):
+        # written so that NaN, which fails every comparison, is rejected too
+        for ok, message in (
+            (0 <= self.dispense_overshoot < 1, "dispense_overshoot must be in [0, 1)"),
+            (0 < self.spray_efficiency <= 1, "spray_efficiency must be in (0, 1]"),
+            (self.drive_speed > 0, "drive_speed must be positive"),
+            (0 <= self.accuracy <= 1, "accuracy must be in [0, 1]"),
+            (0 <= self.fp_rate <= 1, "fp_rate must be in [0, 1]"),
+            (self.inference_time_ms >= 0, "inference_time_ms must be non-negative"),
+            (self.center_noise_px >= 0, "center_noise_px must be non-negative"),
+        ):
+            if not ok:
+                raise ValueError(message)
+
+
+@dataclass(frozen=True)
 class Environment:
-    """One test environment, as `irribot.config.environment_for` builds it."""
+    """One test environment, as `irribot.config.environment_for` builds it;
+    `tuning` is the config's own record for it."""
 
     name: str
     slope: float  # degrees
-    detector_profile: DetectorProfile
     layout: LayoutSpec
-    pump: PumpModel
-    drive_speed: float  # mm/s
+    tuning: EnvTuning
 
     def __post_init__(self):
         if self.slope < 0:
             raise ValueError("slope must be non-negative")
-        if not self.drive_speed > 0:
-            raise ValueError("drive speed must be positive")
 
 
 # --------------------------------------------------------------------------
 # detector
 
 
-def simulate_detection(pots, station, profile, rng, cal, frame_px=(4000, 3000)):
+def simulate_detection(pots, station, tuning, rng, cal, frame_px=(4000, 3000)):
     """One detector frame over the pots currently in view.
 
     Pots are in the field frame, seen from the station (x, y) the chassis
     parked at, through the hand-eye offset: a pot's camera-axis offset is
     (pot.x - x) + cal.delta_x, and likewise in y. Each pot is found with
-    probability `accuracy`; found pots get a box whose center scatters by
-    center_noise_px and whose aspect ratio is drawn consistently with the pot
-    shape. One spurious detection is injected with probability `fp_rate`,
+    probability `tuning.accuracy`; found pots get a box whose center scatters
+    by center_noise_px and whose aspect ratio is drawn consistently with the
+    pot shape. One spurious detection is injected with probability `fp_rate`,
     placed away from every true pot so it can never be confused with one.
     Draw order is fixed per pot for determinism.
     """
@@ -436,11 +441,11 @@ def simulate_detection(pots, station, profile, rng, cal, frame_px=(4000, 3000)):
     offsets = [((pot.x - sx) + cal.delta_x, (pot.y - sy) + cal.delta_y) for pot in pots]
     detections = []
     for pot, (x, y) in zip(pots, offsets):
-        if rng.random() >= profile.accuracy:
+        if rng.random() >= tuning.accuracy:
             continue
         u, v = arm_to_pixel(ArmTarget(x, y, cal.z_const), cal)
-        cu = u + rng.normal(0.0, profile.center_noise_px)
-        cv = v + rng.normal(0.0, profile.center_noise_px)
+        cu = u + rng.normal(0.0, tuning.center_noise_px)
+        cv = v + rng.normal(0.0, tuning.center_noise_px)
         w = (pot.width / cal.s) * (1.0 + rng.normal(0.0, 0.02))
         lo, hi = _RATIO_RANGES[pot.shape]
         ratio = rng.uniform(lo, hi)
@@ -449,7 +454,7 @@ def simulate_detection(pots, station, profile, rng, cal, frame_px=(4000, 3000)):
         detections.append(
             Detection(BBox(cu - w / 2, cv - h / 2, cu + w / 2, cv + h / 2), pot.shape, conf)
         )
-    if rng.random() < profile.fp_rate:
+    if rng.random() < tuning.fp_rate:
         fp = _spurious_detection(offsets, rng, cal, frame_w, frame_h)
         if fp is not None:
             detections.append(fp)
@@ -550,46 +555,45 @@ def capture_fraction(pot, offset_x, offset_y, spray_radius):
 
 
 @dataclass(frozen=True)
-class PumpModel:
-    flow_rate: float  # mL/s
-    dispense_overshoot: float = 0.0  # ratio above target actually pumped
+class PumpConfig:
+    """The pump, and the config's `pump` section."""
+
+    flow_rate: float = 30.0  # mL/s
     spray_radius: float = 20.0  # mm
-    spray_efficiency: float = 1.0  # captured fraction retained after drift/splash
+    target_volume: float = 100.0  # mL per pot
 
     def __post_init__(self):
-        if self.flow_rate <= 0:
-            raise ValueError("flow rate must be positive")
-        if self.dispense_overshoot < 0:
-            raise ValueError("overshoot cannot be negative")
-        if self.spray_radius <= 0:
-            raise ValueError("spray radius must be positive")
-        if not 0 < self.spray_efficiency <= 1:
-            raise ValueError("spray efficiency must be in (0, 1]")
+        for name in ("flow_rate", "spray_radius", "target_volume"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
 
-def dispense(pump, target_volume, positioning_error, pot, *, direction=(1.0, 0.0)):
+def pumped_volume(pump, tuning):
+    """mL pumped toward one pot: the target volume plus the environment's overshoot."""
+    return pump.target_volume * (1.0 + tuning.dispense_overshoot)
+
+
+def dispense(pump, tuning, positioning_error, pot, *, direction=(1.0, 0.0)):
     """Pump toward a pot with a known impact-point error.
 
     Returns (dispensed, delivered) in mL. The impact point sits
     positioning_error mm from the pot center along `direction`; delivered
-    water is the dispensed volume scaled by the spray-disk capture fraction
-    and the pump's retention efficiency.
+    water is the `pumped_volume` scaled by the spray-disk capture fraction
+    and the environment's spray efficiency.
     """
-    if target_volume <= 0:
-        raise ValueError("target volume must be positive")
     if positioning_error < 0:
         raise ValueError("positioning error cannot be negative")
     norm = math.hypot(*direction)
     if norm == 0:
         raise ValueError("direction must be a nonzero vector")
-    dispensed = target_volume * (1.0 + pump.dispense_overshoot)
+    dispensed = pumped_volume(pump, tuning)
     frac = capture_fraction(
         pot,
         positioning_error * direction[0] / norm,
         positioning_error * direction[1] / norm,
         pump.spray_radius,
     )
-    delivered = dispensed * frac * pump.spray_efficiency
+    delivered = dispensed * frac * tuning.spray_efficiency
     return dispensed, delivered
 
 
@@ -627,7 +631,7 @@ class BatteryModel:
         unknown = set(subsystems).difference(SUBSYSTEMS)
         if unknown:
             raise ValueError(f"unknown subsystem {min(unknown)!r}")
-        return sum(getattr(self, f"{s}_ma") for s in SUBSYSTEMS if s in subsystems)
+        return ltr_sum(getattr(self, f"{s}_ma") for s in SUBSYSTEMS if s in subsystems)
 
     def voltage(self, charge_mah):
         """Terminal voltage, linear in state of charge from cutoff to full."""

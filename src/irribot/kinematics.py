@@ -53,6 +53,11 @@ class ArmGeometry:
     def __post_init__(self):
         if not (self.l1 > 0 and self.l2 > 0):
             raise ValueError("arm link lengths must be positive")
+        # inverse_kinematics subtracts l1**2 and l2**2 and divides by 2*l1*l2
+        if not (self.l1 * self.l1 + self.l2 * self.l2 < math.inf
+                and 0 < 2.0 * self.l1 * self.l2 < math.inf):
+            raise ValueError("arm link lengths must keep l1**2 + l2**2 and 2*l1*l2 "
+                             "finite and nonzero")
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from irribot.sums import ltr_sum
+
 ZN_TABLES = {
     # kp factor, Ti as fraction of Tu, Td as fraction of Tu
     "classic": (0.6, 0.5, 0.125),
     "some-overshoot": (1.0 / 3.0, 0.5, 1.0 / 3.0),
     "no-overshoot": (0.2, 0.5, 1.0 / 3.0),
 }
+
+
+# the most ticks one leveling episode may run (episode_window / episode_tick);
+# the episode draws all of its noise up front
+MAX_EPISODE_TICKS = 100_000
 
 
 class NoOscillation(RuntimeError):
@@ -101,6 +108,9 @@ class LevelingConfig:
             raise ValueError("level_band must be positive")
         if not (self.episode_tick > 0 and self.episode_window > self.episode_tick):
             raise ValueError("episode window must exceed the tick")
+        if not self.episode_window / self.episode_tick <= MAX_EPISODE_TICKS:
+            raise ValueError(f"episode_window / episode_tick must be at most "
+                             f"{MAX_EPISODE_TICKS} ticks")
 
     @property
     def effective_rate(self):
@@ -242,7 +252,7 @@ def _probe_oscillation(plant, gain, dt, probe_time, initial_tilt, band, cycles):
     ratios = [peaks[-i] / peaks[-i - 1] for i in range(1, n_ratios + 1)]
     if all(1 - band <= r <= 1 + band for r in ratios):
         return "sustained", period
-    geo = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
+    geo = math.exp(ltr_sum(math.log(r) for r in ratios) / len(ratios))
     return ("growing" if geo > 1 else "decaying"), period
 
 
@@ -388,7 +398,7 @@ def run_leveling_episode(plant, gains, slope, lv, *, bias=0.0, rng=None, rows=No
     resets = []
     keep = rows is not None
     lo_lim, lo_rate, lo_band = -lim, -max_rate, -band
-    isfinite = math.isfinite
+    isfinite, total = math.isfinite, ltr_sum
 
     for n, e in enumerate(noise):
         t = n * tick
@@ -396,7 +406,7 @@ def run_leveling_episode(plant, gains, slope, lv, *, bias=0.0, rng=None, rows=No
         if not isfinite(raw):
             raise ValueError(f"non-finite IMU reading at t={t}")
         readings.append(raw)
-        filtered = sum(readings) / len(readings)
+        filtered = total(readings) / len(readings)
         recal = bias >= threshold
         if recal:
             bias = 0.0

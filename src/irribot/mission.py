@@ -18,6 +18,7 @@ from irribot.detect import GeometryBands, enhanced_detection
 from irribot.fieldsim import (
     battery_step,
     dispense,
+    pumped_volume,
     realize_layout,
     simulate_detection,
 )
@@ -29,6 +30,7 @@ from irribot.kinematics import (
     pixel_to_arm,
 )
 from irribot.leveling import drift_update, run_leveling_episode
+from irribot.sums import ltr_sum
 
 SENSING = "Sensing"
 LEVELING = "Leveling"
@@ -184,7 +186,7 @@ def _transition(m, phase, phase_left):
 
 
 def _sensing_time(m):
-    return m.cfg.timing.sense_settle + m.env.detector_profile.inference_time_ms / 1000.0
+    return m.cfg.timing.sense_settle + m.env.tuning.inference_time_ms / 1000.0
 
 
 def _enter_sensing(m, *, retried=False):
@@ -199,7 +201,7 @@ def _enter_advancing(m, cause=None):
     distance = math.hypot(nxt.x - here.x, nxt.y - here.y)
     if distance == 0.0:
         distance = m.layout.min_spacing
-    _transition(m, ADVANCING, distance / m.env.drive_speed)
+    _transition(m, ADVANCING, distance / m.env.tuning.drive_speed)
 
 
 def _finish_sensing(m):
@@ -209,7 +211,7 @@ def _finish_sensing(m):
     pot = m.pot()
     # the station frame is centered on the pot the chassis parked at
     raw = simulate_detection(m.layout.in_box(pot.x, pot.y, 145.0), (pot.x, pot.y),
-                             m.env.detector_profile, m.rng, cal)
+                             m.env.tuning, m.rng, cal)
     dets = enhanced_detection(
         raw, m.bands, conf_threshold=cfg.detection.conf_threshold,
         iou_threshold=cfg.detection.iou_threshold,
@@ -286,9 +288,8 @@ def _finish_positioning(m):
     err = math.hypot(impact_x, impact_y)
     m.record().positioning_error = float(err)
     m.impact = (impact_x, impact_y)
-    pump = m.env.pump
-    dispensed_volume = m.cfg.pump.target_volume * (1.0 + pump.dispense_overshoot)
-    _transition(m, DISPENSING, dispensed_volume / pump.flow_rate)
+    pump = m.cfg.pump
+    _transition(m, DISPENSING, pumped_volume(pump, m.env.tuning) / pump.flow_rate)
 
 
 def _finish_dispensing(m):
@@ -296,9 +297,7 @@ def _finish_dispensing(m):
     ix, iy = m.impact
     err = rec.positioning_error
     direction = (ix / err, iy / err) if err > 0 else (1.0, 0.0)
-    dispensed, delivered = dispense(
-        m.env.pump, m.cfg.pump.target_volume, err, m.pot(), direction=direction
-    )
+    dispensed, delivered = dispense(m.cfg.pump, m.env.tuning, err, m.pot(), direction=direction)
     rec.dispensed = dispensed
     rec.delivered = delivered
     rec.serviced = True
@@ -439,7 +438,7 @@ class TrialReport:
 def mean_or_none(values):
     """Arithmetic mean of the values, or None when there are none."""
     vals = list(values)
-    return sum(vals) / len(vals) if vals else None
+    return ltr_sum(vals) / len(vals) if vals else None
 
 
 def aggregate_trial(env, mission, trial, seed):
@@ -450,8 +449,8 @@ def aggregate_trial(env, mission, trial, seed):
     serviced = [r for r in records if r.serviced]
     detected = sum(1 for r in records if r.detected)
     leveled = [r for r in records if r.leveling_time is not None]
-    total_disp = sum(r.dispensed for r in serviced)
-    total_del = sum(r.delivered for r in serviced)
+    total_disp = ltr_sum(r.dispensed for r in serviced)
+    total_del = ltr_sum(r.delivered for r in serviced)
     efficiency = 100.0 * total_del / total_disp if total_disp > 0 else None
     savings = (
         water_savings_pct(total_del / total_disp, m.cfg.scoring.flood_efficiency)
@@ -467,7 +466,7 @@ def aggregate_trial(env, mission, trial, seed):
         accuracy_pct=100.0 * detected / pots,
         frame_accuracy_pct=100.0 * m.matched_frames / m.frames if m.frames else 0.0,
         fp_pct=100.0 * m.fp_count / m.det_count if m.det_count else 0.0,
-        mean_inference_ms=float(env.detector_profile.inference_time_ms),
+        mean_inference_ms=float(env.tuning.inference_time_ms),
         mean_positioning_error_mm=mean_or_none(r.positioning_error for r in serviced),
         leveling_mean_s=mean_or_none(r.leveling_time for r in leveled),
         leveling_max_s=max((r.leveling_time for r in leveled), default=None),

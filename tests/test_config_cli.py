@@ -115,6 +115,10 @@ def test_unknown_keys_fail_with_path(tmp_path, text, frag):
     ("leveling: {kp: 1.0}\n", "kp, ki and kd"),
     ("leveling: {shielding_factor: 1.0}\n", "shielding_factor"),
     ("leveling: {filter_window: 2.5}\n", "filter_window"),
+    ("leveling: {episode_window: 1.0e9}\n",
+     "bad value in leveling: episode_window / episode_tick must be at most 100000 ticks"),
+    ("arm: {l1: 1.0e200}\n", "bad value in arm: arm link lengths must keep"),
+    ("arm: {l1: 1.0e-170, l2: 1.0e-170}\n", "bad value in arm: arm link lengths must keep"),
     ("plant: {max_rate: fast}\n", "plant.max_rate must be float, got str"),
     ("plant: {max_rate: 0}\n", "bad value in plant: max_rate must be positive"),
     ("plant: {delay: -0.01}\n", "bad value in plant: delay must be finite"),
@@ -216,11 +220,11 @@ def test_resolved_params_carry_env_operating_point():
     cfg = default_config()
     hilly = environment_for(cfg, "hilly_terrain")
     complex_ = environment_for(cfg, "complex_lighting")
-    assert hilly.pump.dispense_overshoot == 0.08
-    assert hilly.drive_speed == 300.0
-    assert complex_.drive_speed == 241.0
-    assert complex_.pump.spray_efficiency == 0.935
-    assert (hilly.pump.flow_rate, hilly.pump.spray_radius) == (30.0, 20.0)
+    assert hilly.tuning.dispense_overshoot == 0.08
+    assert hilly.tuning.drive_speed == 300.0
+    assert complex_.tuning.drive_speed == 241.0
+    assert complex_.tuning.spray_efficiency == 0.935
+    assert (cfg.pump.flow_rate, cfg.pump.spray_radius) == (30.0, 20.0)
 
 
 def test_environment_for_applies_profile_and_pot_count(tmp_path):
@@ -231,12 +235,12 @@ def test_environment_for_applies_profile_and_pot_count(tmp_path):
     )
     cfg = load_config(path)
     env = environment_for(cfg, "complex_lighting")
-    assert env.detector_profile.accuracy == 0.5
+    assert env.tuning.accuracy == 0.5
     assert env.layout.count == 8
-    assert env.pump.flow_rate == 40
-    assert env.drive_speed == 200.0
+    assert cfg.pump.flow_rate == 40
+    assert env.tuning.drive_speed == 200.0
     # the other environments keep their defaults
-    assert environment_for(cfg, "hilly_terrain").drive_speed == 300.0
+    assert environment_for(cfg, "hilly_terrain").tuning.drive_speed == 300.0
 
 
 # ------------------------------------------------------------------ report
@@ -457,7 +461,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad_type = write(tmp_path, "trials: ten\n", name="t.yaml")
     assert main(["run", "--config", bad_type]) == 4
     for text, key in (("seed: abc\n", "seed"), ("trials: 2.5\n", "trials"),
-                      ("leveling: {noise_std: abc}\n", "leveling.noise_std must be float")):
+                      ("leveling: {noise_std: abc}\n", "leveling.noise_std must be float"),
+                      # beyond what the models' float arithmetic carries
+                      ("arm: {l1: 1.0e200}\n", "bad value in arm: "),
+                      ("arm: {l1: 1.0e-170, l2: 1.0e-170}\n", "bad value in arm: "),
+                      ("leveling: {episode_window: 1.0e9}\n", "bad value in leveling: ")):
         capsys.readouterr()
         assert main(["run", "--config", write(tmp_path, text, name="s.yaml")]) == 4
         assert key in capsys.readouterr().err

@@ -16,13 +16,12 @@ from irribot.fieldsim import (
     ENV_NAMES,
     ENV_STANDARD,
     BatteryModel,
-    DetectorProfile,
     Environment,
     LayoutError,
     LayoutSpec,
     Pot,
     PotLayout,
-    PumpModel,
+    PumpConfig,
     _PCG64Draws,
     _service_order,
     battery_step,
@@ -396,7 +395,7 @@ def test_layout_rejects_non_finite_inputs():
 def test_build_standard_environment():
     env = environment_for(default_config(), ENV_STANDARD)
     assert env.slope == 0.0
-    assert env.detector_profile.accuracy == 0.987
+    assert env.tuning.accuracy == 0.987
     assert env.layout.kind == "grid" and env.layout.shape == CIRCULAR
 
 
@@ -420,24 +419,56 @@ def test_build_unknown_environment():
         environment_for(default_config(), "lunar_regolith")
 
 
-def test_environment_validation():
-    def environment(slope=0.0, drive_speed=300.0):
-        return Environment("x", slope, DetectorProfile(0.9, 0.01, 30.0), LayoutSpec("grid"),
-                           PumpModel(30.0), drive_speed)
+def tuning(**fields):
+    """The standard greenhouse's operating point with `fields` replaced."""
+    return dataclasses.replace(default_config().environments[ENV_STANDARD], **fields)
 
-    environment()
-    with pytest.raises(ValueError):
-        environment(slope=-1.0)
-    for speed in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError):
-            environment(drive_speed=speed)
+
+def test_environment_validation():
+    Environment("x", 0.0, LayoutSpec("grid"), tuning())
+    with pytest.raises(ValueError, match="slope"):
+        Environment("x", -1.0, LayoutSpec("grid"), tuning())
+
+
+def test_environment_tuning_is_the_config_record():
+    cfg = default_config()
+    for name in ENV_NAMES:
+        assert environment_for(cfg, name).tuning is cfg.environments[name]
+
+
+def check_bounds(*bounds):
+    """Each (field, bad values, message): every value is rejected with the message."""
+    for field, values, message in bounds:
+        for value in values:
+            with pytest.raises(ValueError) as err:
+                tuning(**{field: value})
+            assert str(err.value) == message
 
 
 def test_detector_profile_bounds():
-    with pytest.raises(ValueError):
-        DetectorProfile(accuracy=1.5, fp_rate=0.0, inference_time_ms=30.0)
-    with pytest.raises(ValueError):
-        DetectorProfile(accuracy=0.9, fp_rate=-0.1, inference_time_ms=30.0)
+    check_bounds(
+        ("accuracy", (1.5, -0.1, math.nan), "accuracy must be in [0, 1]"),
+        ("fp_rate", (-0.1, 1.5, math.nan), "fp_rate must be in [0, 1]"),
+        ("inference_time_ms", (-1.0, math.nan), "inference_time_ms must be non-negative"),
+        ("center_noise_px", (-1.0, math.nan), "center_noise_px must be non-negative"),
+    )
+    assert tuning(accuracy=0.0, fp_rate=1.0, inference_time_ms=0.0, center_noise_px=0.0)
+
+
+def test_dispense_and_drive_bounds():
+    check_bounds(
+        ("dispense_overshoot", (-0.01, 1.0, math.nan), "dispense_overshoot must be in [0, 1)"),
+        ("spray_efficiency", (0.0, 1.01, math.nan), "spray_efficiency must be in (0, 1]"),
+        ("drive_speed", (0.0, -1.0, math.nan), "drive_speed must be positive"),
+    )
+    assert tuning(dispense_overshoot=0.0, spray_efficiency=1.0)
+
+
+@pytest.mark.parametrize("field", ["flow_rate", "spray_radius", "target_volume"])
+def test_pump_bounds(field):
+    for value in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=f"^{field} must be positive$"):
+            PumpConfig(**{field: value})
 
 
 # --------------------------------------------------------------- detector
@@ -446,12 +477,17 @@ def test_detector_profile_bounds():
 AT_CAMERA = (CAL.delta_x, CAL.delta_y)
 
 
+def detector(accuracy, fp_rate):
+    """An operating point with this detector and 10 px of center scatter."""
+    return tuning(accuracy=accuracy, fp_rate=fp_rate, center_noise_px=10.0)
+
+
 def one_pot_view():
     return [Pot(0, 0.0, 0.0, CIRCULAR, 100.0, 100.0)]
 
 
 def test_perfect_detector_returns_exactly_the_pots():
-    profile = DetectorProfile(accuracy=1.0, fp_rate=0.0, inference_time_ms=32.0)
+    profile = detector(accuracy=1.0, fp_rate=0.0)
     pots = [
         Pot(0, 0.0, 0.0, CIRCULAR, 100.0, 100.0),
         Pot(1, 80.0, -40.0, RECTANGULAR, 120.0, 80.0),
@@ -462,13 +498,13 @@ def test_perfect_detector_returns_exactly_the_pots():
 
 
 def test_blind_detector_returns_nothing():
-    profile = DetectorProfile(accuracy=0.0, fp_rate=0.0, inference_time_ms=32.0)
+    profile = detector(accuracy=0.0, fp_rate=0.0)
     dets = simulate_detection(one_pot_view(), AT_CAMERA, profile, np.random.default_rng(0), CAL)
     assert dets == []
 
 
 def test_detection_boxes_survive_the_pipeline():
-    profile = DetectorProfile(accuracy=1.0, fp_rate=0.0, inference_time_ms=32.0)
+    profile = detector(accuracy=1.0, fp_rate=0.0)
     rng = np.random.default_rng(42)
     bands = GeometryBands()
     for _ in range(200):
@@ -477,7 +513,7 @@ def test_detection_boxes_survive_the_pipeline():
 
 
 def test_spurious_detections_survive_the_pipeline_and_keep_distance():
-    profile = DetectorProfile(accuracy=1.0, fp_rate=1.0, inference_time_ms=32.0)
+    profile = detector(accuracy=1.0, fp_rate=1.0)
     rng = np.random.default_rng(7)
     bands = GeometryBands()
     for _ in range(100):
@@ -490,7 +526,7 @@ def test_spurious_detections_survive_the_pipeline_and_keep_distance():
 
 
 def test_detection_rates_match_profile_over_many_frames():
-    profile = DetectorProfile(accuracy=0.96, fp_rate=0.035, inference_time_ms=38.0)
+    profile = detector(accuracy=0.96, fp_rate=0.035)
     rng = np.random.default_rng(123)
     frames = 10_000
     hits = fps = 0
@@ -505,7 +541,7 @@ def test_detection_rates_match_profile_over_many_frames():
 
 
 def test_detection_deterministic_per_seed():
-    profile = DetectorProfile(accuracy=0.9, fp_rate=0.5, inference_time_ms=32.0)
+    profile = detector(accuracy=0.9, fp_rate=0.5)
     a = simulate_detection(one_pot_view(), AT_CAMERA, profile, np.random.default_rng(9), CAL)
     b = simulate_detection(one_pot_view(), AT_CAMERA, profile, np.random.default_rng(9), CAL)
     assert a == b
@@ -585,32 +621,33 @@ def test_capture_bounded_and_monotone_along_rays(e1, e2, pot, angle):
     assert 0.0 <= far <= near <= 1.0 or far == pytest.approx(near, abs=1e-9)
 
 
+def pump_point(overshoot=0.0, efficiency=1.0):
+    """An operating point that pumps `overshoot` above the target and keeps
+    `efficiency` of what the pot captures."""
+    return tuning(dispense_overshoot=overshoot, spray_efficiency=efficiency)
+
+
 def test_dispense_perfect_hit_delivers_everything():
-    pump = PumpModel(flow_rate=30.0, dispense_overshoot=0.0, spray_radius=5.0)
-    dispensed, delivered = dispense(pump, 100.0, 0.0, CIRC_POT)
+    dispensed, delivered = dispense(PumpConfig(spray_radius=5.0), pump_point(), 0.0, CIRC_POT)
     assert dispensed == 100.0
     assert delivered == 100.0
 
 
 def test_dispense_total_miss_delivers_nothing():
-    pump = PumpModel(flow_rate=30.0, spray_radius=20.0)
-    dispensed, delivered = dispense(pump, 100.0, 70.0, CIRC_POT)
+    dispensed, delivered = dispense(PumpConfig(), pump_point(), 70.0, CIRC_POT)
     assert dispensed == 100.0
     assert delivered == 0.0
 
 
 def test_dispense_table_operating_point():
-    pump = PumpModel(flow_rate=30.0, dispense_overshoot=0.05,
-                     spray_radius=20.0, spray_efficiency=0.952)
-    dispensed, delivered = dispense(pump, 100.0, 6.0, CIRC_POT)
+    dispensed, delivered = dispense(PumpConfig(), pump_point(0.05, 0.952), 6.0, CIRC_POT)
     assert dispensed == pytest.approx(105.0)
     assert delivered / dispensed >= 0.92
 
 
 @given(st.floats(0.0, 200.0), st.floats(0.01, 0.15))
 def test_dispense_never_exceeds_dispensed(error, overshoot):
-    pump = PumpModel(flow_rate=30.0, dispense_overshoot=overshoot, spray_efficiency=0.95)
-    dispensed, delivered = dispense(pump, 100.0, error, CIRC_POT)
+    dispensed, delivered = dispense(PumpConfig(), pump_point(overshoot, 0.95), error, CIRC_POT)
     assert 0.0 <= delivered <= dispensed
 
 

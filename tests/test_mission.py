@@ -22,6 +22,7 @@ from irribot.fieldsim import (
 )
 from irribot.kinematics import ArmGeometry, CalibrationState
 from irribot.leveling import drift_update
+from irribot.sums import ltr_sum
 from irribot.mission import (
     _FINISHERS,
     ABORTED,
@@ -37,6 +38,7 @@ from irribot.mission import (
     MissionTimeout,
     _active_subsystems,
     _transition,
+    mean_or_none,
     plan_pot_service,
     run_mission,
     run_trial,
@@ -258,6 +260,14 @@ def test_water_savings_helper_examples():
         water_savings_pct(0.0, 0.6)
 
 
+def test_float_sums_add_left_to_right():
+    # compensated summation (Python 3.12's sum()) would give 1.0
+    assert ltr_sum([1e16, 1.0, -1e16]) == 0.0
+    assert mean_or_none([1e16, 1.0, -1e16]) == 0.0
+    assert math.copysign(1.0, ltr_sum([-0.0])) == 1.0  # 0 + -0.0, as sum() adds it
+    assert ltr_sum([]) == 0
+
+
 # ------------------------------------------------------- service planning
 
 def center_detection(conf=0.9, cx=2000.0, cy=1500.0, w=100.0, h=100.0):
@@ -305,7 +315,7 @@ def test_mission_retry_consumes_one_extra_sensing_pass():
     cfg_env = environment_for(CFG, "standard_greenhouse")
     env = dataclasses.replace(
         cfg_env,
-        detector_profile=dataclasses.replace(cfg_env.detector_profile, accuracy=0.0),
+        tuning=dataclasses.replace(cfg_env.tuning, accuracy=0.0),
     )
     report, m = run_trial(env, CFG, GAINS, 13)
     assert report.serviced == 0
