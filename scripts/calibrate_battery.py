@@ -16,7 +16,7 @@ statistics are invariant to whatever this prints. Run from the repo root:
 from dataclasses import replace
 
 from irribot.config import default_config, environment_for, gains_for
-from irribot.mission import run_until_depleted
+from irribot.mission import run_mission, run_until_depleted
 
 SEED = 42
 CFG = default_config()
@@ -26,7 +26,7 @@ def runtime_minutes(env_name, battery, speed, gains, seed=SEED):
     cfg = replace(CFG, battery=battery)
     env = environment_for(cfg, env_name)
     env = replace(env, tuning=replace(env.tuning, drive_speed=speed))
-    minutes, _ = run_until_depleted(env, cfg, gains, seed)
+    minutes, _ = run_until_depleted(run_mission(env, cfg, gains, seed))
     return minutes
 
 

@@ -100,6 +100,36 @@ def _naming_trial(env_name, trial, seed):
         raise ConfigError(f"env {env_name}, {trial}, seed {seed}: {exc}") from None
 
 
+def _run_env(cfg, name, gains, trace, traces):
+    """One environment's trials and endurance run; returns (trial reports,
+    endurance minutes) and, when tracing, files trial 0's ticks in traces.
+
+    The endurance run continues trial 0's mission past its last pot. Its
+    failure is raised after the other trials, so a later trial's is named
+    first. No mission outlives the call.
+    """
+    env = environment_for(cfg, name)
+    reports = []
+    minutes = timeout = None
+    for i in range(cfg.trials):
+        with _naming_trial(name, f"trial {i}", cfg.seed + i):
+            report, mission = run_trial(env, cfg, gains, cfg.seed + i, trial=i,
+                                        keep_trace=trace and i == 0)
+        reports.append(report)
+        if i == 0:
+            if trace:
+                traces[(name, 0)] = mission.trace_rows
+            mission.trace_rows = None  # the endurance ticks are not traced
+            try:
+                minutes = run_until_depleted(mission)[0]
+            except MissionTimeout as exc:
+                timeout = exc
+    if timeout is not None:
+        with _naming_trial(name, "endurance run", cfg.seed):
+            raise timeout
+    return reports, minutes
+
+
 def _cmd_run(args):
     cfg = _load(args)
     overrides = {}
@@ -117,19 +147,7 @@ def _cmd_run(args):
     endurance = {}
     traces = {}
     for name in cfg.env_names():
-        env = environment_for(cfg, name)
-        reports = []
-        for i in range(cfg.trials):
-            want_trace = args.trace and i == 0
-            with _naming_trial(name, f"trial {i}", cfg.seed + i):
-                report, world = run_trial(env, cfg, gains, cfg.seed + i, trial=i,
-                                          keep_trace=want_trace)
-            if want_trace:
-                traces[(name, i)] = world.trace_rows
-            reports.append(report)
-        env_reports[name] = reports
-        with _naming_trial(name, "endurance run", cfg.seed):
-            endurance[name] = run_until_depleted(env, cfg, gains, cfg.seed)[0]
+        env_reports[name], endurance[name] = _run_env(cfg, name, gains, args.trace, traces)
 
     payload = build_results(dataclasses.asdict(cfg), env_reports, endurance)
     out_dir = Path(args.out_dir)

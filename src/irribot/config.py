@@ -32,6 +32,7 @@ from irribot.fieldsim import (
 )
 from irribot.kinematics import ArmGeometry, CalibrationState
 from irribot.leveling import LevelingConfig, PidGains, PlatformPlant, tune_leveling
+from irribot.mission import GUARD_HOURS, MAX_MISSION_TICKS
 
 
 class ConfigError(ValueError):
@@ -67,6 +68,9 @@ class TimingConfig:
         _require(self.sense_settle >= 0 and self.arm_move >= 0,
                  "phase times must be non-negative")
         _require(self.mission_tick > 0, "mission_tick must be positive")
+        _require(GUARD_HOURS * 3600.0 / self.mission_tick <= MAX_MISSION_TICKS,
+                 f"{GUARD_HOURS:g} h / mission_tick must be at most "
+                 f"{MAX_MISSION_TICKS} ticks")
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,10 @@ def _default_calibration():
     return CalibrationState(s=0.1, u0=2000.0, v0=1500.0, delta_x=150.0)
 
 
+# the largest field a run may lay out; CI runs a field this size in about 1 s
+MAX_POT_COUNT = 20_000
+
+
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 42
@@ -138,6 +146,7 @@ class RunConfig:
         _require(self.seed >= 0, "seed must be non-negative")
         _require(self.trials >= 1, "trials must be at least 1")
         _require(self.pot_count >= 1, "pot_count must be at least 1")
+        _require(self.pot_count <= MAX_POT_COUNT, f"pot_count must be at most {MAX_POT_COUNT}")
         _require(self.env == "all" or self.env in ENV_NAMES,
                  f"env must be 'all' or one of {', '.join(ENV_NAMES)}")
         _require(self.calibration.z_const > 0, "calibration.z_const must be positive")

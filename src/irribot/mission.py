@@ -53,6 +53,12 @@ CAUSE_DEPLETED = "Depleted"
 CAUSE_UNDETECTED = "Undetected"
 CAUSE_UNREACHABLE = "Unreachable"
 
+# simulated-time guard of one mission, its endurance continuation included
+GUARD_HOURS = 3.0
+# the most ticks the guard may span (GUARD_HOURS * 3600 / mission_tick), which
+# is the guard at a 1 ms tick; every tick is walked one at a time
+MAX_MISSION_TICKS = 10_800_000
+
 
 class MissionTimeout(RuntimeError):
     """The mission neither finished nor aborted within its simulated-time guard."""
@@ -76,13 +82,14 @@ class Mission:
     """One mission's simulation handles and all of its mutable state, which
     `step_mission` and the phase finishers change in place."""
 
-    def __init__(self, env, layout, cfg, gains, rng, *, loop=False, keep_trace=False):
+    def __init__(self, env, layout, cfg, gains, rng, *, keep_trace=False):
         self.env = env
         self.layout = layout
         self.cfg = cfg
         self.gains = gains
         self.rng = rng
-        self.loop = loop  # endurance mode: wrap to pot 0 instead of finishing
+        self.loop = False  # endurance mode: wrap to pot 0 instead of finishing
+        self.ticks = 0  # mission ticks run so far
         self.bands = GeometryBands()
         # summed battery draw of each phase, mA
         self.draw_ma = {p: cfg.battery.current_ma(_active_subsystems(p, env)) for p in _FINISHERS}
@@ -378,6 +385,7 @@ def step_mission(mission, dt, max_ticks):
             t = t + dt
             rows.append((t, phase, pot, tilt, volts))
     m.elapsed, m.charge, m.phase_left = elapsed, charge, left
+    m.ticks += ticks
     if depleted:
         m.depleted, m.cause = True, CAUSE_DEPLETED
         _transition(m, ABORTED, left)
@@ -386,21 +394,26 @@ def step_mission(mission, dt, max_ticks):
     return ticks
 
 
-def run_mission(env, cfg, gains, seed, *, loop=False, keep_trace=False, max_hours=3.0):
+def _run_guarded(m, max_hours):
+    """Step the mission until it ends; raises MissionTimeout once its tick
+    count, counted from its first tick, reaches the guard of max_hours."""
+    tick = m.cfg.timing.mission_tick
+    max_ticks = int(max_hours * 3600.0 / tick)
+    while m.ticks < max_ticks and m.phase not in (DONE, ABORTED):
+        step_mission(m, tick, max_ticks - m.ticks)
+    if m.phase in (DONE, ABORTED) and m.ticks <= max_ticks:
+        return m
+    raise MissionTimeout(
+        f"mission exceeded the simulation-time guard of {max_hours:g} h ({max_ticks} ticks)")
+
+
+def run_mission(env, cfg, gains, seed, *, keep_trace=False, max_hours=GUARD_HOURS):
     """Run one full mission in env, as `environment_for(cfg, name)` resolves
     it, with these leveling gains; returns the finished Mission."""
     rng = np.random.default_rng(seed)
     layout = realize_layout(env.layout, rng)
-    mission = Mission(env, layout, cfg, gains, rng, loop=loop, keep_trace=keep_trace)
-    tick = cfg.timing.mission_tick
-    max_ticks = int(max_hours * 3600.0 / tick)
-    ticks = 0
-    while ticks < max_ticks:
-        ticks += step_mission(mission, tick, max_ticks - ticks)
-        if mission.phase in (DONE, ABORTED):
-            return mission
-    raise MissionTimeout(
-        f"mission exceeded the simulation-time guard of {max_hours:g} h ({max_ticks} ticks)")
+    mission = Mission(env, layout, cfg, gains, rng, keep_trace=keep_trace)
+    return _run_guarded(mission, max_hours)
 
 
 # --------------------------------------------------------------------------
@@ -484,15 +497,26 @@ def aggregate_trial(env, mission, trial, seed):
 
 def run_trial(env, cfg, gains, seed, *, trial=0, keep_trace=False):
     """One metrics trial over the full layout; returns (report, mission)."""
-    mission = run_mission(env, cfg, gains, seed, loop=False, keep_trace=keep_trace)
+    mission = run_mission(env, cfg, gains, seed, keep_trace=keep_trace)
     return aggregate_trial(env, mission, trial, seed), mission
 
 
-def run_until_depleted(env, cfg, gains, seed, *, max_hours=3.0):
-    """Endurance run: loop the layout until the battery gives out.
+def run_until_depleted(mission, *, max_hours=GUARD_HOURS):
+    """Endurance run: continue a mission `run_mission` finished past its last
+    pot, looping the layout until the battery gives out.
 
-    Returns (minutes of runtime, pots serviced). A looping mission never
-    reaches Done, so it ends aborted or raises MissionTimeout.
+    Returns (minutes of runtime, pots serviced), both counted from the
+    mission's start. A mission that ended Done wraps to pot 0; an aborted one
+    runs no further. The loop never reaches Done, so it ends aborted or raises
+    MissionTimeout. The first lap and the loop share one tick count under one
+    guard of max_hours, so this runs exactly as a mission that looped from its
+    first tick would.
     """
-    mission = run_mission(env, cfg, gains, seed, loop=True, max_hours=max_hours)
-    return mission.elapsed / 60.0, mission.pots_seen
+    m = mission
+    if m.phase == DONE:
+        # Advancing -> Done is all the last _finish_advancing changed; redo it looping
+        m.phase = m.transitions.pop()[0]
+        m.loop = True
+        _finish_advancing(m)
+    _run_guarded(m, max_hours)
+    return m.elapsed / 60.0, m.pots_seen

@@ -35,7 +35,7 @@ from irribot.leveling import (
     run_leveling_episode,
     tune_leveling,
 )
-from irribot.mission import run_trial, run_until_depleted
+from irribot.mission import run_mission, run_trial, run_until_depleted
 from test_kinematics import forward_kinematics  # the round-trip oracle
 from test_leveling import episode, record  # the production episode and its quiet record
 
@@ -281,7 +281,8 @@ def test_criterion_7_battery_runtimes(capsys):
         cfg = default_config()
         gains = gains_for(cfg)
         for name, want in RUNTIME_TARGETS.items():
-            minutes, _ = run_until_depleted(environment_for(cfg, name), cfg, gains, 42)
+            mission = run_mission(environment_for(cfg, name), cfg, gains, 42)
+            minutes, _ = run_until_depleted(mission)
             assert abs(minutes - want) <= 2.0, f"{name} ran {minutes:.2f} min"
 
 

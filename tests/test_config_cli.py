@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,8 @@ from irribot.config import (
     gains_for,
     load_config,
 )
-from irribot.mission import TrialReport, run_trial
+from irribot import mission as mission_module
+from irribot.mission import MissionTimeout, TrialReport, run_mission, run_trial
 from irribot.report import (
     TABLE_COLUMNS,
     build_results,
@@ -127,6 +129,8 @@ def test_unknown_keys_fail_with_path(tmp_path, text, frag):
     ("seed: -1\n", "bad value in top level: seed must be non-negative"),
     ("trials: 2.5\n", "trials"),
     ("pot_count: true\n", "pot_count"),
+    ("timing: {mission_tick: 1.0e-300}\n",
+     "bad value in timing: 3 h / mission_tick must be at most 10800000 ticks"),
     ("leveling: {noise_std: abc}\n", "leveling.noise_std must be float, got str"),
     ("leveling: {shielded: 1}\n", "leveling.shielded must be bool, got int"),
     ("leveling: {kp: [5.0]}\n", "leveling.kp must be float | None, got list"),
@@ -374,6 +378,14 @@ def test_cli_trace_flag_writes_tick_trace(tmp_path):
     trace = (out / "trace.csv").read_text()
     assert trace.splitlines()[0] == "env,trial,t,phase,pot,tilt_deg,voltage"
     assert "Sensing" in trace
+    # trial 0's ticks only: not trial 1's, nor those of the endurance run
+    # that continues trial 0's mission
+    cfg = default_config()
+    m = run_mission(environment_for(cfg, "standard_greenhouse"), cfg, gains_for(cfg), 5)
+    rows = list(csv.DictReader(io.StringIO(trace)))
+    assert {row["trial"] for row in rows} == {"0"}
+    assert len(rows) == m.ticks
+    assert rows[-1]["t"] == f"{m.elapsed:.2f}"
 
 
 def csv_writer_trace_text(traces):
@@ -435,6 +447,46 @@ def test_cli_simulation_failures_exit_4_naming_the_trial(tmp_path, capsys, text,
                  "--out-dir", str(tmp_path)])
     assert code == 4
     assert f"env {env}, {where}:" in capsys.readouterr().err
+
+
+def test_cli_later_trial_failure_is_named_before_the_endurance_run(
+        tmp_path, capsys, monkeypatch):
+    real_run_trial = cli.run_trial
+    tried = []
+
+    def failing_trial_1(env, cfg, gains, seed, *, trial, keep_trace):
+        tried.append(trial)
+        if trial == 1:
+            raise MissionTimeout("stalled")
+        return real_run_trial(env, cfg, gains, seed, trial=trial, keep_trace=keep_trace)
+
+    monkeypatch.setattr(cli, "run_trial", failing_trial_1)
+    # the endurance run, which continues trial 0, outlasts its guard too
+    cfg = write(tmp_path, "battery: {capacity_mah: 100000}\n")
+    code = main(["run", "--config", cfg, "--env", "standard_greenhouse", "--trials", "3",
+                 "--out-dir", str(tmp_path)])
+    assert code == 4 and tried == [0, 1]
+    assert capsys.readouterr().err == (
+        "irribot: validation error: env standard_greenhouse, trial 1, seed 43: stalled\n")
+
+
+def test_cli_pot_count_above_the_bound_exits_4_before_any_layout(
+        tmp_path, capsys, monkeypatch):
+    def no_layout(*args):
+        raise AssertionError("a layout was built")
+
+    monkeypatch.setattr(mission_module, "realize_layout", no_layout)
+    cfg = write(tmp_path, "pot_count: 20001\n")
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == (
+        "irribot: validation error: bad value in top level: pot_count must be at most 20000\n")
+
+
+def test_mission_tick_bound_admits_the_guard_at_1_ms_and_no_finer():
+    timing = default_config().timing
+    assert dataclasses.replace(timing, mission_tick=0.001).mission_tick == 0.001
+    with pytest.raises(ConfigError, match="must be at most 10800000 ticks"):
+        dataclasses.replace(timing, mission_tick=math.nextafter(0.001, 0.0))
 
 
 def test_cli_negative_seed_exits_4_naming_the_seed(tmp_path, capsys):

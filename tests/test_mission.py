@@ -330,7 +330,7 @@ def test_endurance_runtime_tracks_battery_capacity():
     small = BatteryModel(capacity_mah=240.0)  # a tenth of the stock pack
     cfg = config_with(battery=small)
     minutes, pots = run_until_depleted(
-        environment_for(cfg, "standard_greenhouse"), cfg, GAINS, 42)
+        run_mission(environment_for(cfg, "standard_greenhouse"), cfg, GAINS, 42))
     assert 2.0 < minutes < 4.0  # stock pack lasts ~30 min in this environment
     assert pots >= 15
 
@@ -340,7 +340,8 @@ def test_endurance_raises_when_battery_cannot_deplete():
     cfg = config_with(battery=huge)
     with pytest.raises(MissionTimeout):
         run_until_depleted(
-            environment_for(cfg, "standard_greenhouse"), cfg, GAINS, 42, max_hours=0.02)
+            run_mission(environment_for(cfg, "standard_greenhouse"), cfg, GAINS, 42),
+            max_hours=0.02)
 
 
 # The script overrides a drive speed on the resolved environment; its
@@ -377,6 +378,7 @@ def reference_step(m, dt):
     m.bias = drift_update(m.cfg.leveling, m.bias, dt)
     m.elapsed = m.elapsed + dt
     m.phase_left = m.phase_left - dt
+    m.ticks += 1
     if m.trace_rows is not None:
         m.trace_rows.append((m.elapsed, m.phase, m.pot_index % len(m.layout.pots), m.tilt,
                              model.voltage(m.charge)))
@@ -391,20 +393,18 @@ def reference_mission(env, cfg, seed, *, loop=False, max_ticks=10**7):
     """Tick-at-a-time mission; returns (mission, ticks) when it ends or when
     max_ticks have run."""
     rng = np.random.default_rng(seed)
-    m = Mission(env, realize_layout(env.layout, rng), cfg, GAINS, rng, loop=loop,
-                keep_trace=True)
-    for ticks in range(1, max_ticks + 1):
+    m = Mission(env, realize_layout(env.layout, rng), cfg, GAINS, rng, keep_trace=True)
+    m.loop = loop
+    while m.ticks < max_ticks and m.phase not in (DONE, ABORTED):
         reference_step(m, cfg.timing.mission_tick)
-        if m.phase in (DONE, ABORTED):
-            break
-    return m, ticks
+    return m, m.ticks
 
 
 # everything a mission mutates as it runs
 MISSION_STATE = (
     "phase", "pot_index", "elapsed", "phase_left", "retried", "cause", "charge", "depleted",
     "bias", "tilt", "records", "transitions", "trace_rows", "frames", "det_count",
-    "fp_count", "matched_frames", "pots_seen",
+    "fp_count", "matched_frames", "pots_seen", "ticks",
 )
 
 
@@ -459,7 +459,9 @@ def test_phase_core_matches_tick_reference(env_name, seed, pot_count, tick, capa
     ref, ref_ticks = reference_mission(env, cfg, seed, loop=loop)
     assert ref.phase in (DONE, ABORTED)
     with counted_steps() as calls:
-        m = run_mission(env, cfg, GAINS, seed, loop=loop, keep_trace=True)
+        m = run_mission(env, cfg, GAINS, seed, keep_trace=True)
+        if loop:  # the endurance run continues the finished mission
+            run_until_depleted(m)
     assert_same_mission(m, ref)
     assert sum(ticks for _, ticks in calls) == ref_ticks == len(m.trace_rows)
     for src, dst in m.transitions:
@@ -477,3 +479,31 @@ def test_time_guard_fires_after_exactly_the_budgeted_ticks(max_hours, tick):
     m = calls[-1][0]
     assert sum(n for _, n in calls) == budget == len(m.trace_rows)
     assert_same_mission(m, ref)
+
+
+def guard_hours(ticks, tick):
+    """The smallest max_hours whose guard is `ticks` ticks of `tick` s."""
+    hours = ticks * tick / 3600.0
+    while int(hours * 3600.0 / tick) < ticks:
+        hours = math.nextafter(hours, math.inf)
+    return hours
+
+
+# the pack finishes the lap or aborts part-way through it; the endurance guard
+# ends with the lap or that many ticks before it
+@pytest.mark.parametrize("capacity,phase", [(2400.0, DONE), (20.0, ABORTED)])
+@pytest.mark.parametrize("short", [0, 1, 40])
+def test_continuation_is_under_the_guard_of_a_fresh_loop(capacity, phase, short):
+    env, cfg = varied_config("hilly_terrain", 3, 0.05, capacity, 0.0015, True)
+    m = run_mission(env, cfg, GAINS, 9, keep_trace=True)
+    assert m.phase == phase
+    budget = m.ticks - short
+    hours = guard_hours(budget, 0.05)
+    ref, _ = reference_mission(env, cfg, 9, loop=True, max_ticks=budget)
+    if ref.phase == ABORTED:
+        run_until_depleted(m, max_hours=hours)
+    else:
+        with pytest.raises(MissionTimeout, match=rf"\({budget} ticks\)$"):
+            run_until_depleted(m, max_hours=hours)
+    if short == 0:  # the reference ran every tick the mission did
+        assert_same_mission(m, ref)
