@@ -123,6 +123,8 @@ def _default_calibration():
 
 # the largest field a run may lay out; CI runs a field this size in about 1 s
 MAX_POT_COUNT = 20_000
+# the most trials per environment; 900 trials of the default 20 pots take ~4.4 s
+MAX_TRIALS = 1_000
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,7 @@ class RunConfig:
     def __post_init__(self):
         _require(self.seed >= 0, "seed must be non-negative")
         _require(self.trials >= 1, "trials must be at least 1")
+        _require(self.trials <= MAX_TRIALS, f"trials must be at most {MAX_TRIALS}")
         _require(self.pot_count >= 1, "pot_count must be at least 1")
         _require(self.pot_count <= MAX_POT_COUNT, f"pot_count must be at most {MAX_POT_COUNT}")
         _require(self.env == "all" or self.env in ENV_NAMES,

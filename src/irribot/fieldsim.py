@@ -640,20 +640,23 @@ class BatteryModel:
 
 
 def battery_step(model, charge, current_ma, dt, ticks=1, voltages=None):
-    """Drain `charge` (mAh) at `current_ma` over `ticks` ticks of dt seconds each.
+    """Drain `charge` (mAh) at `current_ma` over at most `ticks` ticks of dt
+    seconds each, stopping on the first tick whose voltage is below the cutoff.
 
-    Returns (charge, depleted). Ticks apply one at a time, so one n-tick call
-    equals n one-tick calls bit for bit. A draw is non-negative, so charge
-    never rises, and voltage is monotone in charge: if any tick's voltage
-    falls below the cutoff, the last tick's does, so depletion is decided
-    from the last tick alone. When `voltages` is a list, each tick's voltage
-    is appended to it.
+    Returns (charge, depleted, ticks run). Ticks apply one at a time, so one
+    n-tick call equals one-tick calls up to and including its first depleted
+    tick, bit for bit. When `voltages` is a list, each tick's voltage is
+    appended to it. With capacity > 0 and full > cutoff > 0, a non-negative
+    charge never reads below the cutoff (IEEE division, multiplication and
+    addition are monotone), so only a negative charge needs its voltage.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     drain = current_ma * dt / 3600.0
-    for _ in range(ticks):
+    for n in range(1, ticks + 1):
         charge = charge - drain
         if voltages is not None:
             voltages.append(model.voltage(charge))
-    return charge, model.voltage(charge) < model.voltage_cutoff
+        if charge < 0.0 and model.voltage(charge) < model.voltage_cutoff:
+            return charge, True, n
+    return charge, False, ticks

@@ -59,6 +59,9 @@ GUARD_HOURS = 3.0
 # is the guard at a 1 ms tick; every tick is walked one at a time
 MAX_MISSION_TICKS = 10_800_000
 
+# the aspect-ratio bands every sensing frame is filtered with
+_BANDS = GeometryBands()
+
 
 class MissionTimeout(RuntimeError):
     """The mission neither finished nor aborted within its simulated-time guard."""
@@ -90,19 +93,18 @@ class Mission:
         self.rng = rng
         self.loop = False  # endurance mode: wrap to pot 0 instead of finishing
         self.ticks = 0  # mission ticks run so far
-        self.bands = GeometryBands()
         # summed battery draw of each phase, mA
         self.draw_ma = {p: cfg.battery.current_ma(_active_subsystems(p, env)) for p in _FINISHERS}
         self.phase = SENSING
+        self.phase_start = 0  # the mission tick the current phase began at
         self.pot_index = 0
         self.elapsed = 0.0  # s
         self.phase_left = _sensing_time(self)  # s
         self.retried = False
-        self.cause = None
         self.charge = cfg.battery.capacity_mah  # mAh
-        self.depleted = False
         self.bias = 0.0  # degrees, integrated drift of the tilt reading
-        self.leveled_bias = None  # bias after the leveling phase, set by a reset in it
+        # the leveling phase's tick of its last charged drift reset, or None
+        self.reset_tick = None
         self.tilt = float(env.slope)
         self.records = [IrrigationRecord(pot_id=p.pot_id) for p in layout.pots]
         self.frames = 0
@@ -129,7 +131,6 @@ class Mission:
 class PlanItem:
     """One detection mapped through calibration and kinematics."""
 
-    detection: object
     target: ArmTarget | None
     joints: object | None
     matched_pot: int | None  # scoring only; missions never act on ground truth
@@ -154,9 +155,9 @@ def plan_pot_service(dets, layout, cal, geom, *, station=(0.0, 0.0), match_gate_
         matched = layout.nearest_id(fx, fy, match_gate_mm)
         try:
             joints = inverse_kinematics(target, geom)
-            items.append(PlanItem(det, target, joints, matched))
+            items.append(PlanItem(target, joints, matched))
         except (UnreachableTarget, SingularBase):
-            items.append(PlanItem(det, target, None, matched, cause=CAUSE_UNREACHABLE))
+            items.append(PlanItem(target, None, matched, cause=CAUSE_UNREACHABLE))
     return items
 
 
@@ -189,6 +190,7 @@ def _active_subsystems(phase, env):
 def _transition(m, phase, phase_left):
     m.transitions.append((m.phase, phase))
     m.phase = phase
+    m.phase_start = m.ticks
     m.phase_left = phase_left
 
 
@@ -220,7 +222,7 @@ def _finish_sensing(m):
     raw = simulate_detection(m.layout.in_box(pot.x, pot.y, 145.0), (pot.x, pot.y),
                              m.env.tuning, m.rng, cal)
     dets = enhanced_detection(
-        raw, m.bands, conf_threshold=cfg.detection.conf_threshold,
+        raw, _BANDS, conf_threshold=cfg.detection.conf_threshold,
         iou_threshold=cfg.detection.iou_threshold,
     )
     plan = plan_pot_service(
@@ -264,19 +266,16 @@ def _enter_leveling(m):
     # before it zeroes the bias, which then grows again from the mission tick
     # the reset falls in to the end of the phase.
     charged = [r for r in summary.resets if r * tick <= settle]
-    m.leveled_bias = None
-    if charged:
-        dt = m.cfg.timing.mission_tick
-        # the phase's own tick count; the countdown ends before that bound
-        phase_ticks = _countdown(0.0, float(settle), dt, int(settle / dt) + 2)[0]
-        since = phase_ticks - int(charged[-1] * tick / dt + 1e-9)
-        m.leveled_bias = drift_update(lv, 0.0, dt, since)
+    dt = m.cfg.timing.mission_tick
+    m.reset_tick = int(charged[-1] * tick / dt + 1e-9) if charged else None
     _transition(m, LEVELING, float(settle))
 
 
 def _finish_leveling(m):
-    if m.leveled_bias is not None:
-        m.bias = m.leveled_bias
+    if m.reset_tick is not None:
+        # the bias grew from zero over the phase's ticks after the reset's
+        since = m.ticks - m.phase_start - m.reset_tick
+        m.bias = drift_update(m.cfg.leveling, 0.0, m.cfg.timing.mission_tick, since)
     _transition(m, POSITIONING, m.cfg.timing.arm_move)
 
 
@@ -346,48 +345,41 @@ def _countdown(elapsed, left, dt, max_ticks):
     return ticks, elapsed, left
 
 
-def step_mission(mission, dt, max_ticks):
+def step_mission(mission, max_ticks):
     """Advance the mission through its current phase; returns the tick count.
 
-    Mutates `mission` in place. The phase runs at tick resolution until its
-    time is used up, the battery depletes, or max_ticks ticks have passed.
-    Battery charge and drift bias are plain floats that accumulate tick by
-    tick, so every float equals that of a loop stepping one tick at a time;
-    with a trace, each tick adds one row. The phase's finisher then picks
-    the next phase and updates the mission, unless max_ticks cut the phase
-    short.
+    Mutates `mission` in place. The phase runs at ticks of the config's
+    `mission_tick` until its time is used up, the battery depletes, or
+    max_ticks ticks have passed. Battery charge and drift bias are plain
+    floats that accumulate tick by tick, so every float equals that of a
+    loop stepping one tick at a time; with a trace, each tick adds one row.
+    The phase's finisher then picks the next phase and updates the mission,
+    unless depletion aborted it or max_ticks cut it short.
     """
     m = mission
     phase = m.phase
     if phase in (DONE, ABORTED):
         raise ValueError(f"mission already terminal in phase {phase}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     if max_ticks < 1:
         raise ValueError("max_ticks must be at least 1")
+    dt = m.cfg.timing.mission_tick
     ticks, elapsed, left = _countdown(m.elapsed, m.phase_left, dt, max_ticks)
-    model, draw = m.cfg.battery, m.draw_ma[phase]
     voltages = [] if m.trace_rows is not None else None
-    charge, depleted = battery_step(model, m.charge, draw, dt, ticks, voltages)
-    if depleted:
-        # replay one tick at a time to the tick that latched depletion
-        charge, depleted, ticks = m.charge, False, 0
-        while not depleted:
-            charge, depleted = battery_step(model, charge, draw, dt)
-            ticks += 1
-        ticks, elapsed, left = _countdown(m.elapsed, m.phase_left, dt, ticks)
+    charge, depleted, run = battery_step(m.cfg.battery, m.charge, m.draw_ma[phase], dt,
+                                         ticks, voltages)
+    if run < ticks:  # the battery depleted on tick `run`
+        ticks, elapsed, left = _countdown(m.elapsed, m.phase_left, dt, run)
     # the finisher may read the bias: _enter_leveling hands it to the episode
     m.bias = drift_update(m.cfg.leveling, m.bias, dt, ticks)
     if voltages is not None:
         pot = m.pot_index % len(m.layout.pots)
         t, rows, tilt = m.elapsed, m.trace_rows, m.tilt
-        for volts in voltages[:ticks]:
+        for volts in voltages:
             t = t + dt
             rows.append((t, phase, pot, tilt, volts))
     m.elapsed, m.charge, m.phase_left = elapsed, charge, left
     m.ticks += ticks
     if depleted:
-        m.depleted, m.cause = True, CAUSE_DEPLETED
         _transition(m, ABORTED, left)
     elif left <= 1e-9:
         _FINISHERS[phase](m)
@@ -400,7 +392,7 @@ def _run_guarded(m, max_hours):
     tick = m.cfg.timing.mission_tick
     max_ticks = int(max_hours * 3600.0 / tick)
     while m.ticks < max_ticks and m.phase not in (DONE, ABORTED):
-        step_mission(m, tick, max_ticks - m.ticks)
+        step_mission(m, max_ticks - m.ticks)
     if m.phase in (DONE, ABORTED) and m.ticks <= max_ticks:
         return m
     raise MissionTimeout(
@@ -444,9 +436,6 @@ class TrialReport:
     aborted: bool
     abort_cause: str | None
 
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 def mean_or_none(values):
     """Arithmetic mean of the values, or None when there are none."""
@@ -454,9 +443,11 @@ def mean_or_none(values):
     return ltr_sum(vals) / len(vals) if vals else None
 
 
-def aggregate_trial(env, mission, trial, seed):
+def aggregate_trial(mission, trial, seed):
     """Fold the mission's records into one report row of plain floats."""
     m = mission
+    env = m.env
+    aborted = m.phase == ABORTED
     records = m.records
     pots = len(records)
     serviced = [r for r in records if r.serviced]
@@ -490,15 +481,15 @@ def aggregate_trial(env, mission, trial, seed):
         water_savings_pct=savings,
         elapsed_s=m.elapsed,
         battery_voltage_end=float(m.cfg.battery.voltage(m.charge)),
-        aborted=m.phase == ABORTED,
-        abort_cause=m.cause,
+        aborted=aborted,
+        abort_cause=CAUSE_DEPLETED if aborted else None,
     )
 
 
 def run_trial(env, cfg, gains, seed, *, trial=0, keep_trace=False):
     """One metrics trial over the full layout; returns (report, mission)."""
     mission = run_mission(env, cfg, gains, seed, keep_trace=keep_trace)
-    return aggregate_trial(env, mission, trial, seed), mission
+    return aggregate_trial(mission, trial, seed), mission
 
 
 def run_until_depleted(mission, *, max_hours=GUARD_HOURS):

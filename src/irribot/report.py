@@ -11,32 +11,29 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from irribot.fieldsim import ENV_NAMES
 from irribot.mission import TrialReport, mean_or_none
 
 SCHEMA_VERSION = 1
 
-TABLE_COLUMNS = (
-    "Acc %", "Time ms", "FP %", "Error mm",
-    "Leveling s", "SSE °", "Volume mL", "Eff %",
+# header, summary key and rendering precision per column, in column order
+_COLUMNS = (
+    ("Acc %", "accuracy_pct", 1),
+    ("Time ms", "mean_inference_ms", 0),
+    ("FP %", "fp_pct", 1),
+    ("Error mm", "mean_positioning_error_mm", 1),
+    ("Leveling s", "leveling_mean_s", 2),
+    ("SSE °", "sse_mean_deg", 2),
+    ("Volume mL", "mean_volume_ml", 1),
+    ("Eff %", "efficiency_pct", 1),
 )
 
-# summary key and rendering precision per column, in column order
-_COLUMN_SPECS = (
-    ("accuracy_pct", 1),
-    ("mean_inference_ms", 0),
-    ("fp_pct", 1),
-    ("mean_positioning_error_mm", 1),
-    ("leveling_mean_s", 2),
-    ("sse_mean_deg", 2),
-    ("mean_volume_ml", 1),
-    ("efficiency_pct", 1),
-)
+TABLE_COLUMNS = tuple(header for header, _, _ in _COLUMNS)
 
 # every summary value render_report formats
-_RENDERED_SUMMARY_KEYS = (*(key for key, _ in _COLUMN_SPECS), "water_savings_pct")
+_RENDERED_SUMMARY_KEYS = (*(key for _, key, _ in _COLUMNS), "water_savings_pct")
 
 _CSV_FIELDS = tuple(f.name for f in fields(TrialReport))
 
@@ -50,23 +47,14 @@ def summarize_env(reports):
     def present(key):
         return [v for r in reports if (v := getattr(r, key)) is not None]
 
-    summary = {
+    return {
         "trials": len(reports),
-        "accuracy_pct": mean_or_none(r.accuracy_pct for r in reports),
-        "frame_accuracy_pct": mean_or_none(r.frame_accuracy_pct for r in reports),
-        "fp_pct": mean_or_none(r.fp_pct for r in reports),
-        "mean_inference_ms": mean_or_none(r.mean_inference_ms for r in reports),
-        "mean_positioning_error_mm": mean_or_none(present("mean_positioning_error_mm")),
-        "leveling_mean_s": mean_or_none(present("leveling_mean_s")),
-        "sse_mean_deg": mean_or_none(present("sse_mean_deg")),
-        "mean_volume_ml": mean_or_none(present("mean_volume_ml")),
-        "efficiency_pct": mean_or_none(present("efficiency_pct")),
-        "water_savings_pct": mean_or_none(present("water_savings_pct")),
+        **{key: mean_or_none(present(key))
+           for key in (*_RENDERED_SUMMARY_KEYS, "frame_accuracy_pct")},
         "serviced_total": sum(r.serviced for r in reports),
         "pots_total": sum(r.pots for r in reports),
         "aborted_trials": sum(1 for r in reports if r.aborted),
     }
-    return summary
 
 
 def build_results(cfg_dict, env_reports, endurance_min=None):
@@ -80,7 +68,7 @@ def build_results(cfg_dict, env_reports, endurance_min=None):
     for name, reports in env_reports.items():
         environments[name] = {
             "summary": summarize_env(reports),
-            "trials": [r.to_dict() for r in reports],
+            "trials": [asdict(r) for r in reports],
         }
         if endurance_min and name in endurance_min:
             environments[name]["endurance_runtime_min"] = endurance_min[name]
@@ -150,7 +138,7 @@ def render_summary_table(payload):
     rows = []
     for name in _env_order(payload):
         summary = payload["environments"][name]["summary"]
-        rows.append([name] + [_cell(summary.get(key), d) for key, d in _COLUMN_SPECS])
+        rows.append([name] + [_cell(summary.get(key), d) for _, key, d in _COLUMNS])
     headers = ["Environment", *TABLE_COLUMNS]
     widths = [max(len(headers[c]), *(len(r[c]) for r in rows)) if rows else len(headers[c])
               for c in range(len(headers))]

@@ -15,8 +15,10 @@ import pytest
 from irribot import cli
 from irribot.cli import main
 from irribot.config import (
+    MAX_TRIALS,
     ConfigError,
     ConfigParseError,
+    RunConfig,
     default_config,
     dump_config,
     environment_for,
@@ -128,6 +130,7 @@ def test_unknown_keys_fail_with_path(tmp_path, text, frag):
     ("seed: abc\n", "seed"),
     ("seed: -1\n", "bad value in top level: seed must be non-negative"),
     ("trials: 2.5\n", "trials"),
+    ("trials: 1001\n", "bad value in top level: trials must be at most 1000"),
     ("pot_count: true\n", "pot_count"),
     ("timing: {mission_tick: 1.0e-300}\n",
      "bad value in timing: 3 h / mission_tick must be at most 10800000 ticks"),
@@ -480,6 +483,22 @@ def test_cli_pot_count_above_the_bound_exits_4_before_any_layout(
     assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 4
     assert capsys.readouterr().err == (
         "irribot: validation error: bad value in top level: pot_count must be at most 20000\n")
+
+
+def test_cli_trials_above_the_bound_exits_4_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_trial", no_trial)
+    assert main(["run", "--env", "all", "--trials", "1001", "--out-dir", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == "irribot: validation error: trials must be at most 1000\n"
+    assert not (tmp_path / "results.json").exists()
+
+
+def test_trials_bound_admits_max_trials_and_no_more():
+    assert RunConfig(trials=MAX_TRIALS).trials == MAX_TRIALS == 1000
+    with pytest.raises(ConfigError, match="trials must be at most 1000"):
+        RunConfig(trials=MAX_TRIALS + 1)
 
 
 def test_mission_tick_bound_admits_the_guard_at_1_ms_and_no_finer():

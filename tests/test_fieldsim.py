@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from irribot.config import default_config, environment_for
@@ -655,9 +655,10 @@ def test_dispense_never_exceeds_dispensed(error, overshoot):
 
 def test_battery_idle_holds_charge():
     model = BatteryModel()
-    charge, depleted = battery_step(model, model.capacity_mah, model.current_ma(set()), 10.0)
+    charge, depleted, ticks = battery_step(model, model.capacity_mah, model.current_ma(set()),
+                                           10.0)
     assert charge == model.capacity_mah
-    assert not depleted
+    assert not depleted and ticks == 1
 
 
 def test_battery_voltage_endpoints():
@@ -668,15 +669,16 @@ def test_battery_voltage_endpoints():
 
 def test_battery_known_draw_arithmetic():
     model = BatteryModel(compute_ma=900.0)
-    charge, _ = battery_step(model, model.capacity_mah, model.current_ma({"compute"}), 3600.0)
+    charge, _, _ = battery_step(model, model.capacity_mah, model.current_ma({"compute"}),
+                                3600.0)
     assert charge == pytest.approx(2400.0 - 900.0)
 
 
 def test_battery_depletion_latches():
     model = BatteryModel(compute_ma=900.0)
-    charge, depleted = battery_step(model, 0.1, model.current_ma({"compute"}), 3600.0)
+    charge, depleted, _ = battery_step(model, 0.1, model.current_ma({"compute"}), 3600.0)
     assert depleted
-    _, depleted = battery_step(model, charge, model.current_ma(set()), 1.0)
+    _, depleted, _ = battery_step(model, charge, model.current_ma(set()), 1.0)
     assert depleted  # idle does not revive it
 
 
@@ -703,7 +705,7 @@ def test_battery_drain_does_not_depend_on_subsystem_order():
                 max_size=5), st.floats(0.1, 100.0))
 def test_battery_charge_non_increasing(subsystems, dt):
     model = BatteryModel()
-    charge, _ = battery_step(model, model.capacity_mah, model.current_ma(set(subsystems)), dt)
+    charge, _, _ = battery_step(model, model.capacity_mah, model.current_ma(set(subsystems)), dt)
     assert charge <= model.capacity_mah
 
 
@@ -713,7 +715,7 @@ SUBSYSTEMS = st.sets(st.sampled_from(["drive", "pump", "arm", "compute", "leveli
 @given(SUBSYSTEMS, st.floats(1e-3, 1.0), st.floats(0.01, 5.0))
 def test_battery_one_tick_is_the_linear_drain(subsystems, dt, charge):
     model = BatteryModel(capacity_mah=5.0)
-    after, depleted = battery_step(model, charge, model.current_ma(subsystems), dt)
+    after, depleted, _ = battery_step(model, charge, model.current_ma(subsystems), dt)
     draw = sum(getattr(model, f"{s}_ma") for s in subsystems)
     expected = charge - draw * dt / 3600.0
     soc = expected / model.capacity_mah
@@ -725,27 +727,50 @@ def test_battery_one_tick_is_the_linear_drain(subsystems, dt, charge):
 
 @given(SUBSYSTEMS, st.floats(1e-3, 1.0), st.integers(1, 300), st.floats(0.5, 20.0))
 def test_battery_n_tick_call_equals_n_one_tick_calls(subsystems, dt, n, capacity):
-    # small packs deplete part-way, so the latch is exercised too
+    # small packs deplete part-way, so the walk stops early; one-tick calls
+    # run up to and including the first depleted tick
     model = BatteryModel(capacity_mah=capacity)
     draw = model.current_ma(subsystems)
-    stepped, volts = (capacity, False), []
-    for _ in range(n):
-        stepped = battery_step(model, stepped[0], draw, dt)
-        volts.append(model.voltage(stepped[0]))
+    charge, depleted, volts = capacity, False, []
+    while len(volts) < n and not depleted:
+        charge, depleted, ran = battery_step(model, charge, draw, dt)
+        assert ran == 1
+        volts.append(model.voltage(charge))
+    stepped = (charge.hex(), depleted, len(volts))
     recorded = []
-    assert battery_step(model, capacity, draw, dt, n, recorded) == stepped
-    assert recorded == volts
-    # without a voltage list, depletion is read off the last tick alone
-    assert battery_step(model, capacity, draw, dt, n) == stepped
-    assert stepped[1] == any(v < model.voltage_cutoff for v in volts)
+    walked = battery_step(model, capacity, draw, dt, n, recorded)
+    assert (walked[0].hex(), *walked[1:]) == stepped
+    assert [v.hex() for v in recorded] == [v.hex() for v in volts]
+    walked = battery_step(model, capacity, draw, dt, n)
+    assert (walked[0].hex(), *walked[1:]) == stepped
+    # the walk stops on the first tick below the cutoff, and only there
+    assert [v < model.voltage_cutoff for v in volts] == [False] * (len(volts) - 1) + [depleted]
 
 
 @given(st.floats(1e-3, 1e5), st.floats(1e-3, 50.0), st.floats(1e-3, 50.0),
        st.floats(-1e5, 1e5), st.floats(-1e5, 1e5))
 def test_battery_voltage_never_falls_as_charge_grows(capacity, cutoff, span, a, b):
-    # the last-tick depletion latch rests on this: a lower charge never reads
-    # a higher voltage, below zero charge too
+    # a depleted pack stays depleted: a lower charge never reads a higher
+    # voltage, below zero charge too
     model = BatteryModel(capacity_mah=capacity, voltage_full=cutoff + span,
                          voltage_cutoff=cutoff)
     low, high = min(a, b), max(a, b)
     assert model.voltage(low) <= model.voltage(high)
+
+
+POSITIVE_FINITE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(POSITIVE_FINITE, POSITIVE_FINITE, POSITIVE_FINITE,
+       st.one_of(st.just(-0.0), st.floats(min_value=0.0)))
+@example(2400.0, 11.1, 12.6, -0.0)
+@example(2400.0, 11.1, 12.6, 5e-324)
+@example(5e-324, 11.1, 12.6, 1.0)
+@example(2400.0, 5e-324, 1.7e308, 1.7e308)
+@example(1e-300, 11.1, 12.6, math.inf)
+def test_battery_non_negative_charge_never_reads_below_the_cutoff(capacity, cutoff, full,
+                                                                   charge):
+    # battery_step asks for the voltage only once the charge is negative
+    assume(full > cutoff)
+    model = BatteryModel(capacity_mah=capacity, voltage_full=full, voltage_cutoff=cutoff)
+    assert model.voltage(charge) >= model.voltage_cutoff

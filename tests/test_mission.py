@@ -38,6 +38,7 @@ from irribot.mission import (
     MissionTimeout,
     _active_subsystems,
     _transition,
+    aggregate_trial,
     mean_or_none,
     plan_pot_service,
     run_mission,
@@ -78,8 +79,8 @@ def test_phase_transitions_respect_adjacency():
 def test_mission_finishes_done_on_full_battery():
     m = mission("standard_greenhouse")
     assert m.phase == DONE
-    assert m.cause is None
-    assert not m.depleted
+    report = aggregate_trial(m, 0, 7)
+    assert not report.aborted and report.abort_cause is None
     assert all(r.serviced or r.cause for r in m.records)
 
 
@@ -118,7 +119,7 @@ def test_depleted_battery_aborts_with_cause():
     report, m = trial("standard_greenhouse", 5, config_with(battery=tiny))
     assert report.aborted
     assert report.abort_cause == CAUSE_DEPLETED
-    assert m.depleted
+    assert m.phase == ABORTED
     assert m.transitions[-1][1] == ABORTED
     assert report.serviced < report.pots
 
@@ -126,13 +127,11 @@ def test_depleted_battery_aborts_with_cause():
 def test_step_mission_rejects_terminal_state_and_bad_dt():
     env = environment_for(CFG, "standard_greenhouse")
     with pytest.raises(ValueError):
-        step_mission(mission("standard_greenhouse"), 0.05, 10)
+        step_mission(mission("standard_greenhouse"), 10)
     rng = np.random.default_rng(0)
     fresh = Mission(env, realize_layout(env.layout, rng), CFG, GAINS, rng)
     with pytest.raises(ValueError):
-        step_mission(fresh, 0.0, 10)
-    with pytest.raises(ValueError):
-        step_mission(fresh, 0.05, 0)
+        step_mission(fresh, 0)
 
 
 def test_filter_window_reaches_leveling_episodes():
@@ -374,7 +373,7 @@ def reference_step(m, dt):
     """Advance the mission by one tick: the reference for step_mission."""
     model = m.cfg.battery
     draw = model.current_ma(_active_subsystems(m.phase, m.env))
-    m.charge, depleted = battery_step(model, m.charge, draw, dt)
+    m.charge, depleted, _ = battery_step(model, m.charge, draw, dt)
     m.bias = drift_update(m.cfg.leveling, m.bias, dt)
     m.elapsed = m.elapsed + dt
     m.phase_left = m.phase_left - dt
@@ -383,7 +382,6 @@ def reference_step(m, dt):
         m.trace_rows.append((m.elapsed, m.phase, m.pot_index % len(m.layout.pots), m.tilt,
                              model.voltage(m.charge)))
     if depleted:
-        m.depleted, m.cause = True, CAUSE_DEPLETED
         _transition(m, ABORTED, m.phase_left)
     elif m.phase_left <= 1e-9:
         _FINISHERS[m.phase](m)
@@ -402,8 +400,8 @@ def reference_mission(env, cfg, seed, *, loop=False, max_ticks=10**7):
 
 # everything a mission mutates as it runs
 MISSION_STATE = (
-    "phase", "pot_index", "elapsed", "phase_left", "retried", "cause", "charge", "depleted",
-    "bias", "tilt", "records", "transitions", "trace_rows", "frames", "det_count",
+    "phase", "phase_start", "pot_index", "elapsed", "phase_left", "retried", "charge",
+    "bias", "reset_tick", "tilt", "records", "transitions", "trace_rows", "frames", "det_count",
     "fp_count", "matched_frames", "pots_seen", "ticks",
 )
 
@@ -414,18 +412,19 @@ def assert_same_mission(a, b):
 
 
 @contextmanager
-def counted_steps():
-    """Record (mission, ticks) for each step_mission call run_mission makes."""
+def counted(name="step_mission"):
+    """Record (first argument, result) of each call a mission makes to
+    irribot.mission's `name`: (mission, ticks) for step_mission."""
     calls = []
-    real_step = mission_module.step_mission
+    real = getattr(mission_module, name)
 
-    def counting_step(mission, dt, max_ticks):
-        ticks = real_step(mission, dt, max_ticks)
-        calls.append((mission, ticks))
-        return ticks
+    def counting(first, *args):
+        result = real(first, *args)
+        calls.append((first, result))
+        return result
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mission_module, "step_mission", counting_step)
+        mp.setattr(mission_module, name, counting)
         yield calls
 
 
@@ -458,12 +457,14 @@ def test_phase_core_matches_tick_reference(env_name, seed, pot_count, tick, capa
     env, cfg = varied_config(env_name, pot_count, tick, capacity, drift_rate, shielded)
     ref, ref_ticks = reference_mission(env, cfg, seed, loop=loop)
     assert ref.phase in (DONE, ABORTED)
-    with counted_steps() as calls:
+    with counted() as calls, counted("battery_step") as walks:
         m = run_mission(env, cfg, GAINS, seed, keep_trace=True)
         if loop:  # the endurance run continues the finished mission
             run_until_depleted(m)
     assert_same_mission(m, ref)
     assert sum(ticks for _, ticks in calls) == ref_ticks == len(m.trace_rows)
+    # one battery walk per phase: no phase replays its ticks
+    assert len(walks) == len(calls)
     for src, dst in m.transitions:
         assert dst in ADJACENCY[src], (src, dst)
 
@@ -472,7 +473,7 @@ def test_phase_core_matches_tick_reference(env_name, seed, pot_count, tick, capa
 def test_time_guard_fires_after_exactly_the_budgeted_ticks(max_hours, tick):
     env, cfg = varied_config("hilly_terrain", 20, tick, 1e7, 0.0015, True)
     budget = int(max_hours * 3600.0 / tick)
-    with counted_steps() as calls, pytest.raises(MissionTimeout):
+    with counted() as calls, pytest.raises(MissionTimeout):
         run_mission(env, cfg, GAINS, 3, keep_trace=True, max_hours=max_hours)
     ref, ticks = reference_mission(env, cfg, 3, max_ticks=budget)
     assert ticks == budget and ref.phase not in (DONE, ABORTED)
