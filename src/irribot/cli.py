@@ -102,7 +102,7 @@ def _naming_trial(env_name, trial, seed):
 
 def _run_env(cfg, name, gains, trace, traces):
     """One environment's trials and endurance run; returns (trial reports,
-    endurance minutes) and, when tracing, files trial 0's ticks in traces.
+    endurance minutes) and, when tracing, files trial 0's trace segments in traces.
 
     The endurance run continues trial 0's mission past its last pot. Its
     failure is raised after the other trials, so a later trial's is named
@@ -118,8 +118,8 @@ def _run_env(cfg, name, gains, trace, traces):
         reports.append(report)
         if i == 0:
             if trace:
-                traces[(name, 0)] = mission.trace_rows
-            mission.trace_rows = None  # the endurance ticks are not traced
+                traces[(name, 0)] = mission.trace_segments
+            mission.trace_segments = None  # the endurance ticks are not traced
             try:
                 minutes = run_until_depleted(mission)[0]
             except MissionTimeout as exc:
@@ -155,7 +155,8 @@ def _cmd_run(args):
     (out_dir / "results.json").write_text(results_to_json(payload))
     (out_dir / "trials.csv").write_text(trials_csv_text(env_reports))
     if args.trace:
-        (out_dir / "trace.csv").write_text(trace_csv_text(traces))
+        with open(out_dir / "trace.csv", "w") as fh:
+            trace_csv_text(traces, cfg.battery, cfg.timing.mission_tick, fh)
     sys.stdout.write(render_report(payload))
     return EXIT_OK
 

@@ -11,7 +11,7 @@ randomness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from irribot.detect import CIRCULAR, RECTANGULAR, BBox, Detection
 from irribot.kinematics import ArmTarget, arm_to_pixel
@@ -75,11 +75,11 @@ def _cell(x, y, size):
     return math.floor(x / size), math.floor(y / size)
 
 
-def _grid(pots, size):
-    """{cell: [index, ...]}, indices ascending within each cell."""
+def _grid(points, size):
+    """{cell: [index, ...]} of (x, y) points, indices ascending within each cell."""
     cells = {}
-    for i, p in enumerate(pots):
-        cells.setdefault(_cell(p.x, p.y, size), []).append(i)
+    for i, (x, y) in enumerate(points):
+        cells.setdefault(_cell(x, y, size), []).append(i)
     return cells
 
 
@@ -136,7 +136,7 @@ class PotLayout:
             raise ValueError("min_spacing must be positive and finite")
         pots = self.pots
         size = _cell_size(self.min_spacing)
-        cells = _grid(pots, size)
+        cells = _grid(((p.x, p.y) for p in pots), size)
         object.__setattr__(self, "cells", cells)
         # name the lexicographically first offending (i, j), as a scan of
         # every pair would; only pots in neighbouring cells can offend
@@ -251,8 +251,9 @@ def random_layout(
                         near.setdefault((cx + dx, cy + dy), []).append(len(xs))
                 xs.append(x)
                 ys.append(y)
-    pots += [Pot(i, xs[i], ys[i], shape, width, height) for i in range(1, len(xs))]
-    return PotLayout(pots=_service_order(pots, lo), min_spacing=lo)
+    pots += [Pot(i, xs[k], ys[k], shape, width, height)  # the chain starts at pot 0
+             for i, k in enumerate(_service_order(xs, ys, lo)) if i]
+    return PotLayout(pots=tuple(pots), min_spacing=lo)
 
 
 class _PCG64Draws:
@@ -300,8 +301,8 @@ class _PCG64Draws:
         self._bitgen.random_raw(self._used)
 
 
-def _service_order(pots, spacing):
-    """Re-id pots along a greedy nearest-neighbor chain from the first pot.
+def _service_order(xs, ys, spacing):
+    """Placement indices chained greedily by nearest neighbor from (xs[0], ys[0]).
 
     Scattered pots come out of placement in cluster-growth order; driving
     that order would criss-cross the plot. The greedy chain is the natural
@@ -315,20 +316,20 @@ def _service_order(pots, spacing):
     when it scans those instead. A taken pot's index leaves its cell's list.
     """
     size = _cell_size(spacing)
-    cells = _grid(pots, size)
+    cells = _grid(zip(xs, ys), size)
 
     def take(i):
-        key = _cell(pots[i].x, pots[i].y, size)
+        key = _cell(xs[i], ys[i], size)
         members = cells[key]
         members.remove(i)
         if not members:
             del cells[key]
-        return pots[i]
+        return i
 
     chain = [take(0)]
     while cells:
-        last = chain[-1]
-        cx, cy = _cell(last.x, last.y, size)
+        lx, ly = xs[chain[-1]], ys[chain[-1]]
+        cx, cy = _cell(lx, ly, size)
         best = None  # (distance, placement index)
         r = 0
         while best is None or best[0] >= (r - 1) * spacing:
@@ -338,15 +339,14 @@ def _service_order(pots, spacing):
             else:
                 candidates = _ring(cells, cx, cy, r)
             for i in candidates:
-                p = pots[i]
-                key = (math.hypot(p.x - last.x, p.y - last.y), i)
+                key = (math.hypot(xs[i] - lx, ys[i] - ly), i)
                 if best is None or key < best:
                     best = key
             if everything:
                 break
             r += 1
         chain.append(take(best[1]))
-    return tuple(replace(p, pot_id=i) for i, p in enumerate(chain))
+    return chain
 
 
 @dataclass(frozen=True)
@@ -639,14 +639,13 @@ class BatteryModel:
         return self.voltage_cutoff + (self.voltage_full - self.voltage_cutoff) * soc
 
 
-def battery_step(model, charge, current_ma, dt, ticks=1, voltages=None):
+def battery_step(model, charge, current_ma, dt, ticks=1):
     """Drain `charge` (mAh) at `current_ma` over at most `ticks` ticks of dt
     seconds each, stopping on the first tick whose voltage is below the cutoff.
 
     Returns (charge, depleted, ticks run). Ticks apply one at a time, so one
     n-tick call equals one-tick calls up to and including its first depleted
-    tick, bit for bit. When `voltages` is a list, each tick's voltage is
-    appended to it. With capacity > 0 and full > cutoff > 0, a non-negative
+    tick, bit for bit. With capacity > 0 and full > cutoff > 0, a non-negative
     charge never reads below the cutoff (IEEE division, multiplication and
     addition are monotone), so only a negative charge needs its voltage.
     """
@@ -655,8 +654,6 @@ def battery_step(model, charge, current_ma, dt, ticks=1, voltages=None):
     drain = current_ma * dt / 3600.0
     for n in range(1, ticks + 1):
         charge = charge - drain
-        if voltages is not None:
-            voltages.append(model.voltage(charge))
         if charge < 0.0 and model.voltage(charge) < model.voltage_cutoff:
             return charge, True, n
     return charge, False, ticks

@@ -115,7 +115,8 @@ class Mission:
         self.current_target = None  # planned PlanItem for the pot in service
         self.impact = None  # (x, y) spray impact offset from the pot in service, mm
         self.transitions = []
-        self.trace_rows = [] if keep_trace else None
+        # per phase: (start elapsed, phase, pot, tilt, start charge, draw_ma, ticks)
+        self.trace_segments = [] if keep_trace else None
 
     def record(self):
         """The record of the pot in service."""
@@ -352,9 +353,9 @@ def step_mission(mission, max_ticks):
     `mission_tick` until its time is used up, the battery depletes, or
     max_ticks ticks have passed. Battery charge and drift bias are plain
     floats that accumulate tick by tick, so every float equals that of a
-    loop stepping one tick at a time; with a trace, each tick adds one row.
-    The phase's finisher then picks the next phase and updates the mission,
-    unless depletion aborted it or max_ticks cut it short.
+    loop stepping one tick at a time; with a trace, the phase adds one
+    segment. The phase's finisher then picks the next phase and updates the
+    mission, unless depletion aborted it or max_ticks cut it short.
     """
     m = mission
     phase = m.phase
@@ -364,19 +365,14 @@ def step_mission(mission, max_ticks):
         raise ValueError("max_ticks must be at least 1")
     dt = m.cfg.timing.mission_tick
     ticks, elapsed, left = _countdown(m.elapsed, m.phase_left, dt, max_ticks)
-    voltages = [] if m.trace_rows is not None else None
-    charge, depleted, run = battery_step(m.cfg.battery, m.charge, m.draw_ma[phase], dt,
-                                         ticks, voltages)
+    charge, depleted, run = battery_step(m.cfg.battery, m.charge, m.draw_ma[phase], dt, ticks)
     if run < ticks:  # the battery depleted on tick `run`
         ticks, elapsed, left = _countdown(m.elapsed, m.phase_left, dt, run)
     # the finisher may read the bias: _enter_leveling hands it to the episode
     m.bias = drift_update(m.cfg.leveling, m.bias, dt, ticks)
-    if voltages is not None:
-        pot = m.pot_index % len(m.layout.pots)
-        t, rows, tilt = m.elapsed, m.trace_rows, m.tilt
-        for volts in voltages:
-            t = t + dt
-            rows.append((t, phase, pot, tilt, volts))
+    if m.trace_segments is not None:
+        m.trace_segments.append((m.elapsed, phase, m.pot_index % len(m.layout.pots), m.tilt,
+                                 m.charge, m.draw_ma[phase], ticks))
     m.elapsed, m.charge, m.phase_left = elapsed, charge, left
     m.ticks += ticks
     if depleted:
@@ -384,6 +380,16 @@ def step_mission(mission, max_ticks):
     elif left <= 1e-9:
         _FINISHERS[phase](m)
     return ticks
+
+
+def segment_ticks(segment, battery, dt):
+    """(t, voltage) after each tick of a trace segment, in step_mission's floats."""
+    t, _, _, _, charge, draw_ma, ticks = segment
+    drain = draw_ma * dt / 3600.0
+    for _ in range(ticks):
+        t = t + dt
+        charge = charge - drain
+        yield t, battery.voltage(charge)
 
 
 def _run_guarded(m, max_hours):

@@ -14,7 +14,7 @@ import json
 from dataclasses import asdict, fields
 
 from irribot.fieldsim import ENV_NAMES
-from irribot.mission import TrialReport, mean_or_none
+from irribot.mission import TrialReport, mean_or_none, segment_ticks
 
 SCHEMA_VERSION = 1
 
@@ -190,11 +190,13 @@ def trials_csv_text(env_reports):
     return buf.getvalue()
 
 
-def trace_csv_text(traces):
-    """Tick-level mission traces: {(env, trial): [(t, phase, pot, tilt, V), ...]}."""
+def trace_csv_text(traces, battery, dt, fh):
+    """Write {(env, trial): trace segments} to the text file fh as trace.csv."""
     # env and phase names are fixed identifiers: no field ever needs CSV quoting
-    lines = ["env,trial,t,phase,pot,tilt_deg,voltage\n"]
-    for (env, trial), rows in traces.items():
-        lines += [f"{env},{trial},{t:.2f},{phase},{pot},{tilt:.4f},{volts:.4f}\n"
-                  for t, phase, pot, tilt, volts in rows]
-    return "".join(lines)
+    fh.write("env,trial,t,phase,pot,tilt_deg,voltage\n")
+    for (env, trial), segments in traces.items():
+        head = f"{env},{trial},"
+        for segment in segments:
+            mid = f",{segment[1]},{segment[2]},{segment[3]:.4f},"  # phase, pot, tilt
+            fh.write("".join([f"{head}{t:.2f}{mid}{volts:.4f}\n"
+                              for t, volts in segment_ticks(segment, battery, dt)]))

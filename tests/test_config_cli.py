@@ -26,7 +26,7 @@ from irribot.config import (
     load_config,
 )
 from irribot import mission as mission_module
-from irribot.mission import MissionTimeout, TrialReport, run_mission, run_trial
+from irribot.mission import MissionTimeout, TrialReport, run_mission, run_trial, segment_ticks
 from irribot.report import (
     TABLE_COLUMNS,
     build_results,
@@ -392,7 +392,8 @@ def test_cli_trace_flag_writes_tick_trace(tmp_path):
 
 
 def csv_writer_trace_text(traces):
-    """trace.csv as the csv.writer-based writer produced it, kept as the oracle."""
+    """trace.csv as the csv.writer-based writer produced it, kept as the oracle;
+    traces maps (env, trial) to rows (t, phase, pot, tilt, voltage)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["env", "trial", "t", "phase", "pot", "tilt_deg", "voltage"])
@@ -406,19 +407,23 @@ def csv_writer_trace_text(traces):
 def test_trace_csv_matches_csv_writer_oracle(tmp_path, monkeypatch):
     seen = []
 
-    def spy(traces):
-        seen.append(traces)
-        return trace_csv_text(traces)
+    def spy(traces, battery, dt, fh):
+        seen.append((traces, battery, dt))
+        return trace_csv_text(traces, battery, dt, fh)
 
     monkeypatch.setattr(cli, "trace_csv_text", spy)
     out = tmp_path / "out"
     assert main(["run", "--env", "all", "--trials", "1", "--trace",
                  "--out-dir", str(out)]) == 0
-    [traces] = seen
+    [(traces, battery, dt)] = seen
     assert [env for env, _ in traces] == list(default_config().env_names())
-    assert sum(map(len, traces.values())) > 1000
+    # a segment is (start t, phase, pot, tilt, start charge, draw_ma, ticks)
+    rows = {key: [(t, *segment[1:4], volts) for segment in segments
+                  for t, volts in segment_ticks(segment, battery, dt)]
+            for key, segments in traces.items()}
+    assert sum(map(len, rows.values())) > 1000
     got = (out / "trace.csv").read_text().splitlines(keepends=True)
-    want = csv_writer_trace_text(traces).splitlines(keepends=True)
+    want = csv_writer_trace_text(rows).splitlines(keepends=True)
     # name the first differing rows; a diff of the whole ~10,000-row file is slow
     assert [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w][:3] == []
     assert len(got) == len(want)

@@ -214,15 +214,19 @@ def oracle_pair_check(pots, min_spacing):
                 )
 
 
-def oracle_service_order(pots):
-    remaining = list(pots[1:])
-    chain = [pots[0]]
+def oracle_service_order(xs, ys):
+    remaining = list(range(1, len(xs)))
+    chain = [0]
     while remaining:
         last = chain[-1]
-        nearest = min(remaining, key=lambda p: math.hypot(p.x - last.x, p.y - last.y))
+        nearest = min(remaining, key=lambda i: math.hypot(xs[i] - xs[last], ys[i] - ys[last]))
         remaining.remove(nearest)
         chain.append(nearest)
-    return tuple(dataclasses.replace(p, pot_id=i) for i, p in enumerate(chain))
+    return chain
+
+
+def coordinates(pots):
+    return [p.x for p in pots], [p.y for p in pots]
 
 
 def oracle_random_layout(count, rng, *, nn_range=(400.0, 800.0), max_attempts=10000):
@@ -241,7 +245,8 @@ def oracle_random_layout(count, rng, *, nn_range=(400.0, 800.0), max_attempts=10
         y = anchor.y + dist * math.sin(angle)
         if all(math.hypot(p.x - x, p.y - y) >= lo for p in pots):
             pots.append(Pot(len(pots), x, y, CIRCULAR, 100.0, 100.0))
-    ordered = oracle_service_order(pots)
+    order = oracle_service_order(*coordinates(pots))
+    ordered = tuple(dataclasses.replace(pots[k], pot_id=i) for i, k in enumerate(order))
     oracle_pair_check(ordered, lo)
     return ordered, lo
 
@@ -302,16 +307,18 @@ def lattice_pot(k, i, j, pitch):
 def test_service_order_ties_go_to_the_pot_placed_first(cells, pitch, spacing):
     # lattice points: many pots at exactly equal distance from the last one
     pots = [lattice_pot(k, i, j, pitch) for k, (i, j) in enumerate(cells)]
-    assert _service_order(pots, spacing) == oracle_service_order(pots)
+    xs, ys = coordinates(pots)
+    assert _service_order(xs, ys, spacing) == oracle_service_order(xs, ys)
 
 
 def test_service_order_tie_between_mirror_images():
     pots = [lattice_pot(0, 0, 0, 500.0), lattice_pot(1, 1, 0, 500.0),
             lattice_pot(2, -1, 0, 500.0), lattice_pot(3, 0, -1, 500.0)]
     for order in (pots, [pots[0], pots[2], pots[1], pots[3]], [pots[0], *pots[:0:-1]]):
-        chain = _service_order(order, 400.0)
-        assert (chain[1].x, chain[1].y) == (order[1].x, order[1].y)
-        assert chain == oracle_service_order(order)
+        xs, ys = coordinates(order)
+        chain = _service_order(xs, ys, 400.0)
+        assert chain[1] == 1
+        assert chain == oracle_service_order(xs, ys)
 
 
 QUERY_LAYOUTS = {
@@ -737,14 +744,35 @@ def test_battery_n_tick_call_equals_n_one_tick_calls(subsystems, dt, n, capacity
         assert ran == 1
         volts.append(model.voltage(charge))
     stepped = (charge.hex(), depleted, len(volts))
-    recorded = []
-    walked = battery_step(model, capacity, draw, dt, n, recorded)
-    assert (walked[0].hex(), *walked[1:]) == stepped
-    assert [v.hex() for v in recorded] == [v.hex() for v in volts]
     walked = battery_step(model, capacity, draw, dt, n)
     assert (walked[0].hex(), *walked[1:]) == stepped
     # the walk stops on the first tick below the cutoff, and only there
     assert [v < model.voltage_cutoff for v in volts] == [False] * (len(volts) - 1) + [depleted]
+
+
+def oracle_battery_walk(capacity, full, cutoff, charge, draw, dt, ticks):
+    """(charge, depleted, ticks run) of a pack walked tick by tick: each tick
+    subtracts draw * dt / 3600 mAh and is depleted once the linear voltage
+    reads below the cutoff, whatever the sign of the charge."""
+    for n in range(1, ticks + 1):
+        charge -= draw * dt / 3600.0
+        if cutoff + (full - cutoff) * (charge / capacity) < cutoff:
+            return charge, True, n
+    return charge, False, ticks
+
+
+@given(st.floats(0.01, 50.0), st.floats(1.0, 12.0), st.floats(0.1, 3.0),
+       st.floats(0.0, 50.0), st.floats(0.0, 20000.0), st.floats(1e-3, 1.0),
+       st.integers(1, 400))
+# the first negative charge, -0.0005 mAh, is already below the cutoff
+@example(2400.0, 11.1, 1.5, 0.0005, 3.6, 1.0, 3)
+@example(5.0, 11.1, 1.5, 0.0, 0.0, 0.05, 10)  # no draw never depletes
+def test_battery_step_matches_an_independent_walk(capacity, cutoff, span, charge, draw, dt,
+                                                 ticks):
+    model = BatteryModel(capacity_mah=capacity, voltage_full=cutoff + span,
+                         voltage_cutoff=cutoff)
+    want = oracle_battery_walk(capacity, cutoff + span, cutoff, charge, draw, dt, ticks)
+    assert battery_step(model, charge, draw, dt, ticks) == want
 
 
 @given(st.floats(1e-3, 1e5), st.floats(1e-3, 50.0), st.floats(1e-3, 50.0),

@@ -44,6 +44,7 @@ from irribot.mission import (
     run_mission,
     run_trial,
     run_until_depleted,
+    segment_ticks,
     step_mission,
     water_savings_pct,
 )
@@ -66,6 +67,14 @@ def mission(env_name, seed=7):
 
 def trial(env_name, seed, cfg=CFG):
     return run_trial(environment_for(cfg, env_name), cfg, GAINS, seed)
+
+
+def trace_rows(m):
+    """The mission's per-tick trace rows (t, phase, pot, tilt, voltage),
+    expanded from its trace segments."""
+    battery, dt = m.cfg.battery, m.cfg.timing.mission_tick
+    return [(t, *segment[1:4], volts) for segment in m.trace_segments
+            for t, volts in segment_ticks(segment, battery, dt)]
 
 
 # ------------------------------------------------------- state machine
@@ -95,7 +104,7 @@ def test_platform_is_level_whenever_the_arm_moves():
     # trace rows are (t, phase, pot, tilt, voltage); drift bias can leave a
     # few tenths of residual true tilt after a measured-zero episode
     m = mission("hilly_terrain")
-    tilts = [row[3] for row in m.trace_rows if row[1] == POSITIONING]
+    tilts = [row[3] for row in trace_rows(m) if row[1] == POSITIONING]
     assert tilts and max(abs(t) for t in tilts) < 0.75
 
 
@@ -162,7 +171,7 @@ def test_reset_inside_an_episode_carries_into_the_next_episode():
                         keep_trace=True)
     assert m.phase == DONE and len(episodes) >= 10
     # each episode's run of Leveling ticks, as (first, end) row indices
-    phases = [row[1] for row in m.trace_rows]
+    phases = [row[1] for row in trace_rows(m)]
     runs = [i for i, p in enumerate(phases) if p == LEVELING and phases[i - 1] != LEVELING]
     runs = [(i, next(j for j in range(i, len(phases)) if phases[j] != LEVELING))
             for i in runs]
@@ -198,8 +207,23 @@ def test_level_band_reaches_the_settle_time():
 
 
 def test_battery_voltage_monotone_over_mission():
-    volts = [row[4] for row in mission("standard_greenhouse").trace_rows]
+    volts = [row[4] for row in trace_rows(mission("standard_greenhouse"))]
     assert all(b <= a + 1e-12 for a, b in zip(volts, volts[1:]))
+
+
+def test_depleting_phase_segment_expands_to_the_ticks_it_ran():
+    cfg = config_with(battery=BatteryModel(capacity_mah=3.0))
+    with counted("battery_step") as walks:
+        m = run_mission(environment_for(cfg, "standard_greenhouse"), cfg, GAINS, 5,
+                        keep_trace=True)
+    assert m.phase == ABORTED and m.phase_left > 1e-9  # cut short by the battery
+    _, (charge, depleted, run) = walks[-1]
+    segment = m.trace_segments[-1]
+    ticks = list(segment_ticks(segment, cfg.battery, cfg.timing.mission_tick))
+    assert depleted and segment[6] == run == len(ticks)
+    assert ticks[-1] == (m.elapsed, cfg.battery.voltage(charge))
+    cutoff = cfg.battery.voltage_cutoff
+    assert [v < cutoff for _, v in ticks] == [False] * (run - 1) + [True]
 
 
 # ------------------------------------------------------- reports
@@ -378,9 +402,8 @@ def reference_step(m, dt):
     m.elapsed = m.elapsed + dt
     m.phase_left = m.phase_left - dt
     m.ticks += 1
-    if m.trace_rows is not None:
-        m.trace_rows.append((m.elapsed, m.phase, m.pot_index % len(m.layout.pots), m.tilt,
-                             model.voltage(m.charge)))
+    m.tick_rows.append((m.elapsed, m.phase, m.pot_index % len(m.layout.pots), m.tilt,
+                        model.voltage(m.charge)))
     if depleted:
         _transition(m, ABORTED, m.phase_left)
     elif m.phase_left <= 1e-9:
@@ -389,10 +412,10 @@ def reference_step(m, dt):
 
 def reference_mission(env, cfg, seed, *, loop=False, max_ticks=10**7):
     """Tick-at-a-time mission; returns (mission, ticks) when it ends or when
-    max_ticks have run."""
+    max_ticks have run. Its `tick_rows` hold one trace row per tick."""
     rng = np.random.default_rng(seed)
-    m = Mission(env, realize_layout(env.layout, rng), cfg, GAINS, rng, keep_trace=True)
-    m.loop = loop
+    m = Mission(env, realize_layout(env.layout, rng), cfg, GAINS, rng)
+    m.loop, m.tick_rows = loop, []
     while m.ticks < max_ticks and m.phase not in (DONE, ABORTED):
         reference_step(m, cfg.timing.mission_tick)
     return m, m.ticks
@@ -401,14 +424,16 @@ def reference_mission(env, cfg, seed, *, loop=False, max_ticks=10**7):
 # everything a mission mutates as it runs
 MISSION_STATE = (
     "phase", "phase_start", "pot_index", "elapsed", "phase_left", "retried", "charge",
-    "bias", "reset_tick", "tilt", "records", "transitions", "trace_rows", "frames", "det_count",
+    "bias", "reset_tick", "tilt", "records", "transitions", "frames", "det_count",
     "fp_count", "matched_frames", "pots_seen", "ticks",
 )
 
 
-def assert_same_mission(a, b):
+def assert_same_mission(m, ref):
+    """m ran with a trace, ref is a `reference_mission`; their trace rows match too."""
     for name in MISSION_STATE:
-        assert getattr(a, name) == getattr(b, name), name
+        assert getattr(m, name) == getattr(ref, name), name
+    assert trace_rows(m) == ref.tick_rows
 
 
 @contextmanager
@@ -462,7 +487,7 @@ def test_phase_core_matches_tick_reference(env_name, seed, pot_count, tick, capa
         if loop:  # the endurance run continues the finished mission
             run_until_depleted(m)
     assert_same_mission(m, ref)
-    assert sum(ticks for _, ticks in calls) == ref_ticks == len(m.trace_rows)
+    assert sum(ticks for _, ticks in calls) == ref_ticks == len(trace_rows(m))
     # one battery walk per phase: no phase replays its ticks
     assert len(walks) == len(calls)
     for src, dst in m.transitions:
@@ -478,7 +503,7 @@ def test_time_guard_fires_after_exactly_the_budgeted_ticks(max_hours, tick):
     ref, ticks = reference_mission(env, cfg, 3, max_ticks=budget)
     assert ticks == budget and ref.phase not in (DONE, ABORTED)
     m = calls[-1][0]
-    assert sum(n for _, n in calls) == budget == len(m.trace_rows)
+    assert sum(n for _, n in calls) == budget == len(trace_rows(m))
     assert_same_mission(m, ref)
 
 
