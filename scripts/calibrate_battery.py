@@ -26,8 +26,7 @@ def runtime_minutes(env_name, battery, speed, gains, seed=SEED):
     cfg = replace(CFG, battery=battery)
     env = environment_for(cfg, env_name)
     env = replace(env, tuning=replace(env.tuning, drive_speed=speed))
-    minutes, _ = run_until_depleted(run_mission(env, cfg, gains, seed))
-    return minutes
+    return run_until_depleted(run_mission(env, cfg, gains, seed))
 
 
 def bisect(lo, hi, target_min, evaluate, *, increasing, tol=0.02, iters=40):

@@ -121,7 +121,7 @@ def _run_env(cfg, name, gains, trace, traces):
                 traces[(name, 0)] = mission.trace_segments
             mission.trace_segments = None  # the endurance ticks are not traced
             try:
-                minutes = run_until_depleted(mission)[0]
+                minutes = run_until_depleted(mission)
             except MissionTimeout as exc:
                 timeout = exc
     if timeout is not None:

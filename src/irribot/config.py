@@ -113,14 +113,6 @@ def _default_environments():
     }
 
 
-def _default_arm():
-    return ArmGeometry(l1=120.0, l2=160.0, theta_offset=15.0)
-
-
-def _default_calibration():
-    return CalibrationState(s=0.1, u0=2000.0, v0=1500.0, delta_x=150.0)
-
-
 # the largest field a run may lay out; CI runs a field this size in about 1 s
 MAX_POT_COUNT = 20_000
 # the most trials per environment; 900 trials of the default 20 pots take ~4.4 s
@@ -133,8 +125,8 @@ class RunConfig:
     trials: int = 10
     env: str = "all"
     pot_count: int = 20
-    arm: ArmGeometry = field(default_factory=_default_arm)
-    calibration: CalibrationState = field(default_factory=_default_calibration)
+    arm: ArmGeometry = field(default_factory=ArmGeometry)
+    calibration: CalibrationState = field(default_factory=CalibrationState)
     plant: PlatformPlant = field(default_factory=PlatformPlant)
     leveling: LevelingConfig = field(default_factory=LevelingConfig)
     detection: DetectionConfig = field(default_factory=DetectionConfig)
@@ -152,7 +144,6 @@ class RunConfig:
         _require(self.pot_count <= MAX_POT_COUNT, f"pot_count must be at most {MAX_POT_COUNT}")
         _require(self.env == "all" or self.env in ENV_NAMES,
                  f"env must be 'all' or one of {', '.join(ENV_NAMES)}")
-        _require(self.calibration.z_const > 0, "calibration.z_const must be positive")
         for name in self.environments:
             _require(name in ENV_NAMES, f"unknown environment key {name!r}")
         for name in ENV_NAMES:

@@ -146,8 +146,8 @@ def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
 def enhanced_detection(
     dets: list[Detection],
     bands: GeometryBands,
-    conf_threshold: float = 0.5,
-    iou_threshold: float = 0.3,
+    conf_threshold: float,
+    iou_threshold: float,
 ) -> list[Detection]:
     """Full post-processing pipeline: confidence gate, then geometry
     validation, then NMS, in that order."""

@@ -423,8 +423,12 @@ class Environment:
 # --------------------------------------------------------------------------
 # detector
 
+_FRAME_PX = (4000, 3000)  # detector frame width and height
+_FP_KEEPOUT_PX = 1200.0  # a spurious box's least distance from every true pot
+_FP_ATTEMPTS = 100  # placement draws before a spurious box is dropped
 
-def simulate_detection(pots, station, tuning, rng, cal, frame_px=(4000, 3000)):
+
+def simulate_detection(pots, station, tuning, rng, cal):
     """One detector frame over the pots currently in view.
 
     Pots are in the field frame, seen from the station (x, y) the chassis
@@ -436,7 +440,6 @@ def simulate_detection(pots, station, tuning, rng, cal, frame_px=(4000, 3000)):
     placed away from every true pot so it can never be confused with one.
     Draw order is fixed per pot for determinism.
     """
-    frame_w, frame_h = frame_px
     sx, sy = station
     offsets = [((pot.x - sx) + cal.delta_x, (pot.y - sy) + cal.delta_y) for pot in pots]
     detections = []
@@ -455,15 +458,16 @@ def simulate_detection(pots, station, tuning, rng, cal, frame_px=(4000, 3000)):
             Detection(BBox(cu - w / 2, cv - h / 2, cu + w / 2, cv + h / 2), pot.shape, conf)
         )
     if rng.random() < tuning.fp_rate:
-        fp = _spurious_detection(offsets, rng, cal, frame_w, frame_h)
+        fp = _spurious_detection(offsets, rng, cal)
         if fp is not None:
             detections.append(fp)
     return detections
 
 
-def _spurious_detection(offsets, rng, cal, frame_w, frame_h, keepout_px=1200.0, attempts=100):
-    """A plausible-looking false box, at least keepout_px from every true pot
-    at its camera-axis (x, y) offset."""
+def _spurious_detection(offsets, rng, cal):
+    """A plausible-looking false box in the frame, at least _FP_KEEPOUT_PX
+    from every true pot at its camera-axis (x, y) offset."""
+    frame_w, frame_h = _FRAME_PX
     cls = CIRCULAR if rng.random() < 0.5 else RECTANGULAR
     lo, hi = _RATIO_RANGES[cls]
     ratio = rng.uniform(lo, hi)
@@ -471,10 +475,10 @@ def _spurious_detection(offsets, rng, cal, frame_w, frame_h, keepout_px=1200.0, 
     h = w / ratio
     conf = rng.uniform(0.55, 0.95)
     centers = [arm_to_pixel(ArmTarget(x, y, cal.z_const), cal) for x, y in offsets]
-    for _ in range(attempts):
+    for _ in range(_FP_ATTEMPTS):
         cu = rng.uniform(w / 2 + 1, frame_w - w / 2 - 1)
         cv = rng.uniform(h / 2 + 1, frame_h - h / 2 - 1)
-        if all(math.hypot(cu - u, cv - v) >= keepout_px for u, v in centers):
+        if all(math.hypot(cu - u, cv - v) >= _FP_KEEPOUT_PX for u, v in centers):
             return Detection(
                 BBox(cu - w / 2, cv - h / 2, cu + w / 2, cv + h / 2), cls, conf
             )

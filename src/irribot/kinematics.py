@@ -28,27 +28,29 @@ class SingularBase(Exception):
 class CalibrationState:
     """Pixel-to-arm mapping parameters."""
 
-    s: float                 # mm per pixel, > 0
-    u0: float                # principal point u (px)
-    v0: float                # principal point v (px)
-    delta_x: float = 0.0     # static offset (mm)
+    s: float = 0.1           # mm per pixel, > 0
+    u0: float = 2000.0       # principal point u (px)
+    v0: float = 1500.0       # principal point v (px)
+    delta_x: float = 150.0   # static offset (mm)
     delta_y: float = 0.0     # static offset (mm)
     z_const: float = 150.0   # fixed working height (mm)
 
     def __post_init__(self):
         if not self.s > 0:
             raise ValueError(f"scale must be positive, got {self.s}")
-        if not math.isfinite(self.z_const):
-            raise ValueError("z_const must be finite")
+        if not all(map(math.isfinite, (self.u0, self.v0, self.delta_x, self.delta_y))):
+            raise ValueError("u0, v0, delta_x and delta_y must be finite")
+        if not 0 < self.z_const < math.inf:
+            raise ValueError(f"z_const must be positive and finite, got {self.z_const}")
 
 
 @dataclass(frozen=True)
 class ArmGeometry:
     """Link lengths and mounting offset of the planar pair."""
 
-    l1: float                          # mm
-    l2: float                          # mm
-    theta_offset: float = 0.0          # deg
+    l1: float = 120.0                  # mm
+    l2: float = 160.0                  # mm
+    theta_offset: float = 15.0         # deg
 
     def __post_init__(self):
         if not (self.l1 > 0 and self.l2 > 0):
@@ -119,8 +121,6 @@ def calibrate_single_reference(
     By construction the returned state maps the observed pixel exactly
     onto the known target (zero residual at the reference).
     """
-    if not s > 0:
-        raise ValueError(f"scale must be positive, got {s}")
     u, v = observed
     return CalibrationState(
         s=s,

@@ -1,10 +1,10 @@
 """Sense-plan-act mission state machine over a pot layout.
 
-One mission visits every pot in layout order: sense (detect the pot in the
-station frame), level the platform first whenever tilt exceeds the band,
-position the arm from the detection, dispense, advance. Records per-pot
-irrigation outcomes and aggregates them into a trial report shaped like the
-system's field-results table.
+One mission visits the pots in layout order, lap after lap: sense (detect
+the pot in the station frame), level the platform first whenever tilt
+exceeds the band, position the arm from the detection, dispense, advance.
+Records per-pot irrigation outcomes and aggregates them into a trial report
+shaped like the system's field-results table.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ LEVELING = "Leveling"
 POSITIONING = "Positioning"
 DISPENSING = "Dispensing"
 ADVANCING = "Advancing"
-DONE = "Done"
 ABORTED = "Aborted"
 
 # legal phase graph; Aborted is reachable from anywhere on depletion
@@ -46,7 +45,7 @@ ADJACENCY = {
     LEVELING: {POSITIONING, ABORTED},
     POSITIONING: {DISPENSING, ADVANCING, ABORTED},
     DISPENSING: {ADVANCING, ABORTED},
-    ADVANCING: {SENSING, DONE, ABORTED},
+    ADVANCING: {SENSING, ABORTED},
 }
 
 CAUSE_DEPLETED = "Depleted"
@@ -91,7 +90,6 @@ class Mission:
         self.cfg = cfg
         self.gains = gains
         self.rng = rng
-        self.loop = False  # endurance mode: wrap to pot 0 instead of finishing
         self.ticks = 0  # mission ticks run so far
         # summed battery draw of each phase, mA
         self.draw_ma = {p: cfg.battery.current_ma(_active_subsystems(p, env)) for p in _FINISHERS}
@@ -111,7 +109,6 @@ class Mission:
         self.det_count = 0
         self.fp_count = 0
         self.matched_frames = 0
-        self.pots_seen = 0
         self.current_target = None  # planned PlanItem for the pot in service
         self.impact = None  # (x, y) spray impact offset from the pot in service, mm
         self.transitions = []
@@ -138,7 +135,7 @@ class PlanItem:
     cause: str | None = None
 
 
-def plan_pot_service(dets, layout, cal, geom, *, station=(0.0, 0.0), match_gate_mm=100.0):
+def plan_pot_service(dets, layout, cal, geom, *, station, match_gate_mm):
     """Map surviving detections to joint commands; score against ground truth.
 
     Each detection center becomes an arm-frame target via the calibration and
@@ -308,18 +305,13 @@ def _finish_dispensing(m):
     rec.dispensed = dispensed
     rec.delivered = delivered
     rec.serviced = True
-    m.pots_seen += 1
     _enter_advancing(m)
 
 
 def _finish_advancing(m):
-    nxt = m.pot_index + 1
-    if nxt >= len(m.layout.pots) and not m.loop:
-        _transition(m, DONE, 0.0)
-        return
     if m.env.slope > 0:
         m.tilt = float(m.env.slope)  # new ground re-tilts the chassis
-    m.pot_index = nxt
+    m.pot_index += 1
     m.current_target = None
     _enter_sensing(m)
 
@@ -359,8 +351,8 @@ def step_mission(mission, max_ticks):
     """
     m = mission
     phase = m.phase
-    if phase in (DONE, ABORTED):
-        raise ValueError(f"mission already terminal in phase {phase}")
+    if phase == ABORTED:
+        raise ValueError("mission already aborted")
     if max_ticks < 1:
         raise ValueError("max_ticks must be at least 1")
     dt = m.cfg.timing.mission_tick
@@ -392,26 +384,29 @@ def segment_ticks(segment, battery, dt):
         yield t, battery.voltage(charge)
 
 
-def _run_guarded(m, max_hours):
-    """Step the mission until it ends; raises MissionTimeout once its tick
-    count, counted from its first tick, reaches the guard of max_hours."""
+def _run_guarded(m, max_hours, laps):
+    """Step the mission until it aborts or has left the last pot of lap
+    `laps`; raises MissionTimeout once its tick count, counted from its first
+    tick, reaches the guard of max_hours."""
     tick = m.cfg.timing.mission_tick
     max_ticks = int(max_hours * 3600.0 / tick)
-    while m.ticks < max_ticks and m.phase not in (DONE, ABORTED):
+    last = laps * len(m.layout.pots)
+    while m.ticks < max_ticks and m.phase != ABORTED and m.pot_index < last:
         step_mission(m, max_ticks - m.ticks)
-    if m.phase in (DONE, ABORTED) and m.ticks <= max_ticks:
+    if (m.phase == ABORTED or m.pot_index >= last) and m.ticks <= max_ticks:
         return m
     raise MissionTimeout(
         f"mission exceeded the simulation-time guard of {max_hours:g} h ({max_ticks} ticks)")
 
 
 def run_mission(env, cfg, gains, seed, *, keep_trace=False, max_hours=GUARD_HOURS):
-    """Run one full mission in env, as `environment_for(cfg, name)` resolves
-    it, with these leveling gains; returns the finished Mission."""
+    """Run one lap of a mission in env, as `environment_for(cfg, name)`
+    resolves it, with these leveling gains; returns the Mission, aborted or
+    entering the next lap's Sensing."""
     rng = np.random.default_rng(seed)
     layout = realize_layout(env.layout, rng)
     mission = Mission(env, layout, cfg, gains, rng, keep_trace=keep_trace)
-    return _run_guarded(mission, max_hours)
+    return _run_guarded(mission, max_hours, 1)
 
 
 # --------------------------------------------------------------------------
@@ -499,21 +494,14 @@ def run_trial(env, cfg, gains, seed, *, trial=0, keep_trace=False):
 
 
 def run_until_depleted(mission, *, max_hours=GUARD_HOURS):
-    """Endurance run: continue a mission `run_mission` finished past its last
-    pot, looping the layout until the battery gives out.
+    """Endurance run: continue a mission `run_mission` ran, lap after lap,
+    until the battery gives out; returns the minutes of runtime, counted from
+    the mission's start.
 
-    Returns (minutes of runtime, pots serviced), both counted from the
-    mission's start. A mission that ended Done wraps to pot 0; an aborted one
-    runs no further. The loop never reaches Done, so it ends aborted or raises
-    MissionTimeout. The first lap and the loop share one tick count under one
-    guard of max_hours, so this runs exactly as a mission that looped from its
-    first tick would.
+    An aborted mission runs no further; any other ends aborted or raises
+    MissionTimeout. The first lap and the rest share one tick count under one
+    guard of max_hours, so this runs exactly as a mission that never stopped
+    after its first lap would.
     """
-    m = mission
-    if m.phase == DONE:
-        # Advancing -> Done is all the last _finish_advancing changed; redo it looping
-        m.phase = m.transitions.pop()[0]
-        m.loop = True
-        _finish_advancing(m)
-    _run_guarded(m, max_hours)
-    return m.elapsed / 60.0, m.pots_seen
+    _run_guarded(mission, max_hours, math.inf)
+    return mission.elapsed / 60.0

@@ -108,14 +108,14 @@ def test_criterion_1_detection_pipeline_conformance(capsys):
         for cls, w in ((CIRCULAR, 90.0), (CIRCULAR, 110.0),
                        (RECTANGULAR, 120.0), (RECTANGULAR, 150.0)):
             det = Detection(BBox(0.0, 0.0, w, 100.0), cls, 0.9)
-            assert enhanced_detection([det], bands) == []
+            assert enhanced_detection([det], bands, 0.5, 0.3) == []
 
 
 # -------------------------------------------------------------- criterion 2
 
 def test_criterion_2_kinematics_round_trip(capsys):
     with criterion(capsys, 2, "10k FK/IK round-trips and analytic cases"):
-        geom = ArmGeometry(l1=120.0, l2=160.0)
+        geom = ArmGeometry(l1=120.0, l2=160.0, theta_offset=0.0)
         rng = np.random.default_rng(202)
         lo, hi = abs(geom.l1 - geom.l2) + 1.0, geom.l1 + geom.l2 - 1.0
         targets = []
@@ -282,7 +282,7 @@ def test_criterion_7_battery_runtimes(capsys):
         gains = gains_for(cfg)
         for name, want in RUNTIME_TARGETS.items():
             mission = run_mission(environment_for(cfg, name), cfg, gains, 42)
-            minutes, _ = run_until_depleted(mission)
+            minutes = run_until_depleted(mission)
             assert abs(minutes - want) <= 2.0, f"{name} ran {minutes:.2f} min"
 
 

@@ -141,6 +141,7 @@ def test_unknown_keys_fail_with_path(tmp_path, text, frag):
      "environments.hilly_terrain.accuracy must be float"),
     ("env: 3\n", "env must be str, got int"),
     ("calibration: {u0: .nan}\n", "calibration.u0 must be a finite float, got nan"),
+    ("calibration: {z_const: 0}\n", "bad value in calibration: z_const must be positive"),
     ("timing: {arm_move: .inf}\n", "timing.arm_move must be a finite float, got inf"),
     ("leveling: {kp: -.inf, ki: 1.0, kd: 1.0}\n", "leveling.kp must be a finite float"),
     pytest.param("pump: {flow_rate: 1" + "0" * 400 + "}\n",
@@ -441,6 +442,17 @@ def test_cli_calibrate_arm_prints_state(capsys):
     lines = dict(l.split() for l in capsys.readouterr().out.splitlines())
     assert float(lines["delta_x"]) == pytest.approx(150.0)
     assert float(lines["delta_y"]) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("argv,frag", [
+    (["nan", "100", "10", "20"], "u0, v0, delta_x and delta_y must be finite"),
+    (["100", "100", "10", "20", "0"], "z_const must be positive"),
+])
+def test_cli_calibrate_arm_rejects_what_run_would(capsys, argv, frag):
+    # a calibration `run` would reject is never printed
+    assert main(["calibrate-arm", *argv]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and frag in err
 
 
 @pytest.mark.parametrize("text,env,where", [

@@ -225,12 +225,12 @@ def test_nms_class_aware_flag():
 
 def test_pipeline_drops_low_conf():
     d = det(0, 0, 100, 100, conf=0.4)
-    assert enhanced_detection([d], BANDS) == []
+    assert enhanced_detection([d], BANDS, 0.5, 0.3) == []
 
 
 def test_pipeline_passes_clean_detection():
     d = det(0, 0, 100, 100, conf=0.9)
-    assert enhanced_detection([d], BANDS) == [d]
+    assert enhanced_detection([d], BANDS, 0.5, 0.3) == [d]
 
 
 def test_pipeline_matches_staged_oracle_mixed():
@@ -242,7 +242,7 @@ def test_pipeline_matches_staged_oracle_mixed():
         det(200, 0, 330, 100, conf=0.7, cls=RECTANGULAR),   # kept
         det(0, 200, 150, 300, cls=CIRCULAR, conf=0.95),     # ratio 1.5 invalid
     ]
-    assert enhanced_detection(dets, BANDS) == pipeline_oracle(dets, BANDS, 0.5, 0.3)
+    assert enhanced_detection(dets, BANDS, 0.5, 0.3) == pipeline_oracle(dets, BANDS, 0.5, 0.3)
 
 
 @given(st.integers(0, 10**6), st.integers(0, 10))
@@ -250,7 +250,7 @@ def test_pipeline_matches_staged_oracle_mixed():
 def test_pipeline_subset_and_unmodified(seed, n):
     rng = random.Random(seed)
     dets = random_detections(rng, n)
-    out = enhanced_detection(dets, BANDS)
+    out = enhanced_detection(dets, BANDS, 0.5, 0.3)
     for d in out:
         assert d in dets  # only dropped, never altered
 
@@ -261,7 +261,7 @@ def test_pipeline_monotone_in_conf_threshold(seed):
     rng = random.Random(seed)
     dets = random_detections(rng, 8)
     sizes = [
-        len(enhanced_detection(dets, BANDS, conf_threshold=t))
+        len(enhanced_detection(dets, BANDS, conf_threshold=t, iou_threshold=0.3))
         for t in (0.0, 0.25, 0.5, 0.75, 1.0)
     ]
     assert sizes == sorted(sizes, reverse=True)

@@ -41,7 +41,7 @@ from irribot.leveling import (
     ziegler_nichols,
 )
 
-CAL = CalibrationState(s=0.1, u0=2000.0, v0=1500.0, z_const=150.0)
+CAL = CalibrationState(s=0.1, u0=2000.0, v0=1500.0, delta_x=0.0, z_const=150.0)
 
 
 def overlap_oracle(pot, ox, oy, r, n=1500):
@@ -516,7 +516,7 @@ def test_detection_boxes_survive_the_pipeline():
     bands = GeometryBands()
     for _ in range(200):
         dets = simulate_detection(one_pot_view(), AT_CAMERA, profile, rng, CAL)
-        assert len(enhanced_detection(dets, bands)) == len(dets) == 1
+        assert len(enhanced_detection(dets, bands, 0.5, 0.3)) == len(dets) == 1
 
 
 def test_spurious_detections_survive_the_pipeline_and_keep_distance():
@@ -526,7 +526,7 @@ def test_spurious_detections_survive_the_pipeline_and_keep_distance():
     for _ in range(100):
         dets = simulate_detection(one_pot_view(), AT_CAMERA, profile, rng, CAL)
         assert len(dets) == 2
-        assert len(enhanced_detection(dets, bands)) == 2
+        assert len(enhanced_detection(dets, bands, 0.5, 0.3)) == 2
         fp = dets[1]
         cu, cv = fp.bbox.center
         assert math.hypot(cu - CAL.u0, cv - CAL.v0) >= 1200.0

@@ -20,7 +20,7 @@ from irribot.kinematics import (
     pixel_to_arm,
 )
 
-GEOM = ArmGeometry(l1=120.0, l2=160.0)
+GEOM = ArmGeometry(l1=120.0, l2=160.0, theta_offset=0.0)
 CAL = CalibrationState(s=0.1, u0=320.0, v0=240.0, delta_x=0.0, delta_y=0.0, z_const=120.0)
 
 

@@ -30,7 +30,6 @@ from irribot.mission import (
     ADVANCING,
     CAUSE_DEPLETED,
     DISPENSING,
-    DONE,
     LEVELING,
     POSITIONING,
     SENSING,
@@ -87,7 +86,7 @@ def test_phase_transitions_respect_adjacency():
 
 def test_mission_finishes_done_on_full_battery():
     m = mission("standard_greenhouse")
-    assert m.phase == DONE
+    assert m.phase != ABORTED and m.pot_index == len(m.records)
     report = aggregate_trial(m, 0, 7)
     assert not report.aborted and report.abort_cause is None
     assert all(r.serviced or r.cause for r in m.records)
@@ -135,8 +134,11 @@ def test_depleted_battery_aborts_with_cause():
 
 def test_step_mission_rejects_terminal_state_and_bad_dt():
     env = environment_for(CFG, "standard_greenhouse")
+    tiny = config_with(battery=BatteryModel(capacity_mah=3.0))
+    _, aborted = trial("standard_greenhouse", 5, tiny)
+    assert aborted.phase == ABORTED
     with pytest.raises(ValueError):
-        step_mission(mission("standard_greenhouse"), 10)
+        step_mission(aborted, 10)
     rng = np.random.default_rng(0)
     fresh = Mission(env, realize_layout(env.layout, rng), CFG, GAINS, rng)
     with pytest.raises(ValueError):
@@ -169,7 +171,7 @@ def test_reset_inside_an_episode_carries_into_the_next_episode():
         mp.setattr(mission_module, "run_leveling_episode", recording_episode)
         m = run_mission(environment_for(cfg, "hilly_terrain"), cfg, GAINS, 42,
                         keep_trace=True)
-    assert m.phase == DONE and len(episodes) >= 10
+    assert m.phase != ABORTED and m.pot_index == len(m.records) and len(episodes) >= 10
     # each episode's run of Leveling ticks, as (first, end) row indices
     phases = [row[1] for row in trace_rows(m)]
     runs = [i for i, p in enumerate(phases) if p == LEVELING and phases[i - 1] != LEVELING]
@@ -302,7 +304,8 @@ def center_detection(conf=0.9, cx=2000.0, cy=1500.0, w=100.0, h=100.0):
 
 def test_plan_centered_detection_solves_theta1_zero():
     layout = grid_layout(1, 600.0)
-    items = plan_pot_service([center_detection()], layout, CAL, GEOM)
+    items = plan_pot_service([center_detection()], layout, CAL, GEOM,
+                             station=(0.0, 0.0), match_gate_mm=100.0)
     assert len(items) == 1
     item = items[0]
     assert item.joints is not None
@@ -317,7 +320,8 @@ def test_plan_detection_beyond_reach_is_skipped_with_cause():
     # 1500 px right of center puts the target at x = 300 mm; with the fixed
     # working height that radial exceeds l1 + l2
     det = center_detection(cx=3500.0)
-    items = plan_pot_service([det], layout, CAL, GEOM)
+    items = plan_pot_service([det], layout, CAL, GEOM,
+                             station=(0.0, 0.0), match_gate_mm=100.0)
     assert items[0].joints is None
     assert items[0].cause == "Unreachable"
     assert items[0].matched_pot is None  # also too far from the pot to match
@@ -352,10 +356,10 @@ def test_mission_retry_consumes_one_extra_sensing_pass():
 def test_endurance_runtime_tracks_battery_capacity():
     small = BatteryModel(capacity_mah=240.0)  # a tenth of the stock pack
     cfg = config_with(battery=small)
-    minutes, pots = run_until_depleted(
-        run_mission(environment_for(cfg, "standard_greenhouse"), cfg, GAINS, 42))
+    m = run_mission(environment_for(cfg, "standard_greenhouse"), cfg, GAINS, 42)
+    minutes = run_until_depleted(m)
     assert 2.0 < minutes < 4.0  # stock pack lasts ~30 min in this environment
-    assert pots >= 15
+    assert m.pot_index >= 15
 
 
 def test_endurance_raises_when_battery_cannot_deplete():
@@ -411,12 +415,14 @@ def reference_step(m, dt):
 
 
 def reference_mission(env, cfg, seed, *, loop=False, max_ticks=10**7):
-    """Tick-at-a-time mission; returns (mission, ticks) when it ends or when
-    max_ticks have run. Its `tick_rows` hold one trace row per tick."""
+    """Tick-at-a-time mission; returns (mission, ticks) when it aborts, when
+    it leaves its last pot (unless it loops) or when max_ticks have run. Its
+    `tick_rows` hold one trace row per tick."""
     rng = np.random.default_rng(seed)
     m = Mission(env, realize_layout(env.layout, rng), cfg, GAINS, rng)
-    m.loop, m.tick_rows = loop, []
-    while m.ticks < max_ticks and m.phase not in (DONE, ABORTED):
+    m.tick_rows = []
+    while (m.ticks < max_ticks and m.phase != ABORTED
+           and (loop or m.pot_index < len(m.layout.pots))):
         reference_step(m, cfg.timing.mission_tick)
     return m, m.ticks
 
@@ -425,7 +431,7 @@ def reference_mission(env, cfg, seed, *, loop=False, max_ticks=10**7):
 MISSION_STATE = (
     "phase", "phase_start", "pot_index", "elapsed", "phase_left", "retried", "charge",
     "bias", "reset_tick", "tilt", "records", "transitions", "frames", "det_count",
-    "fp_count", "matched_frames", "pots_seen", "ticks",
+    "fp_count", "matched_frames", "ticks",
 )
 
 
@@ -481,7 +487,7 @@ def test_phase_core_matches_tick_reference(env_name, seed, pot_count, tick, capa
         capacity = min(capacity, 80.0)  # an endurance loop must deplete
     env, cfg = varied_config(env_name, pot_count, tick, capacity, drift_rate, shielded)
     ref, ref_ticks = reference_mission(env, cfg, seed, loop=loop)
-    assert ref.phase in (DONE, ABORTED)
+    assert ref.phase == ABORTED or not loop and ref.pot_index == len(ref.records)
     with counted() as calls, counted("battery_step") as walks:
         m = run_mission(env, cfg, GAINS, seed, keep_trace=True)
         if loop:  # the endurance run continues the finished mission
@@ -501,7 +507,7 @@ def test_time_guard_fires_after_exactly_the_budgeted_ticks(max_hours, tick):
     with counted() as calls, pytest.raises(MissionTimeout):
         run_mission(env, cfg, GAINS, 3, keep_trace=True, max_hours=max_hours)
     ref, ticks = reference_mission(env, cfg, 3, max_ticks=budget)
-    assert ticks == budget and ref.phase not in (DONE, ABORTED)
+    assert ticks == budget and ref.phase != ABORTED and ref.pot_index < len(ref.records)
     m = calls[-1][0]
     assert sum(n for _, n in calls) == budget == len(trace_rows(m))
     assert_same_mission(m, ref)
@@ -517,7 +523,7 @@ def guard_hours(ticks, tick):
 
 # the pack finishes the lap or aborts part-way through it; the endurance guard
 # ends with the lap or that many ticks before it
-@pytest.mark.parametrize("capacity,phase", [(2400.0, DONE), (20.0, ABORTED)])
+@pytest.mark.parametrize("capacity,phase", [(2400.0, SENSING), (20.0, ABORTED)])
 @pytest.mark.parametrize("short", [0, 1, 40])
 def test_continuation_is_under_the_guard_of_a_fresh_loop(capacity, phase, short):
     env, cfg = varied_config("hilly_terrain", 3, 0.05, capacity, 0.0015, True)
