@@ -92,11 +92,12 @@ def _load(args):
 
 @contextmanager
 def _naming_trial(env_name, trial, seed):
-    """Re-raise a failure the config can trigger mid-run as a ConfigError
-    naming the env, the trial ("trial 3", "endurance run") and the seed."""
+    """Re-raise a failure the config can trigger mid-run (a layout, a guard,
+    a degenerate box or a non-finite reading) as a ConfigError naming the
+    env, the trial ("trial 3", "endurance run") and the seed."""
     try:
         yield
-    except (LayoutError, MissionTimeout) as exc:
+    except (LayoutError, MissionTimeout, ValueError) as exc:
         raise ConfigError(f"env {env_name}, {trial}, seed {seed}: {exc}") from None
 
 
@@ -106,11 +107,12 @@ def _run_env(cfg, name, gains, trace, traces):
 
     The endurance run continues trial 0's mission past its last pot. Its
     failure is raised after the other trials, so a later trial's is named
-    first. No mission outlives the call.
+    first. At most one trial's mission is alive at a time: each is dropped
+    before the next trial lays out its field.
     """
     env = environment_for(cfg, name)
     reports = []
-    minutes = timeout = None
+    minutes = failure = None
     for i in range(cfg.trials):
         with _naming_trial(name, f"trial {i}", cfg.seed + i):
             report, mission = run_trial(env, cfg, gains, cfg.seed + i, trial=i,
@@ -122,11 +124,12 @@ def _run_env(cfg, name, gains, trace, traces):
             mission.trace_segments = None  # the endurance ticks are not traced
             try:
                 minutes = run_until_depleted(mission)
-            except MissionTimeout as exc:
-                timeout = exc
-    if timeout is not None:
+            except (MissionTimeout, ValueError) as exc:
+                failure = exc.with_traceback(None)  # its frames hold the mission
+        del mission
+    if failure is not None:
         with _naming_trial(name, "endurance run", cfg.seed):
-            raise timeout
+            raise failure
     return reports, minutes
 
 

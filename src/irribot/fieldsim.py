@@ -212,10 +212,10 @@ def random_layout(
     Grows a connected cluster: every accepted pot sits within nn_range of its
     anchor and at least nn_range[0] from everything else, so the pairwise
     minimum-spacing invariant holds by construction. Raises LayoutError when
-    the attempt budget runs out. A candidate is tested against the pots in
-    the 3x3 block of grid cells around it, which holds every pot that could
-    be too close. The draws are read in bulk, so rng must use PCG64, as
-    `numpy.random.default_rng` does; any other bit generator is a TypeError.
+    the attempt budget runs out. Placement finishes, and its grid-cell index
+    is freed, before the pots are put in service order. The draws are read in
+    bulk, so rng must use PCG64, as `numpy.random.default_rng` does; any other
+    bit generator is a TypeError.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -225,6 +225,16 @@ def random_layout(
     if height is None:
         height = width
     pots = [Pot(0, 0.0, 0.0, shape, width, height)]  # checks the pot before any draw
+    xs, ys = _place(count, rng, lo, hi, max_attempts)
+    pots += [Pot(i, xs[k], ys[k], shape, width, height)  # the chain starts at pot 0
+             for i, k in enumerate(_service_order(xs, ys, lo)) if i]
+    return PotLayout(pots=tuple(pots), min_spacing=lo)
+
+
+def _place(count, rng, lo, hi, max_attempts):
+    """random_layout's placement: the centres (xs, ys) of count pots, pot 0 at
+    the origin. A candidate is tested against the pots in the 3x3 block of
+    grid cells around it, which holds every pot that could be too close."""
     size = _cell_size(lo)
     xs, ys = [0.0], [0.0]
     # each pot is filed under the 3x3 cells around its own (pot 0's is (0, 0)),
@@ -251,9 +261,7 @@ def random_layout(
                         near.setdefault((cx + dx, cy + dy), []).append(len(xs))
                 xs.append(x)
                 ys.append(y)
-    pots += [Pot(i, xs[k], ys[k], shape, width, height)  # the chain starts at pot 0
-             for i, k in enumerate(_service_order(xs, ys, lo)) if i]
-    return PotLayout(pots=tuple(pots), min_spacing=lo)
+    return xs, ys
 
 
 class _PCG64Draws:

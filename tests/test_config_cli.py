@@ -2,12 +2,14 @@
 
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -460,6 +462,12 @@ def test_cli_calibrate_arm_rejects_what_run_would(capsys, argv, frag):
     ("battery: {capacity_mah: 100000}\n", "standard_greenhouse", "endurance run, seed 42"),
     # random placement gives up near 985 pots
     ("pot_count: 2000\n", "complex_lighting", "trial 0, seed 42"),
+    # finite calibrations whose boxes come out degenerate
+    ("calibration: {s: 1.0e308}\n", "standard_greenhouse", "trial 0, seed 42"),
+    ("calibration: {u0: 1.0e308}\n", "standard_greenhouse", "trial 0, seed 42"),
+    # a drift that overflows the tilt reading within the first episode
+    ("leveling: {drift_rate: 1.0e308, shielded: false, reset_threshold: 1.0e308}\n",
+     "hilly_terrain", "trial 0, seed 42"),
 ])
 def test_cli_simulation_failures_exit_4_naming_the_trial(tmp_path, capsys, text, env, where):
     cfg = write(tmp_path, text)
@@ -467,6 +475,50 @@ def test_cli_simulation_failures_exit_4_naming_the_trial(tmp_path, capsys, text,
                  "--out-dir", str(tmp_path)])
     assert code == 4
     assert f"env {env}, {where}:" in capsys.readouterr().err
+
+
+def test_cli_endurance_value_error_is_named(tmp_path, capsys, monkeypatch):
+    def failing_endurance(mission):
+        raise ValueError("non-finite IMU reading")
+
+    monkeypatch.setattr(cli, "run_until_depleted", failing_endurance)
+    code = main(["run", "--env", "standard_greenhouse", "--trials", "2",
+                 "--out-dir", str(tmp_path)])
+    assert code == 4
+    assert capsys.readouterr().err == ("irribot: validation error: env standard_greenhouse, "
+                                       "endurance run, seed 42: non-finite IMU reading\n")
+
+
+@pytest.mark.parametrize("endurance_fails", [False, True])
+def test_cli_holds_one_trial_mission_at_a_time(tmp_path, monkeypatch, endurance_fails):
+    # with the collector off, a mission kept alive by a reference cycle stays too
+    real_run_trial = cli.run_trial
+    missions = []
+    alive_at_start = []
+
+    def tracking_run_trial(*args, **kwargs):
+        alive_at_start.append([ref() is not None for ref in missions])
+        report, mission = real_run_trial(*args, **kwargs)
+        missions.append(weakref.ref(mission))
+        return report, mission
+
+    def failing_endurance(mission):
+        # the deferred failure's traceback would hold this frame, and the mission
+        raise MissionTimeout("stalled")
+
+    monkeypatch.setattr(cli, "run_trial", tracking_run_trial)
+    if endurance_fails:
+        monkeypatch.setattr(cli, "run_until_depleted", failing_endurance)
+    gc.disable()
+    try:
+        code = main(["run", "--env", "hilly_terrain", "--trials", "3",
+                     "--out-dir", str(tmp_path)])
+        alive_at_end = [ref() is not None for ref in missions]
+    finally:
+        gc.enable()
+    assert code == (4 if endurance_fails else 0)
+    assert alive_at_start == [[], [False], [False, False]]
+    assert alive_at_end == [False, False, False]
 
 
 def test_cli_later_trial_failure_is_named_before_the_endurance_run(
