@@ -103,7 +103,8 @@ def _naming_trial(env_name, trial, seed):
 
 def _run_env(cfg, name, gains, trace, traces):
     """One environment's trials and endurance run; returns (trial reports,
-    endurance minutes) and, when tracing, files trial 0's trace segments in traces.
+    endurance minutes) and, when tracing, files the log entries of trial 0's
+    lap in traces; the endurance run's entries are not traced.
 
     The endurance run continues trial 0's mission past its last pot. Its
     failure is raised after the other trials, so a later trial's is named
@@ -115,13 +116,11 @@ def _run_env(cfg, name, gains, trace, traces):
     minutes = failure = None
     for i in range(cfg.trials):
         with _naming_trial(name, f"trial {i}", cfg.seed + i):
-            report, mission = run_trial(env, cfg, gains, cfg.seed + i, trial=i,
-                                        keep_trace=trace and i == 0)
+            report, mission = run_trial(env, cfg, gains, cfg.seed + i, trial=i)
         reports.append(report)
         if i == 0:
             if trace:
-                traces[(name, 0)] = mission.trace_segments
-            mission.trace_segments = None  # the endurance ticks are not traced
+                traces[(name, 0)] = mission.log[:]  # the endurance run appends on
             try:
                 minutes = run_until_depleted(mission)
             except (MissionTimeout, ValueError) as exc:
@@ -145,6 +144,9 @@ def _cmd_run(args):
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
 
+    # an unusable --out-dir fails before any trial runs
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     gains = gains_for(cfg)
     env_reports = {}
     endurance = {}
@@ -153,8 +155,6 @@ def _cmd_run(args):
         env_reports[name], endurance[name] = _run_env(cfg, name, gains, args.trace, traces)
 
     payload = build_results(dataclasses.asdict(cfg), env_reports, endurance)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "results.json").write_text(results_to_json(payload))
     (out_dir / "trials.csv").write_text(trials_csv_text(env_reports))
     if args.trace:

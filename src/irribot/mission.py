@@ -82,9 +82,11 @@ class IrrigationRecord:
 
 class Mission:
     """One mission's simulation handles and all of its mutable state, which
-    `step_mission` and the phase finishers change in place."""
+    `step_mission` and the phase finishers change in place. `log` holds one
+    entry per phase run: (start elapsed, phase, pot, tilt, start charge,
+    draw_ma, ticks)."""
 
-    def __init__(self, env, layout, cfg, gains, rng, *, keep_trace=False):
+    def __init__(self, env, layout, cfg, gains, rng):
         self.env = env
         self.layout = layout
         self.cfg = cfg
@@ -111,9 +113,7 @@ class Mission:
         self.matched_frames = 0
         self.current_target = None  # planned PlanItem for the pot in service
         self.impact = None  # (x, y) spray impact offset from the pot in service, mm
-        self.transitions = []
-        # per phase: (start elapsed, phase, pot, tilt, start charge, draw_ma, ticks)
-        self.trace_segments = [] if keep_trace else None
+        self.log = []
 
     def record(self):
         """The record of the pot in service."""
@@ -186,7 +186,6 @@ def _active_subsystems(phase, env):
 
 
 def _transition(m, phase, phase_left):
-    m.transitions.append((m.phase, phase))
     m.phase = phase
     m.phase_start = m.ticks
     m.phase_left = phase_left
@@ -345,9 +344,10 @@ def step_mission(mission, max_ticks):
     `mission_tick` until its time is used up, the battery depletes, or
     max_ticks ticks have passed. Battery charge and drift bias are plain
     floats that accumulate tick by tick, so every float equals that of a
-    loop stepping one tick at a time; with a trace, the phase adds one
-    segment. The phase's finisher then picks the next phase and updates the
-    mission, unless depletion aborted it or max_ticks cut it short.
+    loop stepping one tick at a time. The phase appends one entry to the
+    mission's log. The phase's finisher then picks the next phase and
+    updates the mission, unless depletion aborted it or max_ticks cut it
+    short.
     """
     m = mission
     phase = m.phase
@@ -362,9 +362,8 @@ def step_mission(mission, max_ticks):
         ticks, elapsed, left = _countdown(m.elapsed, m.phase_left, dt, run)
     # the finisher may read the bias: _enter_leveling hands it to the episode
     m.bias = drift_update(m.cfg.leveling, m.bias, dt, ticks)
-    if m.trace_segments is not None:
-        m.trace_segments.append((m.elapsed, phase, m.pot_index % len(m.layout.pots), m.tilt,
-                                 m.charge, m.draw_ma[phase], ticks))
+    m.log.append((m.elapsed, phase, m.pot_index % len(m.layout.pots), m.tilt,
+                  m.charge, m.draw_ma[phase], ticks))
     m.elapsed, m.charge, m.phase_left = elapsed, charge, left
     m.ticks += ticks
     if depleted:
@@ -374,9 +373,9 @@ def step_mission(mission, max_ticks):
     return ticks
 
 
-def segment_ticks(segment, battery, dt):
-    """(t, voltage) after each tick of a trace segment, in step_mission's floats."""
-    t, _, _, _, charge, draw_ma, ticks = segment
+def segment_ticks(entry, battery, dt):
+    """(t, voltage) after each tick of a mission log entry, in step_mission's floats."""
+    t, _, _, _, charge, draw_ma, ticks = entry
     drain = draw_ma * dt / 3600.0
     for _ in range(ticks):
         t = t + dt
@@ -399,13 +398,13 @@ def _run_guarded(m, max_hours, laps):
         f"mission exceeded the simulation-time guard of {max_hours:g} h ({max_ticks} ticks)")
 
 
-def run_mission(env, cfg, gains, seed, *, keep_trace=False, max_hours=GUARD_HOURS):
+def run_mission(env, cfg, gains, seed, *, max_hours=GUARD_HOURS):
     """Run one lap of a mission in env, as `environment_for(cfg, name)`
     resolves it, with these leveling gains; returns the Mission, aborted or
-    entering the next lap's Sensing."""
+    entering the next lap's Sensing, with one log entry per phase of the lap."""
     rng = np.random.default_rng(seed)
     layout = realize_layout(env.layout, rng)
-    mission = Mission(env, layout, cfg, gains, rng, keep_trace=keep_trace)
+    mission = Mission(env, layout, cfg, gains, rng)
     return _run_guarded(mission, max_hours, 1)
 
 
@@ -487,9 +486,10 @@ def aggregate_trial(mission, trial, seed):
     )
 
 
-def run_trial(env, cfg, gains, seed, *, trial=0, keep_trace=False):
-    """One metrics trial over the full layout; returns (report, mission)."""
-    mission = run_mission(env, cfg, gains, seed, keep_trace=keep_trace)
+def run_trial(env, cfg, gains, seed, *, trial=0):
+    """One metrics trial over the full layout; returns (report, mission),
+    whose log holds the lap's phases."""
+    mission = run_mission(env, cfg, gains, seed)
     return aggregate_trial(mission, trial, seed), mission
 
 
@@ -501,7 +501,7 @@ def run_until_depleted(mission, *, max_hours=GUARD_HOURS):
     An aborted mission runs no further; any other ends aborted or raises
     MissionTimeout. The first lap and the rest share one tick count under one
     guard of max_hours, so this runs exactly as a mission that never stopped
-    after its first lap would.
+    after its first lap would; the log goes on gaining one entry per phase.
     """
     _run_guarded(mission, max_hours, math.inf)
     return mission.elapsed / 60.0

@@ -191,12 +191,12 @@ def trials_csv_text(env_reports):
 
 
 def trace_csv_text(traces, battery, dt, fh):
-    """Write {(env, trial): trace segments} to the text file fh as trace.csv."""
+    """Write {(env, trial): mission log entries} to the text file fh as trace.csv."""
     # env and phase names are fixed identifiers: no field ever needs CSV quoting
     fh.write("env,trial,t,phase,pot,tilt_deg,voltage\n")
-    for (env, trial), segments in traces.items():
+    for (env, trial), log in traces.items():
         head = f"{env},{trial},"
-        for segment in segments:
-            mid = f",{segment[1]},{segment[2]},{segment[3]:.4f},"  # phase, pot, tilt
+        for entry in log:
+            mid = f",{entry[1]},{entry[2]},{entry[3]:.4f},"  # phase, pot, tilt
             fh.write("".join([f"{head}{t:.2f}{mid}{volts:.4f}\n"
-                              for t, volts in segment_ticks(segment, battery, dt)]))
+                              for t, volts in segment_ticks(entry, battery, dt)]))

@@ -420,10 +420,10 @@ def test_trace_csv_matches_csv_writer_oracle(tmp_path, monkeypatch):
                  "--out-dir", str(out)]) == 0
     [(traces, battery, dt)] = seen
     assert [env for env, _ in traces] == list(default_config().env_names())
-    # a segment is (start t, phase, pot, tilt, start charge, draw_ma, ticks)
-    rows = {key: [(t, *segment[1:4], volts) for segment in segments
-                  for t, volts in segment_ticks(segment, battery, dt)]
-            for key, segments in traces.items()}
+    # a log entry is (start t, phase, pot, tilt, start charge, draw_ma, ticks)
+    rows = {key: [(t, *entry[1:4], volts) for entry in log
+                  for t, volts in segment_ticks(entry, battery, dt)]
+            for key, log in traces.items()}
     assert sum(map(len, rows.values())) > 1000
     got = (out / "trace.csv").read_text().splitlines(keepends=True)
     want = csv_writer_trace_text(rows).splitlines(keepends=True)
@@ -526,11 +526,11 @@ def test_cli_later_trial_failure_is_named_before_the_endurance_run(
     real_run_trial = cli.run_trial
     tried = []
 
-    def failing_trial_1(env, cfg, gains, seed, *, trial, keep_trace):
+    def failing_trial_1(env, cfg, gains, seed, *, trial):
         tried.append(trial)
         if trial == 1:
             raise MissionTimeout("stalled")
-        return real_run_trial(env, cfg, gains, seed, trial=trial, keep_trace=keep_trace)
+        return real_run_trial(env, cfg, gains, seed, trial=trial)
 
     monkeypatch.setattr(cli, "run_trial", failing_trial_1)
     # the endurance run, which continues trial 0, outlasts its guard too
@@ -562,6 +562,18 @@ def test_cli_trials_above_the_bound_exits_4_before_any_trial(tmp_path, capsys, m
     assert main(["run", "--env", "all", "--trials", "1001", "--out-dir", str(tmp_path)]) == 4
     assert capsys.readouterr().err == "irribot: validation error: trials must be at most 1000\n"
     assert not (tmp_path / "results.json").exists()
+
+
+def test_cli_out_dir_naming_a_file_exits_5_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_trial", no_trial)
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    assert main(["run", "--env", "all", "--trials", "300", "--out-dir", str(afile)]) == 5
+    assert capsys.readouterr().err.startswith("irribot: i/o error: ")
+    assert afile.read_text() == "not a directory\n"
 
 
 def test_trials_bound_admits_max_trials_and_no_more():

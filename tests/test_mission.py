@@ -61,7 +61,7 @@ def config_with(**overrides):
 
 
 def mission(env_name, seed=7):
-    return run_mission(environment_for(CFG, env_name), CFG, GAINS, seed, keep_trace=True)
+    return run_mission(environment_for(CFG, env_name), CFG, GAINS, seed)
 
 
 def trial(env_name, seed, cfg=CFG):
@@ -70,17 +70,25 @@ def trial(env_name, seed, cfg=CFG):
 
 def trace_rows(m):
     """The mission's per-tick trace rows (t, phase, pot, tilt, voltage),
-    expanded from its trace segments."""
+    expanded from its log."""
     battery, dt = m.cfg.battery, m.cfg.timing.mission_tick
-    return [(t, *segment[1:4], volts) for segment in m.trace_segments
-            for t, volts in segment_ticks(segment, battery, dt)]
+    return [(t, *entry[1:4], volts) for entry in m.log
+            for t, volts in segment_ticks(entry, battery, dt)]
+
+
+def transitions(m):
+    """The mission's (from, to) phase pairs: its logged phases, then the
+    phase it is in. A mission whose last phase ran to its end (or aborted)
+    has one pair per log entry."""
+    phases = [entry[1] for entry in m.log] + [m.phase]
+    return list(zip(phases, phases[1:]))
 
 
 # ------------------------------------------------------- state machine
 
 def test_phase_transitions_respect_adjacency():
     for name in ("standard_greenhouse", "hilly_terrain", "complex_lighting"):
-        for src, dst in mission(name).transitions:
+        for src, dst in transitions(mission(name)):
             assert dst in ADJACENCY[src], f"{src} -> {dst} in {name}"
 
 
@@ -94,8 +102,9 @@ def test_mission_finishes_done_on_full_battery():
 
 def test_sloped_start_levels_before_first_arm_move():
     m = mission("hilly_terrain")
-    assert m.transitions[0] == (SENSING, LEVELING)
-    phases = [dst for _, dst in m.transitions]
+    pairs = transitions(m)
+    assert pairs[0] == (SENSING, LEVELING)
+    phases = [dst for _, dst in pairs]
     assert phases.index(LEVELING) < phases.index(POSITIONING)
 
 
@@ -110,7 +119,7 @@ def test_platform_is_level_whenever_the_arm_moves():
 def test_flat_environments_never_enter_leveling():
     for name in ("standard_greenhouse", "complex_lighting"):
         report, m = trial(name, 11)
-        phases = {dst for _, dst in m.transitions}
+        phases = {dst for _, dst in transitions(m)}
         assert LEVELING not in phases
         assert report.leveling_mean_s is None
         assert report.sse_mean_deg is None
@@ -128,7 +137,7 @@ def test_depleted_battery_aborts_with_cause():
     assert report.aborted
     assert report.abort_cause == CAUSE_DEPLETED
     assert m.phase == ABORTED
-    assert m.transitions[-1][1] == ABORTED
+    assert transitions(m)[-1][1] == ABORTED
     assert report.serviced < report.pots
 
 
@@ -169,8 +178,7 @@ def test_reset_inside_an_episode_carries_into_the_next_episode():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mission_module, "run_leveling_episode", recording_episode)
-        m = run_mission(environment_for(cfg, "hilly_terrain"), cfg, GAINS, 42,
-                        keep_trace=True)
+        m = run_mission(environment_for(cfg, "hilly_terrain"), cfg, GAINS, 42)
     assert m.phase != ABORTED and m.pot_index == len(m.records) and len(episodes) >= 10
     # each episode's run of Leveling ticks, as (first, end) row indices
     phases = [row[1] for row in trace_rows(m)]
@@ -216,13 +224,12 @@ def test_battery_voltage_monotone_over_mission():
 def test_depleting_phase_segment_expands_to_the_ticks_it_ran():
     cfg = config_with(battery=BatteryModel(capacity_mah=3.0))
     with counted("battery_step") as walks:
-        m = run_mission(environment_for(cfg, "standard_greenhouse"), cfg, GAINS, 5,
-                        keep_trace=True)
+        m = run_mission(environment_for(cfg, "standard_greenhouse"), cfg, GAINS, 5)
     assert m.phase == ABORTED and m.phase_left > 1e-9  # cut short by the battery
     _, (charge, depleted, run) = walks[-1]
-    segment = m.trace_segments[-1]
-    ticks = list(segment_ticks(segment, cfg.battery, cfg.timing.mission_tick))
-    assert depleted and segment[6] == run == len(ticks)
+    entry = m.log[-1]
+    ticks = list(segment_ticks(entry, cfg.battery, cfg.timing.mission_tick))
+    assert depleted and entry[6] == run == len(ticks)
     assert ticks[-1] == (m.elapsed, cfg.battery.voltage(charge))
     cutoff = cfg.battery.voltage_cutoff
     assert [v < cutoff for _, v in ticks] == [False] * (run - 1) + [True]
@@ -398,9 +405,15 @@ def test_calibrate_battery_script_output_is_pinned(capsys):
 # ------------------------------------------------------- per-tick reference
 
 def reference_step(m, dt):
-    """Advance the mission by one tick: the reference for step_mission."""
+    """Advance the mission by one tick: the reference for step_mission. The
+    first tick of a phase opens an entry of the reference's own `phase_log`,
+    which every tick of the phase counts in."""
     model = m.cfg.battery
     draw = model.current_ma(_active_subsystems(m.phase, m.env))
+    if m.ticks == m.phase_start:  # each transition, a Sensing retry too, restarts it
+        m.phase_log.append([m.elapsed, m.phase, m.pot_index % len(m.layout.pots), m.tilt,
+                            m.charge, draw, 0])
+    m.phase_log[-1][6] += 1
     m.charge, depleted, _ = battery_step(model, m.charge, draw, dt)
     m.bias = drift_update(m.cfg.leveling, m.bias, dt)
     m.elapsed = m.elapsed + dt
@@ -417,10 +430,12 @@ def reference_step(m, dt):
 def reference_mission(env, cfg, seed, *, loop=False, max_ticks=10**7):
     """Tick-at-a-time mission; returns (mission, ticks) when it aborts, when
     it leaves its last pot (unless it loops) or when max_ticks have run. Its
-    `tick_rows` hold one trace row per tick."""
+    `tick_rows` hold one trace row per tick and its `phase_log` one entry per
+    phase, in the shape of `Mission.log`."""
     rng = np.random.default_rng(seed)
     m = Mission(env, realize_layout(env.layout, rng), cfg, GAINS, rng)
     m.tick_rows = []
+    m.phase_log = []
     while (m.ticks < max_ticks and m.phase != ABORTED
            and (loop or m.pot_index < len(m.layout.pots))):
         reference_step(m, cfg.timing.mission_tick)
@@ -430,15 +445,17 @@ def reference_mission(env, cfg, seed, *, loop=False, max_ticks=10**7):
 # everything a mission mutates as it runs
 MISSION_STATE = (
     "phase", "phase_start", "pot_index", "elapsed", "phase_left", "retried", "charge",
-    "bias", "reset_tick", "tilt", "records", "transitions", "frames", "det_count",
+    "bias", "reset_tick", "tilt", "records", "frames", "det_count",
     "fp_count", "matched_frames", "ticks",
 )
 
 
 def assert_same_mission(m, ref):
-    """m ran with a trace, ref is a `reference_mission`; their trace rows match too."""
+    """ref is a `reference_mission`; m's log matches ref's phase log entry
+    for entry, and the trace rows it expands to match ref's tick rows."""
     for name in MISSION_STATE:
         assert getattr(m, name) == getattr(ref, name), name
+    assert m.log == [tuple(entry) for entry in ref.phase_log]
     assert trace_rows(m) == ref.tick_rows
 
 
@@ -489,14 +506,14 @@ def test_phase_core_matches_tick_reference(env_name, seed, pot_count, tick, capa
     ref, ref_ticks = reference_mission(env, cfg, seed, loop=loop)
     assert ref.phase == ABORTED or not loop and ref.pot_index == len(ref.records)
     with counted() as calls, counted("battery_step") as walks:
-        m = run_mission(env, cfg, GAINS, seed, keep_trace=True)
+        m = run_mission(env, cfg, GAINS, seed)
         if loop:  # the endurance run continues the finished mission
             run_until_depleted(m)
     assert_same_mission(m, ref)
     assert sum(ticks for _, ticks in calls) == ref_ticks == len(trace_rows(m))
     # one battery walk per phase: no phase replays its ticks
     assert len(walks) == len(calls)
-    for src, dst in m.transitions:
+    for src, dst in transitions(m):
         assert dst in ADJACENCY[src], (src, dst)
 
 
@@ -505,7 +522,7 @@ def test_time_guard_fires_after_exactly_the_budgeted_ticks(max_hours, tick):
     env, cfg = varied_config("hilly_terrain", 20, tick, 1e7, 0.0015, True)
     budget = int(max_hours * 3600.0 / tick)
     with counted() as calls, pytest.raises(MissionTimeout):
-        run_mission(env, cfg, GAINS, 3, keep_trace=True, max_hours=max_hours)
+        run_mission(env, cfg, GAINS, 3, max_hours=max_hours)
     ref, ticks = reference_mission(env, cfg, 3, max_ticks=budget)
     assert ticks == budget and ref.phase != ABORTED and ref.pot_index < len(ref.records)
     m = calls[-1][0]
@@ -527,7 +544,7 @@ def guard_hours(ticks, tick):
 @pytest.mark.parametrize("short", [0, 1, 40])
 def test_continuation_is_under_the_guard_of_a_fresh_loop(capacity, phase, short):
     env, cfg = varied_config("hilly_terrain", 3, 0.05, capacity, 0.0015, True)
-    m = run_mission(env, cfg, GAINS, 9, keep_trace=True)
+    m = run_mission(env, cfg, GAINS, 9)
     assert m.phase == phase
     budget = m.ticks - short
     hours = guard_hours(budget, 0.05)
