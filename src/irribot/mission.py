@@ -55,7 +55,7 @@ CAUSE_UNREACHABLE = "Unreachable"
 # simulated-time guard of one mission, its endurance continuation included
 GUARD_HOURS = 3.0
 # the most ticks the guard may span (GUARD_HOURS * 3600 / mission_tick), which
-# is the guard at a 1 ms tick; every tick is walked one at a time
+# is the guard at a 1 ms tick; of each tick, only the battery's charge is walked
 MAX_MISSION_TICKS = 10_800_000
 
 # the aspect-ratio bands every sensing frame is filtered with
@@ -82,9 +82,10 @@ class IrrigationRecord:
 
 class Mission:
     """One mission's simulation handles and all of its mutable state, which
-    `step_mission` and the phase finishers change in place. `log` holds one
-    entry per phase run: (start elapsed, phase, pot, tilt, start charge,
-    draw_ma, ticks)."""
+    `step_mission` and the phase finishers change in place. `ticks` is the
+    mission's one clock: its elapsed time is `ticks * mission_tick`, and the
+    current phase ends on tick `phase_end`. `log` holds one entry per phase
+    run: (start tick, phase, pot, tilt, start charge, draw_ma, ticks)."""
 
     def __init__(self, env, layout, cfg, gains, rng):
         self.env = env
@@ -95,15 +96,10 @@ class Mission:
         self.ticks = 0  # mission ticks run so far
         # summed battery draw of each phase, mA
         self.draw_ma = {p: cfg.battery.current_ma(_active_subsystems(p, env)) for p in _FINISHERS}
-        self.phase = SENSING
-        self.phase_start = 0  # the mission tick the current phase began at
         self.pot_index = 0
-        self.elapsed = 0.0  # s
-        self.phase_left = _sensing_time(self)  # s
-        self.retried = False
         self.charge = cfg.battery.capacity_mah  # mAh
         self.bias = 0.0  # degrees, integrated drift of the tilt reading
-        # the leveling phase's tick of its last charged drift reset, or None
+        # the mission tick of the leveling phase's last charged drift reset, or None
         self.reset_tick = None
         self.tilt = float(env.slope)
         self.records = [IrrigationRecord(pot_id=p.pot_id) for p in layout.pots]
@@ -114,6 +110,7 @@ class Mission:
         self.current_target = None  # planned PlanItem for the pot in service
         self.impact = None  # (x, y) spray impact offset from the pot in service, mm
         self.log = []
+        _enter_sensing(self)  # sets phase, phase_end and retried
 
     def record(self):
         """The record of the pot in service."""
@@ -185,19 +182,16 @@ def _active_subsystems(phase, env):
     return active
 
 
-def _transition(m, phase, phase_left):
+def _transition(m, phase, seconds):
+    """Enter `phase` for `seconds` of simulated time: the whole ticks that
+    cover them, at least one."""
     m.phase = phase
-    m.phase_start = m.ticks
-    m.phase_left = phase_left
-
-
-def _sensing_time(m):
-    return m.cfg.timing.sense_settle + m.env.tuning.inference_time_ms / 1000.0
+    m.phase_end = m.ticks + max(1, math.ceil((seconds - 1e-9) / m.cfg.timing.mission_tick))
 
 
 def _enter_sensing(m, *, retried=False):
     m.retried = retried
-    _transition(m, SENSING, _sensing_time(m))
+    _transition(m, SENSING, m.cfg.timing.sense_settle + m.env.tuning.inference_time_ms / 1000.0)
 
 
 def _enter_advancing(m, cause=None):
@@ -264,14 +258,14 @@ def _enter_leveling(m):
     # the reset falls in to the end of the phase.
     charged = [r for r in summary.resets if r * tick <= settle]
     dt = m.cfg.timing.mission_tick
-    m.reset_tick = int(charged[-1] * tick / dt + 1e-9) if charged else None
+    m.reset_tick = m.ticks + int(charged[-1] * tick / dt + 1e-9) if charged else None
     _transition(m, LEVELING, float(settle))
 
 
 def _finish_leveling(m):
     if m.reset_tick is not None:
         # the bias grew from zero over the phase's ticks after the reset's
-        since = m.ticks - m.phase_start - m.reset_tick
+        since = m.ticks - m.reset_tick
         m.bias = drift_update(m.cfg.leveling, 0.0, m.cfg.timing.mission_tick, since)
     _transition(m, POSITIONING, m.cfg.timing.arm_move)
 
@@ -324,28 +318,15 @@ _FINISHERS = {
 }
 
 
-def _countdown(elapsed, left, dt, max_ticks):
-    """Tick the phase clock until `left` runs out or max_ticks have passed.
-
-    Returns (ticks, elapsed, left); a phase always takes at least one tick.
-    """
-    for ticks in range(1, max_ticks + 1):
-        elapsed = elapsed + dt
-        left = left - dt
-        if left <= 1e-9:
-            break
-    return ticks, elapsed, left
-
-
 def step_mission(mission, max_ticks):
     """Advance the mission through its current phase; returns the tick count.
 
     Mutates `mission` in place. The phase runs at ticks of the config's
-    `mission_tick` until its time is used up, the battery depletes, or
-    max_ticks ticks have passed. Battery charge and drift bias are plain
-    floats that accumulate tick by tick, so every float equals that of a
-    loop stepping one tick at a time. The phase appends one entry to the
-    mission's log. The phase's finisher then picks the next phase and
+    `mission_tick` until it reaches its end tick, the battery depletes, or
+    max_ticks ticks have passed. The battery walk (`battery_step`) drains
+    the charge tick by tick and stops on the depleting tick; the drift bias
+    grows in closed form over the ticks run. The phase appends one entry to
+    the mission's log. The phase's finisher then picks the next phase and
     updates the mission, unless depletion aborted it or max_ticks cut it
     short.
     """
@@ -356,31 +337,30 @@ def step_mission(mission, max_ticks):
     if max_ticks < 1:
         raise ValueError("max_ticks must be at least 1")
     dt = m.cfg.timing.mission_tick
-    ticks, elapsed, left = _countdown(m.elapsed, m.phase_left, dt, max_ticks)
-    charge, depleted, run = battery_step(m.cfg.battery, m.charge, m.draw_ma[phase], dt, ticks)
-    if run < ticks:  # the battery depleted on tick `run`
-        ticks, elapsed, left = _countdown(m.elapsed, m.phase_left, dt, run)
+    ticks = min(m.phase_end - m.ticks, max_ticks)
+    charge, depleted, ticks = battery_step(m.cfg.battery, m.charge, m.draw_ma[phase], dt, ticks)
     # the finisher may read the bias: _enter_leveling hands it to the episode
     m.bias = drift_update(m.cfg.leveling, m.bias, dt, ticks)
-    m.log.append((m.elapsed, phase, m.pot_index % len(m.layout.pots), m.tilt,
+    m.log.append((m.ticks, phase, m.pot_index % len(m.layout.pots), m.tilt,
                   m.charge, m.draw_ma[phase], ticks))
-    m.elapsed, m.charge, m.phase_left = elapsed, charge, left
+    m.charge = charge
     m.ticks += ticks
     if depleted:
-        _transition(m, ABORTED, left)
-    elif left <= 1e-9:
+        m.phase = ABORTED
+    elif m.ticks == m.phase_end:
         _FINISHERS[phase](m)
     return ticks
 
 
 def segment_ticks(entry, battery, dt):
-    """(t, voltage) after each tick of a mission log entry, in step_mission's floats."""
-    t, _, _, _, charge, draw_ma, ticks = entry
+    """(t, voltage) after each tick of a mission log entry: t is the mission
+    tick times dt, and the charge is walked tick by tick as battery_step
+    walks it."""
+    start, _, _, _, charge, draw_ma, ticks = entry
     drain = draw_ma * dt / 3600.0
-    for _ in range(ticks):
-        t = t + dt
+    for k in range(start + 1, start + ticks + 1):
         charge = charge - drain
-        yield t, battery.voltage(charge)
+        yield k * dt, battery.voltage(charge)
 
 
 def _run_guarded(m, max_hours, laps):
@@ -479,7 +459,7 @@ def aggregate_trial(mission, trial, seed):
         mean_volume_ml=mean_or_none(r.dispensed for r in serviced),
         efficiency_pct=efficiency,
         water_savings_pct=savings,
-        elapsed_s=m.elapsed,
+        elapsed_s=m.ticks * m.cfg.timing.mission_tick,
         battery_voltage_end=float(m.cfg.battery.voltage(m.charge)),
         aborted=aborted,
         abort_cause=CAUSE_DEPLETED if aborted else None,
@@ -504,4 +484,4 @@ def run_until_depleted(mission, *, max_hours=GUARD_HOURS):
     after its first lap would; the log goes on gaining one entry per phase.
     """
     _run_guarded(mission, max_hours, math.inf)
-    return mission.elapsed / 60.0
+    return mission.ticks * mission.cfg.timing.mission_tick / 60.0

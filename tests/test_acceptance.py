@@ -291,8 +291,8 @@ def test_criterion_7_battery_runtimes(capsys):
 # SHA-256 of the canonical seed-42 outputs. A change to any of them must be
 # explained: name its cause and show the rendered summary is unchanged.
 GOLDEN_DIGESTS = {
-    "results.json": "d72b2af9e5b3e14e4157f43242dfe00319ffb00752712f196d7a896c341774e3",
-    "trials.csv": "5cdf8e16f281cbddd52bfa23cb03e042c2ee32c49186f8e2cf4a7a762b5158be",
+    "results.json": "ea255bfd329e7bd7d25230b6f10ca253a3e1a179ef306baa2d22b718ac9c8d86",
+    "trials.csv": "feb86767b86c47c6d02d8e272c5145e0ecf5b2f72edadb528a98cfaf38afc12c",
     "stdout": "3930899290739716e8cbfe68077d9dd2c7f685186d647e9ccd62a28080b0aecf",
 }
 

@@ -391,7 +391,7 @@ def test_cli_trace_flag_writes_tick_trace(tmp_path):
     rows = list(csv.DictReader(io.StringIO(trace)))
     assert {row["trial"] for row in rows} == {"0"}
     assert len(rows) == m.ticks
-    assert rows[-1]["t"] == f"{m.elapsed:.2f}"
+    assert rows[-1]["t"] == f"{m.ticks * cfg.timing.mission_tick:.2f}"
 
 
 def csv_writer_trace_text(traces):
@@ -420,7 +420,7 @@ def test_trace_csv_matches_csv_writer_oracle(tmp_path, monkeypatch):
                  "--out-dir", str(out)]) == 0
     [(traces, battery, dt)] = seen
     assert [env for env, _ in traces] == list(default_config().env_names())
-    # a log entry is (start t, phase, pot, tilt, start charge, draw_ma, ticks)
+    # a log entry is (start tick, phase, pot, tilt, start charge, draw_ma, ticks)
     rows = {key: [(t, *entry[1:4], volts) for entry in log
                   for t, volts in segment_ticks(entry, battery, dt)]
             for key, log in traces.items()}

@@ -38,26 +38,26 @@ CASES = {
 
 DIGESTS = {
     "seed_1042": {
-        "results.json": "6246f9188da9dc928e1088026893a29c9ebbcbebe61f468d9efae2e3043eab6a",
-        "trials.csv": "6b3269c008a1154c29096669c4c3fde0cc4c86023759a9daccc6310c017f4dcd",
+        "results.json": "fdd196db7cc66d9e5f93d7772522ae33489b644a5f42a6bfd600a2d14ab13c2c",
+        "trials.csv": "b02985a2c4fa21d6d460f8bf154249511acb02a1c9d3f91417d1bac006b9fc0b",
         "trace.csv": "8e76bbd1dea46f5dcf6a71a78d7cc439c5fe21c5cbfe044e50cafa24f2a160ab",
         "stdout": "4d3d6aa46572a46e0697380a1c5cd7ad48bb2af40892e59008edf4f7134361ba",
     },
     "pots_800": {
-        "results.json": "4faf5834c45bd23092f1420922c6602c1ae601d564a3e9061f5b5b76514c1866",
-        "trials.csv": "8a0eff83e43935bf50ce601bfca2fd286f42f74550ad56c2a63c807be6e4a501",
+        "results.json": "328bbd8ca1f9c0421488877c9b7dc20ce6156cf2a398e2417d109776e7b79f28",
+        "trials.csv": "203f153934042ce900d4fabd66fccf563cd75d25e35fd90a49d995e3db3d7086",
         "trace.csv": "2e0311e919e4b59581ec2f56fff6861b658b2cdd42d8c91bbb62d762a8816ec7",
         "stdout": "4471d6e572d69ce3f0dd31e2cbbb8a2ad7b7b8a4e9f586fd27c3fd9863c1500d",
     },
     "overrides": {
-        "results.json": "43456f3954d48f7c292a2afbe8ec81a370c4b4c6989dba8b540a0f3fc5b56230",
-        "trials.csv": "27a3c55ee98578621d3e4e9671ad77f1ebaba7dd5cae229fa1072aa79c69b868",
+        "results.json": "02530fddbf905fa9d51fcc7c61af68c822a37e82178e6648e177cb94b7d359db",
+        "trials.csv": "4c30ed261d442488bc6f5aad9e9916d4d6f5945e64c4b62ef9c82c8f942547da",
         "trace.csv": "bb9a8cffeba5d79c0b061af96f0a86410f2b47308974f5ba22864ebf6647d363",
         "stdout": "6af3ac13a8fd62cf3be4c7fa695ef8a185f381480b66a06b32f369b124f23bd2",
     },
     "unshielded_hilly": {
-        "results.json": "82e032174f920effb28f9443984e945a3bd1abd132595e815f4f5905ac263d5e",
-        "trials.csv": "c4e1d5bc5d69c061b15bde3e77428892cc22573f23baf05ed1abb82c0beab9c8",
+        "results.json": "3e69f6ccd997d5258efe3ecb2e9f09851fec60c928e3708ff88aa678fbcae45b",
+        "trials.csv": "8233861ee1e8453e2ef632286555487848085a642bee2aab1a5b95d69d7ec3e6",
         "trace.csv": "1515356749860c4e154bf0f115d3b9b221b5ff5f2ba1adf9af6002ab25184556",
         "stdout": "b947cfce495c09846f2025afc24c639dec0229e6934595951cfcfd6f0227da87",
     },

@@ -19,6 +19,7 @@ import runpy
 import tracemalloc
 from collections import deque
 from dataclasses import dataclass, fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -630,12 +631,11 @@ def test_drift_update_is_additive(dt1, dt2, rate):
 
 
 @given(st.floats(1e-3, 1.0), st.integers(1, 500), st.floats(0.0, 2.0), st.booleans())
-def test_drift_n_tick_call_equals_n_one_tick_calls(dt, n, rate, shielded):
+def test_drift_n_tick_call_is_within_two_ulps_of_exact(dt, n, rate, shielded):
     lv = LevelingConfig(drift_rate=rate, shielded=shielded)
-    stepped = 0.25
-    for _ in range(n):
-        stepped = drift_update(lv, stepped, dt)
-    assert drift_update(lv, 0.25, dt, n) == stepped
+    exact = Fraction(0.25) + Fraction(lv.effective_rate) * Fraction(dt) * n
+    got = drift_update(lv, 0.25, dt, n)
+    assert abs(Fraction(got) - exact) <= 2 * Fraction(math.ulp(float(exact)))
 
 
 def test_recalibrate_fires_at_threshold():

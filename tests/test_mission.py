@@ -4,6 +4,7 @@ import dataclasses
 import math
 import runpy
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irribot import mission as mission_module
-from irribot.config import default_config, environment_for, gains_for
+from irribot.config import ENV_NAMES, default_config, environment_for, gains_for
 from irribot.detect import CIRCULAR, BBox, Detection
 from irribot.fieldsim import (
     BatteryModel,
@@ -195,9 +196,13 @@ def test_reset_inside_an_episode_carries_into_the_next_episode():
         # the bias restarts from zero on the mission tick the last charged
         # reset falls in and grows on every mission tick up to the next episode
         since = (end - first) - int(reset * tick / dt + 1e-9) + (nxt - end)
-        assert entry == drift_update(cfg.leveling, 0.0, dt, since)
+        # each phase adds its ticks' drift in closed form, so the bias is the
+        # exact drift over `since` ticks up to rounding; one tick more or less
+        # would move it by 1/since, far outside the tolerance
+        rate = Fraction(cfg.leveling.effective_rate) * Fraction(dt)
+        assert entry == pytest.approx(float(rate * since), rel=1e-12, abs=0.0)
         # so it never exceeds the drift since the previous episode began
-        assert entry <= drift_update(cfg.leveling, 0.0, dt, nxt - first)
+        assert entry <= float(rate * (nxt - first)) * (1 + 1e-12)
 
 
 def test_level_band_reaches_the_settle_time():
@@ -225,12 +230,12 @@ def test_depleting_phase_segment_expands_to_the_ticks_it_ran():
     cfg = config_with(battery=BatteryModel(capacity_mah=3.0))
     with counted("battery_step") as walks:
         m = run_mission(environment_for(cfg, "standard_greenhouse"), cfg, GAINS, 5)
-    assert m.phase == ABORTED and m.phase_left > 1e-9  # cut short by the battery
+    assert m.phase == ABORTED and m.ticks < m.phase_end  # cut short by the battery
     _, (charge, depleted, run) = walks[-1]
     entry = m.log[-1]
     ticks = list(segment_ticks(entry, cfg.battery, cfg.timing.mission_tick))
     assert depleted and entry[6] == run == len(ticks)
-    assert ticks[-1] == (m.elapsed, cfg.battery.voltage(charge))
+    assert ticks[-1] == (m.ticks * cfg.timing.mission_tick, cfg.battery.voltage(charge))
     cutoff = cfg.battery.voltage_cutoff
     assert [v < cutoff for _, v in ticks] == [False] * (run - 1) + [True]
 
@@ -405,25 +410,28 @@ def test_calibrate_battery_script_output_is_pinned(capsys):
 # ------------------------------------------------------- per-tick reference
 
 def reference_step(m, dt):
-    """Advance the mission by one tick: the reference for step_mission. The
-    first tick of a phase opens an entry of the reference's own `phase_log`,
-    which every tick of the phase counts in."""
+    """Advance the mission by one tick: the reference for step_mission. It
+    keeps its own float countdown of the phase's seconds, `ref_left`, so the
+    tick a phase ends on (and the tick the battery depletes on) is found one
+    tick at a time. The first tick of a phase opens an entry of the
+    reference's own `phase_log`, which every tick of the phase counts in; the
+    bias is drift_update over the phase's ticks so far from its start bias."""
     model = m.cfg.battery
     draw = model.current_ma(_active_subsystems(m.phase, m.env))
-    if m.ticks == m.phase_start:  # each transition, a Sensing retry too, restarts it
-        m.phase_log.append([m.elapsed, m.phase, m.pot_index % len(m.layout.pots), m.tilt,
+    if m.ticks == m.ref_start:  # each transition, a Sensing retry too, restarts it
+        m.ref_bias = m.bias
+        m.phase_log.append([m.ticks, m.phase, m.pot_index % len(m.layout.pots), m.tilt,
                             m.charge, draw, 0])
     m.phase_log[-1][6] += 1
     m.charge, depleted, _ = battery_step(model, m.charge, draw, dt)
-    m.bias = drift_update(m.cfg.leveling, m.bias, dt)
-    m.elapsed = m.elapsed + dt
-    m.phase_left = m.phase_left - dt
+    m.ref_left = m.ref_left - dt
     m.ticks += 1
-    m.tick_rows.append((m.elapsed, m.phase, m.pot_index % len(m.layout.pots), m.tilt,
+    m.bias = drift_update(m.cfg.leveling, m.ref_bias, dt, m.ticks - m.ref_start)
+    m.tick_rows.append((m.ticks * dt, m.phase, m.pot_index % len(m.layout.pots), m.tilt,
                         model.voltage(m.charge)))
     if depleted:
-        _transition(m, ABORTED, m.phase_left)
-    elif m.phase_left <= 1e-9:
+        m.phase = ABORTED
+    elif m.ref_left <= 1e-9:
         _FINISHERS[m.phase](m)
 
 
@@ -432,21 +440,28 @@ def reference_mission(env, cfg, seed, *, loop=False, max_ticks=10**7):
     it leaves its last pot (unless it loops) or when max_ticks have run. Its
     `tick_rows` hold one trace row per tick and its `phase_log` one entry per
     phase, in the shape of `Mission.log`."""
+    real_transition = mission_module._transition
+
+    def counting_down(m, phase, seconds):
+        real_transition(m, phase, seconds)
+        m.ref_start, m.ref_left = m.ticks, seconds
+
     rng = np.random.default_rng(seed)
-    m = Mission(env, realize_layout(env.layout, rng), cfg, GAINS, rng)
-    m.tick_rows = []
-    m.phase_log = []
-    while (m.ticks < max_ticks and m.phase != ABORTED
-           and (loop or m.pot_index < len(m.layout.pots))):
-        reference_step(m, cfg.timing.mission_tick)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mission_module, "_transition", counting_down)
+        m = Mission(env, realize_layout(env.layout, rng), cfg, GAINS, rng)
+        m.tick_rows = []
+        m.phase_log = []
+        while (m.ticks < max_ticks and m.phase != ABORTED
+               and (loop or m.pot_index < len(m.layout.pots))):
+            reference_step(m, cfg.timing.mission_tick)
     return m, m.ticks
 
 
 # everything a mission mutates as it runs
 MISSION_STATE = (
-    "phase", "phase_start", "pot_index", "elapsed", "phase_left", "retried", "charge",
-    "bias", "reset_tick", "tilt", "records", "frames", "det_count",
-    "fp_count", "matched_frames", "ticks",
+    "phase", "phase_end", "pot_index", "retried", "charge", "bias", "reset_tick", "tilt",
+    "records", "frames", "det_count", "fp_count", "matched_frames", "ticks",
 )
 
 
@@ -556,3 +571,70 @@ def test_continuation_is_under_the_guard_of_a_fresh_loop(capacity, phase, short)
             run_until_depleted(m, max_hours=hours)
     if short == 0:  # the reference ran every tick the mission did
         assert_same_mission(m, ref)
+
+
+# ------------------------------------------------------- integer clock
+
+def assert_log_accounts_for_every_tick(m):
+    """Each log entry starts on the tick the one before it ended, the first
+    on tick 0, and the entries' ticks sum to the mission's, in integers."""
+    starts = [entry[0] for entry in m.log]
+    ends = [entry[0] + entry[6] for entry in m.log]
+    assert all(type(start) is int for start in starts)
+    assert starts == [0, *ends[:-1]]
+    assert sum(entry[6] for entry in m.log) == ends[-1] == m.ticks
+
+
+@pytest.mark.parametrize("env_name", ENV_NAMES)
+def test_integer_clock_accounts_for_every_tick(env_name):
+    env, dt = environment_for(CFG, env_name), CFG.timing.mission_tick
+    for i in range(3):  # the trials `irribot run --seed 42 --trials 3` runs
+        report, m = run_trial(env, CFG, GAINS, 42 + i, trial=i)
+        assert_log_accounts_for_every_tick(m)
+        assert report.elapsed_s == m.ticks * dt
+        if i == 0:  # the endurance run continues trial 0's mission
+            minutes = run_until_depleted(m)
+            assert m.phase == ABORTED
+            assert_log_accounts_for_every_tick(m)
+            assert minutes == m.ticks * dt / 60.0
+
+
+@pytest.mark.parametrize("arm_move,sense_settle,inference_ms,positioning,sensing", [
+    (1.5, 0.5, 32.0, 30, 11),  # 1.5 s is exactly 30 ticks of 0.05 s, not 31
+    (0.0, 0.0, 0.0, 1, 1),  # a zero-second phase still takes one tick
+])
+def test_phase_runs_the_whole_ticks_its_seconds_cover(arm_move, sense_settle, inference_ms,
+                                                      positioning, sensing):
+    cfg = config_with(timing=dataclasses.replace(
+        CFG.timing, arm_move=arm_move, sense_settle=sense_settle))
+    env = environment_for(cfg, "standard_greenhouse")
+    env = dataclasses.replace(env, tuning=dataclasses.replace(
+        env.tuning, inference_time_ms=inference_ms))
+    _, m = run_trial(env, cfg, GAINS, 42)
+    ticks = {phase: {entry[6] for entry in m.log if entry[1] == phase}
+             for phase in (POSITIONING, SENSING)}
+    assert ticks == {POSITIONING: {positioning}, SENSING: {sensing}}
+    ref, _ = reference_mission(env, cfg, 42)  # the walked countdown agrees
+    assert_same_mission(m, ref)
+
+
+def tick_phases(m):
+    """The phase of each tick the mission ran, from its log."""
+    return [entry[1] for entry in m.log for _ in range(entry[6])]
+
+
+@pytest.mark.parametrize("max_ticks", [1, 7, 29])
+def test_phase_cut_by_max_ticks_ends_on_the_uncut_tick(max_ticks):
+    # on flat ground the drift bias reaches no record, so only the cuts differ
+    env = environment_for(CFG, "standard_greenhouse")
+    uncut = run_mission(env, CFG, GAINS, 42)
+    rng = np.random.default_rng(42)
+    m = Mission(env, realize_layout(env.layout, rng), CFG, GAINS, rng)
+    while m.pot_index < len(m.records):
+        assert step_mission(m, max_ticks) <= max_ticks
+    assert len(m.log) > len(uncut.log)  # phases were cut and resumed
+    # every phase ends on the uncut tick, and every tick runs the uncut phase
+    ends = {entry[0] + entry[6] for entry in m.log}
+    assert {entry[0] + entry[6] for entry in uncut.log} <= ends
+    assert tick_phases(m) == tick_phases(uncut)
+    assert (m.ticks, m.phase, m.records) == (uncut.ticks, uncut.phase, uncut.records)
