@@ -47,13 +47,13 @@ def bisect(lo, hi, target_min, evaluate, *, increasing, tol=0.02, iters=40):
 def main():
     gains = gains_for(CFG)
     battery = CFG.battery
-    speeds = {"standard_greenhouse": 300.0, "hilly_terrain": 300.0,
-              "complex_lighting": 200.0}
+    speeds = {name: tuning.drive_speed for name, tuning in CFG.environments.items()}
 
     drive, got = bisect(
         6000.0, 16000.0, 30.0,
         lambda v: runtime_minutes("standard_greenhouse",
-                                  replace(battery, drive_ma=v), 300.0, gains),
+                                  replace(battery, drive_ma=v),
+                                  speeds["standard_greenhouse"], gains),
         increasing=False,
     )
     battery = replace(battery, drive_ma=round(drive))
@@ -62,7 +62,8 @@ def main():
     leveling, got = bisect(
         1500.0, 6000.0, 20.0,
         lambda v: runtime_minutes("hilly_terrain",
-                                  replace(battery, leveling_ma=v), 300.0, gains),
+                                  replace(battery, leveling_ma=v),
+                                  speeds["hilly_terrain"], gains),
         increasing=False,
     )
     battery = replace(battery, leveling_ma=round(leveling))

@@ -26,7 +26,8 @@ from irribot.leveling import (
 
 
 def main():
-    gains, ku, tu = tune_leveling(PlatformPlant(), integral_authority=8.0)
+    gains, ku, tu = tune_leveling(PlatformPlant(),
+                                  integral_authority=LevelingConfig().integral_authority)
     print("platform plant (max_rate 8 deg/s, delay 0.05 s, tau 0.15 s):")
     print(f"  Ku = {ku:.6f}   Tu = {tu:.6f} s")
     print(f"  Kp = {gains.kp:.6f}   Ki = {gains.ki:.6f}   Kd = {gains.kd:.6f}")

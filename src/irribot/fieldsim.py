@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 from irribot.detect import CIRCULAR, RECTANGULAR, BBox, Detection
-from irribot.kinematics import ArmTarget, arm_to_pixel
 from irribot.sums import ltr_sum
 
 ENV_STANDARD = "standard_greenhouse"
@@ -124,7 +123,8 @@ class PotLayout:
     """Pots in service order, with a uniform cell grid over their positions.
 
     `cells` maps a grid cell to the indices of the pots in it, ascending. It
-    is built from the pots and takes no part in equality or repr.
+    is built from the pots and takes no part in equality or repr. It serves
+    the spacing check and `nearest_id`, the ground-truth match.
     """
 
     pots: tuple
@@ -154,22 +154,13 @@ class PotLayout:
                     f"apart, below the {self.min_spacing} mm floor"
                 )
 
-    def _hits(self, x, y, reach):
-        """Indices, in layout order, of every pot in the cells within reach."""
-        return sorted(_near(self.cells, _cell_size(self.min_spacing), x, y, reach))
-
-    def in_box(self, x, y, half):
-        """Pots with |p.x - x| <= half and |p.y - y| <= half, in layout order."""
-        hits = (self.pots[i] for i in self._hits(x, y, half))
-        return [p for p in hits if abs(p.x - x) <= half and abs(p.y - y) <= half]
-
     def nearest_id(self, x, y, gate):
         """pot_id of the pot nearest (x, y) within gate, or None.
 
         Of pots at the same distance the one later in layout order wins.
         """
         matched, best = None, gate
-        for i in self._hits(x, y, gate):
+        for i in sorted(_near(self.cells, _cell_size(self.min_spacing), x, y, gate)):
             pot = self.pots[i]
             d = math.hypot(pot.x - x, pot.y - y)
             if d <= best:
@@ -432,31 +423,25 @@ class Environment:
 # detector
 
 _FRAME_PX = (4000, 3000)  # detector frame width and height
-_FP_KEEPOUT_PX = 1200.0  # a spurious box's least distance from every true pot
+_FP_KEEPOUT_PX = 1200.0  # a spurious box's least distance from the pot's center
 _FP_ATTEMPTS = 100  # placement draws before a spurious box is dropped
 
 
-def simulate_detection(pots, station, tuning, rng, cal):
-    """One detector frame over the pots currently in view.
+def simulate_detection(pot, tuning, rng, cal):
+    """One detector frame of the pot in service.
 
-    Pots are in the field frame, seen from the station (x, y) the chassis
-    parked at, through the hand-eye offset: a pot's camera-axis offset is
-    (pot.x - x) + cal.delta_x, and likewise in y. Each pot is found with
-    probability `tuning.accuracy`; found pots get a box whose center scatters
-    by center_noise_px and whose aspect ratio is drawn consistently with the
-    pot shape. One spurious detection is injected with probability `fp_rate`,
-    placed away from every true pot so it can never be confused with one.
-    Draw order is fixed per pot for determinism.
+    The chassis parks at the pot and the hand-eye calibration puts it on the
+    camera axis, so its box is centred on the principal point (cal.u0,
+    cal.v0). The pot is found with probability `tuning.accuracy`; a found
+    pot's box center scatters by center_noise_px and its aspect ratio is
+    drawn consistently with the pot shape. One spurious detection is
+    injected with probability `fp_rate`, placed away from the pot so it can
+    never be confused with it. The draw order is fixed for determinism.
     """
-    sx, sy = station
-    offsets = [((pot.x - sx) + cal.delta_x, (pot.y - sy) + cal.delta_y) for pot in pots]
     detections = []
-    for pot, (x, y) in zip(pots, offsets):
-        if rng.random() >= tuning.accuracy:
-            continue
-        u, v = arm_to_pixel(ArmTarget(x, y, cal.z_const), cal)
-        cu = u + rng.normal(0.0, tuning.center_noise_px)
-        cv = v + rng.normal(0.0, tuning.center_noise_px)
+    if rng.random() < tuning.accuracy:
+        cu = cal.u0 + rng.normal(0.0, tuning.center_noise_px)
+        cv = cal.v0 + rng.normal(0.0, tuning.center_noise_px)
         w = (pot.width / cal.s) * (1.0 + rng.normal(0.0, 0.02))
         lo, hi = _RATIO_RANGES[pot.shape]
         ratio = rng.uniform(lo, hi)
@@ -466,15 +451,15 @@ def simulate_detection(pots, station, tuning, rng, cal):
             Detection(BBox(cu - w / 2, cv - h / 2, cu + w / 2, cv + h / 2), pot.shape, conf)
         )
     if rng.random() < tuning.fp_rate:
-        fp = _spurious_detection(offsets, rng, cal)
+        fp = _spurious_detection(rng, cal)
         if fp is not None:
             detections.append(fp)
     return detections
 
 
-def _spurious_detection(offsets, rng, cal):
+def _spurious_detection(rng, cal):
     """A plausible-looking false box in the frame, at least _FP_KEEPOUT_PX
-    from every true pot at its camera-axis (x, y) offset."""
+    from the principal point, where the pot in service is seen."""
     frame_w, frame_h = _FRAME_PX
     cls = CIRCULAR if rng.random() < 0.5 else RECTANGULAR
     lo, hi = _RATIO_RANGES[cls]
@@ -482,11 +467,10 @@ def _spurious_detection(offsets, rng, cal):
     w = rng.uniform(600.0, 1400.0)
     h = w / ratio
     conf = rng.uniform(0.55, 0.95)
-    centers = [arm_to_pixel(ArmTarget(x, y, cal.z_const), cal) for x, y in offsets]
     for _ in range(_FP_ATTEMPTS):
         cu = rng.uniform(w / 2 + 1, frame_w - w / 2 - 1)
         cv = rng.uniform(h / 2 + 1, frame_h - h / 2 - 1)
-        if all(math.hypot(cu - u, cv - v) >= _FP_KEEPOUT_PX for u, v in centers):
+        if math.hypot(cu - cal.u0, cv - cal.v0) >= _FP_KEEPOUT_PX:
             return Detection(
                 BBox(cu - w / 2, cv - h / 2, cu + w / 2, cv + h / 2), cls, conf
             )

@@ -102,13 +102,6 @@ def pixel_to_arm(u: float, v: float, cal: CalibrationState) -> ArmTarget:
     )
 
 
-def arm_to_pixel(target: ArmTarget, cal: CalibrationState) -> tuple[float, float]:
-    """Exact inverse of pixel_to_arm in the image plane."""
-    u = (target.x_a - cal.delta_x) / cal.s + cal.u0
-    v = (target.y_a - cal.delta_y) / cal.s + cal.v0
-    return (u, v)
-
-
 def calibrate_single_reference(
     observed: tuple[float, float],
     known_target: ArmTarget,

@@ -107,7 +107,8 @@ class Mission:
         self.det_count = 0
         self.fp_count = 0
         self.matched_frames = 0
-        self.current_target = None  # planned PlanItem for the pot in service
+        # the PlanItem Sensing last matched; set before every Positioning
+        self.current_target = None
         self.impact = None  # (x, y) spray impact offset from the pot in service, mm
         self.log = []
         _enter_sensing(self)  # sets phase, phase_end and retried
@@ -129,16 +130,16 @@ class PlanItem:
     target: ArmTarget | None
     joints: object | None
     matched_pot: int | None  # scoring only; missions never act on ground truth
-    cause: str | None = None
 
 
 def plan_pot_service(dets, layout, cal, geom, *, station, match_gate_mm):
     """Map surviving detections to joint commands; score against ground truth.
 
     Each detection center becomes an arm-frame target via the calibration and
-    a joint solution via closed-form kinematics; targets the arm cannot reach
-    are kept but marked skipped-with-cause. Ground-truth matching is
-    nearest-neighbor within match_gate_mm, used only for scoring.
+    a joint solution via closed-form kinematics; a target the arm cannot reach
+    is kept with no joints, and Positioning skips its pot as Unreachable.
+    Ground-truth matching is nearest-neighbor within match_gate_mm, used only
+    for scoring.
     """
     items = []
     for det in dets:
@@ -150,9 +151,9 @@ def plan_pot_service(dets, layout, cal, geom, *, station, match_gate_mm):
         matched = layout.nearest_id(fx, fy, match_gate_mm)
         try:
             joints = inverse_kinematics(target, geom)
-            items.append(PlanItem(target, joints, matched))
         except (UnreachableTarget, SingularBase):
-            items.append(PlanItem(target, None, matched, cause=CAUSE_UNREACHABLE))
+            joints = None
+        items.append(PlanItem(target, joints, matched))
     return items
 
 
@@ -209,9 +210,8 @@ def _finish_sensing(m):
     cal = cfg.calibration
     m.frames += 1
     pot = m.pot()
-    # the station frame is centered on the pot the chassis parked at
-    raw = simulate_detection(m.layout.in_box(pot.x, pot.y, 145.0), (pot.x, pot.y),
-                             m.env.tuning, m.rng, cal)
+    # the chassis parked at the pot, which is the one pot in the frame
+    raw = simulate_detection(pot, m.env.tuning, m.rng, cal)
     dets = enhanced_detection(
         raw, _BANDS, conf_threshold=cfg.detection.conf_threshold,
         iou_threshold=cfg.detection.iou_threshold,
@@ -274,8 +274,8 @@ def _finish_positioning(m):
     scoring = m.cfg.scoring
     cal = m.cfg.calibration
     item = m.current_target
-    if item is None or item.joints is None:
-        _enter_advancing(m, cause=None if item is None else item.cause)
+    if item.joints is None:
+        _enter_advancing(m, cause=CAUSE_UNREACHABLE)
         return
     jitter = m.rng.normal(0.0, scoring.sigma_mech, size=2)
     lever = math.tan(math.radians(m.tilt)) * scoring.tilt_lever
@@ -305,7 +305,6 @@ def _finish_advancing(m):
     if m.env.slope > 0:
         m.tilt = float(m.env.slope)  # new ground re-tilts the chassis
     m.pot_index += 1
-    m.current_target = None
     _enter_sensing(m)
 
 

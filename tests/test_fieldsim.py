@@ -251,10 +251,6 @@ def oracle_random_layout(count, rng, *, nn_range=(400.0, 800.0), max_attempts=10
     return ordered, lo
 
 
-def oracle_in_box(layout, x, y, half):
-    return [q for q in layout.pots if abs(q.x - x) <= half and abs(q.y - y) <= half]
-
-
 def oracle_nearest_id(layout, x, y, gate):
     matched, best = None, gate
     for pot in layout.pots:
@@ -322,7 +318,7 @@ def test_service_order_tie_between_mirror_images():
 
 
 QUERY_LAYOUTS = {
-    # min_spacing below the 145 mm in-view half-width: the box spans many cells
+    # min_spacing well below the match gates: a gate spans many cells
     "tight_random": lambda: random_layout(250, np.random.default_rng(8), nn_range=(60.0, 130.0)),
     "random": lambda: random_layout(300, np.random.default_rng(9)),
     "tight_grid": lambda: grid_layout(60, spacing=100.0),
@@ -348,8 +344,6 @@ def test_grid_queries_match_full_scans(query_layouts, name, k, dx, dy, reach):
         reach *= layout.min_spacing
     pot = layout.pots[k % len(layout.pots)]
     for x, y in ((pot.x + dx, pot.y + dy), (pot.x, pot.y), (pot.x + reach, pot.y - reach)):
-        assert layout.in_box(x, y, 145.0) == oracle_in_box(layout, x, y, 145.0)
-        assert layout.in_box(x, y, reach) == oracle_in_box(layout, x, y, reach)
         assert layout.nearest_id(x, y, reach) == oracle_nearest_id(layout, x, y, reach)
 
 
@@ -480,33 +474,38 @@ def test_pump_bounds(field):
 
 # --------------------------------------------------------------- detector
 
-# the station from which a pot at the field origin sits on the camera axis
-AT_CAMERA = (CAL.delta_x, CAL.delta_y)
-
-
 def detector(accuracy, fp_rate):
     """An operating point with this detector and 10 px of center scatter."""
     return tuning(accuracy=accuracy, fp_rate=fp_rate, center_noise_px=10.0)
 
 
-def one_pot_view():
-    return [Pot(0, 0.0, 0.0, CIRCULAR, 100.0, 100.0)]
+CIRC_IN_SERVICE = Pot(0, 0.0, 0.0, CIRCULAR, 100.0, 100.0)
+RECT_IN_SERVICE = Pot(1, 600.0, -600.0, RECTANGULAR, 120.0, 80.0)
 
 
 def test_perfect_detector_returns_exactly_the_pots():
     profile = detector(accuracy=1.0, fp_rate=0.0)
-    pots = [
-        Pot(0, 0.0, 0.0, CIRCULAR, 100.0, 100.0),
-        Pot(1, 80.0, -40.0, RECTANGULAR, 120.0, 80.0),
-    ]
-    dets = simulate_detection(pots, AT_CAMERA, profile, np.random.default_rng(0), CAL)
-    assert len(dets) == 2
-    assert [d.cls for d in dets] == [CIRCULAR, RECTANGULAR]
+    for pot in (CIRC_IN_SERVICE, RECT_IN_SERVICE):
+        dets = simulate_detection(pot, profile, np.random.default_rng(0), CAL)
+        assert [d.cls for d in dets] == [pot.shape]
+
+
+def test_found_pot_is_boxed_at_the_principal_point():
+    # the production geometry: the pot in service sits under the camera, so
+    # neither its field position nor the hand-eye offset moves its box; u0
+    # and v0 are picked so that the box's edges sum back to twice its center
+    cal = CalibrationState(s=0.08, u0=1024.0, v0=768.0, delta_x=137.5, delta_y=-42.25,
+                           z_const=150.0)
+    profile = tuning(accuracy=1.0, fp_rate=0.0, center_noise_px=0.0)
+    for pot in (CIRC_IN_SERVICE, RECT_IN_SERVICE):
+        for seed in range(50):
+            (det,) = simulate_detection(pot, profile, np.random.default_rng(seed), cal)
+            assert det.bbox.center == (cal.u0, cal.v0), (pot.shape, seed)
 
 
 def test_blind_detector_returns_nothing():
     profile = detector(accuracy=0.0, fp_rate=0.0)
-    dets = simulate_detection(one_pot_view(), AT_CAMERA, profile, np.random.default_rng(0), CAL)
+    dets = simulate_detection(CIRC_IN_SERVICE, profile, np.random.default_rng(0), CAL)
     assert dets == []
 
 
@@ -515,7 +514,7 @@ def test_detection_boxes_survive_the_pipeline():
     rng = np.random.default_rng(42)
     bands = GeometryBands()
     for _ in range(200):
-        dets = simulate_detection(one_pot_view(), AT_CAMERA, profile, rng, CAL)
+        dets = simulate_detection(CIRC_IN_SERVICE, profile, rng, CAL)
         assert len(enhanced_detection(dets, bands, 0.5, 0.3)) == len(dets) == 1
 
 
@@ -524,7 +523,7 @@ def test_spurious_detections_survive_the_pipeline_and_keep_distance():
     rng = np.random.default_rng(7)
     bands = GeometryBands()
     for _ in range(100):
-        dets = simulate_detection(one_pot_view(), AT_CAMERA, profile, rng, CAL)
+        dets = simulate_detection(CIRC_IN_SERVICE, profile, rng, CAL)
         assert len(dets) == 2
         assert len(enhanced_detection(dets, bands, 0.5, 0.3)) == 2
         fp = dets[1]
@@ -538,7 +537,7 @@ def test_detection_rates_match_profile_over_many_frames():
     frames = 10_000
     hits = fps = 0
     for _ in range(frames):
-        dets = simulate_detection(one_pot_view(), AT_CAMERA, profile, rng, CAL)
+        dets = simulate_detection(CIRC_IN_SERVICE, profile, rng, CAL)
         tp = [d for d in dets if math.hypot(d.bbox.center[0] - CAL.u0, d.bbox.center[1] - CAL.v0) < 1000]
         hits += len(tp)
         fps += len(dets) - len(tp)
@@ -549,8 +548,8 @@ def test_detection_rates_match_profile_over_many_frames():
 
 def test_detection_deterministic_per_seed():
     profile = detector(accuracy=0.9, fp_rate=0.5)
-    a = simulate_detection(one_pot_view(), AT_CAMERA, profile, np.random.default_rng(9), CAL)
-    b = simulate_detection(one_pot_view(), AT_CAMERA, profile, np.random.default_rng(9), CAL)
+    a = simulate_detection(CIRC_IN_SERVICE, profile, np.random.default_rng(9), CAL)
+    b = simulate_detection(CIRC_IN_SERVICE, profile, np.random.default_rng(9), CAL)
     assert a == b
 
 

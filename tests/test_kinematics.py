@@ -14,7 +14,6 @@ from irribot.kinematics import (
     JointAngles,
     SingularBase,
     UnreachableTarget,
-    arm_to_pixel,
     calibrate_single_reference,
     inverse_kinematics,
     pixel_to_arm,
@@ -96,6 +95,15 @@ def test_scale_example_100px_is_10mm():
     assert t.x_a == pytest.approx(10.0)
     assert t.y_a == 0.0
     assert t.z_a == CAL.z_const
+
+
+def arm_to_pixel(target, cal):
+    """Exact inverse of pixel_to_arm in the image plane: the round-trip
+    oracle the calibration is checked against (the detector needs no inverse,
+    since it sees the pot in service at the principal point)."""
+    u = (target.x_a - cal.delta_x) / cal.s + cal.u0
+    v = (target.y_a - cal.delta_y) / cal.s + cal.v0
+    return (u, v)
 
 
 @given(st.floats(-1000, 2000), st.floats(-1000, 2000))

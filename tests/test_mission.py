@@ -334,9 +334,19 @@ def test_plan_detection_beyond_reach_is_skipped_with_cause():
     det = center_detection(cx=3500.0)
     items = plan_pot_service([det], layout, CAL, GEOM,
                              station=(0.0, 0.0), match_gate_mm=100.0)
-    assert items[0].joints is None
-    assert items[0].cause == "Unreachable"
+    assert items[0].joints is None  # Positioning skips such a pot as Unreachable
     assert items[0].matched_pot is None  # also too far from the pot to match
+
+
+def test_mission_skips_unreachable_pots_with_cause():
+    # links too short for any target at the working height: each pot found
+    # is skipped with its cause
+    cfg = config_with(arm=ArmGeometry(l1=10.0, l2=10.0))
+    env = environment_for(cfg, "standard_greenhouse")
+    report, m = run_trial(env, cfg, GAINS, 13)
+    assert report.serviced == 0
+    assert report.accuracy_pct > 0
+    assert all(r.cause == "Unreachable" for r in m.records if r.detected)
 
 
 def test_plan_matches_by_station_gate():
