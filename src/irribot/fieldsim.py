@@ -168,22 +168,23 @@ class PotLayout:
         return matched
 
 
-def grid_layout(count=20, spacing=600.0, shape=CIRCULAR, width=100.0, height=None, columns=5):
-    """Regular grid, pots ordered along a serpentine service path.
+_GRID_COLUMNS = 5  # pots per row of a grid layout
+
+
+def grid_layout(count=20, spacing=600.0, shape=CIRCULAR, width=100.0, height=None):
+    """Regular grid `_GRID_COLUMNS` pots wide, ordered along a serpentine path.
 
     Odd rows run right-to-left so consecutive pots are always one pitch
     apart, which is what a chassis driving the bench actually does.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if columns < 1:
-        raise ValueError("columns must be at least 1")
     if height is None:
         height = width if shape == CIRCULAR else width * 2 / 3
     pots = []
     for i in range(count):
-        row, k = divmod(i, columns)
-        col = columns - 1 - k if row % 2 else k
+        row, k = divmod(i, _GRID_COLUMNS)
+        col = _GRID_COLUMNS - 1 - k if row % 2 else k
         pots.append(Pot(i, col * spacing, row * spacing, shape, width, height))
     return PotLayout(pots=tuple(pots), min_spacing=spacing)
 
@@ -569,28 +570,13 @@ def pumped_volume(pump, tuning):
     return pump.target_volume * (1.0 + tuning.dispense_overshoot)
 
 
-def dispense(pump, tuning, positioning_error, pot, *, direction=(1.0, 0.0)):
-    """Pump toward a pot with a known impact-point error.
-
-    Returns (dispensed, delivered) in mL. The impact point sits
-    positioning_error mm from the pot center along `direction`; delivered
-    water is the `pumped_volume` scaled by the spray-disk capture fraction
-    and the environment's spray efficiency.
-    """
-    if positioning_error < 0:
-        raise ValueError("positioning error cannot be negative")
-    norm = math.hypot(*direction)
-    if norm == 0:
-        raise ValueError("direction must be a nonzero vector")
+def dispense(pump, tuning, pot, offset_x, offset_y):
+    """Pump toward a pot, the spray's impact point (offset_x, offset_y) mm from
+    its center. Returns (dispensed, delivered) in mL: the `pumped_volume`, and
+    that scaled by the spray-disk capture fraction and the spray efficiency."""
     dispensed = pumped_volume(pump, tuning)
-    frac = capture_fraction(
-        pot,
-        positioning_error * direction[0] / norm,
-        positioning_error * direction[1] / norm,
-        pump.spray_radius,
-    )
-    delivered = dispensed * frac * tuning.spray_efficiency
-    return dispensed, delivered
+    frac = capture_fraction(pot, offset_x, offset_y, pump.spray_radius)
+    return dispensed, dispensed * frac * tuning.spray_efficiency
 
 
 # --------------------------------------------------------------------------

@@ -77,19 +77,14 @@ class ArmTarget:
 
 @dataclass(frozen=True)
 class JointAngles:
-    """Joint solution in degrees; the wrist is slaved to the elbow."""
+    """Joint solution in degrees; the wrist `theta3` is slaved to the elbow."""
 
     theta1: float
     theta2: float
-    theta3: float
 
-    def __post_init__(self):
-        if self.theta3 != 90.0 - self.theta2:
-            raise ValueError("theta3 must equal 90 deg - theta2 exactly")
-
-    @classmethod
-    def from_base_elbow(cls, theta1: float, theta2: float) -> "JointAngles":
-        return cls(theta1, theta2, 90.0 - theta2)
+    @property
+    def theta3(self) -> float:
+        return 90.0 - self.theta2
 
 
 def pixel_to_arm(u: float, v: float, cal: CalibrationState) -> ArmTarget:
@@ -148,4 +143,4 @@ def inverse_kinematics(target: ArmTarget, geom: ArmGeometry) -> JointAngles:
     c = max(-1.0, min(1.0, c))
     theta1 = math.degrees(math.atan2(target.y_a, target.x_a))
     theta2 = math.degrees(math.acos(c)) - geom.theta_offset
-    return JointAngles.from_base_elbow(theta1, theta2)
+    return JointAngles(theta1, theta2)

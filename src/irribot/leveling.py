@@ -40,10 +40,11 @@ class NoOscillation(RuntimeError):
 
 @dataclass(frozen=True)
 class PidGains:
+    """PID gains on the filtered tilt. The setpoint is always level, 0 degrees."""
+
     kp: float
     ki: float
     kd: float
-    setpoint: float = 0.0  # degrees
     integral_limit: float | None = None  # degree*s, clamp on |integral|
 
     def __post_init__(self):
@@ -380,7 +381,7 @@ def run_leveling_episode(plant, gains, slope, lv, *, bias=0.0, rng=None, rows=No
     line = [0.0] * min(steps, max(0, round(plant.delay / tick)))
     lag = math.exp(-tick / plant.tau) if plant.tau else 0.0
     step = plant.gain * tick  # tilt per unit of rate per tick
-    kp, ki, kd, setpoint = gains.kp, gains.ki, gains.kd, gains.setpoint
+    kp, ki, kd = gains.kp, gains.ki, gains.kd
     lim = math.inf if gains.integral_limit is None else gains.integral_limit
     growth, threshold, band = lv.effective_rate * tick, lv.reset_threshold, lv.level_band
     readings = deque(maxlen=lv.filter_window)
@@ -408,7 +409,7 @@ def run_leveling_episode(plant, gains, slope, lv, *, bias=0.0, rng=None, rows=No
             bias = 0.0
             integral = 0.0
             resets.append(n)
-        error = setpoint - filtered
+        error = 0.0 - filtered  # level is the setpoint; a 0.0 reading gives +0.0
         if n:
             dt = t - prev_t
             integral = integral + 0.5 * (error + prev_error) * dt

@@ -68,9 +68,11 @@ class MissionTimeout(RuntimeError):
 
 @dataclass
 class IrrigationRecord:
+    """One pot's outcome over a lap. A sensed pot missed on the first
+    attempt is sensed once more; `Mission.log` holds both Sensing phases."""
+
     pot_id: int
     detected: bool = False  # found on the first sensing attempt
-    retried: bool = False
     serviced: bool = False
     positioning_error: float | None = None  # mm
     dispensed: float = 0.0  # mL
@@ -230,7 +232,6 @@ def _finish_sensing(m):
         rec.detected = True
     if target is None:
         if not m.retried:
-            rec.retried = True
             _enter_sensing(m, retried=True)
         else:
             _enter_advancing(m, cause=CAUSE_UNDETECTED)
@@ -291,12 +292,7 @@ def _finish_positioning(m):
 
 def _finish_dispensing(m):
     rec = m.record()
-    ix, iy = m.impact
-    err = rec.positioning_error
-    direction = (ix / err, iy / err) if err > 0 else (1.0, 0.0)
-    dispensed, delivered = dispense(m.cfg.pump, m.env.tuning, err, m.pot(), direction=direction)
-    rec.dispensed = dispensed
-    rec.delivered = delivered
+    rec.dispensed, rec.delivered = dispense(m.cfg.pump, m.env.tuning, m.pot(), *m.impact)
     rec.serviced = True
     _enter_advancing(m)
 

@@ -3,9 +3,9 @@
 Criterion 8 pins the seed-42 canonical `results.json`, `trials.csv` and
 stdout. These cases pin the rest: a trace, another seed, an 800-pot random
 layout, a config overriding defaults in every section the environments read,
-and an unshielded drift that resets inside leveling episodes. A refactor
-keeps every digest; an intended output change updates the table and says
-why in CHANGES.md.
+an unshielded drift that resets inside leveling episodes, and sprays that
+cross pot rims. A refactor keeps every digest; an intended output change
+updates the table and says why in CHANGES.md.
 """
 
 import hashlib
@@ -34,6 +34,12 @@ CASES = {
         "leveling: {drift_rate: 2.0, shielded: false, reset_threshold: 1.0}\n",
         ["--env", "hilly_terrain", "--trials", "3", "--seed", "42"],
     ),
+    # a wide spray and loose positioning: sprays cross pot rims, so the
+    # capture fraction rests on the exact impact offset
+    "rim_crossing": (
+        "scoring: {sigma_mech: 30.0}\npump: {spray_radius: 45.0}\n",
+        ["--env", "all", "--trials", "10", "--seed", "42"],
+    ),
 }
 
 DIGESTS = {
@@ -60,6 +66,12 @@ DIGESTS = {
         "trials.csv": "8233861ee1e8453e2ef632286555487848085a642bee2aab1a5b95d69d7ec3e6",
         "trace.csv": "1515356749860c4e154bf0f115d3b9b221b5ff5f2ba1adf9af6002ab25184556",
         "stdout": "b947cfce495c09846f2025afc24c639dec0229e6934595951cfcfd6f0227da87",
+    },
+    "rim_crossing": {
+        "results.json": "e88a5b1bfe15ffb3f25ee412cf7db52cc313727b66b57d97073748dfb78a8339",
+        "trials.csv": "9930bbca1a4c0333bb40b3b6f07dc7a6d1ffb508b0515d23eb5febe912e9c6ec",
+        "trace.csv": "fa6a863a525a84d0443f0c7d27d72f37abfc21b4253ef422a44713d6668c17a0",
+        "stdout": "2cbf4e5db420024622f9e749cb3e30493d387bb9b7a42545dd00f5ac0d80ce6d",
     },
 }
 

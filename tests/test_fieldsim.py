@@ -28,6 +28,7 @@ from irribot.fieldsim import (
     capture_fraction,
     dispense,
     grid_layout,
+    pumped_volume,
     random_layout,
     realize_layout,
     simulate_detection,
@@ -122,13 +123,6 @@ def test_pot_validation():
 def test_layout_builders_reject_counts_below_one(build, count):
     with pytest.raises(ValueError, match="count must be at least 1"):
         build(count)
-
-
-@pytest.mark.parametrize("columns", [0, -2])
-def test_grid_layout_rejects_columns_below_one(columns):
-    # columns=0 divided by zero, and columns=-2 mirrored the field
-    with pytest.raises(ValueError, match="columns must be at least 1"):
-        grid_layout(3, columns=columns)
 
 
 # ------------------------------------------------- bulk draws vs numpy calls
@@ -634,26 +628,39 @@ def pump_point(overshoot=0.0, efficiency=1.0):
 
 
 def test_dispense_perfect_hit_delivers_everything():
-    dispensed, delivered = dispense(PumpConfig(spray_radius=5.0), pump_point(), 0.0, CIRC_POT)
+    dispensed, delivered = dispense(PumpConfig(spray_radius=5.0), pump_point(), CIRC_POT, 0.0, 0.0)
     assert dispensed == 100.0
     assert delivered == 100.0
 
 
 def test_dispense_total_miss_delivers_nothing():
-    dispensed, delivered = dispense(PumpConfig(), pump_point(), 70.0, CIRC_POT)
+    dispensed, delivered = dispense(PumpConfig(), pump_point(), CIRC_POT, 70.0, 0.0)
     assert dispensed == 100.0
     assert delivered == 0.0
 
 
 def test_dispense_table_operating_point():
-    dispensed, delivered = dispense(PumpConfig(), pump_point(0.05, 0.952), 6.0, CIRC_POT)
+    dispensed, delivered = dispense(PumpConfig(), pump_point(0.05, 0.952), CIRC_POT, 6.0, 0.0)
     assert dispensed == pytest.approx(105.0)
     assert delivered / dispensed >= 0.92
 
 
-@given(st.floats(0.0, 200.0), st.floats(0.01, 0.15))
-def test_dispense_never_exceeds_dispensed(error, overshoot):
-    dispensed, delivered = dispense(PumpConfig(), pump_point(overshoot, 0.95), error, CIRC_POT)
+@pytest.mark.parametrize("pot", [CIRC_POT, RECT_POT])
+def test_dispense_scores_the_impact_offset_it_is_given(pot):
+    # a spray crossing the rim: the capture fraction of the exact offset
+    pump, point = PumpConfig(spray_radius=45.0), pump_point(0.05, 0.9)
+    dispensed, delivered = dispense(pump, point, pot, 31.7, -22.9)
+    assert dispensed == pumped_volume(pump, point)
+    frac = capture_fraction(pot, 31.7, -22.9, 45.0)
+    assert 0.0 < frac < 1.0
+    assert delivered == dispensed * frac * point.spray_efficiency
+
+
+@given(st.floats(-200.0, 200.0), st.floats(-200.0, 200.0), st.floats(0.01, 0.15),
+       st.sampled_from([CIRC_POT, RECT_POT]))
+def test_dispense_never_exceeds_dispensed(offset_x, offset_y, overshoot, pot):
+    dispensed, delivered = dispense(PumpConfig(), pump_point(overshoot, 0.95), pot,
+                                    offset_x, offset_y)
     assert 0.0 <= delivered <= dispensed
 
 

@@ -218,20 +218,15 @@ def test_ik_clamps_tiny_overshoot_only():
         inverse_kinematics(ArmTarget(x_bad, 0.0, 0.0), GEOM)
 
 
-def test_joint_coupling_enforced_on_construction():
-    with pytest.raises(ValueError):
-        JointAngles(theta1=0.0, theta2=30.0, theta3=59.0)
-
-
 # ------------------------------------------------------------------- fk
 
 def test_fk_full_extension_reach():
-    angles = JointAngles.from_base_elbow(0.0, 0.0)
+    angles = JointAngles(0.0, 0.0)
     assert planar_reach(angles, GEOM) == pytest.approx(GEOM.l1 + GEOM.l2)
 
 
 def test_fk_full_fold_reach():
-    angles = JointAngles.from_base_elbow(0.0, 180.0)
+    angles = JointAngles(0.0, 180.0)
     assert planar_reach(angles, GEOM) == pytest.approx(abs(GEOM.l1 - GEOM.l2))
 
 

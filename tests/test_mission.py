@@ -373,6 +373,31 @@ def test_mission_retry_consumes_one_extra_sensing_pass():
     assert all(r.cause == "Undetected" for r in m.records)
 
 
+@pytest.mark.parametrize("capacity", [2400.0, 60.0])
+def test_retry_count_reads_from_the_log(capacity):
+    # a sensed pot missed on the first attempt is sensed once more, so the
+    # log's Sensing entries per pot give its retry without a flag
+    cfg = config_with(battery=BatteryModel(capacity_mah=capacity))
+    pots = missed = aborted = 0
+    for env_name in ENV_NAMES:
+        for seed in range(42, 52):
+            m = run_mission(environment_for(cfg, env_name), cfg, GAINS, seed)
+            sensed = {}
+            for entry in m.log:
+                if entry[1] == SENSING:
+                    sensed[entry[2]] = sensed.get(entry[2], 0) + 1
+            if m.phase == ABORTED:
+                aborted += 1
+                sensed.pop(m.pot_index % len(m.records), None)
+            for i, count in sensed.items():
+                assert count == (1 if m.records[i].detected else 2), (env_name, seed, i)
+            pots += len(sensed)
+            missed += sum(1 for i in sensed if not m.records[i].detected)
+    assert pots and missed  # both sides of the relation are exercised
+    # the stock pack finishes every lap; 60 mAh aborts every one part-way
+    assert aborted == (0 if capacity == 2400.0 else 30)
+
+
 # ------------------------------------------------------- endurance
 
 def test_endurance_runtime_tracks_battery_capacity():
