@@ -3,8 +3,8 @@
 Criterion 8 pins the seed-42 canonical `results.json`, `trials.csv` and
 stdout. These cases pin the rest: a trace, another seed, an 800-pot random
 layout, a config overriding defaults in every section the environments read,
-an unshielded drift that resets inside leveling episodes, and sprays that
-cross pot rims. A refactor keeps every digest; an intended output change
+an unshielded drift that resets inside leveling episodes, sprays that cross
+pot rims, and a confidence gate that drops detector boxes. A refactor keeps every digest; an intended output change
 updates the table and says why in CHANGES.md.
 """
 
@@ -40,9 +40,21 @@ CASES = {
         "scoring: {sigma_mech: 30.0}\npump: {spray_radius: 45.0}\n",
         ["--env", "all", "--trials", "10", "--seed", "42"],
     ),
+    # the confidence gate drops 104 of 702 boxes, so the mission's detection
+    # filter decides which pots are served
+    "conf_gate": (
+        "detection: {conf_threshold: 0.65}\n",
+        ["--env", "all", "--trials", "10", "--seed", "42"],
+    ),
 }
 
 DIGESTS = {
+    "conf_gate": {
+        "results.json": "078c61adf01ea47fb1f0ad6d776cb3c94622a265f8b4adcb36c7f1ede6c27114",
+        "trials.csv": "3babc5ca9cd5affe056e7f10f95fa46e8e5bade5c7e8b8b8be78c1b56bb771ec",
+        "trace.csv": "b5c2ac0aafcc06fca788ec146e8ddcf2c752c1592957ec0832d73fcda7624219",
+        "stdout": "deba0cf0ec5a168f47d0ecc0643ecc09a86589051745b5293ad540d07f010310",
+    },
     "seed_1042": {
         "results.json": "fdd196db7cc66d9e5f93d7772522ae33489b644a5f42a6bfd600a2d14ab13c2c",
         "trials.csv": "b02985a2c4fa21d6d460f8bf154249511acb02a1c9d3f91417d1bac006b9fc0b",
