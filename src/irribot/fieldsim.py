@@ -11,7 +11,7 @@ randomness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from irribot.detect import CIRCULAR, RECTANGULAR, BBox, Detection
 from irribot.sums import ltr_sum
@@ -59,11 +59,12 @@ class Pot:
 
 # A uniform grid whose cells are a hair wider than the spacing they serve
 # (Bentley, Stanat & Williams, "The complexity of finding fixed-radius near
-# neighbors", IPL 1977). Two points closer than the spacing lie in the same
-# or adjacent cells; the hair keeps that true when floor(x / size) rounds,
-# for coordinates up to about a million cells from the origin. The grid only
-# narrows the candidates: every result is still decided by the exact
-# predicate a scan over all pots would apply.
+# neighbors", IPL 1977), for random_layout's placement and service order.
+# Two points closer than the spacing lie in the same or adjacent cells; the
+# hair keeps that true when floor(x / size) rounds, for coordinates up to
+# about a million cells from the origin. The grid only narrows the
+# candidates: every result is still decided by the exact predicate a scan
+# over all pots would apply.
 
 
 def _cell_size(spacing):
@@ -82,29 +83,6 @@ def _grid(points, size):
     return cells
 
 
-def _near(cells, size, x, y, reach):
-    """Indices in every cell within reach of (x, y), cell by cell.
-
-    Covers each point whose x and y offsets from (x, y) are both within
-    reach; for reach equal to the spacing that is the 3x3 block of cells
-    around the cell of (x, y).
-    """
-    n = reach * (1.0 + 1e-9) / size  # cells to each side, before rounding up
-    side = 2.0 * n + 1.0
-    cx, cy = _cell(x, y, size)
-    if side * side > len(cells):
-        # fewer cells occupied than the block holds; d < n + 1 is d <= ceil(n)
-        return [
-            i for (gx, gy), members in cells.items()
-            if abs(gx - cx) < n + 1 and abs(gy - cy) < n + 1 for i in members
-        ]
-    n = math.ceil(n)
-    return [
-        i for gx in range(cx - n, cx + n + 1) for gy in range(cy - n, cy + n + 1)
-        for i in cells.get((gx, gy), ())
-    ]
-
-
 def _ring(cells, cx, cy, r):
     """Indices in the square ring of cells r steps out from cell (cx, cy)."""
     if r == 0:
@@ -120,52 +98,16 @@ def _ring(cells, cx, cy, r):
 
 @dataclass(frozen=True)
 class PotLayout:
-    """Pots in service order, with a uniform cell grid over their positions.
-
-    `cells` maps a grid cell to the indices of the pots in it, ascending. It
-    is built from the pots and takes no part in equality or repr. It serves
-    the spacing check and `nearest_id`, the ground-truth match.
-    """
+    """Pots in service order. Both builders keep every pair of pots at least
+    `min_spacing` apart: `grid_layout` sets them a pitch apart, and
+    `random_layout` rejects any candidate nearer than its floor."""
 
     pots: tuple
     min_spacing: float  # mm, pairwise center-to-center floor
-    cells: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.min_spacing < math.inf:
             raise ValueError("min_spacing must be positive and finite")
-        pots = self.pots
-        size = _cell_size(self.min_spacing)
-        cells = _grid(((p.x, p.y) for p in pots), size)
-        object.__setattr__(self, "cells", cells)
-        # name the lexicographically first offending (i, j), as a scan of
-        # every pair would; only pots in neighbouring cells can offend
-        for i, p in enumerate(pots):
-            crowded = [
-                j for j in _near(cells, size, p.x, p.y, self.min_spacing)
-                if j > i and math.hypot(p.x - pots[j].x, p.y - pots[j].y)
-                < self.min_spacing - 1e-9
-            ]
-            if crowded:
-                q = pots[min(crowded)]
-                d = math.hypot(p.x - q.x, p.y - q.y)
-                raise ValueError(
-                    f"pots {p.pot_id} and {q.pot_id} are {d:.1f} mm "
-                    f"apart, below the {self.min_spacing} mm floor"
-                )
-
-    def nearest_id(self, x, y, gate):
-        """pot_id of the pot nearest (x, y) within gate, or None.
-
-        Of pots at the same distance the one later in layout order wins.
-        """
-        matched, best = None, gate
-        for i in sorted(_near(self.cells, _cell_size(self.min_spacing), x, y, gate)):
-            pot = self.pots[i]
-            d = math.hypot(pot.x - x, pot.y - y)
-            if d <= best:
-                matched, best = pot.pot_id, d
-        return matched
 
 
 _GRID_COLUMNS = 5  # pots per row of a grid layout

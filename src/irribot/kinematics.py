@@ -1,9 +1,10 @@
-"""Eye-in-hand calibration and closed-form 3-DoF arm inverse kinematics.
+"""Eye-in-hand calibration and the arm's closed-form reach check.
 
 The camera-to-arm mapping is a calibrated affine transform at a fixed
 working height: single-reference calibration pins the static offsets so
-the reference correspondence is reproduced exactly. Joint solutions are
-closed form; angles are degrees throughout the public surface.
+the reference correspondence is reproduced exactly. The mission needs to
+know only whether the arm's closed-form joint solution exists for a target,
+not the joint angles themselves.
 """
 
 from __future__ import annotations
@@ -46,11 +47,10 @@ class CalibrationState:
 
 @dataclass(frozen=True)
 class ArmGeometry:
-    """Link lengths and mounting offset of the planar pair."""
+    """Link lengths of the planar pair."""
 
     l1: float = 120.0                  # mm
     l2: float = 160.0                  # mm
-    theta_offset: float = 15.0         # deg
 
     def __post_init__(self):
         if not (self.l1 > 0 and self.l2 > 0):
@@ -73,18 +73,6 @@ class ArmTarget:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.x_a, self.y_a, self.z_a))):
             raise ValueError("target coordinates must be finite")
-
-
-@dataclass(frozen=True)
-class JointAngles:
-    """Joint solution in degrees; the wrist `theta3` is slaved to the elbow."""
-
-    theta1: float
-    theta2: float
-
-    @property
-    def theta3(self) -> float:
-        return 90.0 - self.theta2
 
 
 def pixel_to_arm(u: float, v: float, cal: CalibrationState) -> ArmTarget:
@@ -120,27 +108,21 @@ def calibrate_single_reference(
     )
 
 
-def _radial_sq(target: ArmTarget) -> float:
-    # The planar reach pairs X with the working height Z; Y enters only
-    # through the base rotation.
-    return target.x_a * target.x_a + target.z_a * target.z_a
+def inverse_kinematics(target: ArmTarget, geom: ArmGeometry) -> None:
+    """Check that the closed-form joint solution exists for a target in the
+    arm base frame; returns None when it does.
 
-
-def inverse_kinematics(target: ArmTarget, geom: ArmGeometry) -> JointAngles:
-    """Closed-form joint solution for a target in the arm base frame.
-
-    Raises UnreachableTarget if the radial distance falls outside the
-    link annulus (beyond rounding slack), SingularBase if the target
-    lies on the base axis.
+    Raises SingularBase if the target lies on the base axis, where the base
+    rotation is undefined, and UnreachableTarget if the radial distance falls
+    outside the link annulus (beyond rounding slack).
     """
     if target.x_a == 0.0 and target.y_a == 0.0:
         raise SingularBase("base angle undefined for X = Y = 0")
-    c = (_radial_sq(target) - geom.l1**2 - geom.l2**2) / (2.0 * geom.l1 * geom.l2)
+    # The planar reach pairs X with the working height Z; Y enters only
+    # through the base rotation. c is the elbow angle's cosine.
+    radial_sq = target.x_a * target.x_a + target.z_a * target.z_a
+    c = (radial_sq - geom.l1**2 - geom.l2**2) / (2.0 * geom.l1 * geom.l2)
     if c > 1.0 + ACOS_CLAMP_TOL or c < -1.0 - ACOS_CLAMP_TOL:
         raise UnreachableTarget(
             f"arccos argument {c:.6g} outside [-1, 1] for target {target}"
         )
-    c = max(-1.0, min(1.0, c))
-    theta1 = math.degrees(math.atan2(target.y_a, target.x_a))
-    theta2 = math.degrees(math.acos(c)) - geom.theta_offset
-    return JointAngles(theta1, theta2)

@@ -23,7 +23,6 @@ from irribot.fieldsim import (
     simulate_detection,
 )
 from irribot.kinematics import (
-    ArmTarget,
     SingularBase,
     UnreachableTarget,
     inverse_kinematics,
@@ -109,8 +108,9 @@ class Mission:
         self.det_count = 0
         self.fp_count = 0
         self.matched_frames = 0
-        # the PlanItem Sensing last matched; set before every Positioning
-        self.current_target = None
+        # (x, y) offset of the box Sensing matched from the pot in service, mm,
+        # or None when the arm cannot reach it; set before every Positioning
+        self.aim = None
         self.impact = None  # (x, y) spray impact offset from the pot in service, mm
         self.log = []
         _enter_sensing(self)  # sets phase, phase_end and retried
@@ -125,38 +125,31 @@ class Mission:
         return pots[(self.pot_index + offset) % len(pots)]
 
 
-@dataclass(frozen=True)
-class PlanItem:
-    """One detection mapped through calibration and kinematics."""
+def plan_pot_service(dets, cal, geom, *, match_gate_mm):
+    """Score surviving detections against the pot in service.
 
-    target: ArmTarget | None
-    joints: object | None
-    matched_pot: int | None  # scoring only; missions never act on ground truth
-
-
-def plan_pot_service(dets, layout, cal, geom, *, station, match_gate_mm):
-    """Map surviving detections to joint commands; score against ground truth.
-
-    Each detection center becomes an arm-frame target via the calibration and
-    a joint solution via closed-form kinematics; a target the arm cannot reach
-    is kept with no joints, and Positioning skips its pot as Unreachable.
-    Ground-truth matching is nearest-neighbor within match_gate_mm, used only
-    for scoring.
+    The station frame is centred on the pot in service, so a detection's
+    offset from it is its arm-frame target (`pixel_to_arm`) less the static
+    offsets. Returns (offset, reachable, spurious): the (x, y) offset in mm of
+    the first detection within match_gate_mm, or None; whether the arm reaches
+    that detection's target (`inverse_kinematics`); and the number of
+    detections that matched nothing, since the detector boxes no other pot.
     """
-    items = []
+    matched, reachable, spurious = None, False, 0
     for det in dets:
         u, v = det.bbox.center
         target = pixel_to_arm(u, v, cal)
-        # field-frame position of the detection, for scoring
-        fx = station[0] + (target.x_a - cal.delta_x)
-        fy = station[1] + (target.y_a - cal.delta_y)
-        matched = layout.nearest_id(fx, fy, match_gate_mm)
-        try:
-            joints = inverse_kinematics(target, geom)
-        except (UnreachableTarget, SingularBase):
-            joints = None
-        items.append(PlanItem(target, joints, matched))
-    return items
+        offset = (target.x_a - cal.delta_x, target.y_a - cal.delta_y)
+        if math.hypot(*offset) > match_gate_mm:
+            spurious += 1
+        elif matched is None:
+            matched = offset
+            try:
+                inverse_kinematics(target, geom)
+                reachable = True
+            except (UnreachableTarget, SingularBase):
+                pass
+    return matched, reachable, spurious
 
 
 def water_savings_pct(system_efficiency, flood_efficiency):
@@ -209,34 +202,27 @@ def _enter_advancing(m, cause=None):
 
 def _finish_sensing(m):
     cfg = m.cfg
-    cal = cfg.calibration
     m.frames += 1
-    pot = m.pot()
-    # the chassis parked at the pot, which is the one pot in the frame
-    raw = simulate_detection(pot, m.env.tuning, m.rng, cal)
+    # the chassis parked at the pot, which is the one pot the detector boxes
+    raw = simulate_detection(m.pot(), m.env.tuning, m.rng, cfg.calibration)
     dets = enhanced_detection(
         raw, _BANDS, conf_threshold=cfg.detection.conf_threshold,
         iou_threshold=cfg.detection.iou_threshold,
     )
-    plan = plan_pot_service(
-        dets, m.layout, cal, cfg.arm,
-        station=(pot.x, pot.y), match_gate_mm=cfg.scoring.match_gate,
-    )
-    m.det_count += len(plan)
-    m.fp_count += sum(1 for item in plan if item.matched_pot is None)
-    target = next((item for item in plan if item.matched_pot == pot.pot_id), None)
-    if target is not None:
-        m.matched_frames += 1
-    rec = m.record()
-    if target is not None and not m.retried:
-        rec.detected = True
-    if target is None:
+    offset, reachable, spurious = plan_pot_service(
+        dets, cfg.calibration, cfg.arm, match_gate_mm=cfg.scoring.match_gate)
+    m.det_count += len(dets)
+    m.fp_count += spurious
+    if offset is None:
         if not m.retried:
             _enter_sensing(m, retried=True)
         else:
             _enter_advancing(m, cause=CAUSE_UNDETECTED)
     else:
-        m.current_target = target
+        m.matched_frames += 1
+        if not m.retried:
+            m.record().detected = True
+        m.aim = offset if reachable else None
         if abs(m.tilt) > cfg.leveling.level_band:
             _enter_leveling(m)
         else:
@@ -273,15 +259,14 @@ def _finish_leveling(m):
 
 def _finish_positioning(m):
     scoring = m.cfg.scoring
-    cal = m.cfg.calibration
-    item = m.current_target
-    if item.joints is None:
+    if m.aim is None:
         _enter_advancing(m, cause=CAUSE_UNREACHABLE)
         return
+    aim_x, aim_y = m.aim
     jitter = m.rng.normal(0.0, scoring.sigma_mech, size=2)
     lever = math.tan(math.radians(m.tilt)) * scoring.tilt_lever
-    impact_x = (item.target.x_a - cal.delta_x) + jitter[0] + lever
-    impact_y = (item.target.y_a - cal.delta_y) + jitter[1]
+    impact_x = aim_x + jitter[0] + lever
+    impact_y = aim_y + jitter[1]
     # station frame is pot-centered, so the impact offset IS the error vector
     err = math.hypot(impact_x, impact_y)
     m.record().positioning_error = float(err)

@@ -25,7 +25,13 @@ from irribot.detect import (
     enhanced_detection,
     iou,
 )
-from irribot.kinematics import ArmGeometry, ArmTarget, inverse_kinematics
+from irribot.kinematics import (
+    ArmGeometry,
+    ArmTarget,
+    SingularBase,
+    UnreachableTarget,
+    inverse_kinematics,
+)
 from irribot.leveling import (
     DelayedIntegratorPlant,
     LevelingConfig,
@@ -36,7 +42,7 @@ from irribot.leveling import (
     tune_leveling,
 )
 from irribot.mission import run_mission, run_trial, run_until_depleted
-from test_kinematics import forward_kinematics  # the round-trip oracle
+from test_kinematics import forward_kinematics, joint_angles  # the round-trip oracle
 from test_leveling import episode, record  # the production episode and its quiet record
 
 
@@ -113,9 +119,27 @@ def test_criterion_1_detection_pipeline_conformance(capsys):
 
 # -------------------------------------------------------------- criterion 2
 
+def _reach_edge(geom, inside, outside, y=10.0):
+    """The adjacent floats (x_in, x_out) between which the oracle stops
+    solving the target (x, y, 0): found by bisection from a solvable x and an
+    unsolvable one."""
+    def solves(x):
+        return joint_angles(ArmTarget(x, y, 0.0), geom) is not None
+
+    assert solves(inside) and not solves(outside)
+    while True:
+        mid = (inside + outside) / 2.0
+        if mid in (inside, outside):
+            return inside, outside
+        if solves(mid):
+            inside = mid
+        else:
+            outside = mid
+
+
 def test_criterion_2_kinematics_round_trip(capsys):
-    with criterion(capsys, 2, "10k FK/IK round-trips and analytic cases"):
-        geom = ArmGeometry(l1=120.0, l2=160.0, theta_offset=0.0)
+    with criterion(capsys, 2, "10k FK/IK round-trips, analytic cases, reach = the oracle's"):
+        geom = ArmGeometry(l1=120.0, l2=160.0)
         rng = np.random.default_rng(202)
         lo, hi = abs(geom.l1 - geom.l2) + 1.0, geom.l1 + geom.l2 - 1.0
         targets = []
@@ -125,29 +149,48 @@ def test_criterion_2_kinematics_round_trip(capsys):
                 targets.append(ArmTarget(float(x), float(y), float(z)))
         t0 = time.perf_counter()
         for t in targets:
-            angles = inverse_kinematics(t, geom)
+            assert inverse_kinematics(t, geom) is None  # reachable
+            angles = joint_angles(t, geom)
             back = forward_kinematics(angles, geom)
             assert math.hypot(back.x_a, back.z_a) == pytest.approx(
                 math.hypot(t.x_a, t.z_a), rel=1e-6)
             assert math.degrees(math.atan2(back.y_a, back.x_a)) == pytest.approx(
-                angles.theta1, abs=1e-6)
+                angles[0], abs=1e-6)
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0, f"10k round-trips took {elapsed:.3f} s"
 
         # arccos(0): radial exactly sqrt(l1^2 + l2^2) gives a square elbow
-        sq = inverse_kinematics(ArmTarget(120.0, 50.0, 160.0), geom)
-        assert sq.theta2 == 90.0
+        assert joint_angles(ArmTarget(120.0, 50.0, 160.0), geom)[1] == 90.0
         # arccos(1): full extension straightens the elbow completely
-        ext = inverse_kinematics(ArmTarget(280.0, 0.0, 0.0), geom)
-        assert ext.theta2 == 0.0 and ext.theta3 == 90.0
+        assert joint_angles(ArmTarget(280.0, 0.0, 0.0), geom)[1] == 0.0
         # base angle lands in all four quadrants exactly
         for x, y, want in ((100.0, 100.0, 45.0), (-100.0, 100.0, 135.0),
                            (-100.0, -100.0, -135.0), (100.0, -100.0, -45.0)):
-            assert inverse_kinematics(ArmTarget(x, y, 100.0), geom).theta1 == want
-        # elbow/wrist coupling is exact for arbitrary reachable targets
-        for t in targets[:50]:
-            a = inverse_kinematics(t, geom)
-            assert a.theta3 == 90.0 - a.theta2
+            assert joint_angles(ArmTarget(x, y, 100.0), geom)[0] == want
+
+        # the reach check raises for exactly the targets the oracle cannot
+        # solve: both sides of the arccos slack at full extension and at
+        # full fold, and the base axis
+        edges = []
+        for inside, outside in ((hi, geom.l1 + geom.l2 + 1.0), (lo, lo - 2.0)):
+            x_in, x_out = _reach_edge(geom, inside, outside)
+            edges += [ArmTarget(x_in, 10.0, 0.0), ArmTarget(x_out, 10.0, 0.0)]
+        # the last solvable radii lie in the slack, past the exact annulus
+        assert edges[0].x_a > geom.l1 + geom.l2
+        assert edges[2].x_a < geom.l2 - geom.l1
+        edges += [ArmTarget(0.0, 0.0, 200.0), ArmTarget(-0.0, 0.0, 200.0),
+                  ArmTarget(0.0, 0.0, 0.0), ArmTarget(0.0, 1e-300, 200.0)]
+        for t in edges:
+            if t.x_a == 0.0 and t.y_a == 0.0:
+                with pytest.raises(SingularBase):
+                    inverse_kinematics(t, geom)
+            elif joint_angles(t, geom) is None:
+                with pytest.raises(UnreachableTarget):
+                    inverse_kinematics(t, geom)
+            else:
+                assert inverse_kinematics(t, geom) is None
+        solved = [joint_angles(t, geom) is not None for t in edges]
+        assert solved == [True, False, True, False, False, False, False, True]
 
 
 # -------------------------------------------------------------- criterion 3
@@ -291,7 +334,7 @@ def test_criterion_7_battery_runtimes(capsys):
 # SHA-256 of the canonical seed-42 outputs. A change to any of them must be
 # explained: name its cause and show the rendered summary is unchanged.
 GOLDEN_DIGESTS = {
-    "results.json": "ea255bfd329e7bd7d25230b6f10ca253a3e1a179ef306baa2d22b718ac9c8d86",
+    "results.json": "d52b2ede63c7eb8b74a615e1ec3e0f42360a4be5399964a89cb6200de1700fa6",
     "trials.csv": "feb86767b86c47c6d02d8e272c5145e0ecf5b2f72edadb528a98cfaf38afc12c",
     "stdout": "3930899290739716e8cbfe68077d9dd2c7f685186d647e9ccd62a28080b0aecf",
 }

@@ -379,6 +379,26 @@ def test_cli_replay_reproduces_run_stdout(tmp_path, capsys):
     assert capsys.readouterr().out == run_text
 
 
+def test_cli_replay_reads_results_that_echo_theta_offset(tmp_path, capsys):
+    # results.json files written before arm.theta_offset was deleted still
+    # replay: replay renders the summaries and never rebuilds the config
+    code, out = run_cli(tmp_path)
+    run_text = capsys.readouterr().out
+    payload = json.loads((out / "results.json").read_text())
+    assert "theta_offset" not in payload["config"]["arm"]
+    payload["config"]["arm"]["theta_offset"] = 15.0
+    older = write(tmp_path, json.dumps(payload, indent=2), name="older.json")
+    assert main(["replay", older]) == 0
+    assert capsys.readouterr().out == run_text
+
+
+def test_arm_theta_offset_is_an_unknown_key(tmp_path, capsys):
+    cfg = write(tmp_path, "arm: {theta_offset: 15.0}\n")
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == (
+        "irribot: validation error: unknown key arm.'theta_offset'\n")
+
+
 def test_cli_trace_flag_writes_tick_trace(tmp_path):
     _, out = run_cli(tmp_path, "--trace")
     trace = (out / "trace.csv").read_text()

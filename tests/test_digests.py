@@ -4,8 +4,10 @@ Criterion 8 pins the seed-42 canonical `results.json`, `trials.csv` and
 stdout. These cases pin the rest: a trace, another seed, an 800-pot random
 layout, a config overriding defaults in every section the environments read,
 an unshielded drift that resets inside leveling episodes, sprays that cross
-pot rims, and a confidence gate that drops detector boxes. A refactor keeps every digest; an intended output change
-updates the table and says why in CHANGES.md.
+pot rims, a confidence gate that drops detector boxes, and spurious boxes
+that land within the match gate of a pot other than the one in service. A
+refactor keeps every digest; an intended output change updates the table and
+says why in CHANGES.md.
 """
 
 import hashlib
@@ -46,57 +48,75 @@ CASES = {
         "detection: {conf_threshold: 0.65}\n",
         ["--env", "all", "--trials", "10", "--seed", "42"],
     ),
+    # a 1200 x 900 mm frame: a spurious box can land within the match gate of
+    # a neighbouring pot, and it is still counted as a false positive
+    "served_match": (
+        "calibration: {s: 0.3}\n",
+        ["--env", "all", "--trials", "10", "--seed", "42"],
+    ),
 }
 
 DIGESTS = {
     "conf_gate": {
-        "results.json": "078c61adf01ea47fb1f0ad6d776cb3c94622a265f8b4adcb36c7f1ede6c27114",
+        "results.json": "90b1754f3054e87b698af6934657af106de0223963b3c8897c03220a08e0b426",
         "trials.csv": "3babc5ca9cd5affe056e7f10f95fa46e8e5bade5c7e8b8b8be78c1b56bb771ec",
         "trace.csv": "b5c2ac0aafcc06fca788ec146e8ddcf2c752c1592957ec0832d73fcda7624219",
         "stdout": "deba0cf0ec5a168f47d0ecc0643ecc09a86589051745b5293ad540d07f010310",
     },
     "seed_1042": {
-        "results.json": "fdd196db7cc66d9e5f93d7772522ae33489b644a5f42a6bfd600a2d14ab13c2c",
+        "results.json": "8e57c931e218f08adb59d32da317bf188d62c72af41df2b5377832329f0d1483",
         "trials.csv": "b02985a2c4fa21d6d460f8bf154249511acb02a1c9d3f91417d1bac006b9fc0b",
         "trace.csv": "8e76bbd1dea46f5dcf6a71a78d7cc439c5fe21c5cbfe044e50cafa24f2a160ab",
         "stdout": "4d3d6aa46572a46e0697380a1c5cd7ad48bb2af40892e59008edf4f7134361ba",
     },
     "pots_800": {
-        "results.json": "328bbd8ca1f9c0421488877c9b7dc20ce6156cf2a398e2417d109776e7b79f28",
+        "results.json": "1d5a20e541cc3df5340e5e63a4158acfc5f12a0456756868cf8379ee832faaf4",
         "trials.csv": "203f153934042ce900d4fabd66fccf563cd75d25e35fd90a49d995e3db3d7086",
         "trace.csv": "2e0311e919e4b59581ec2f56fff6861b658b2cdd42d8c91bbb62d762a8816ec7",
         "stdout": "4471d6e572d69ce3f0dd31e2cbbb8a2ad7b7b8a4e9f586fd27c3fd9863c1500d",
     },
     "overrides": {
-        "results.json": "02530fddbf905fa9d51fcc7c61af68c822a37e82178e6648e177cb94b7d359db",
+        "results.json": "43bbae197ca041eef6150dc6346548280c24f0ee506f1176fa84434b8e64356a",
         "trials.csv": "4c30ed261d442488bc6f5aad9e9916d4d6f5945e64c4b62ef9c82c8f942547da",
         "trace.csv": "bb9a8cffeba5d79c0b061af96f0a86410f2b47308974f5ba22864ebf6647d363",
         "stdout": "6af3ac13a8fd62cf3be4c7fa695ef8a185f381480b66a06b32f369b124f23bd2",
     },
     "unshielded_hilly": {
-        "results.json": "3e69f6ccd997d5258efe3ecb2e9f09851fec60c928e3708ff88aa678fbcae45b",
+        "results.json": "097e9158cda1513f7d13fe0f0af71c181cb07274407a750bb83f2972a163b611",
         "trials.csv": "8233861ee1e8453e2ef632286555487848085a642bee2aab1a5b95d69d7ec3e6",
         "trace.csv": "1515356749860c4e154bf0f115d3b9b221b5ff5f2ba1adf9af6002ab25184556",
         "stdout": "b947cfce495c09846f2025afc24c639dec0229e6934595951cfcfd6f0227da87",
     },
     "rim_crossing": {
-        "results.json": "e88a5b1bfe15ffb3f25ee412cf7db52cc313727b66b57d97073748dfb78a8339",
+        "results.json": "730f26dc2d1265fc1d59d31f05cf2d66226c7c92f0460c5888a57508eb60e8fb",
         "trials.csv": "9930bbca1a4c0333bb40b3b6f07dc7a6d1ffb508b0515d23eb5febe912e9c6ec",
         "trace.csv": "fa6a863a525a84d0443f0c7d27d72f37abfc21b4253ef422a44713d6668c17a0",
         "stdout": "2cbf4e5db420024622f9e749cb3e30493d387bb9b7a42545dd00f5ac0d80ce6d",
     },
+    "served_match": {
+        "results.json": "61d4cc5e93c39b421c61423a778128ef76a05c16d55006cb550fe237d3d80d5b",
+        "trials.csv": "6b854b62ae521f1791560d8dcf5e4ec317a76ade19d8c224392464eb03395e76",
+        "trace.csv": "fa6a863a525a84d0443f0c7d27d72f37abfc21b4253ef422a44713d6668c17a0",
+        "stdout": "067091c7dee3d52dc27cca725af7257e17a114ee2f5666753c206c1a710195d8",
+    },
 }
+
+
+def run_digests(yaml_text, args, tmp_path, capsys, files=OUTPUT_FILES):
+    """SHA-256 of the files `irribot run` writes to tmp_path and of its
+    stdout, for a config given as YAML text (or None) and run arguments."""
+    argv = ["run", *args, "--out-dir", str(tmp_path)]
+    if yaml_text is not None:
+        (tmp_path / "config.yaml").write_text(yaml_text)
+        argv += ["--config", str(tmp_path / "config.yaml")]
+    capsys.readouterr()
+    assert main(argv) == 0
+    outputs = {f: (tmp_path / f).read_bytes() for f in files}
+    outputs["stdout"] = capsys.readouterr().out.encode()
+    return {k: hashlib.sha256(v).hexdigest() for k, v in outputs.items()}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_run_outputs_match_pinned_digests(case, tmp_path, capsys):
     yaml_text, args = CASES[case]
-    argv = ["run", *args, "--trace", "--out-dir", str(tmp_path)]
-    if yaml_text is not None:
-        (tmp_path / "config.yaml").write_text(yaml_text)
-        argv += ["--config", str(tmp_path / "config.yaml")]
-    assert main(argv) == 0
-    outputs = {f: (tmp_path / f).read_bytes() for f in OUTPUT_FILES}
-    outputs["stdout"] = capsys.readouterr().out.encode()
-    digests = {k: hashlib.sha256(v).hexdigest() for k, v in outputs.items()}
-    assert digests == DIGESTS[case]
+    assert run_digests(yaml_text, [*args, "--trace"], tmp_path, capsys) == DIGESTS[case]

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irribot.kinematics import (
+    ACOS_CLAMP_TOL,
     ArmGeometry,
     ArmTarget,
     CalibrationState,
-    JointAngles,
     SingularBase,
     UnreachableTarget,
     calibrate_single_reference,
@@ -19,23 +19,47 @@ from irribot.kinematics import (
     pixel_to_arm,
 )
 
-GEOM = ArmGeometry(l1=120.0, l2=160.0, theta_offset=0.0)
+GEOM = ArmGeometry(l1=120.0, l2=160.0)
 CAL = CalibrationState(s=0.1, u0=320.0, v0=240.0, delta_x=0.0, delta_y=0.0, z_const=120.0)
 
 
-# Forward kinematics and the workspace test: the mission needs only the
-# inverse, so these are the oracle the inverse is checked against (also by
-# acceptance criterion 2).
+# Joint angles and forward kinematics: the mission needs only to know whether
+# the arm reaches a target, so these are the oracle the reach check
+# (`inverse_kinematics`) is tested against, also by acceptance criterion 2.
 
-def planar_reach(angles, geom):
+def joint_angles(target, geom):
+    """The closed-form joint solution (theta1, theta2) in degrees, base and
+    elbow, or None where it does not exist: on the base axis (X = Y = 0), or
+    where the elbow's arccos argument lies more than ACOS_CLAMP_TOL outside
+    [-1, 1]."""
+    if target.x_a == 0.0 and target.y_a == 0.0:
+        return None
+    radial_sq = target.x_a * target.x_a + target.z_a * target.z_a
+    c = (radial_sq - geom.l1**2 - geom.l2**2) / (2.0 * geom.l1 * geom.l2)
+    if c > 1.0 + ACOS_CLAMP_TOL or c < -1.0 - ACOS_CLAMP_TOL:
+        return None
+    c = max(-1.0, min(1.0, c))
+    return math.degrees(math.atan2(target.y_a, target.x_a)), math.degrees(math.acos(c))
+
+
+def reaches(target, geom):
+    """Whether the production reach check accepts the target."""
+    try:
+        assert inverse_kinematics(target, geom) is None
+    except (UnreachableTarget, SingularBase):
+        return False
+    return True
+
+
+def planar_reach(theta2, geom):
     """Radial distance of the two-link pair at the given elbow angle."""
-    elbow = math.radians(angles.theta2 + geom.theta_offset)
+    elbow = math.radians(theta2)
     r_sq = geom.l1**2 + geom.l2**2 + 2.0 * geom.l1 * geom.l2 * math.cos(elbow)
     return math.sqrt(max(0.0, r_sq))
 
 
 def forward_kinematics(angles, geom):
-    """Reconstruct a target from joint angles.
+    """Reconstruct a target from joint angles (theta1, theta2).
 
     The closed-form inverse keeps only two independent quantities: the
     base angle and the planar reach. The reach is re-spread over the
@@ -43,8 +67,9 @@ def forward_kinematics(angles, geom):
     inverse are reproduced; the remaining freedom is fixed by taking Z
     non-negative.
     """
-    r = planar_reach(angles, geom)
-    t1 = math.radians(angles.theta1)
+    theta1, theta2 = angles
+    r = planar_reach(theta2, geom)
+    t1 = math.radians(theta1)
     return ArmTarget(
         x_a=r * math.cos(t1),
         y_a=r * math.sin(t1),
@@ -52,22 +77,20 @@ def forward_kinematics(angles, geom):
     )
 
 
-def full_joint_limits(geom):
+def full_joint_limits():
     """The closed form's own ranges: theta1 covers the whole circle and
-    theta2 spans the arccos image shifted by the mounting offset."""
-    return (-180.0, 180.0), (0.0 - geom.theta_offset, 180.0 - geom.theta_offset)
+    theta2 spans the arccos image."""
+    return (-180.0, 180.0), (0.0, 180.0)
 
 
 def workspace_contains(target, geom, t1_limits, t2_limits):
     """True iff the target solves and the solution lies within both
     (lo, hi) joint limits, bounds included."""
-    try:
-        angles = inverse_kinematics(target, geom)
-    except (UnreachableTarget, SingularBase):
+    angles = joint_angles(target, geom)
+    if angles is None:
         return False
-    lo1, hi1 = t1_limits
-    lo2, hi2 = t2_limits
-    return lo1 <= angles.theta1 <= hi1 and lo2 <= angles.theta2 <= hi2
+    (lo1, hi1), (lo2, hi2) = t1_limits, t2_limits
+    return lo1 <= angles[0] <= hi1 and lo2 <= angles[1] <= hi2
 
 
 def random_reachable_target(rng, geom=GEOM):
@@ -158,20 +181,21 @@ def test_calibration_residual_vanishes(u, v, x, y, z):
 def test_ik_right_elbow_case():
     # radial distance sqrt(l1^2 + l2^2) makes the arccos argument zero
     r = math.sqrt(GEOM.l1**2 + GEOM.l2**2)
-    angles = inverse_kinematics(ArmTarget(r, 10.0, 0.0), GEOM)
-    assert angles.theta2 == 90.0
-    assert angles.theta3 == 0.0
+    target = ArmTarget(r, 10.0, 0.0)
+    assert reaches(target, GEOM)
+    assert joint_angles(target, GEOM)[1] == 90.0
 
 
 def test_ik_full_extension():
-    angles = inverse_kinematics(ArmTarget(GEOM.l1 + GEOM.l2, 0.0, 0.0), GEOM)
-    assert angles.theta2 == 0.0
-    assert angles.theta3 == 90.0
+    target = ArmTarget(GEOM.l1 + GEOM.l2, 0.0, 0.0)
+    assert reaches(target, GEOM)
+    assert joint_angles(target, GEOM)[1] == 0.0
 
 
 def test_ik_base_angle_zero_on_positive_x():
-    angles = inverse_kinematics(ArmTarget(200.0, 0.0, 0.0), GEOM)
-    assert angles.theta1 == 0.0
+    target = ArmTarget(200.0, 0.0, 0.0)
+    assert reaches(target, GEOM)
+    assert joint_angles(target, GEOM)[0] == 0.0
 
 
 def test_ik_base_angle_quadrants():
@@ -179,31 +203,30 @@ def test_ik_base_angle_quadrants():
     for t1_expected in (45.0, 135.0, -45.0, -135.0):
         x = r * math.cos(math.radians(t1_expected))
         y = r * math.sin(math.radians(t1_expected))
-        angles = inverse_kinematics(ArmTarget(x, y, 0.0), GEOM)
-        assert angles.theta1 == pytest.approx(t1_expected, abs=1e-9)
-
-
-def test_ik_offset_shifts_elbow():
-    geom = ArmGeometry(l1=120.0, l2=160.0, theta_offset=15.0)
-    r = math.sqrt(geom.l1**2 + geom.l2**2)
-    angles = inverse_kinematics(ArmTarget(r, 0.0, 0.0), geom)
-    assert angles.theta2 == pytest.approx(75.0)
-    assert angles.theta3 == 90.0 - angles.theta2
+        target = ArmTarget(x, y, 0.0)
+        assert reaches(target, GEOM)
+        assert joint_angles(target, GEOM)[0] == pytest.approx(t1_expected, abs=1e-9)
 
 
 def test_ik_unreachable_far():
+    target = ArmTarget(GEOM.l1 + GEOM.l2 + 1.0, 0.0, 0.0)
     with pytest.raises(UnreachableTarget):
-        inverse_kinematics(ArmTarget(GEOM.l1 + GEOM.l2 + 1.0, 0.0, 0.0), GEOM)
+        inverse_kinematics(target, GEOM)
+    assert joint_angles(target, GEOM) is None
 
 
 def test_ik_unreachable_near():
+    target = ArmTarget(abs(GEOM.l1 - GEOM.l2) - 1.0, 10.0, 0.0)
     with pytest.raises(UnreachableTarget):
-        inverse_kinematics(ArmTarget(abs(GEOM.l1 - GEOM.l2) - 1.0, 10.0, 0.0), GEOM)
+        inverse_kinematics(target, GEOM)
+    assert joint_angles(target, GEOM) is None
 
 
 def test_ik_singular_base():
+    target = ArmTarget(0.0, 0.0, 200.0)
     with pytest.raises(SingularBase):
-        inverse_kinematics(ArmTarget(0.0, 0.0, 200.0), GEOM)
+        inverse_kinematics(target, GEOM)
+    assert joint_angles(target, GEOM) is None
 
 
 def test_ik_clamps_tiny_overshoot_only():
@@ -211,7 +234,8 @@ def test_ik_clamps_tiny_overshoot_only():
     r = GEOM.l1 + GEOM.l2
     eps_arg = 5e-10  # arccos-argument overshoot inside tolerance
     x = math.sqrt(r * r + eps_arg * 2 * GEOM.l1 * GEOM.l2)
-    assert inverse_kinematics(ArmTarget(x, 0.0, 0.0), GEOM).theta2 == 0.0
+    assert reaches(ArmTarget(x, 0.0, 0.0), GEOM)
+    assert joint_angles(ArmTarget(x, 0.0, 0.0), GEOM)[1] == 0.0
     # well beyond the slack: refused
     x_bad = math.sqrt(r * r + 1e-6 * 2 * GEOM.l1 * GEOM.l2)
     with pytest.raises(UnreachableTarget):
@@ -221,35 +245,34 @@ def test_ik_clamps_tiny_overshoot_only():
 # ------------------------------------------------------------------- fk
 
 def test_fk_full_extension_reach():
-    angles = JointAngles(0.0, 0.0)
-    assert planar_reach(angles, GEOM) == pytest.approx(GEOM.l1 + GEOM.l2)
+    assert planar_reach(0.0, GEOM) == pytest.approx(GEOM.l1 + GEOM.l2)
 
 
 def test_fk_full_fold_reach():
-    angles = JointAngles(0.0, 180.0)
-    assert planar_reach(angles, GEOM) == pytest.approx(abs(GEOM.l1 - GEOM.l2))
+    assert planar_reach(180.0, GEOM) == pytest.approx(abs(GEOM.l1 - GEOM.l2))
 
 
 def test_fk_ik_roundtrip_random():
     rng = random.Random(12345)
     for _ in range(2000):
         t = random_reachable_target(rng)
-        angles = inverse_kinematics(t, GEOM)
+        assert reaches(t, GEOM)
+        angles = joint_angles(t, GEOM)
         back = forward_kinematics(angles, GEOM)
         r_in = math.hypot(t.x_a, t.z_a)
         r_out = math.hypot(back.x_a, back.z_a)
         assert r_out == pytest.approx(r_in, rel=1e-6)
         t1_back = math.degrees(math.atan2(back.y_a, back.x_a))
-        assert t1_back == pytest.approx(angles.theta1, abs=1e-6)
+        assert t1_back == pytest.approx(angles[0], abs=1e-6)
 
 
-def test_fk_ik_roundtrip_with_offset():
-    geom = ArmGeometry(l1=100.0, l2=140.0, theta_offset=20.0)
+def test_fk_ik_roundtrip_other_links():
+    geom = ArmGeometry(l1=100.0, l2=140.0)
     rng = random.Random(99)
     for _ in range(500):
         t = random_reachable_target(rng, geom)
-        angles = inverse_kinematics(t, geom)
-        back = forward_kinematics(angles, geom)
+        assert reaches(t, geom)
+        back = forward_kinematics(joint_angles(t, geom), geom)
         assert math.hypot(back.x_a, back.z_a) == pytest.approx(
             math.hypot(t.x_a, t.z_a), rel=1e-6
         )
@@ -258,14 +281,14 @@ def test_fk_ik_roundtrip_with_offset():
 # ------------------------------------------------------------- workspace
 
 def test_workspace_boundary():
-    limits = full_joint_limits(GEOM)
+    limits = full_joint_limits()
     assert workspace_contains(ArmTarget(GEOM.l1 + GEOM.l2, 0.0, 0.0), GEOM, *limits)
     assert not workspace_contains(
         ArmTarget(GEOM.l1 + GEOM.l2 + 1.0, 0.0, 0.0), GEOM, *limits)
 
 
 def test_workspace_respects_joint_limits():
-    _, t2_limits = full_joint_limits(GEOM)
+    _, t2_limits = full_joint_limits()
     assert workspace_contains(ArmTarget(200.0, 10.0, 0.0), GEOM, (-90.0, 90.0), t2_limits)
     assert not workspace_contains(ArmTarget(-200.0, 10.0, 0.0), GEOM, (-90.0, 90.0), t2_limits)
 
@@ -274,9 +297,4 @@ def test_workspace_respects_joint_limits():
 @given(st.floats(-400, 400), st.floats(-400, 400), st.floats(-400, 400))
 def test_workspace_agrees_with_ik(x, y, z):
     t = ArmTarget(x, y, z)
-    try:
-        inverse_kinematics(t, GEOM)
-        solvable = True
-    except (UnreachableTarget, SingularBase):
-        solvable = False
-    assert workspace_contains(t, GEOM, *full_joint_limits(GEOM)) == solvable
+    assert workspace_contains(t, GEOM, *full_joint_limits()) == reaches(t, GEOM)

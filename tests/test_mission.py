@@ -18,7 +18,6 @@ from irribot.detect import CIRCULAR, BBox, Detection
 from irribot.fieldsim import (
     BatteryModel,
     battery_step,
-    grid_layout,
     realize_layout,
 )
 from irribot.kinematics import ArmGeometry, CalibrationState
@@ -54,7 +53,7 @@ GAINS = gains_for(CFG)
 
 CAL = CalibrationState(s=0.1, u0=2000.0, v0=1500.0, delta_x=150.0, delta_y=0.0,
                        z_const=150.0)
-GEOM = ArmGeometry(l1=120.0, l2=160.0, theta_offset=15.0)
+GEOM = ArmGeometry(l1=120.0, l2=160.0)
 
 
 def config_with(**overrides):
@@ -314,28 +313,21 @@ def center_detection(conf=0.9, cx=2000.0, cy=1500.0, w=100.0, h=100.0):
     )
 
 
-def test_plan_centered_detection_solves_theta1_zero():
-    layout = grid_layout(1, 600.0)
-    items = plan_pot_service([center_detection()], layout, CAL, GEOM,
-                             station=(0.0, 0.0), match_gate_mm=100.0)
-    assert len(items) == 1
-    item = items[0]
-    assert item.joints is not None
-    assert item.joints.theta1 == 0.0  # target sits dead ahead on the x axis
-    assert item.target.x_a == pytest.approx(150.0)
-    assert item.target.y_a == pytest.approx(0.0)
-    assert item.matched_pot == 0
+def test_plan_centered_detection_matches_within_reach():
+    # the box sits on the pot in service: the arm target is (150, 0, 150) mm,
+    # dead ahead of the base
+    plan = plan_pot_service([center_detection()], CAL, GEOM, match_gate_mm=100.0)
+    assert plan == ((0.0, 0.0), True, 0)
 
 
 def test_plan_detection_beyond_reach_is_skipped_with_cause():
-    layout = grid_layout(1, 600.0)
-    # 1500 px right of center puts the target at x = 300 mm; with the fixed
-    # working height that radial exceeds l1 + l2
-    det = center_detection(cx=3500.0)
-    items = plan_pot_service([det], layout, CAL, GEOM,
-                             station=(0.0, 0.0), match_gate_mm=100.0)
-    assert items[0].joints is None  # Positioning skips such a pot as Unreachable
-    assert items[0].matched_pot is None  # also too far from the pot to match
+    # 1000 px right of center puts the target at x = 250 mm; with the fixed
+    # working height that radial exceeds l1 + l2, though a 150 mm gate
+    # matches the box to the pot
+    det = center_detection(cx=3000.0)
+    offset, reachable, spurious = plan_pot_service([det], CAL, GEOM, match_gate_mm=150.0)
+    assert offset == pytest.approx((100.0, 0.0)) and spurious == 0
+    assert not reachable  # Positioning skips such a pot as Unreachable
 
 
 def test_mission_skips_unreachable_pots_with_cause():
@@ -350,13 +342,16 @@ def test_mission_skips_unreachable_pots_with_cause():
 
 
 def test_plan_matches_by_station_gate():
-    layout = grid_layout(2, 600.0)  # pots at x = 0 and x = 600
-    near = center_detection()  # maps onto pot 0 exactly
+    near = center_detection(cy=1500.0 + 500.0)  # 50 mm off, inside the gate
     far = center_detection(cx=2000.0 + 1300.0)  # 130 mm off, beyond the gate
-    items = plan_pot_service([near, far], layout, CAL, GEOM,
-                             station=(0.0, 0.0), match_gate_mm=100.0)
-    assert items[0].matched_pot == 0
-    assert items[1].matched_pot is None
+    for dets in ([near, far], [far, near]):
+        offset, _, spurious = plan_pot_service(dets, CAL, GEOM, match_gate_mm=100.0)
+        assert offset == pytest.approx((0.0, 50.0)) and spurious == 1
+    # the first box within the gate is the pot's; a second is not spurious
+    offset, _, spurious = plan_pot_service([near, center_detection()], CAL, GEOM,
+                                           match_gate_mm=100.0)
+    assert offset == pytest.approx((0.0, 50.0)) and spurious == 0
+    assert plan_pot_service([], CAL, GEOM, match_gate_mm=100.0) == (None, False, 0)
 
 
 def test_mission_retry_consumes_one_extra_sensing_pass():
