@@ -77,10 +77,9 @@ def forward_kinematics(angles, geom):
     )
 
 
-def full_joint_limits():
-    """The closed form's own ranges: theta1 covers the whole circle and
-    theta2 spans the arccos image."""
-    return (-180.0, 180.0), (0.0, 180.0)
+# the closed form's own ranges: theta1 covers the whole circle and theta2
+# spans the arccos image
+FULL_JOINT_LIMITS = ((-180.0, 180.0), (0.0, 180.0))
 
 
 def workspace_contains(target, geom, t1_limits, t2_limits):
@@ -281,14 +280,14 @@ def test_fk_ik_roundtrip_other_links():
 # ------------------------------------------------------------- workspace
 
 def test_workspace_boundary():
-    limits = full_joint_limits()
+    limits = FULL_JOINT_LIMITS
     assert workspace_contains(ArmTarget(GEOM.l1 + GEOM.l2, 0.0, 0.0), GEOM, *limits)
     assert not workspace_contains(
         ArmTarget(GEOM.l1 + GEOM.l2 + 1.0, 0.0, 0.0), GEOM, *limits)
 
 
 def test_workspace_respects_joint_limits():
-    _, t2_limits = full_joint_limits()
+    _, t2_limits = FULL_JOINT_LIMITS
     assert workspace_contains(ArmTarget(200.0, 10.0, 0.0), GEOM, (-90.0, 90.0), t2_limits)
     assert not workspace_contains(ArmTarget(-200.0, 10.0, 0.0), GEOM, (-90.0, 90.0), t2_limits)
 
@@ -297,4 +296,4 @@ def test_workspace_respects_joint_limits():
 @given(st.floats(-400, 400), st.floats(-400, 400), st.floats(-400, 400))
 def test_workspace_agrees_with_ik(x, y, z):
     t = ArmTarget(x, y, z)
-    assert workspace_contains(t, GEOM, *full_joint_limits()) == reaches(t, GEOM)
+    assert workspace_contains(t, GEOM, *FULL_JOINT_LIMITS) == reaches(t, GEOM)

@@ -14,7 +14,7 @@ import pytest
 
 from irribot import mission as mission_module
 from test_acceptance import GOLDEN_DIGESTS
-from test_digests import CASES, DIGESTS, run_digests
+from test_digests import CASES, DIGESTS, OUTPUT_FILES, run_digests
 
 _plan = mission_module.plan_pot_service
 
@@ -43,15 +43,13 @@ def pinned_case(case):
         return (None, ["--env", "all", "--trials", "10", "--seed", "42"],
                 ("results.json", "trials.csv"), GOLDEN_DIGESTS)
     yaml_text, args = CASES[case]
-    return yaml_text, [*args, "--trace"], ("results.json", "trials.csv", "trace.csv"), \
-        DIGESTS[case]
+    return yaml_text, [*args, "--trace"], OUTPUT_FILES, DIGESTS[case]
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_mutant_moves_a_pinned_digest(mutant, tmp_path, capsys, monkeypatch):
     name, replacement, case = MUTANTS[mutant]
-    assert hasattr(mission_module, name)
-    monkeypatch.setattr(mission_module, name, replacement)
+    monkeypatch.setattr(mission_module, name, replacement)  # raises if unbound
     yaml_text, args, files, pinned = pinned_case(case)
     digests = run_digests(yaml_text, args, tmp_path, capsys, files)
     assert digests.keys() == pinned.keys()
