@@ -299,17 +299,26 @@ def test_grid_layout_of_20000_pots_builds():
     assert len({(p.x, p.y) for p in layout.pots}) == 20000
 
 
-@given(st.sampled_from(["grid", "random"]), st.integers(1, 120), st.integers(0, 2**32 - 1),
-       st.floats(20.0, 1000.0), st.floats(1.01, 3.0))
-@settings(max_examples=60, deadline=None)
-def test_layout_builders_keep_min_spacing(kind, count, seed, spacing, ratio):
-    # the spacing invariant PotLayout states holds by construction
-    if kind == "grid":
-        layout = grid_layout(count, spacing)
-    else:
-        layout = outcome(random_layout, count, np.random.default_rng(seed),
-                         nn_range=(spacing, spacing * ratio))
-        assume(isinstance(layout, PotLayout))
+# The spacing invariant PotLayout states holds by construction: no layout
+# builder places a pair of pots closer than min_spacing.
+
+
+@given(st.integers(1, 120), st.floats(20.0, 1000.0))
+@settings(max_examples=30, deadline=None)
+def test_grid_layout_keeps_min_spacing(count, spacing):
+    layout = grid_layout(count, spacing)
+    assert len(layout.pots) == count and layout.min_spacing == spacing
+    oracle_pair_check(layout.pots, layout.min_spacing)
+
+
+@given(st.integers(1, 120), st.integers(0, 2**32 - 1), st.floats(20.0, 1000.0),
+       st.floats(1.01, 3.0))
+@settings(max_examples=30, deadline=None)
+def test_random_layout_keeps_min_spacing(count, seed, spacing, ratio):
+    # random_layout rejects every candidate that would crowd a placed pot
+    layout = outcome(random_layout, count, np.random.default_rng(seed),
+                     nn_range=(spacing, spacing * ratio))
+    assume(isinstance(layout, PotLayout))
     assert len(layout.pots) == count and layout.min_spacing == spacing
     oracle_pair_check(layout.pots, layout.min_spacing)
 
