@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from irribot.detect import CIRCULAR, RECTANGULAR, BBox, Detection
 from irribot.sums import ltr_sum
 
@@ -59,12 +61,11 @@ class Pot:
 
 # A uniform grid whose cells are a hair wider than the spacing they serve
 # (Bentley, Stanat & Williams, "The complexity of finding fixed-radius near
-# neighbors", IPL 1977), for random_layout's placement and service order.
-# Two points closer than the spacing lie in the same or adjacent cells; the
-# hair keeps that true when floor(x / size) rounds, for coordinates up to
-# about a million cells from the origin. The grid only narrows the
-# candidates: every result is still decided by the exact predicate a scan
-# over all pots would apply.
+# neighbors", IPL 1977), for random_layout's placement. Two points closer
+# than the spacing lie in the same or adjacent cells; the hair keeps that
+# true when floor(x / size) rounds, for coordinates up to about a million
+# cells from the origin. The grid only narrows the candidates: every result
+# is still decided by the exact predicate a scan over all pots would apply.
 
 
 def _cell_size(spacing):
@@ -73,27 +74,6 @@ def _cell_size(spacing):
 
 def _cell(x, y, size):
     return math.floor(x / size), math.floor(y / size)
-
-
-def _grid(points, size):
-    """{cell: [index, ...]} of (x, y) points, indices ascending within each cell."""
-    cells = {}
-    for i, (x, y) in enumerate(points):
-        cells.setdefault(_cell(x, y, size), []).append(i)
-    return cells
-
-
-def _ring(cells, cx, cy, r):
-    """Indices in the square ring of cells r steps out from cell (cx, cy)."""
-    if r == 0:
-        yield from cells.get((cx, cy), ())
-        return
-    for gx in range(cx - r, cx + r + 1):
-        yield from cells.get((gx, cy - r), ())
-        yield from cells.get((gx, cy + r), ())
-    for gy in range(cy - r + 1, cy + r):
-        yield from cells.get((cx - r, gy), ())
-        yield from cells.get((cx + r, gy), ())
 
 
 @dataclass(frozen=True)
@@ -113,7 +93,7 @@ class PotLayout:
 _GRID_COLUMNS = 5  # pots per row of a grid layout
 
 
-def grid_layout(count=20, spacing=600.0, shape=CIRCULAR, width=100.0, height=None):
+def grid_layout(count=20, spacing=600.0, shape=CIRCULAR, width=100.0, height=100.0):
     """Regular grid `_GRID_COLUMNS` pots wide, ordered along a serpentine path.
 
     Odd rows run right-to-left so consecutive pots are always one pitch
@@ -121,8 +101,6 @@ def grid_layout(count=20, spacing=600.0, shape=CIRCULAR, width=100.0, height=Non
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if height is None:
-        height = width if shape == CIRCULAR else width * 2 / 3
     pots = []
     for i in range(count):
         row, k = divmod(i, _GRID_COLUMNS)
@@ -138,7 +116,7 @@ def random_layout(
     nn_range=(400.0, 800.0),
     shape=CIRCULAR,
     width=100.0,
-    height=None,
+    height=100.0,
     max_attempts=10000,
 ):
     """Scatter pots so each new pot lands nn_range-distant from an existing one.
@@ -147,21 +125,20 @@ def random_layout(
     anchor and at least nn_range[0] from everything else, so the pairwise
     minimum-spacing invariant holds by construction. Raises LayoutError when
     the attempt budget runs out. Placement finishes, and its grid-cell index
-    is freed, before the pots are put in service order. The draws are read in
-    bulk, so rng must use PCG64, as `numpy.random.default_rng` does; any other
-    bit generator is a TypeError.
+    is freed, before the pots are put in service order: a greedy
+    nearest-neighbor chain from pot 0, each step one scan of every pot not
+    yet taken. The draws are read in bulk, so rng must use PCG64, as
+    `numpy.random.default_rng` does; any other bit generator is a TypeError.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     lo, hi = nn_range
     if not 0 < lo < hi < math.inf:
         raise ValueError("nn_range must be ordered, positive and finite")
-    if height is None:
-        height = width
     pots = [Pot(0, 0.0, 0.0, shape, width, height)]  # checks the pot before any draw
     xs, ys = _place(count, rng, lo, hi, max_attempts)
     pots += [Pot(i, xs[k], ys[k], shape, width, height)  # the chain starts at pot 0
-             for i, k in enumerate(_service_order(xs, ys, lo)) if i]
+             for i, k in enumerate(_service_order(xs, ys)) if i]
     return PotLayout(pots=tuple(pots), min_spacing=lo)
 
 
@@ -243,51 +220,29 @@ class _PCG64Draws:
         self._bitgen.random_raw(self._used)
 
 
-def _service_order(xs, ys, spacing):
+def _service_order(xs, ys):
     """Placement indices chained greedily by nearest neighbor from (xs[0], ys[0]).
 
     Scattered pots come out of placement in cluster-growth order; driving
     that order would criss-cross the plot. The greedy chain is the natural
-    route a chassis takes, and it keeps consecutive hops short. Of equally
-    near pots the one placed first is taken.
+    route a chassis takes, and it keeps consecutive hops short (Rosenkrantz,
+    Stearns & Lewis, SIAM J. Comput. 1977).
 
-    Each nearest pot is searched for ring by ring outward from the last
-    pot's cell in a grid of `spacing`-wide cells. A pot r rings out is more
-    than r - 1 cells away, so the search ends once the best distance is below
-    that, or once its square would hold more cells than are left occupied,
-    when it scans those instead. A taken pot's index leaves its cell's list.
+    Each step scans the pots not yet taken (a taken pot's x is inf in the
+    copy). A squared distance is within a few ulps of exact, so the pots
+    within a relative 1e-9 of the least hold the nearest by `math.hypot`;
+    of those the lowest `math.hypot`, and then the pot placed first, is taken.
     """
-    size = _cell_size(spacing)
-    cells = _grid(zip(xs, ys), size)
-
-    def take(i):
-        key = _cell(xs[i], ys[i], size)
-        members = cells[key]
-        members.remove(i)
-        if not members:
-            del cells[key]
-        return i
-
-    chain = [take(0)]
-    while cells:
+    x, y = np.array(xs, dtype=float), np.array(ys, dtype=float)
+    chain = [0]
+    x[0] = math.inf
+    for _ in range(len(xs) - 1):
         lx, ly = xs[chain[-1]], ys[chain[-1]]
-        cx, cy = _cell(lx, ly, size)
-        best = None  # (distance, placement index)
-        r = 0
-        while best is None or best[0] >= (r - 1) * spacing:
-            everything = (2 * r + 1) ** 2 > len(cells)
-            if everything:
-                candidates = (i for members in cells.values() for i in members)
-            else:
-                candidates = _ring(cells, cx, cy, r)
-            for i in candidates:
-                key = (math.hypot(xs[i] - lx, ys[i] - ly), i)
-                if best is None or key < best:
-                    best = key
-            if everything:
-                break
-            r += 1
-        chain.append(take(best[1]))
+        d2 = (x - lx) ** 2 + (y - ly) ** 2
+        near = np.flatnonzero(d2 <= d2.min() * (1.0 + 1e-9)).tolist()
+        nearest = min(near, key=lambda i: math.hypot(xs[i] - lx, ys[i] - ly))
+        x[nearest] = math.inf
+        chain.append(nearest)
     return chain
 
 
@@ -378,8 +333,10 @@ def simulate_detection(pot, tuning, rng, cal):
     cal.v0). The pot is found with probability `tuning.accuracy`; a found
     pot's box center scatters by center_noise_px and its aspect ratio is
     drawn consistently with the pot shape. One spurious detection is
-    injected with probability `fp_rate`, placed away from the pot so it can
-    never be confused with it. The draw order is fixed for determinism.
+    injected with probability `fp_rate`, at least _FP_KEEPOUT_PX from the
+    principal point, so it is never matched as the pot while the mission's
+    match gate (mm) is below _FP_KEEPOUT_PX * cal.s: at the defaults, 100 mm
+    against 120 mm. The draw order is fixed for determinism.
     """
     detections = []
     if rng.random() < tuning.accuracy:

@@ -180,9 +180,11 @@ def _active_subsystems(phase, env):
 
 def _transition(m, phase, seconds):
     """Enter `phase` for `seconds` of simulated time: the whole ticks that
-    cover them, at least one."""
+    cover them, at least one. A phase no guard outlasts is cut to
+    MAX_MISSION_TICKS + 1 ticks, so a count that overflows to inf is still whole."""
     m.phase = phase
-    m.phase_end = m.ticks + max(1, math.ceil((seconds - 1e-9) / m.cfg.timing.mission_tick))
+    ticks = min((seconds - 1e-9) / m.cfg.timing.mission_tick, MAX_MISSION_TICKS + 1)
+    m.phase_end = m.ticks + max(1, math.ceil(ticks))
 
 
 def _enter_sensing(m, *, retried=False):

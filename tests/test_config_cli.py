@@ -488,6 +488,9 @@ def test_cli_calibrate_arm_rejects_what_run_would(capsys, argv, frag):
     # a drift that overflows the tilt reading within the first episode
     ("leveling: {drift_rate: 1.0e308, shielded: false, reset_threshold: 1.0e308}\n",
      "hilly_terrain", "trial 0, seed 42"),
+    # an endless arm move on a pack that never depletes runs into the guard
+    ("{timing: {arm_move: 1.0e308}, battery: {capacity_mah: 1.0e12}}\n",
+     "standard_greenhouse", "trial 0, seed 42"),
 ])
 def test_cli_simulation_failures_exit_4_naming_the_trial(tmp_path, capsys, text, env, where):
     cfg = write(tmp_path, text)
@@ -495,6 +498,21 @@ def test_cli_simulation_failures_exit_4_naming_the_trial(tmp_path, capsys, text,
                  "--out-dir", str(tmp_path)])
     assert code == 4
     assert f"env {env}, {where}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    # each makes one phase's seconds / mission_tick overflow to inf
+    "timing: {arm_move: 1.0e308}\n",
+    "timing: {sense_settle: 1.0e308}\n",
+    "pump: {flow_rate: 5.0e-324}\n",
+    "environments: {standard_greenhouse: {drive_speed: 5.0e-324}}\n",
+])
+def test_cli_endless_phase_depletes_the_battery(tmp_path, capsys, text):
+    code = main(["run", "--config", write(tmp_path, text), "--env", "standard_greenhouse",
+                 "--trials", "1", "--out-dir", str(tmp_path)])
+    assert code == 0 and capsys.readouterr().err == ""
+    [row] = parse_trials_csv((tmp_path / "trials.csv").read_text())
+    assert row["aborted"] and row["abort_cause"] == "Depleted"
 
 
 def test_cli_endurance_value_error_is_named(tmp_path, capsys, monkeypatch):

@@ -16,6 +16,7 @@ from irribot import mission as mission_module
 from irribot.config import ENV_NAMES, default_config, environment_for, gains_for
 from irribot.detect import CIRCULAR, BBox, Detection
 from irribot.fieldsim import (
+    _FP_KEEPOUT_PX,
     BatteryModel,
     battery_step,
     realize_layout,
@@ -352,6 +353,17 @@ def test_plan_matches_by_station_gate():
                                            match_gate_mm=100.0)
     assert offset == pytest.approx((0.0, 50.0)) and spurious == 0
     assert plan_pot_service([], CAL, GEOM, match_gate_mm=100.0) == (None, False, 0)
+
+
+def test_spurious_box_at_the_keepout_is_spurious_at_the_defaults():
+    # a spurious box is never matched only while match_gate < _FP_KEEPOUT_PX * s
+    cal, gate = CFG.calibration, CFG.scoring.match_gate
+    assert gate < _FP_KEEPOUT_PX * cal.s
+    for k in range(8):
+        angle = k * math.pi / 4
+        box = center_detection(cx=cal.u0 + _FP_KEEPOUT_PX * math.cos(angle),
+                               cy=cal.v0 + _FP_KEEPOUT_PX * math.sin(angle))
+        assert plan_pot_service([box], cal, CFG.arm, match_gate_mm=gate) == (None, False, 1)
 
 
 def test_mission_retry_consumes_one_extra_sensing_pass():
