@@ -248,13 +248,6 @@ def load_config(path):
     return _overlay(default_config(), {} if data is None else data)
 
 
-def dump_config(cfg):
-    """Stable YAML rendering of the full tree, field order preserved."""
-    import yaml
-
-    return yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=False)
-
-
 # --------------------------------------------------------------------------
 # into the models
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,15 +39,6 @@ DISPENSING = "Dispensing"
 ADVANCING = "Advancing"
 ABORTED = "Aborted"
 
-# legal phase graph; Aborted is reachable from anywhere on depletion
-ADJACENCY = {
-    SENSING: {SENSING, LEVELING, POSITIONING, ADVANCING, ABORTED},
-    LEVELING: {POSITIONING, ABORTED},
-    POSITIONING: {DISPENSING, ADVANCING, ABORTED},
-    DISPENSING: {ADVANCING, ABORTED},
-    ADVANCING: {SENSING, ABORTED},
-}
-
 CAUSE_DEPLETED = "Depleted"
 CAUSE_UNDETECTED = "Undetected"
 CAUSE_UNREACHABLE = "Unreachable"
@@ -63,6 +55,18 @@ _BANDS = GeometryBands()
 
 class MissionTimeout(RuntimeError):
     """The mission neither finished nor aborted within its simulated-time guard."""
+
+
+class LogEntry(NamedTuple):
+    """One phase run, as `Mission.log` holds it."""
+
+    start: int  # the mission tick the phase started on
+    phase: str
+    pot: int  # index of the pot in service
+    tilt: float  # platform tilt at the start, degrees
+    charge: float  # pack charge at the start, mAh
+    draw_ma: float  # the phase's summed battery draw, mA
+    ticks: int  # the ticks the phase ran
 
 
 @dataclass
@@ -85,8 +89,8 @@ class Mission:
     """One mission's simulation handles and all of its mutable state, which
     `step_mission` and the phase finishers change in place. `ticks` is the
     mission's one clock: its elapsed time is `ticks * mission_tick`, and the
-    current phase ends on tick `phase_end`. `log` holds one entry per phase
-    run: (start tick, phase, pot, tilt, start charge, draw_ma, ticks)."""
+    current phase ends on tick `phase_end`. `log` holds one `LogEntry` per
+    phase run."""
 
     def __init__(self, env, layout, cfg, gains, rng):
         self.env = env
@@ -95,8 +99,11 @@ class Mission:
         self.gains = gains
         self.rng = rng
         self.ticks = 0  # mission ticks run so far
-        # summed battery draw of each phase, mA
-        self.draw_ma = {p: cfg.battery.current_ma(_active_subsystems(p, env)) for p in _FINISHERS}
+        # summed battery draw of each phase, mA; on a slope every phase also
+        # holds the platform level against it
+        hold = {"compute", "leveling"} if env.slope > 0 else {"compute"}
+        self.draw_ma = {p: cfg.battery.current_ma(hold.union(own))
+                        for p, (own, _, _) in _PHASES.items()}
         self.pot_index = 0
         self.charge = cfg.battery.capacity_mah  # mAh
         self.bias = 0.0  # degrees, integrated drift of the tilt reading
@@ -161,21 +168,6 @@ def water_savings_pct(system_efficiency, flood_efficiency):
 
 # --------------------------------------------------------------------------
 # state machine
-
-
-def _active_subsystems(phase, env):
-    active = {"compute"}
-    if phase == LEVELING:
-        active.add("leveling")
-    elif phase == POSITIONING:
-        active.add("arm")
-    elif phase == DISPENSING:
-        active.add("pump")
-    elif phase == ADVANCING:
-        active.add("drive")
-    if env.slope > 0:
-        active.add("leveling")  # holding the platform against the slope
-    return active
 
 
 def _transition(m, phase, seconds):
@@ -291,12 +283,15 @@ def _finish_advancing(m):
     _enter_sensing(m)
 
 
-_FINISHERS = {
-    SENSING: _finish_sensing,
-    LEVELING: _finish_leveling,
-    POSITIONING: _finish_positioning,
-    DISPENSING: _finish_dispensing,
-    ADVANCING: _finish_advancing,
+# each phase: the battery subsystems it draws on beside compute, its
+# finisher, and the phases the finisher may enter; Aborted is reachable from
+# any phase, on depletion
+_PHASES = {
+    SENSING: ((), _finish_sensing, {SENSING, LEVELING, POSITIONING, ADVANCING}),
+    LEVELING: (("leveling",), _finish_leveling, {POSITIONING}),
+    POSITIONING: (("arm",), _finish_positioning, {DISPENSING, ADVANCING}),
+    DISPENSING: (("pump",), _finish_dispensing, {ADVANCING}),
+    ADVANCING: (("drive",), _finish_advancing, {SENSING}),
 }
 
 
@@ -310,7 +305,8 @@ def step_mission(mission, max_ticks):
     grows in closed form over the ticks run. The phase appends one entry to
     the mission's log. The phase's finisher then picks the next phase and
     updates the mission, unless depletion aborted it or max_ticks cut it
-    short.
+    short. A finisher that enters a phase `_PHASES` does not list among its
+    successors is a program defect: RuntimeError names both phases.
     """
     m = mission
     phase = m.phase
@@ -323,24 +319,27 @@ def step_mission(mission, max_ticks):
     charge, depleted, ticks = battery_step(m.cfg.battery, m.charge, m.draw_ma[phase], dt, ticks)
     # the finisher may read the bias: _enter_leveling hands it to the episode
     m.bias = drift_update(m.cfg.leveling, m.bias, dt, ticks)
-    m.log.append((m.ticks, phase, m.pot_index % len(m.layout.pots), m.tilt,
-                  m.charge, m.draw_ma[phase], ticks))
+    m.log.append(LogEntry(m.ticks, phase, m.pot_index % len(m.layout.pots), m.tilt,
+                          m.charge, m.draw_ma[phase], ticks))
     m.charge = charge
     m.ticks += ticks
     if depleted:
         m.phase = ABORTED
     elif m.ticks == m.phase_end:
-        _FINISHERS[phase](m)
+        _, finish, successors = _PHASES[phase]
+        finish(m)
+        if m.phase not in successors:
+            raise RuntimeError(f"illegal phase transition {phase} -> {m.phase}")
     return ticks
 
 
 def segment_ticks(entry, battery, dt):
-    """(t, voltage) after each tick of a mission log entry: t is the mission
+    """(t, voltage) after each tick of a `LogEntry`: t is the mission
     tick times dt, and the charge is walked tick by tick as battery_step
     walks it."""
-    start, _, _, _, charge, draw_ma, ticks = entry
-    drain = draw_ma * dt / 3600.0
-    for k in range(start + 1, start + ticks + 1):
+    charge, start = entry.charge, entry.start
+    drain = entry.draw_ma * dt / 3600.0
+    for k in range(start + 1, start + entry.ticks + 1):
         charge = charge - drain
         yield k * dt, battery.voltage(charge)
 

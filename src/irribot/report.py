@@ -197,6 +197,6 @@ def trace_csv_text(traces, battery, dt, fh):
     for (env, trial), log in traces.items():
         head = f"{env},{trial},"
         for entry in log:
-            mid = f",{entry[1]},{entry[2]},{entry[3]:.4f},"  # phase, pot, tilt
+            mid = f",{entry.phase},{entry.pot},{entry.tilt:.4f},"
             fh.write("".join([f"{head}{t:.2f}{mid}{volts:.4f}\n"
                               for t, volts in segment_ticks(entry, battery, dt)]))

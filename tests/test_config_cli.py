@@ -13,6 +13,7 @@ import weakref
 from pathlib import Path
 
 import pytest
+import yaml
 
 from irribot import cli
 from irribot.cli import main
@@ -22,7 +23,6 @@ from irribot.config import (
     ConfigParseError,
     RunConfig,
     default_config,
-    dump_config,
     environment_for,
     gains_for,
     load_config,
@@ -77,11 +77,14 @@ def test_defaults_are_self_consistent():
 
 
 def test_dump_load_round_trip_is_identity(tmp_path):
+    def dump(cfg):  # README's "print the defaults" one-liner
+        return yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=False)
+
     cfg = default_config()
-    path = write(tmp_path, dump_config(cfg))
+    path = write(tmp_path, dump(cfg))
     assert load_config(path) == cfg
     # normalization is idempotent: dump(load(dump(x))) == dump(x)
-    assert dump_config(load_config(path)) == dump_config(cfg)
+    assert dump(load_config(path)) == dump(cfg)
 
 
 def test_minimal_file_fills_defaults(tmp_path):
@@ -440,8 +443,7 @@ def test_trace_csv_matches_csv_writer_oracle(tmp_path, monkeypatch):
                  "--out-dir", str(out)]) == 0
     [(traces, battery, dt)] = seen
     assert [env for env, _ in traces] == list(default_config().env_names())
-    # a log entry is (start tick, phase, pot, tilt, start charge, draw_ma, ticks)
-    rows = {key: [(t, *entry[1:4], volts) for entry in log
+    rows = {key: [(t, entry.phase, entry.pot, entry.tilt, volts) for entry in log
                   for t, volts in segment_ticks(entry, battery, dt)]
             for key, log in traces.items()}
     assert sum(map(len, rows.values())) > 1000

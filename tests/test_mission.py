@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irribot import mission as mission_module
+from irribot.cli import main
 from irribot.config import ENV_NAMES, default_config, environment_for, gains_for
 from irribot.detect import CIRCULAR, BBox, Detection
 from irribot.fieldsim import (
@@ -25,18 +26,23 @@ from irribot.kinematics import ArmGeometry, CalibrationState
 from irribot.leveling import drift_update
 from irribot.sums import ltr_sum
 from irribot.mission import (
-    _FINISHERS,
+    _PHASES,
     ABORTED,
-    ADJACENCY,
     ADVANCING,
     CAUSE_DEPLETED,
     DISPENSING,
     LEVELING,
     POSITIONING,
     SENSING,
+    LogEntry,
     Mission,
     MissionTimeout,
-    _active_subsystems,
+    _enter_sensing,
+    _finish_advancing,
+    _finish_dispensing,
+    _finish_leveling,
+    _finish_positioning,
+    _finish_sensing,
     _transition,
     aggregate_trial,
     mean_or_none,
@@ -73,7 +79,7 @@ def trace_rows(m):
     """The mission's per-tick trace rows (t, phase, pot, tilt, voltage),
     expanded from its log."""
     battery, dt = m.cfg.battery, m.cfg.timing.mission_tick
-    return [(t, *entry[1:4], volts) for entry in m.log
+    return [(t, entry.phase, entry.pot, entry.tilt, volts) for entry in m.log
             for t, volts in segment_ticks(entry, battery, dt)]
 
 
@@ -81,8 +87,15 @@ def transitions(m):
     """The mission's (from, to) phase pairs: its logged phases, then the
     phase it is in. A mission whose last phase ran to its end (or aborted)
     has one pair per log entry."""
-    phases = [entry[1] for entry in m.log] + [m.phase]
+    phases = [entry.phase for entry in m.log] + [m.phase]
     return list(zip(phases, phases[1:]))
+
+
+def legal(src, dst):
+    """Whether the phase table lets `src` hand over to `dst`; any phase
+    aborts on depletion."""
+    _, _, successors = _PHASES[src]
+    return dst == ABORTED or dst in successors
 
 
 # ------------------------------------------------------- state machine
@@ -90,7 +103,23 @@ def transitions(m):
 def test_phase_transitions_respect_adjacency():
     for name in ("standard_greenhouse", "hilly_terrain", "complex_lighting"):
         for src, dst in transitions(mission(name)):
-            assert dst in ADJACENCY[src], f"{src} -> {dst} in {name}"
+            assert legal(src, dst), f"{src} -> {dst} in {name}"
+
+
+def test_illegal_hand_over_is_a_program_defect(monkeypatch, tmp_path):
+    own, _, successors = _PHASES[DISPENSING]
+    monkeypatch.setitem(_PHASES, DISPENSING, (own, _enter_sensing, successors))
+    env = environment_for(CFG, "standard_greenhouse")
+    rng = np.random.default_rng(42)
+    m = Mission(env, realize_layout(env.layout, rng), CFG, GAINS, rng)
+    with pytest.raises(RuntimeError, match="^illegal phase transition Dispensing -> Sensing$"):
+        while True:
+            step_mission(m, 10**6)
+    # no config can cause it, so the CLI does not report it as one (exit 4):
+    # it propagates, and the interpreter exits 1 with a traceback
+    with pytest.raises(RuntimeError, match="Dispensing -> Sensing"):
+        main(["run", "--env", "standard_greenhouse", "--trials", "1",
+              "--out-dir", str(tmp_path)])
 
 
 def test_mission_finishes_done_on_full_battery():
@@ -234,7 +263,7 @@ def test_depleting_phase_segment_expands_to_the_ticks_it_ran():
     _, (charge, depleted, run) = walks[-1]
     entry = m.log[-1]
     ticks = list(segment_ticks(entry, cfg.battery, cfg.timing.mission_tick))
-    assert depleted and entry[6] == run == len(ticks)
+    assert depleted and entry.ticks == run == len(ticks)
     assert ticks[-1] == (m.ticks * cfg.timing.mission_tick, cfg.battery.voltage(charge))
     cutoff = cfg.battery.voltage_cutoff
     assert [v < cutoff for _, v in ticks] == [False] * (run - 1) + [True]
@@ -391,8 +420,8 @@ def test_retry_count_reads_from_the_log(capacity):
             m = run_mission(environment_for(cfg, env_name), cfg, GAINS, seed)
             sensed = {}
             for entry in m.log:
-                if entry[1] == SENSING:
-                    sensed[entry[2]] = sensed.get(entry[2], 0) + 1
+                if entry.phase == SENSING:
+                    sensed[entry.pot] = sensed.get(entry.pot, 0) + 1
             if m.phase == ABORTED:
                 aborted += 1
                 sensed.pop(m.pot_index % len(m.records), None)
@@ -451,6 +480,33 @@ def test_calibrate_battery_script_output_is_pinned(capsys):
 
 # ------------------------------------------------------- per-tick reference
 
+def reference_subsystems(phase, env):
+    """The battery subsystems a phase draws on: the reference for the phase
+    table's own subsystems and the slope's leveling hold."""
+    active = {"compute"}
+    if phase == LEVELING:
+        active.add("leveling")
+    elif phase == POSITIONING:
+        active.add("arm")
+    elif phase == DISPENSING:
+        active.add("pump")
+    elif phase == ADVANCING:
+        active.add("drive")
+    if env.slope > 0:
+        active.add("leveling")  # holding the platform against the slope
+    return active
+
+
+# the phase finishers by phase, read by the reference instead of the table
+REFERENCE_FINISHERS = {
+    SENSING: _finish_sensing,
+    LEVELING: _finish_leveling,
+    POSITIONING: _finish_positioning,
+    DISPENSING: _finish_dispensing,
+    ADVANCING: _finish_advancing,
+}
+
+
 def reference_step(m, dt):
     """Advance the mission by one tick: the reference for step_mission. It
     keeps its own float countdown of the phase's seconds, `ref_left`, so the
@@ -459,22 +515,22 @@ def reference_step(m, dt):
     reference's own `phase_log`, which every tick of the phase counts in; the
     bias is drift_update over the phase's ticks so far from its start bias."""
     model = m.cfg.battery
-    draw = model.current_ma(_active_subsystems(m.phase, m.env))
+    draw = model.current_ma(reference_subsystems(m.phase, m.env))
     if m.ticks == m.ref_start:  # each transition, a Sensing retry too, restarts it
         m.ref_bias = m.bias
-        m.phase_log.append([m.ticks, m.phase, m.pot_index % len(m.layout.pots), m.tilt,
-                            m.charge, draw, 0])
-    m.phase_log[-1][6] += 1
+        m.phase_log.append(LogEntry(m.ticks, m.phase, m.pot_index % len(m.layout.pots),
+                                    m.tilt, m.charge, draw, 0))
     m.charge, depleted, _ = battery_step(model, m.charge, draw, dt)
     m.ref_left = m.ref_left - dt
     m.ticks += 1
+    m.phase_log[-1] = m.phase_log[-1]._replace(ticks=m.ticks - m.ref_start)
     m.bias = drift_update(m.cfg.leveling, m.ref_bias, dt, m.ticks - m.ref_start)
     m.tick_rows.append((m.ticks * dt, m.phase, m.pot_index % len(m.layout.pots), m.tilt,
                         model.voltage(m.charge)))
     if depleted:
         m.phase = ABORTED
     elif m.ref_left <= 1e-9:
-        _FINISHERS[m.phase](m)
+        REFERENCE_FINISHERS[m.phase](m)
 
 
 def reference_mission(env, cfg, seed, *, loop=False, max_ticks=10**7):
@@ -512,7 +568,7 @@ def assert_same_mission(m, ref):
     for entry, and the trace rows it expands to match ref's tick rows."""
     for name in MISSION_STATE:
         assert getattr(m, name) == getattr(ref, name), name
-    assert m.log == [tuple(entry) for entry in ref.phase_log]
+    assert m.log == ref.phase_log
     assert trace_rows(m) == ref.tick_rows
 
 
@@ -571,7 +627,7 @@ def test_phase_core_matches_tick_reference(env_name, seed, pot_count, tick, capa
     # one battery walk per phase: no phase replays its ticks
     assert len(walks) == len(calls)
     for src, dst in transitions(m):
-        assert dst in ADJACENCY[src], (src, dst)
+        assert legal(src, dst), (src, dst)
 
 
 @pytest.mark.parametrize("max_hours,tick", [(0.01, 0.05), (0.0123, 0.03), (0.002, 0.07)])
@@ -620,11 +676,11 @@ def test_continuation_is_under_the_guard_of_a_fresh_loop(capacity, phase, short)
 def assert_log_accounts_for_every_tick(m):
     """Each log entry starts on the tick the one before it ended, the first
     on tick 0, and the entries' ticks sum to the mission's, in integers."""
-    starts = [entry[0] for entry in m.log]
-    ends = [entry[0] + entry[6] for entry in m.log]
+    starts = [entry.start for entry in m.log]
+    ends = [entry.start + entry.ticks for entry in m.log]
     assert all(type(start) is int for start in starts)
     assert starts == [0, *ends[:-1]]
-    assert sum(entry[6] for entry in m.log) == ends[-1] == m.ticks
+    assert sum(entry.ticks for entry in m.log) == ends[-1] == m.ticks
 
 
 @pytest.mark.parametrize("env_name", ENV_NAMES)
@@ -653,7 +709,7 @@ def test_phase_runs_the_whole_ticks_its_seconds_cover(arm_move, sense_settle, in
     env = dataclasses.replace(env, tuning=dataclasses.replace(
         env.tuning, inference_time_ms=inference_ms))
     _, m = run_trial(env, cfg, GAINS, 42)
-    ticks = {phase: {entry[6] for entry in m.log if entry[1] == phase}
+    ticks = {phase: {entry.ticks for entry in m.log if entry.phase == phase}
              for phase in (POSITIONING, SENSING)}
     assert ticks == {POSITIONING: {positioning}, SENSING: {sensing}}
     ref, _ = reference_mission(env, cfg, 42)  # the walked countdown agrees
@@ -662,7 +718,7 @@ def test_phase_runs_the_whole_ticks_its_seconds_cover(arm_move, sense_settle, in
 
 def tick_phases(m):
     """The phase of each tick the mission ran, from its log."""
-    return [entry[1] for entry in m.log for _ in range(entry[6])]
+    return [entry.phase for entry in m.log for _ in range(entry.ticks)]
 
 
 @pytest.mark.parametrize("max_ticks", [1, 7, 29])
@@ -676,7 +732,7 @@ def test_phase_cut_by_max_ticks_ends_on_the_uncut_tick(max_ticks):
         assert step_mission(m, max_ticks) <= max_ticks
     assert len(m.log) > len(uncut.log)  # phases were cut and resumed
     # every phase ends on the uncut tick, and every tick runs the uncut phase
-    ends = {entry[0] + entry[6] for entry in m.log}
-    assert {entry[0] + entry[6] for entry in uncut.log} <= ends
+    ends = {entry.start + entry.ticks for entry in m.log}
+    assert {entry.start + entry.ticks for entry in uncut.log} <= ends
     assert tick_phases(m) == tick_phases(uncut)
     assert (m.ticks, m.phase, m.records) == (uncut.ticks, uncut.phase, uncut.records)

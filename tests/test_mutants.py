@@ -28,12 +28,21 @@ def _no_spurious_box(*args, **kwargs):
     return offset, reachable, 0
 
 
+_, _finish_dispensing, _after_dispensing = mission_module._PHASES[mission_module.DISPENSING]
+# the phase table with a Dispensing row that draws on no subsystem of its own
+_PHASES_PUMP_DROPPED = {
+    **mission_module._PHASES,
+    mission_module.DISPENSING: ((), _finish_dispensing, _after_dispensing),
+}
+
+
 # name: (attribute of irribot.mission, its replacement, the pinned case)
 MUTANTS = {
     "detection filter as identity": (
         "enhanced_detection", lambda raw, *args, **kwargs: raw, "conf_gate"),
     "match gate ignored": ("plan_pot_service", _every_box_matches, "canonical"),
     "no-match count forced to 0": ("plan_pot_service", _no_spurious_box, "canonical"),
+    "Dispensing draws no pump current": ("_PHASES", _PHASES_PUMP_DROPPED, "canonical"),
 }
 
 
