@@ -4,10 +4,10 @@ Criterion 8 pins the seed-42 canonical `results.json`, `trials.csv` and
 stdout. These cases pin the rest: a trace, another seed, an 800-pot random
 layout, a config overriding defaults in every section the environments read,
 an unshielded drift that resets inside leveling episodes, sprays that cross
-pot rims, a confidence gate that drops detector boxes, and spurious boxes
-that land within the match gate of a pot other than the one in service. A
-refactor keeps every digest; an intended output change updates the table and
-says why in CHANGES.md.
+pot rims, a confidence gate that drops detector boxes, spurious boxes that
+land within the match gate of a pot other than the one in service, and pots
+the arm cannot reach. A refactor keeps every digest; an intended output change
+updates the table and says why in CHANGES.md.
 """
 
 import hashlib
@@ -54,6 +54,12 @@ CASES = {
         "calibration: {s: 0.3}\n",
         ["--env", "all", "--trials", "10", "--seed", "42"],
     ),
+    # a shorter forearm: 40 of 600 pots are out of the arm's reach, so the
+    # mission skips them as Unreachable
+    "unreachable": (
+        "arm: {l2: 95.0}\n",
+        ["--env", "all", "--trials", "10", "--seed", "42"],
+    ),
 }
 
 DIGESTS = {
@@ -98,6 +104,12 @@ DIGESTS = {
         "trials.csv": "6b854b62ae521f1791560d8dcf5e4ec317a76ade19d8c224392464eb03395e76",
         "trace.csv": "fa6a863a525a84d0443f0c7d27d72f37abfc21b4253ef422a44713d6668c17a0",
         "stdout": "067091c7dee3d52dc27cca725af7257e17a114ee2f5666753c206c1a710195d8",
+    },
+    "unreachable": {
+        "results.json": "bfa1e4c5cd88b7d55f8c08169d2e20285f8cb1102d4d5f2be2dc9df3a687a7d3",
+        "trials.csv": "230a5a5b51e2bc721a7ad6403e4576de690883774b3e196c38c7c17fae6ac32f",
+        "trace.csv": "50737e85c2fb6726aab34b42d6219ec3c1c280873791a5aec942aa0af3befc7c",
+        "stdout": "7e9bddcb4b68c390ef7dbb94ac61c4f918febe49b5a151f73af0cce5df454fa4",
     },
 }
 

@@ -28,6 +28,11 @@ def _no_spurious_box(*args, **kwargs):
     return offset, reachable, 0
 
 
+def _every_match_reachable(*args, **kwargs):
+    offset, _, spurious = _plan(*args, **kwargs)
+    return offset, True, spurious
+
+
 _, _finish_dispensing, _after_dispensing = mission_module._PHASES[mission_module.DISPENSING]
 # the phase table with a Dispensing row that draws on no subsystem of its own
 _PHASES_PUMP_DROPPED = {
@@ -43,6 +48,8 @@ MUTANTS = {
     "match gate ignored": ("plan_pot_service", _every_box_matches, "canonical"),
     "no-match count forced to 0": ("plan_pot_service", _no_spurious_box, "canonical"),
     "Dispensing draws no pump current": ("_PHASES", _PHASES_PUMP_DROPPED, "canonical"),
+    "Unreachable pot served anyway": (
+        "plan_pot_service", _every_match_reachable, "unreachable"),
 }
 
 
