@@ -101,7 +101,7 @@ def _naming_trial(env_name, trial, seed):
         raise ConfigError(f"env {env_name}, {trial}, seed {seed}: {exc}") from None
 
 
-def _run_env(cfg, name, gains, trace, traces):
+def _run_env(cfg, env, gains, trace, traces):
     """One environment's trials and endurance run; returns (trial reports,
     endurance minutes) and, when tracing, files the log entries of trial 0's
     lap in traces; the endurance run's entries are not traced.
@@ -111,7 +111,7 @@ def _run_env(cfg, name, gains, trace, traces):
     first. At most one trial's mission is alive at a time: each is dropped
     before the next trial lays out its field.
     """
-    env = environment_for(cfg, name)
+    name = env.name
     reports = []
     minutes = failure = None
     for i in range(cfg.trials):
@@ -147,12 +147,15 @@ def _cmd_run(args):
     # an unusable --out-dir fails before any trial runs
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    gains = gains_for(cfg)
+    envs = [environment_for(cfg, name) for name in cfg.env_names()]
+    # only a sloped environment runs leveling episodes, so only it needs gains
+    gains = gains_for(cfg) if any(env.slope > 0 for env in envs) else None
     env_reports = {}
     endurance = {}
     traces = {}
-    for name in cfg.env_names():
-        env_reports[name], endurance[name] = _run_env(cfg, name, gains, args.trace, traces)
+    for env in envs:
+        reports, minutes = _run_env(cfg, env, gains, args.trace, traces)
+        env_reports[env.name], endurance[env.name] = reports, minutes
 
     payload = build_results(dataclasses.asdict(cfg), env_reports, endurance)
     (out_dir / "results.json").write_text(results_to_json(payload))

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 from irribot.detect import CIRCULAR, RECTANGULAR
 from irribot.fieldsim import (
+    _FP_KEEPOUT_PX,
     ENV_COMPLEX,
     ENV_HILLY,
     ENV_NAMES,
@@ -87,15 +88,16 @@ class ScoringConfig:
         _require(0 < self.flood_efficiency < 1, "flood_efficiency must be in (0, 1)")
 
 
-# The fixed facts of each environment: terrain slope (degrees) and layout
-# recipe. Everything that may be tuned is in EnvTuning.
+# The fixed facts of each environment: terrain slope (degrees) and the
+# layout's recipe, whose pot count is the config's `pot_count`. Everything
+# that may be tuned is in EnvTuning.
 _TERRAIN = {
-    ENV_STANDARD: (0.0, LayoutSpec(kind="grid", spacing=600.0, shape=CIRCULAR,
-                                   width=100.0, height=100.0)),
-    ENV_HILLY: (10.0, LayoutSpec(kind="grid", spacing=600.0, shape=RECTANGULAR,
-                                 width=120.0, height=80.0)),
-    ENV_COMPLEX: (0.0, LayoutSpec(kind="random", nn_range=(400.0, 800.0), shape=CIRCULAR,
-                                  width=100.0, height=100.0)),
+    ENV_STANDARD: (0.0, dict(kind="grid", spacing=600.0, shape=CIRCULAR,
+                             width=100.0, height=100.0)),
+    ENV_HILLY: (10.0, dict(kind="grid", spacing=600.0, shape=RECTANGULAR,
+                           width=120.0, height=80.0)),
+    ENV_COMPLEX: (0.0, dict(kind="random", nn_range=(400.0, 800.0), shape=CIRCULAR,
+                            width=100.0, height=100.0)),
 }
 
 
@@ -148,6 +150,10 @@ class RunConfig:
             _require(name in ENV_NAMES, f"unknown environment key {name!r}")
         for name in ENV_NAMES:
             _require(name in self.environments, f"missing tuning for {name}")
+        # a gate that reaches a spurious box's keep-out could match it as the pot
+        gate, s, keepout = self.scoring.match_gate, self.calibration.s, _FP_KEEPOUT_PX
+        _require(gate < keepout * s, f"scoring.match_gate ({gate:g} mm) must be below "
+                 f"{keepout:g} px x calibration.s ({s:g} mm/px) = {keepout * s:g} mm")
 
     def env_names(self):
         return list(ENV_NAMES) if self.env == "all" else [self.env]
@@ -255,7 +261,7 @@ def load_config(path):
 def tuned_gains(cfg):
     """Auto-tune the leveling loop for the configured platform."""
     lv = cfg.leveling
-    return tune_leveling(cfg.plant, rule=lv.rule, integral_authority=lv.integral_authority)
+    return tune_leveling(cfg.plant, lv.rule, lv.integral_authority)
 
 
 def gains_for(cfg):
@@ -277,5 +283,5 @@ def environment_for(cfg, name):
         raise ValueError(
             f"unknown environment {name!r}; expected one of {', '.join(ENV_NAMES)}"
         ) from None
-    return Environment(name, slope, dataclasses.replace(layout, count=cfg.pot_count),
+    return Environment(name, slope, LayoutSpec(count=cfg.pot_count, **layout),
                        cfg.environments[name])

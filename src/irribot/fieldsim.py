@@ -91,9 +91,11 @@ class PotLayout:
 
 
 _GRID_COLUMNS = 5  # pots per row of a grid layout
+# candidate draws random_layout may spend before it gives up
+MAX_PLACEMENT_ATTEMPTS = 10_000
 
 
-def grid_layout(count=20, spacing=600.0, shape=CIRCULAR, width=100.0, height=100.0):
+def grid_layout(count, spacing, shape, width, height):
     """Regular grid `_GRID_COLUMNS` pots wide, ordered along a serpentine path.
 
     Odd rows run right-to-left so consecutive pots are always one pitch
@@ -109,26 +111,18 @@ def grid_layout(count=20, spacing=600.0, shape=CIRCULAR, width=100.0, height=100
     return PotLayout(pots=tuple(pots), min_spacing=spacing)
 
 
-def random_layout(
-    count,
-    rng,
-    *,
-    nn_range=(400.0, 800.0),
-    shape=CIRCULAR,
-    width=100.0,
-    height=100.0,
-    max_attempts=10000,
-):
+def random_layout(count, rng, nn_range, shape, width, height):
     """Scatter pots so each new pot lands nn_range-distant from an existing one.
 
     Grows a connected cluster: every accepted pot sits within nn_range of its
     anchor and at least nn_range[0] from everything else, so the pairwise
     minimum-spacing invariant holds by construction. Raises LayoutError when
-    the attempt budget runs out. Placement finishes, and its grid-cell index
-    is freed, before the pots are put in service order: a greedy
-    nearest-neighbor chain from pot 0, each step one scan of every pot not
-    yet taken. The draws are read in bulk, so rng must use PCG64, as
-    `numpy.random.default_rng` does; any other bit generator is a TypeError.
+    MAX_PLACEMENT_ATTEMPTS candidates do not place every pot. Placement
+    finishes, and its grid-cell index is freed, before the pots are put in
+    service order: a greedy nearest-neighbor chain from pot 0, each step one
+    scan of every pot not yet taken. The draws are read in bulk, so rng must
+    use PCG64, as `numpy.random.default_rng` does; any other bit generator is
+    a TypeError.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -136,13 +130,13 @@ def random_layout(
     if not 0 < lo < hi < math.inf:
         raise ValueError("nn_range must be ordered, positive and finite")
     pots = [Pot(0, 0.0, 0.0, shape, width, height)]  # checks the pot before any draw
-    xs, ys = _place(count, rng, lo, hi, max_attempts)
+    xs, ys = _place(count, rng, lo, hi)
     pots += [Pot(i, xs[k], ys[k], shape, width, height)  # the chain starts at pot 0
              for i, k in enumerate(_service_order(xs, ys)) if i]
     return PotLayout(pots=tuple(pots), min_spacing=lo)
 
 
-def _place(count, rng, lo, hi, max_attempts):
+def _place(count, rng, lo, hi):
     """random_layout's placement: the centres (xs, ys) of count pots, pot 0 at
     the origin. A candidate is tested against the pots in the 3x3 block of
     grid cells around it, which holds every pot that could be too close."""
@@ -151,7 +145,7 @@ def _place(count, rng, lo, hi, max_attempts):
     # each pot is filed under the 3x3 cells around its own (pot 0's is (0, 0)),
     # so the pots in the 3x3 cells around a candidate are those filed under its cell
     near = {(dx, dy): [0] for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
-    attempts = 0
+    attempts, max_attempts = 0, MAX_PLACEMENT_ATTEMPTS
     with _PCG64Draws(rng) as draws:
         while len(xs) < count:
             attempts += 1
@@ -251,27 +245,22 @@ class LayoutSpec:
     """Recipe for building a layout; random kinds consume the trial generator."""
 
     kind: str  # grid | random
-    count: int = 20
-    spacing: float = 600.0  # mm, grid pitch
-    nn_range: tuple = (400.0, 800.0)  # mm, random nearest-neighbor window
-    shape: str = CIRCULAR
-    width: float = 100.0
-    height: float = 100.0
+    count: int
+    shape: str
+    width: float  # mm
+    height: float  # mm
+    spacing: float | None = None  # mm, grid pitch; grid kinds only
+    nn_range: tuple | None = None  # mm, nearest-neighbor window; random kinds only
 
     def __post_init__(self):
         if self.kind not in ("grid", "random"):
             raise ValueError(f"unknown layout kind {self.kind!r}")
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
 
 
 def realize_layout(spec, rng):
     if spec.kind == "grid":
         return grid_layout(spec.count, spec.spacing, spec.shape, spec.width, spec.height)
-    return random_layout(
-        spec.count, rng, nn_range=spec.nn_range, shape=spec.shape,
-        width=spec.width, height=spec.height,
-    )
+    return random_layout(spec.count, rng, spec.nn_range, spec.shape, spec.width, spec.height)
 
 
 @dataclass(frozen=True)
@@ -334,9 +323,9 @@ def simulate_detection(pot, tuning, rng, cal):
     pot's box center scatters by center_noise_px and its aspect ratio is
     drawn consistently with the pot shape. One spurious detection is
     injected with probability `fp_rate`, at least _FP_KEEPOUT_PX from the
-    principal point, so it is never matched as the pot while the mission's
-    match gate (mm) is below _FP_KEEPOUT_PX * cal.s: at the defaults, 100 mm
-    against 120 mm. The draw order is fixed for determinism.
+    principal point. The config keeps the mission's match gate (mm) below
+    _FP_KEEPOUT_PX * cal.s, so it is never matched as the pot: at the
+    defaults, 100 mm against 120 mm. The draw order is fixed for determinism.
     """
     detections = []
     if rng.random() < tuning.accuracy:

@@ -13,8 +13,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from irribot.sums import ltr_sum
 
 ZN_TABLES = {
@@ -55,7 +53,7 @@ class PidGains:
             raise ValueError("integral limit must be positive when set")
 
 
-def ziegler_nichols(ku, tu, rule="classic"):
+def ziegler_nichols(ku, tu, rule):
     """PID gains from the ultimate gain/period via the named closed-loop table."""
     if ku <= 0 or tu <= 0:
         raise ValueError("ultimate gain and period must be positive")
@@ -97,6 +95,11 @@ class LevelingConfig:
             raise ValueError("manual gains need kp, ki and kd together")
         if not any(manual) and not (self.kp > 0 and self.ki >= 0 and self.kd >= 0):
             raise ValueError("manual gains must be positive (kp) and non-negative (ki, kd)")
+        # checked here, not only when gains are tuned: a flat run tunes none
+        if self.rule not in ZN_TABLES:
+            raise ValueError(f"unknown tuning rule {self.rule!r}")
+        if not self.integral_authority > 0:
+            raise ValueError("integral_authority must be positive")
         if not self.filter_window >= 1:
             raise ValueError("filter_window must be at least 1")
         if not (self.noise_std >= 0 and self.drift_rate >= 0):
@@ -186,8 +189,16 @@ class DelayedIntegratorPlant:
 # --------------------------------------------------------------------------
 # ultimate-gain search
 
+PROBE_DT = 0.002  # s, a probe's tick
+PROBE_TIME = 12.0  # s, a probe's length
+PROBE_TILT = 0.2  # degrees, the tilt a probe starts from
+PROBE_BAND = 0.05  # how far a cycle's peak ratio may stray from 1 and count as sustained
+PROBE_CYCLES = 10  # the cycles whose peak ratios a probe compares
+GAIN_START = 0.5  # the search's first gain, doubled until the loop diverges
+GAIN_CAP = 1e4  # the gain above which the search gives up
 
-def _probe_oscillation(plant, gain, dt, probe_time, initial_tilt, band, cycles):
+
+def _probe_oscillation(plant, gain):
     """Run a P-only loop on the plant's model and classify the envelope.
 
     Each step the command enters the transport-delay line, the delayed
@@ -198,6 +209,8 @@ def _probe_oscillation(plant, gain, dt, probe_time, initial_tilt, band, cycles):
     Period comes from rising zero crossings with linear interpolation and is
     None when fewer than three crossings exist.
     """
+    dt, probe_time, initial_tilt = PROBE_DT, PROBE_TIME, PROBE_TILT
+    band, cycles = PROBE_BAND, PROBE_CYCLES
     k, max_rate = plant.gain, plant.max_rate
     lag = math.exp(-dt / plant.tau) if plant.tau else 0.0
     steps = int(round(probe_time / dt))
@@ -253,30 +266,18 @@ def _probe_oscillation(plant, gain, dt, probe_time, initial_tilt, band, cycles):
     return ("growing" if geo > 1 else "decaying"), period
 
 
-def find_ultimate_gain(
-    plant,
-    *,
-    dt=0.002,
-    probe_time=12.0,
-    initial_tilt=0.2,
-    gain_start=0.5,
-    gain_cap=1e4,
-    band=0.05,
-    cycles=10,
-):
+def find_ultimate_gain(plant):
     """Locate the proportional gain that sustains constant-amplitude oscillation.
 
-    Doubles the probe gain until the loop diverges, then bisects the bracket
-    until a probe's peak amplitudes stay within +/-band per cycle over the
-    requested number of cycles. Returns (ku, tu). Raises NoOscillation when
-    the plant never destabilizes below gain_cap.
+    Doubles the probe gain from GAIN_START until the loop diverges, then
+    bisects the bracket until a probe's peak amplitudes stay within
+    +/-PROBE_BAND per cycle over PROBE_CYCLES cycles. Returns (ku, tu).
+    Raises NoOscillation when the plant never destabilizes below GAIN_CAP.
     """
-    probe = lambda g: _probe_oscillation(
-        plant, g, dt, probe_time, initial_tilt, band, cycles
-    )
+    probe = lambda g: _probe_oscillation(plant, g)
     lo = None
     hi = None
-    gain = gain_start
+    gain, gain_cap = GAIN_START, GAIN_CAP
     while hi is None:
         if gain > gain_cap:
             raise NoOscillation(f"no sustained oscillation up to gain {gain_cap}")
@@ -317,16 +318,15 @@ def find_ultimate_gain(
     return mid, period
 
 
-def tune_leveling(plant, rule="classic", *, integral_authority=None, **probe_kwargs):
+def tune_leveling(plant, rule, integral_authority):
     """Auto-tune: measure (ku, tu) on the plant, apply the named ZN table.
 
-    integral_authority, when given, caps the integral term's contribution to
-    that command magnitude (anti-windup sized to the actuator).
-    Returns (gains, ku, tu).
+    integral_authority caps the integral term's contribution to that command
+    magnitude (anti-windup sized to the actuator). Returns (gains, ku, tu).
     """
-    ku, tu = find_ultimate_gain(plant, **probe_kwargs)
+    ku, tu = find_ultimate_gain(plant)
     gains = ziegler_nichols(ku, tu, rule)
-    if integral_authority is not None and gains.ki > 0:
+    if gains.ki > 0:
         gains = replace(gains, integral_limit=integral_authority / gains.ki)
     return gains, ku, tu
 
@@ -346,7 +346,7 @@ class EpisodeSummary:
     resets: tuple  # indices of the ticks on which drift recalibration fired
 
 
-def run_leveling_episode(plant, gains, slope, lv, *, bias=0.0, rng=None, rows=None):
+def run_leveling_episode(plant, gains, slope, lv, *, rng, bias=0.0, rows=None):
     """Close the loop on a slope step; returns an `EpisodeSummary`.
 
     The plant starts tilted at `slope` degrees and the IMU bias at `bias`
@@ -360,18 +360,17 @@ def run_leveling_episode(plant, gains, slope, lv, *, bias=0.0, rng=None, rows=No
 
     One flat loop over plain floats that runs the plant model inline, as the
     tuner's probe does: the command list, pre-filled with the delay's ticks
-    of zeros, is the transport-delay line. The plant is only read. The noise for the whole episode is drawn in one
-    batch, which leaves `rng` where one draw per tick would. When `rows` is
-    a list, one tuple per tick is appended to it: (t, tilt, raw reading,
-    filtered reading, command, recalibrated, saturated).
+    of zeros, is the transport-delay line. The plant is only read. The noise
+    for the whole episode is drawn from `rng` in one batch, which leaves it
+    where one draw per tick would; a record without IMU noise draws nothing.
+    When `rows` is a list, one tuple per tick is appended to it: (t, tilt,
+    raw reading, filtered reading, command, recalibrated, saturated).
     """
     if not bias >= 0:
         raise ValueError("bias cannot be negative")
     tick = lv.episode_tick
     steps = int(round(lv.episode_window / tick))  # at least 1: the window exceeds a tick
     if lv.noise_std > 0:
-        if rng is None:
-            rng = np.random.default_rng(0)
         noise = rng.normal(0.0, lv.noise_std, size=steps).tolist()
     else:
         noise = [0.0] * steps

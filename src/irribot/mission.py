@@ -344,29 +344,30 @@ def segment_ticks(entry, battery, dt):
         yield k * dt, battery.voltage(charge)
 
 
-def _run_guarded(m, max_hours, laps):
+def _run_guarded(m, laps):
     """Step the mission until it aborts or has left the last pot of lap
     `laps`; raises MissionTimeout once its tick count, counted from its first
-    tick, reaches the guard of max_hours."""
+    tick, reaches the guard of GUARD_HOURS, which is read on each call."""
     tick = m.cfg.timing.mission_tick
-    max_ticks = int(max_hours * 3600.0 / tick)
+    max_ticks = int(GUARD_HOURS * 3600.0 / tick)
     last = laps * len(m.layout.pots)
     while m.ticks < max_ticks and m.phase != ABORTED and m.pot_index < last:
         step_mission(m, max_ticks - m.ticks)
     if (m.phase == ABORTED or m.pot_index >= last) and m.ticks <= max_ticks:
         return m
     raise MissionTimeout(
-        f"mission exceeded the simulation-time guard of {max_hours:g} h ({max_ticks} ticks)")
+        f"mission exceeded the simulation-time guard of {GUARD_HOURS:g} h ({max_ticks} ticks)")
 
 
-def run_mission(env, cfg, gains, seed, *, max_hours=GUARD_HOURS):
+def run_mission(env, cfg, gains, seed):
     """Run one lap of a mission in env, as `environment_for(cfg, name)`
-    resolves it, with these leveling gains; returns the Mission, aborted or
-    entering the next lap's Sensing, with one log entry per phase of the lap."""
+    resolves it, with these leveling gains (None on flat ground, where no
+    episode runs); returns the Mission, aborted or entering the next lap's
+    Sensing, with one log entry per phase of the lap."""
     rng = np.random.default_rng(seed)
     layout = realize_layout(env.layout, rng)
     mission = Mission(env, layout, cfg, gains, rng)
-    return _run_guarded(mission, max_hours, 1)
+    return _run_guarded(mission, 1)
 
 
 # --------------------------------------------------------------------------
@@ -454,15 +455,15 @@ def run_trial(env, cfg, gains, seed, *, trial=0):
     return aggregate_trial(mission, trial, seed), mission
 
 
-def run_until_depleted(mission, *, max_hours=GUARD_HOURS):
+def run_until_depleted(mission):
     """Endurance run: continue a mission `run_mission` ran, lap after lap,
     until the battery gives out; returns the minutes of runtime, counted from
     the mission's start.
 
     An aborted mission runs no further; any other ends aborted or raises
     MissionTimeout. The first lap and the rest share one tick count under one
-    guard of max_hours, so this runs exactly as a mission that never stopped
+    guard of GUARD_HOURS, so this runs exactly as a mission that never stopped
     after its first lap would; the log goes on gaining one entry per phase.
     """
-    _run_guarded(mission, max_hours, math.inf)
+    _run_guarded(mission, math.inf)
     return mission.ticks * mission.cfg.timing.mission_tick / 60.0

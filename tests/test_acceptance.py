@@ -38,7 +38,6 @@ from irribot.leveling import (
     PidGains,
     PlatformPlant,
     find_ultimate_gain,
-    run_leveling_episode,
     tune_leveling,
 )
 from irribot.mission import run_mission, run_trial, run_until_depleted
@@ -198,8 +197,8 @@ def test_criterion_2_kinematics_round_trip(capsys):
 def test_criterion_3_leveling_step_response(capsys):
     with criterion(capsys, 3, "10 deg step settles at 1.8 +- 0.5 s, SSE <= 0.4 deg"):
         t0 = time.perf_counter()
-        gains, _, _ = tune_leveling(PlatformPlant(), integral_authority=8.0)
-        summary = run_leveling_episode(PlatformPlant(), gains, 10.0, record(8.0))
+        gains, _, _ = tune_leveling(PlatformPlant(), "classic", 8.0)
+        summary, _ = episode(PlatformPlant(), gains, 10.0, record(8.0))
         elapsed = time.perf_counter() - t0
         assert summary.settle_time is not None
         assert 1.3 <= summary.settle_time <= 2.3, summary.settle_time
@@ -245,7 +244,7 @@ def test_criterion_4_drift_shielding_and_reset(capsys):
 
         # unshielded accumulation crosses the threshold and recalibrates once,
         # 250 s in (5 deg at 0.02 deg/s)
-        gains, _, _ = tune_leveling(PlatformPlant(), integral_authority=8.0)
+        gains, _, _ = tune_leveling(PlatformPlant(), "classic", 8.0)
         summary, trace = episode(PlatformPlant(), gains, 0.0,
                                  record(260.0, drift_rate=0.02, shielded=False))
         fired = np.flatnonzero(trace.recalibrated)
@@ -366,7 +365,7 @@ def test_criterion_9_tuner_recovers_analytic_plant(capsys):
             tu_true = 4.0 * delay
             assert ku == pytest.approx(ku_true, rel=0.05), (k, delay, ku, ku_true)
             assert tu == pytest.approx(tu_true, rel=0.05), (k, delay, tu, tu_true)
-        gains, _, _ = tune_leveling(PlatformPlant(), integral_authority=8.0)
-        summary = run_leveling_episode(PlatformPlant(), gains, 10.0, record(8.0))
+        gains, _, _ = tune_leveling(PlatformPlant(), "classic", 8.0)
+        summary, _ = episode(PlatformPlant(), gains, 10.0, record(8.0))
         assert summary.settle_time is not None  # settles and stays settled
         assert abs(summary.final_tilt) < 0.5

@@ -124,6 +124,9 @@ def test_unknown_keys_fail_with_path(tmp_path, text, frag):
     ("leveling: {kp: 1.0}\n", "kp, ki and kd"),
     ("leveling: {shielding_factor: 1.0}\n", "shielding_factor"),
     ("leveling: {filter_window: 2.5}\n", "filter_window"),
+    ("leveling: {rule: bogus}\n", "bad value in leveling: unknown tuning rule 'bogus'"),
+    ("leveling: {integral_authority: 0.0}\n",
+     "bad value in leveling: integral_authority must be positive"),
     ("leveling: {episode_window: 1.0e9}\n",
      "bad value in leveling: episode_window / episode_tick must be at most 100000 ticks"),
     ("arm: {l1: 1.0e200}\n", "bad value in arm: arm link lengths must keep"),
@@ -199,10 +202,13 @@ def test_yaml_exponent_floats_load_as_floats(tmp_path):
     assert got == (1000.0, 10.0, 250.0, 5.0, -2e-4)
     assert all(type(v) is float for v in got)
     assert (cfg.env, cfg.leveling.rule) == ("hilly_terrain", "classic")
-    # str fields keep quoted numbers and exponent-like words as strings
+    # str fields keep quoted numbers and exponent-like words as strings; a
+    # float would fail as "leveling.rule must be str", and the rule check
+    # quotes back the string it read
     for text, want in (("'1e3'", "1e3"), ("e3", "e3"), ("1e", "1e"), ("1.e", "1.e")):
-        cfg = load_config(write(tmp_path, f"leveling: {{rule: {text}}}\n", name="r.yaml"))
-        assert cfg.leveling.rule == want
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, f"leveling: {{rule: {text}}}\n", name="r.yaml"))
+        assert str(err.value) == f"bad value in leveling: unknown tuning rule {want!r}"
 
 
 def test_importing_the_cli_does_not_import_yaml():
@@ -614,6 +620,59 @@ def test_cli_out_dir_naming_a_file_exits_5_before_any_trial(tmp_path, capsys, mo
     assert main(["run", "--env", "all", "--trials", "300", "--out-dir", str(afile)]) == 5
     assert capsys.readouterr().err.startswith("irribot: i/o error: ")
     assert afile.read_text() == "not a directory\n"
+
+
+# no transport delay and a rate limit no command reaches: proportional
+# feedback never sustains an oscillation, so the tuner rejects the plant
+UNTUNABLE_PLANT = "plant: {max_rate: 1.0e300, delay: 0.0}\n"
+
+
+def test_cli_tune_rejects_a_plant_that_never_oscillates(tmp_path, capsys):
+    assert main(["tune", "--config", write(tmp_path, UNTUNABLE_PLANT)]) == 4
+    assert capsys.readouterr().err == (
+        "irribot: validation error: no sustained oscillation up to gain 10000.0\n")
+
+
+@pytest.mark.parametrize("env,tuned", [("standard_greenhouse", False),
+                                       ("complex_lighting", False),
+                                       ("hilly_terrain", True), ("all", True)])
+def test_cli_run_tunes_only_when_an_environment_has_a_slope(
+        tmp_path, capsys, monkeypatch, env, tuned):
+    # a flat mission never levels, so a plant the tuner rejects fails only
+    # runs that include a sloped environment
+    calls = []
+    monkeypatch.setattr(cli, "gains_for", lambda cfg: calls.append(cfg) or gains_for(cfg))
+    cfg = write(tmp_path, UNTUNABLE_PLANT)
+    code = main(["run", "--env", env, "--trials", "1", "--config", cfg,
+                 "--out-dir", str(tmp_path)])
+    assert len(calls) == tuned
+    if tuned:
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "irribot: validation error: no sustained oscillation up to gain 10000.0\n")
+    else:
+        assert code == 0 and (tmp_path / "results.json").exists()
+
+
+@pytest.mark.parametrize("gate,code", [(119.9, 0), (120.0, 4), (300.0, 4)])
+def test_cli_match_gate_stays_inside_the_spurious_box_keepout(tmp_path, capsys, gate, code):
+    # a spurious box lies at least 1200 px, 120 mm at the default 0.1 mm/px,
+    # from the pot in service; a gate that reaches it could match one as the pot
+    cfg = write(tmp_path, f"scoring: {{match_gate: {gate}}}\n")
+    assert main(["run", "--env", "standard_greenhouse", "--trials", "1", "--config", cfg,
+                 "--out-dir", str(tmp_path)]) == code
+    if code:
+        assert capsys.readouterr().err == (
+            f"irribot: validation error: bad value in top level: scoring.match_gate "
+            f"({gate:g} mm) must be below 1200 px x calibration.s (0.1 mm/px) = 120 mm\n")
+
+
+def test_match_gate_keepout_scales_with_calibration():
+    # a 0.3 mm/px camera puts the keep-out at 360 mm, so a 300 mm gate loads
+    cfg = default_config()
+    wide = dataclasses.replace(cfg.scoring, match_gate=300.0)
+    coarse = dataclasses.replace(cfg.calibration, s=0.3)
+    assert dataclasses.replace(cfg, scoring=wide, calibration=coarse).scoring.match_gate == 300.0
 
 
 def test_trials_bound_admits_max_trials_and_no_more():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from irribot import fieldsim
 from irribot.config import default_config, environment_for
 from irribot.detect import CIRCULAR, RECTANGULAR, GeometryBands, enhanced_detection
 from irribot.fieldsim import (
@@ -64,8 +65,22 @@ RECT_POT = Pot(1, 0.0, 0.0, RECTANGULAR, 120.0, 80.0)
 
 # ------------------------------------------------------------------ layout
 
+ROUND = (CIRCULAR, 100.0, 100.0)  # shape, width and height of a 100 mm round pot
+
+
+def grid(count, spacing=600.0):
+    """A grid of round pots, at the standard greenhouse's pitch by default."""
+    return grid_layout(count, spacing, *ROUND)
+
+
+def scatter(count, rng, nn_range=(400.0, 800.0)):
+    """A random layout of round pots, in complex lighting's window by default."""
+    return random_layout(count, rng, nn_range, *ROUND)
+
+
 def test_grid_layout_default_shape():
-    layout = grid_layout(20, 600.0)
+    # the default config's standard greenhouse: 20 round pots, 600 mm apart
+    layout = realize_layout(environment_for(default_config(), ENV_STANDARD).layout, None)
     assert len(layout.pots) == 20
     assert {p.shape for p in layout.pots} == {CIRCULAR}
     assert {(p.x, p.y) for p in layout.pots} == {
@@ -75,14 +90,14 @@ def test_grid_layout_default_shape():
 
 def test_grid_layout_orders_pots_along_serpentine_path():
     # consecutive pots are exactly one pitch apart, including row turns
-    layout = grid_layout(20, 600.0)
+    layout = grid(20)
     for a, b in zip(layout.pots, layout.pots[1:]):
         assert math.hypot(b.x - a.x, b.y - a.y) == 600.0
 
 
 def test_random_layout_spacing_window():
     rng = np.random.default_rng(3)
-    layout = random_layout(20, rng, nn_range=(400.0, 800.0))
+    layout = scatter(20, rng)
     pts = [(p.x, p.y) for p in layout.pots]
     for i, (xi, yi) in enumerate(pts):
         dists = [math.hypot(xi - xj, yi - yj) for j, (xj, yj) in enumerate(pts) if j != i]
@@ -90,14 +105,15 @@ def test_random_layout_spacing_window():
         assert min(dists) <= 800.0 + 1e-9  # every pot has a window-range neighbor
 
 
-def test_random_layout_bounded_attempts():
-    with pytest.raises(LayoutError):
-        random_layout(5, np.random.default_rng(0), max_attempts=2)
+def test_random_layout_bounded_attempts(monkeypatch):
+    monkeypatch.setattr(fieldsim, "MAX_PLACEMENT_ATTEMPTS", 2)
+    with pytest.raises(LayoutError, match="within 2 attempts"):
+        scatter(5, np.random.default_rng(0))
 
 
 def test_random_layout_deterministic():
-    a = random_layout(10, np.random.default_rng(11))
-    b = random_layout(10, np.random.default_rng(11))
+    a = scatter(10, np.random.default_rng(11))
+    b = scatter(10, np.random.default_rng(11))
     assert a == b
 
 
@@ -109,11 +125,13 @@ def test_pot_validation():
 
 
 @pytest.mark.parametrize("count", [0, -3])
-@pytest.mark.parametrize("build", [grid_layout,
-                                   lambda n: random_layout(n, np.random.default_rng(0))])
+@pytest.mark.parametrize("build", [
+    grid_layout,
+    lambda n, pitch, *pot: random_layout(n, np.random.default_rng(0), (pitch, 2 * pitch), *pot),
+])
 def test_layout_builders_reject_counts_below_one(build, count):
     with pytest.raises(ValueError, match="count must be at least 1"):
-        build(count)
+        build(count, 600.0, *ROUND)
 
 
 # ------------------------------------------------- bulk draws vs numpy calls
@@ -164,12 +182,13 @@ def test_bulk_draws_match_scalar_calls(n, buffered, pattern):
             assert words > pattern.count("b")
 
 
-def test_bulk_draws_restore_the_generator_when_placement_fails():
+def test_bulk_draws_restore_the_generator_when_placement_fails(monkeypatch):
     rng, ref = twin_generators(3, True)
+    monkeypatch.setattr(fieldsim, "MAX_PLACEMENT_ATTEMPTS", 30)
     with pytest.raises(LayoutError) as got:
-        random_layout(40, rng, max_attempts=30)
+        scatter(40, rng)
     with pytest.raises(LayoutError) as want:
-        oracle_random_layout(40, ref, max_attempts=30)
+        oracle_random_layout(40, ref, (400.0, 800.0))
     assert str(got.value) == str(want.value)
     assert_twins_agree(rng, ref)
 
@@ -179,7 +198,7 @@ def test_bulk_draws_need_a_pcg64_generator():
     with pytest.raises(TypeError, match="MT19937"):
         _PCG64Draws(mt)
     with pytest.raises(TypeError, match="MT19937"):
-        random_layout(5, mt)
+        scatter(5, mt)
 
 
 # ------------------------------------------- cell grid vs quadratic oracle
@@ -215,8 +234,10 @@ def coordinates(pots):
     return [p.x for p in pots], [p.y for p in pots]
 
 
-def oracle_random_layout(count, rng, *, nn_range=(400.0, 800.0), max_attempts=10000):
-    """(pots, min_spacing) of random_layout, placed by scanning every pot."""
+def oracle_random_layout(count, rng, nn_range):
+    """(pots, min_spacing) of random_layout, placed by scanning every pot,
+    with the attempt budget `fieldsim` holds when it is called."""
+    max_attempts = fieldsim.MAX_PLACEMENT_ATTEMPTS
     lo, hi = nn_range
     pots = [Pot(0, 0.0, 0.0, CIRCULAR, 100.0, 100.0)]
     attempts = 0
@@ -245,11 +266,13 @@ def outcome(fn, *args, **kwargs):
         return f"LayoutError: {exc}"
 
 
-def assert_same_placement(count, seed, nn_range=(400.0, 800.0), max_attempts=10000):
+def assert_same_placement(count, seed, nn_range=(400.0, 800.0),
+                          max_attempts=fieldsim.MAX_PLACEMENT_ATTEMPTS):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = outcome(random_layout, count, rng, nn_range=nn_range, max_attempts=max_attempts)
-    want = outcome(oracle_random_layout, count, ref_rng, nn_range=nn_range,
-                   max_attempts=max_attempts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fieldsim, "MAX_PLACEMENT_ATTEMPTS", max_attempts)
+        got = outcome(scatter, count, rng, nn_range)
+        want = outcome(oracle_random_layout, count, ref_rng, nn_range)
     if isinstance(got, PotLayout):
         got = (got.pots, got.min_spacing)
     assert got == want
@@ -308,7 +331,7 @@ def test_service_order_near_ties_go_by_math_hypot(first, second):
 
 
 def test_grid_layout_of_20000_pots_builds():
-    layout = grid_layout(20000)
+    layout = grid(20000)
     assert len(layout.pots) == 20000
     assert len({(p.x, p.y) for p in layout.pots}) == 20000
 
@@ -320,7 +343,7 @@ def test_grid_layout_of_20000_pots_builds():
 @given(st.integers(1, 120), st.floats(20.0, 1000.0))
 @settings(max_examples=30, deadline=None)
 def test_grid_layout_keeps_min_spacing(count, spacing):
-    layout = grid_layout(count, spacing)
+    layout = grid(count, spacing)
     assert len(layout.pots) == count and layout.min_spacing == spacing
     oracle_pair_check(layout.pots, layout.min_spacing)
 
@@ -330,8 +353,7 @@ def test_grid_layout_keeps_min_spacing(count, spacing):
 @settings(max_examples=30, deadline=None)
 def test_random_layout_keeps_min_spacing(count, seed, spacing, ratio):
     # random_layout rejects every candidate that would crowd a placed pot
-    layout = outcome(random_layout, count, np.random.default_rng(seed),
-                     nn_range=(spacing, spacing * ratio))
+    layout = outcome(scatter, count, np.random.default_rng(seed), (spacing, spacing * ratio))
     assume(isinstance(layout, PotLayout))
     assert len(layout.pots) == count and layout.min_spacing == spacing
     oracle_pair_check(layout.pots, layout.min_spacing)
@@ -343,7 +365,7 @@ def test_layout_rejects_non_finite_inputs():
     with pytest.raises(ValueError):
         PotLayout(pots=(), min_spacing=math.inf)
     with pytest.raises(ValueError):
-        random_layout(3, np.random.default_rng(0), nn_range=(400.0, math.inf))
+        scatter(3, np.random.default_rng(0), (400.0, math.inf))
 
 
 # ------------------------------------------------------------ environments
@@ -381,9 +403,10 @@ def tuning(**fields):
 
 
 def test_environment_validation():
-    Environment("x", 0.0, LayoutSpec("grid"), tuning())
+    spec = LayoutSpec("grid", 20, *ROUND, spacing=600.0)
+    Environment("x", 0.0, spec, tuning())
     with pytest.raises(ValueError, match="slope"):
-        Environment("x", -1.0, LayoutSpec("grid"), tuning())
+        Environment("x", -1.0, spec, tuning())
 
 
 def test_environment_tuning_is_the_config_record():
@@ -514,8 +537,8 @@ def test_detection_deterministic_per_seed():
 
 def first_reading(slope, lv=LevelingConfig(noise_std=0.0, drift_rate=0.0), bias=0.0):
     rows = []  # (t, tilt, raw reading, ...) per tick
-    run_leveling_episode(PlatformPlant(), ziegler_nichols(1.0, 1.0), slope, lv, bias=bias,
-                         rows=rows)
+    run_leveling_episode(PlatformPlant(), ziegler_nichols(1.0, 1.0, "classic"), slope, lv,
+                         rng=np.random.default_rng(0), bias=bias, rows=rows)
     return rows[0][2]
 
 

@@ -255,20 +255,21 @@ def record(window, tick=0.01, **fields):
                           **{"noise_std": 0.0, "drift_rate": 0.0, **fields})
 
 
-def episode(plant, gains, slope, lv, **kwargs):
-    """Run the production episode keeping its rows; returns (summary, trace)."""
+def episode(plant, gains, slope, lv, *, rng=None, **kwargs):
+    """Run the production episode keeping its rows, on a seed-0 generator
+    unless `rng` is given; returns (summary, trace)."""
     rows = []
-    summary = run_leveling_episode(plant, gains, slope, lv, rows=rows, **kwargs)
+    rng = np.random.default_rng(0) if rng is None else rng
+    summary = run_leveling_episode(plant, gains, slope, lv, rng=rng, rows=rows, **kwargs)
     return summary, trace_from_rows(rows, lv.level_band)
 
 
 def reference_episode(plant, gains, slope, lv, *, bias=0.0, rng=None):
     """`run_leveling_episode` one controller update, one noise draw and one
-    `plant.step` per tick, for any plant with `reset` and `step`."""
+    `plant.step` per tick, for any plant with `reset` and `step`. A quiet
+    record (no IMU noise) needs no `rng`."""
     tick, noise_std = lv.episode_tick, lv.noise_std
     steps = int(round(lv.episode_window / tick))
-    if noise_std > 0 and rng is None:
-        rng = np.random.default_rng(0)
 
     plant.reset(slope)
     controller = LevelingController(gains, lv, bias=bias)
@@ -304,9 +305,12 @@ def reference_episode(plant, gains, slope, lv, *, bias=0.0, rng=None):
                          saturated=out_sat, band=lv.level_band)
 
 
-def reference_probe(plant, gain, dt, probe_time, initial_tilt, band, cycles):
+def reference_probe(plant, gain):
     """`leveling._probe_oscillation` stepping a plant with `reset` and `step`
-    (a stepping model, not a record) one `plant.step` per tick."""
+    (a stepping model, not a record) one `plant.step` per tick, at the probe
+    settings `leveling` holds when it is called."""
+    dt, probe_time, initial_tilt = leveling.PROBE_DT, leveling.PROBE_TIME, leveling.PROBE_TILT
+    band, cycles = leveling.PROBE_BAND, leveling.PROBE_CYCLES
     plant.reset(initial_tilt)
     tilt = initial_tilt
     prev = prev2 = None
@@ -353,12 +357,12 @@ def reference_probe(plant, gain, dt, probe_time, initial_tilt, band, cycles):
     return ("growing" if geo > 1 else "decaying"), period
 
 
-def reference_ultimate_gain(model, **kwargs):
+def reference_ultimate_gain(model):
     """`find_ultimate_gain`'s search with every probe run by `reference_probe`
     on a stepping model."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(leveling, "_probe_oscillation", reference_probe)
-        return find_ultimate_gain(model, **kwargs)
+        return find_ultimate_gain(model)
 
 
 class FirstOrderLagPlant:
@@ -511,19 +515,19 @@ def test_pid_zero_error_is_inert(dts):
 # ------------------------------------------------------------------- ZN
 
 def test_zn_classic_table():
-    g = ziegler_nichols(10.0, 2.0)
+    g = ziegler_nichols(10.0, 2.0, "classic")
     assert (g.kp, g.ki, g.kd) == (6.0, 6.0, 1.5)
 
 
 def test_zn_classic_unit_point():
-    g = ziegler_nichols(1.0, 1.0)
+    g = ziegler_nichols(1.0, 1.0, "classic")
     assert (g.kp, g.ki, g.kd) == pytest.approx((0.6, 1.2, 0.075))
 
 
 @given(st.floats(0.1, 100.0), st.floats(0.1, 100.0), st.floats(0.5, 4.0))
 def test_zn_linear_in_ku(ku, tu, c):
-    g1 = ziegler_nichols(ku, tu)
-    g2 = ziegler_nichols(c * ku, tu)
+    g1 = ziegler_nichols(ku, tu, "classic")
+    g2 = ziegler_nichols(c * ku, tu, "classic")
     assert g2.kp == pytest.approx(c * g1.kp, rel=1e-12)
     assert g2.ki == pytest.approx(c * g1.ki, rel=1e-12)
     assert g2.kd == pytest.approx(c * g1.kd, rel=1e-12)
@@ -538,9 +542,9 @@ def test_zn_variant_tables_ordered_by_aggressiveness():
 
 def test_zn_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        ziegler_nichols(0.0, 1.0)
+        ziegler_nichols(0.0, 1.0, "classic")
     with pytest.raises(ValueError):
-        ziegler_nichols(1.0, -1.0)
+        ziegler_nichols(1.0, -1.0, "classic")
     with pytest.raises(ValueError):
         ziegler_nichols(1.0, 1.0, "aggressive")
 
@@ -563,19 +567,20 @@ def test_ultimate_gain_falls_with_longer_delay():
     assert tu_long == pytest.approx(0.4, rel=0.05)
 
 
-def test_stable_lag_plant_never_oscillates():
+def test_stable_lag_plant_never_oscillates(monkeypatch):
     # a platform without transport delay or rate limit is a lag in front of
     # an integrator, whose phase never reaches -180 degrees
+    monkeypatch.setattr(leveling, "GAIN_CAP", 1e3)
     for tau in (0.15, 0.05):
-        with pytest.raises(NoOscillation):
-            find_ultimate_gain(PlatformPlant(math.inf, 0.0, tau), gain_cap=1e3)
-    with pytest.raises(NoOscillation):
-        reference_ultimate_gain(FirstOrderLagPlant(), gain_cap=1e3)
+        with pytest.raises(NoOscillation, match="up to gain 1000.0"):
+            find_ultimate_gain(PlatformPlant(math.inf, 0.0, tau))
+    with pytest.raises(NoOscillation, match="up to gain 1000.0"):
+        reference_ultimate_gain(FirstOrderLagPlant())
 
 
 def test_tuned_gains_stabilize_delayed_integrator():
     plant = DelayedIntegratorPlant(gain=1.0, delay=0.05)
-    gains, ku, tu = tune_leveling(plant)
+    gains = ziegler_nichols(*find_ultimate_gain(plant), "classic")  # no integral clamp
     trace = reference_episode(stepping(plant), gains, 10.0, record(6.0, 0.002))
     assert trace.steady_state_error < 0.4
 
@@ -590,14 +595,13 @@ def test_inline_probe_matches_stepping_oracle(plant):
     assert find_ultimate_gain(plant) == reference_ultimate_gain(stepping(plant))
     # and each probe's classification and period, across decaying, sustained,
     # growing and (on the platform) saturating gains
-    args = (0.002, 12.0, 0.2, 0.05, 10)
     for gain in (0.5, 5.0, 15.0, 21.0, 31.0, 40.0, 120.0, 1e3):
-        assert (leveling._probe_oscillation(plant, gain, *args)
-                == reference_probe(stepping(plant), gain, *args)), gain
+        assert (leveling._probe_oscillation(plant, gain)
+                == reference_probe(stepping(plant), gain)), gain
 
 
 def test_tuned_platform_gains_are_pinned():
-    gains, ku, tu = tune_leveling(PlatformPlant(), integral_authority=8.0)
+    gains, ku, tu = tune_leveling(PlatformPlant(), "classic", 8.0)
     assert (ku, tu) == (21.0, 0.5745599094367895)
     assert gains == PidGains(kp=12.6, ki=43.85965603604717, kd=0.9049318573629433,
                              integral_limit=0.18239997124977445)
@@ -675,18 +679,18 @@ def test_recalibrate_idempotent_after_reset():
 
 @functools.cache
 def platform_gains():
-    gains, _, _ = tune_leveling(PlatformPlant(), integral_authority=8.0)
+    gains, _, _ = tune_leveling(PlatformPlant(), "classic", 8.0)
     return gains
 
 
 def test_episode_level_start_is_trivially_settled():
-    summary = run_leveling_episode(PlatformPlant(), platform_gains(), 0.0, record(2.0))
+    summary, _ = episode(PlatformPlant(), platform_gains(), 0.0, record(2.0))
     assert summary.settle_time == 0.0
     assert summary.sse == 0.0
 
 
 def test_episode_ten_degree_step_meets_budget():
-    summary = run_leveling_episode(PlatformPlant(), platform_gains(), 10.0, record(8.0))
+    summary, _ = episode(PlatformPlant(), platform_gains(), 10.0, record(8.0))
     assert 1.3 <= summary.settle_time <= 2.3
     assert summary.sse <= 0.4
 
@@ -772,11 +776,11 @@ def test_episode_rejects_bad_inputs():
         with pytest.raises(ValueError):
             record(window, tick, filter_window=depth)
     with pytest.raises(ValueError, match="non-finite"):
-        run_leveling_episode(PlatformPlant(), PidGains(1.0, 0.0, 0.0), math.nan, record(1.0))
+        episode(PlatformPlant(), PidGains(1.0, 0.0, 0.0), math.nan, record(1.0))
     for bias in (-0.1, math.nan):
         with pytest.raises(ValueError, match="bias cannot be negative"):
-            run_leveling_episode(PlatformPlant(), PidGains(1.0, 0.0, 0.0), 1.0,
-                                 record(1.0, drift_rate=1.0), bias=bias)
+            episode(PlatformPlant(), PidGains(1.0, 0.0, 0.0), 1.0,
+                    record(1.0, drift_rate=1.0), bias=bias)
 
 
 def test_episode_rejects_negative_or_nan_noise():
@@ -793,7 +797,7 @@ def test_episode_on_delayed_integrator_matches_stepping_oracle(plant):
     # open-air drift the episode equals the stepping integrator bit for bit
     # (the gains 0.5, 1 and 2 scale exactly, so the oracle's gain*u*dt and the
     # episode's u*(gain*tick) agree)
-    gains, _, _ = tune_leveling(plant)
+    gains = ziegler_nichols(*find_ultimate_gain(plant), "classic")  # no integral clamp
     lv = record(2.0, 0.002, noise_std=0.05, drift_rate=0.3, shielded=False,
                 reset_threshold=0.4)
     summary = assert_episode_matches_reference(plant, gains, 10.0, lv, 5)
@@ -803,14 +807,14 @@ def test_episode_on_delayed_integrator_matches_stepping_oracle(plant):
 def test_delay_beyond_the_run_costs_no_memory():
     # a command delayed past the last tick is never read, so a delay line
     # longer than the run changes nothing, and it is not built
-    gains, args = platform_gains(), (0.002, 12.0, 0.2, 0.05, 10)
+    gains = platform_gains()
     just_past, far = PlatformPlant(delay=12.01), PlatformPlant(delay=1e3)
     lv = LevelingConfig()
     tracemalloc.start()
     try:
         for gain in (0.5, 21.0):
-            probe = leveling._probe_oscillation(far, gain, *args)
-            assert probe == leveling._probe_oscillation(just_past, gain, *args)
+            probe = leveling._probe_oscillation(far, gain)
+            assert probe == leveling._probe_oscillation(just_past, gain)
         summary = run_leveling_episode(far, gains, 10.0, lv, rng=np.random.default_rng(3))
         assert summary == run_leveling_episode(PlatformPlant(delay=4.01), gains, 10.0, lv,
                                                rng=np.random.default_rng(3))

@@ -445,13 +445,13 @@ def test_endurance_runtime_tracks_battery_capacity():
     assert m.pot_index >= 15
 
 
-def test_endurance_raises_when_battery_cannot_deplete():
+def test_endurance_raises_when_battery_cannot_deplete(monkeypatch):
     huge = BatteryModel(capacity_mah=1e7)
     cfg = config_with(battery=huge)
-    with pytest.raises(MissionTimeout):
+    monkeypatch.setattr(mission_module, "GUARD_HOURS", 0.02)
+    with pytest.raises(MissionTimeout, match="guard of 0.02 h"):
         run_until_depleted(
-            run_mission(environment_for(cfg, "standard_greenhouse"), cfg, GAINS, 42),
-            max_hours=0.02)
+            run_mission(environment_for(cfg, "standard_greenhouse"), cfg, GAINS, 42))
 
 
 # The script overrides a drive speed on the resolved environment; its
@@ -631,11 +631,12 @@ def test_phase_core_matches_tick_reference(env_name, seed, pot_count, tick, capa
 
 
 @pytest.mark.parametrize("max_hours,tick", [(0.01, 0.05), (0.0123, 0.03), (0.002, 0.07)])
-def test_time_guard_fires_after_exactly_the_budgeted_ticks(max_hours, tick):
+def test_time_guard_fires_after_exactly_the_budgeted_ticks(max_hours, tick, monkeypatch):
     env, cfg = varied_config("hilly_terrain", 20, tick, 1e7, 0.0015, True)
     budget = int(max_hours * 3600.0 / tick)
+    monkeypatch.setattr(mission_module, "GUARD_HOURS", max_hours)
     with counted() as calls, pytest.raises(MissionTimeout):
-        run_mission(env, cfg, GAINS, 3, max_hours=max_hours)
+        run_mission(env, cfg, GAINS, 3)
     ref, ticks = reference_mission(env, cfg, 3, max_ticks=budget)
     assert ticks == budget and ref.phase != ABORTED and ref.pot_index < len(ref.records)
     m = calls[-1][0]
@@ -644,7 +645,7 @@ def test_time_guard_fires_after_exactly_the_budgeted_ticks(max_hours, tick):
 
 
 def guard_hours(ticks, tick):
-    """The smallest max_hours whose guard is `ticks` ticks of `tick` s."""
+    """The smallest GUARD_HOURS whose guard is `ticks` ticks of `tick` s."""
     hours = ticks * tick / 3600.0
     while int(hours * 3600.0 / tick) < ticks:
         hours = math.nextafter(hours, math.inf)
@@ -655,18 +656,18 @@ def guard_hours(ticks, tick):
 # ends with the lap or that many ticks before it
 @pytest.mark.parametrize("capacity,phase", [(2400.0, SENSING), (20.0, ABORTED)])
 @pytest.mark.parametrize("short", [0, 1, 40])
-def test_continuation_is_under_the_guard_of_a_fresh_loop(capacity, phase, short):
+def test_continuation_is_under_the_guard_of_a_fresh_loop(capacity, phase, short, monkeypatch):
     env, cfg = varied_config("hilly_terrain", 3, 0.05, capacity, 0.0015, True)
     m = run_mission(env, cfg, GAINS, 9)
     assert m.phase == phase
     budget = m.ticks - short
-    hours = guard_hours(budget, 0.05)
+    monkeypatch.setattr(mission_module, "GUARD_HOURS", guard_hours(budget, 0.05))
     ref, _ = reference_mission(env, cfg, 9, loop=True, max_ticks=budget)
     if ref.phase == ABORTED:
-        run_until_depleted(m, max_hours=hours)
+        run_until_depleted(m)
     else:
         with pytest.raises(MissionTimeout, match=rf"\({budget} ticks\)$"):
-            run_until_depleted(m, max_hours=hours)
+            run_until_depleted(m)
     if short == 0:  # the reference ran every tick the mission did
         assert_same_mission(m, ref)
 
