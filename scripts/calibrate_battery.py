@@ -15,7 +15,7 @@ statistics are invariant to whatever this prints. Run from the repo root:
 
 from dataclasses import replace
 
-from irribot.config import default_config, environment_for, gains_for
+from irribot.config import ENV_NAMES, default_config, environment_for, gains_for
 from irribot.mission import run_mission, run_until_depleted
 
 SEED = 42
@@ -47,7 +47,7 @@ def bisect(lo, hi, target_min, evaluate, *, increasing, tol=0.02, iters=40):
 def main():
     gains = gains_for(CFG)
     battery = CFG.battery
-    speeds = {name: tuning.drive_speed for name, tuning in CFG.environments.items()}
+    speeds = {name: getattr(CFG.environments, name).drive_speed for name in ENV_NAMES}
 
     drive, got = bisect(
         6000.0, 16000.0, 30.0,

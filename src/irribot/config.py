@@ -20,11 +20,11 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 from irribot.detect import CIRCULAR, RECTANGULAR
 from irribot.fieldsim import (
-    _FP_KEEPOUT_PX,
     ENV_COMPLEX,
     ENV_HILLY,
     ENV_NAMES,
     ENV_STANDARD,
+    FP_KEEPOUT_PX,
     BatteryModel,
     Environment,
     EnvTuning,
@@ -32,7 +32,13 @@ from irribot.fieldsim import (
     PumpConfig,
 )
 from irribot.kinematics import ArmGeometry, CalibrationState
-from irribot.leveling import LevelingConfig, PidGains, PlatformPlant, tune_leveling
+from irribot.leveling import (
+    LevelingConfig,
+    PidGains,
+    PlatformPlant,
+    integral_clamp,
+    tune_leveling,
+)
 from irribot.mission import GUARD_HOURS, MAX_MISSION_TICKS
 
 
@@ -101,18 +107,20 @@ _TERRAIN = {
 }
 
 
-def _default_environments():
-    return {
-        ENV_STANDARD: EnvTuning(
-            dispense_overshoot=0.05, spray_efficiency=0.952, drive_speed=300.0,
-            accuracy=0.987, fp_rate=0.012, inference_time_ms=32.0, center_noise_px=11.0),
-        ENV_HILLY: EnvTuning(
-            dispense_overshoot=0.08, spray_efficiency=0.926, drive_speed=300.0,
-            accuracy=0.975, fp_rate=0.021, inference_time_ms=35.0, center_noise_px=26.0),
-        ENV_COMPLEX: EnvTuning(
-            dispense_overshoot=0.07, spray_efficiency=0.935, drive_speed=241.0,
-            accuracy=0.960, fp_rate=0.035, inference_time_ms=38.0, center_noise_px=33.0),
-    }
+@dataclass(frozen=True)
+class Environments:
+    """The `environments` section: one tuning record per ENV_NAMES entry, in
+    that order."""
+
+    standard_greenhouse: EnvTuning = EnvTuning(
+        dispense_overshoot=0.05, spray_efficiency=0.952, drive_speed=300.0,
+        accuracy=0.987, fp_rate=0.012, inference_time_ms=32.0, center_noise_px=11.0)
+    hilly_terrain: EnvTuning = EnvTuning(
+        dispense_overshoot=0.08, spray_efficiency=0.926, drive_speed=300.0,
+        accuracy=0.975, fp_rate=0.021, inference_time_ms=35.0, center_noise_px=26.0)
+    complex_lighting: EnvTuning = EnvTuning(
+        dispense_overshoot=0.07, spray_efficiency=0.935, drive_speed=241.0,
+        accuracy=0.960, fp_rate=0.035, inference_time_ms=38.0, center_noise_px=33.0)
 
 
 # the largest field a run may lay out; CI runs a field this size in about 1 s
@@ -136,7 +144,7 @@ class RunConfig:
     battery: BatteryModel = field(default_factory=BatteryModel)
     timing: TimingConfig = field(default_factory=TimingConfig)
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
-    environments: dict = field(default_factory=_default_environments)
+    environments: Environments = field(default_factory=Environments)
 
     def __post_init__(self):
         _require(self.seed >= 0, "seed must be non-negative")
@@ -146,12 +154,8 @@ class RunConfig:
         _require(self.pot_count <= MAX_POT_COUNT, f"pot_count must be at most {MAX_POT_COUNT}")
         _require(self.env == "all" or self.env in ENV_NAMES,
                  f"env must be 'all' or one of {', '.join(ENV_NAMES)}")
-        for name in self.environments:
-            _require(name in ENV_NAMES, f"unknown environment key {name!r}")
-        for name in ENV_NAMES:
-            _require(name in self.environments, f"missing tuning for {name}")
         # a gate that reaches a spurious box's keep-out could match it as the pot
-        gate, s, keepout = self.scoring.match_gate, self.calibration.s, _FP_KEEPOUT_PX
+        gate, s, keepout = self.scoring.match_gate, self.calibration.s, FP_KEEPOUT_PX
         _require(gate < keepout * s, f"scoring.match_gate ({gate:g} mm) must be below "
                  f"{keepout:g} px x calibration.s ({s:g} mm/px) = {keepout * s:g} mm")
 
@@ -207,7 +211,7 @@ def _check_scalar(value, annotation, key):
 
 
 def _overlay(base, data, path=""):
-    """Apply a parsed YAML mapping onto a dataclass or a dict of dataclasses.
+    """Apply a parsed YAML mapping onto a config dataclass.
 
     Keys that name a nested section recurse; every other key replaces the
     value outright. Unknown keys fail with their full path, a value of the
@@ -217,25 +221,19 @@ def _overlay(base, data, path=""):
     where = path or "top level"
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be a mapping, got {type(data).__name__}")
-    current = base
-    annotations = {}
-    if is_dataclass(base):
-        current = {f.name: getattr(base, f.name) for f in fields(base)}
-        annotations = {f.name: f.type for f in fields(base)}
-    unknown = sorted(set(data) - set(current), key=str)
+    annotations = {f.name: f.type for f in fields(base)}
+    unknown = sorted(set(data) - set(annotations), key=str)
     if unknown:
         raise ConfigError(f"unknown key {path + '.' if path else ''}{unknown[0]!r}")
     changes = {}
     for key, value in data.items():
-        child = current[key]
+        child = getattr(base, key)
         key_path = f"{path}.{key}" if path else key
-        if is_dataclass(child) or isinstance(child, dict):
+        if is_dataclass(child):
             value = _overlay(child, value, key_path)
         else:
             _check_scalar(value, annotations[key], key_path)
         changes[key] = value
-    if not is_dataclass(base):
-        return {**base, **changes}
     try:
         return dataclasses.replace(base, **changes)
     except (TypeError, ValueError) as exc:
@@ -268,8 +266,8 @@ def gains_for(cfg):
     """Manual gains when the config pins them, auto-tuned otherwise."""
     lv = cfg.leveling
     if lv.kp is not None:
-        limit = lv.integral_authority / lv.ki if lv.ki > 0 else None
-        return PidGains(kp=lv.kp, ki=lv.ki, kd=lv.kd, integral_limit=limit)
+        return PidGains(kp=lv.kp, ki=lv.ki, kd=lv.kd,
+                        integral_limit=integral_clamp(lv.ki, lv.integral_authority))
     gains, _, _ = tuned_gains(cfg)
     return gains
 
@@ -284,4 +282,4 @@ def environment_for(cfg, name):
             f"unknown environment {name!r}; expected one of {', '.join(ENV_NAMES)}"
         ) from None
     return Environment(name, slope, LayoutSpec(count=cfg.pot_count, **layout),
-                       cfg.environments[name])
+                       getattr(cfg.environments, name))

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 CIRCULAR = "circular"
 RECTANGULAR = "rectangular"
 
-
-class UnknownContainerClass(Exception):
-    """Raised when a detection's class has no geometry band assigned."""
+# Per-class aspect-ratio (w/h) acceptance intervals, both ends excluded:
+# circular pots are near-square, rectangular pots elongated.
+ASPECT_BANDS = {CIRCULAR: (0.9, 1.1), RECTANGULAR: (1.2, 1.5)}
 
 
 @dataclass(frozen=True)
@@ -56,41 +56,14 @@ class Detection:
     """One candidate container detection."""
 
     bbox: BBox
-    cls: str          # container class, CIRCULAR or RECTANGULAR
+    cls: str          # container class, a key of ASPECT_BANDS
     conf: float       # confidence in [0, 1]
 
     def __post_init__(self):
+        if self.cls not in ASPECT_BANDS:
+            raise ValueError(f"no geometry band for container class {self.cls!r}")
         if not 0.0 <= self.conf <= 1.0:
             raise ValueError(f"confidence out of range: {self.conf}")
-
-
-@dataclass(frozen=True)
-class GeometryBands:
-    """Per-class aspect-ratio acceptance intervals.
-
-    Membership is strict on both ends: a ratio exactly on a bound is
-    rejected. Circular pots use band_a (near-square by default) and
-    rectangular pots band_b (elongated by default).
-    """
-
-    band_a: tuple[float, float] = (0.9, 1.1)  # CIRCULAR
-    band_b: tuple[float, float] = (1.2, 1.5)  # RECTANGULAR
-
-    def __post_init__(self):
-        for lo, hi in (self.band_a, self.band_b):
-            if not lo < hi:
-                raise ValueError(f"empty band ({lo}, {hi})")
-        a_lo, a_hi = self.band_a
-        b_lo, b_hi = self.band_b
-        if max(a_lo, b_lo) < min(a_hi, b_hi):
-            raise ValueError("geometry bands overlap")
-
-    def band_for(self, cls: str) -> tuple[float, float]:
-        if cls == CIRCULAR:
-            return self.band_a
-        if cls == RECTANGULAR:
-            return self.band_b
-        raise UnknownContainerClass(cls)
 
 
 def confidence_gate(dets: list[Detection], threshold: float) -> list[Detection]:
@@ -103,9 +76,9 @@ def confidence_gate(dets: list[Detection], threshold: float) -> list[Detection]:
     return [d for d in dets if d.conf >= threshold]
 
 
-def aspect_ratio_valid(det: Detection, bands: GeometryBands) -> bool:
+def aspect_ratio_valid(det: Detection) -> bool:
     """True iff the box's w/h lies strictly inside its class band."""
-    lo, hi = bands.band_for(det.cls)
+    lo, hi = ASPECT_BANDS[det.cls]
     ratio = det.bbox.aspect_ratio
     return lo < ratio < hi
 
@@ -145,12 +118,11 @@ def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
 
 def enhanced_detection(
     dets: list[Detection],
-    bands: GeometryBands,
     conf_threshold: float,
     iou_threshold: float,
 ) -> list[Detection]:
     """Full post-processing pipeline: confidence gate, then geometry
     validation, then NMS, in that order."""
     gated = confidence_gate(dets, conf_threshold)
-    validated = [d for d in gated if aspect_ratio_valid(d, bands)]
+    validated = [d for d in gated if aspect_ratio_valid(d)]
     return nms(validated, iou_threshold)

@@ -310,7 +310,7 @@ class Environment:
 # detector
 
 _FRAME_PX = (4000, 3000)  # detector frame width and height
-_FP_KEEPOUT_PX = 1200.0  # a spurious box's least distance from the pot's center
+FP_KEEPOUT_PX = 1200.0  # a spurious box's least distance from the pot's center
 _FP_ATTEMPTS = 100  # placement draws before a spurious box is dropped
 
 
@@ -322,9 +322,9 @@ def simulate_detection(pot, tuning, rng, cal):
     cal.v0). The pot is found with probability `tuning.accuracy`; a found
     pot's box center scatters by center_noise_px and its aspect ratio is
     drawn consistently with the pot shape. One spurious detection is
-    injected with probability `fp_rate`, at least _FP_KEEPOUT_PX from the
+    injected with probability `fp_rate`, at least FP_KEEPOUT_PX from the
     principal point. The config keeps the mission's match gate (mm) below
-    _FP_KEEPOUT_PX * cal.s, so it is never matched as the pot: at the
+    FP_KEEPOUT_PX * cal.s, so it is never matched as the pot: at the
     defaults, 100 mm against 120 mm. The draw order is fixed for determinism.
     """
     detections = []
@@ -347,7 +347,7 @@ def simulate_detection(pot, tuning, rng, cal):
 
 
 def _spurious_detection(rng, cal):
-    """A plausible-looking false box in the frame, at least _FP_KEEPOUT_PX
+    """A plausible-looking false box in the frame, at least FP_KEEPOUT_PX
     from the principal point, where the pot in service is seen."""
     frame_w, frame_h = _FRAME_PX
     cls = CIRCULAR if rng.random() < 0.5 else RECTANGULAR
@@ -359,7 +359,7 @@ def _spurious_detection(rng, cal):
     for _ in range(_FP_ATTEMPTS):
         cu = rng.uniform(w / 2 + 1, frame_w - w / 2 - 1)
         cv = rng.uniform(h / 2 + 1, frame_h - h / 2 - 1)
-        if math.hypot(cu - cal.u0, cv - cal.v0) >= _FP_KEEPOUT_PX:
+        if math.hypot(cu - cal.u0, cv - cal.v0) >= FP_KEEPOUT_PX:
             return Detection(
                 BBox(cu - w / 2, cv - h / 2, cu + w / 2, cv + h / 2), cls, conf
             )

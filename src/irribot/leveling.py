@@ -53,6 +53,12 @@ class PidGains:
             raise ValueError("integral limit must be positive when set")
 
 
+def integral_clamp(ki, integral_authority):
+    """The clamp on |integral| that holds the integral term's command within
+    integral_authority (anti-windup sized to the actuator); None when ki is 0."""
+    return integral_authority / ki if ki > 0 else None
+
+
 def ziegler_nichols(ku, tu, rule):
     """PID gains from the ultimate gain/period via the named closed-loop table."""
     if ku <= 0 or tu <= 0:
@@ -326,9 +332,7 @@ def tune_leveling(plant, rule, integral_authority):
     """
     ku, tu = find_ultimate_gain(plant)
     gains = ziegler_nichols(ku, tu, rule)
-    if gains.ki > 0:
-        gains = replace(gains, integral_limit=integral_authority / gains.ki)
-    return gains, ku, tu
+    return replace(gains, integral_limit=integral_clamp(gains.ki, integral_authority)), ku, tu
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from irribot.detect import GeometryBands, enhanced_detection
+from irribot.detect import enhanced_detection
 from irribot.fieldsim import (
     battery_step,
     dispense,
@@ -48,9 +48,6 @@ GUARD_HOURS = 3.0
 # the most ticks the guard may span (GUARD_HOURS * 3600 / mission_tick), which
 # is the guard at a 1 ms tick; of each tick, only the battery's charge is walked
 MAX_MISSION_TICKS = 10_800_000
-
-# the aspect-ratio bands every sensing frame is filtered with
-_BANDS = GeometryBands()
 
 
 class MissionTimeout(RuntimeError):
@@ -200,7 +197,7 @@ def _finish_sensing(m):
     # the chassis parked at the pot, which is the one pot the detector boxes
     raw = simulate_detection(m.pot(), m.env.tuning, m.rng, cfg.calibration)
     dets = enhanced_detection(
-        raw, _BANDS, conf_threshold=cfg.detection.conf_threshold,
+        raw, conf_threshold=cfg.detection.conf_threshold,
         iou_threshold=cfg.detection.iou_threshold,
     )
     offset, reachable, spurious = plan_pot_service(

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import gc
+import hashlib
 import io
 import json
 import math
@@ -16,8 +17,10 @@ import pytest
 import yaml
 
 from irribot import cli
+from irribot import config as config_module
 from irribot.cli import main
 from irribot.config import (
+    ENV_NAMES,
     MAX_TRIALS,
     ConfigError,
     ConfigParseError,
@@ -28,6 +31,7 @@ from irribot.config import (
     load_config,
 )
 from irribot import mission as mission_module
+from irribot.leveling import integral_clamp
 from irribot.mission import MissionTimeout, TrialReport, run_mission, run_trial, segment_ticks
 from irribot.report import (
     TABLE_COLUMNS,
@@ -76,15 +80,39 @@ def test_defaults_are_self_consistent():
     assert dataclasses.replace(cfg, env="hilly_terrain").env_names() == ["hilly_terrain"]
 
 
-def test_dump_load_round_trip_is_identity(tmp_path):
-    def dump(cfg):  # README's "print the defaults" one-liner
-        return yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=False)
+def dump(cfg):  # README's "print the defaults" one-liner
+    return yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=False)
 
+
+def test_dump_load_round_trip_is_identity(tmp_path):
     cfg = default_config()
     path = write(tmp_path, dump(cfg))
     assert load_config(path) == cfg
     # normalization is idempotent: dump(load(dump(x))) == dump(x)
     assert dump(load_config(path)) == dump(cfg)
+
+
+def test_defaults_dump_is_pinned():
+    digest = hashlib.sha256(dump(default_config()).encode()).hexdigest()
+    assert digest == "b31d59df78b4433db8e9ff085250cf8935139de03a22c7e86cbe859c8ca16ded"
+
+
+def test_config_tree_is_records_over_scalar_leaves():
+    # _overlay recurses into dataclass values and type-checks every other
+    # value by its annotation, so the tree must hold nothing else
+    def walk(node, path):
+        for f in dataclasses.fields(node):
+            value = getattr(node, f.name)
+            if dataclasses.is_dataclass(value):
+                walk(value, f"{path}{f.name}.")
+            else:
+                kind, _, rest = f.type.partition(" | ")
+                assert kind in config_module._SCALAR_CHECKS and rest in ("", "None"), (
+                    f"{path}{f.name}: {f.type}")
+
+    walk(default_config(), "")
+    names = [f.name for f in dataclasses.fields(config_module.Environments)]
+    assert names == list(ENV_NAMES) == list(config_module._TERRAIN)
 
 
 def test_minimal_file_fills_defaults(tmp_path):
@@ -96,10 +124,11 @@ def test_minimal_file_fills_defaults(tmp_path):
 def test_partial_env_override_keeps_other_fields(tmp_path):
     path = write(tmp_path, "environments:\n  hilly_terrain:\n    drive_speed: 250.0\n")
     cfg = load_config(path)
-    tuning = cfg.environments["hilly_terrain"]
-    assert tuning.drive_speed == 250.0
-    assert tuning.dispense_overshoot == 0.08  # untouched default
-    assert cfg.environments["complex_lighting"].drive_speed == 241.0
+    defaults = default_config().environments
+    assert cfg.environments.hilly_terrain == dataclasses.replace(
+        defaults.hilly_terrain, drive_speed=250.0)
+    assert cfg.environments.standard_greenhouse == defaults.standard_greenhouse
+    assert cfg.environments.complex_lighting == defaults.complex_lighting
 
 
 @pytest.mark.parametrize("text,frag", [
@@ -113,6 +142,20 @@ def test_unknown_keys_fail_with_path(tmp_path, text, frag):
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, text))
     assert frag in str(err.value)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("environments: {bogus: {drive_speed: 1.0}}\n", "unknown key environments.'bogus'"),
+    ("environments: {standard_greenhouse: 3}\n",
+     "environments.standard_greenhouse must be a mapping, got int"),
+    ("environments: 3\n", "environments must be a mapping, got int"),
+    ("environments: {hilly_terrain: {accuracy: 1.5}}\n",
+     "bad value in environments.hilly_terrain: accuracy must be in [0, 1]"),
+])
+def test_environments_errors_exit_4_with_their_full_message(tmp_path, capsys, text, message):
+    cfg = write(tmp_path, text)
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == f"irribot: validation error: {message}\n"
 
 
 @pytest.mark.parametrize("text,frag", [
@@ -233,6 +276,14 @@ def test_manual_gains_bypass_tuning(tmp_path):
     gains = gains_for(load_config(path))
     assert (gains.kp, gains.ki, gains.kd) == (5.0, 2.0, 0.5)
     assert gains.integral_limit == pytest.approx(8.0 / 2.0)
+
+
+@pytest.mark.parametrize("ki,limit", [(2.0, 8.0 / 2.0), (0.0, None)])
+def test_manual_gains_clamp_the_integral_as_the_tuner_does(tmp_path, ki, limit):
+    # tune_leveling applies the same integral_clamp to the tuned gains
+    cfg = load_config(write(tmp_path, f"leveling: {{kp: 5.0, ki: {ki}, kd: 0.5}}\n"))
+    authority = cfg.leveling.integral_authority
+    assert gains_for(cfg).integral_limit == limit == integral_clamp(ki, authority)
 
 
 def test_resolved_params_carry_env_operating_point():

@@ -7,20 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irribot.detect import (
+    ASPECT_BANDS,
     CIRCULAR,
     RECTANGULAR,
     BBox,
     Detection,
-    GeometryBands,
-    UnknownContainerClass,
     aspect_ratio_valid,
     confidence_gate,
     enhanced_detection,
     iou,
     nms,
 )
-
-BANDS = GeometryBands()
 
 
 def box(u0, v0, u1, v1):
@@ -58,11 +55,11 @@ def nms_oracle(dets, thr):
     return [dets[i] for i in kept_idx]
 
 
-def pipeline_oracle(dets, bands, conf_thr, iou_thr):
+def pipeline_oracle(dets, conf_thr, iou_thr):
     stage1 = [d for d in dets if not d.conf < conf_thr]
     stage2 = []
     for d in stage1:
-        lo, hi = bands.band_for(d.cls)
+        lo, hi = ASPECT_BANDS[d.cls]
         r = d.bbox.width / d.bbox.height
         if lo < r < hi:
             stage2.append(d)
@@ -108,15 +105,15 @@ def test_gate_rejects_bad_threshold():
 # -------------------------------------------------- aspect ratio validation
 
 def test_ratio_square_circular_valid():
-    assert aspect_ratio_valid(det(0, 0, 100, 100), BANDS) is True
+    assert aspect_ratio_valid(det(0, 0, 100, 100)) is True
 
 
 def test_ratio_between_bands_invalid():
-    assert aspect_ratio_valid(det(0, 0, 115, 100), BANDS) is False
+    assert aspect_ratio_valid(det(0, 0, 115, 100)) is False
 
 
 def test_ratio_rectangular_band_valid():
-    assert aspect_ratio_valid(det(0, 0, 130, 100, cls=RECTANGULAR), BANDS) is True
+    assert aspect_ratio_valid(det(0, 0, 130, 100, cls=RECTANGULAR)) is True
 
 
 @pytest.mark.parametrize("ratio", [0.9, 1.1, 1.2, 1.5])
@@ -124,24 +121,21 @@ def test_ratio_boundaries_excluded(ratio):
     # strict inequalities: all four band edges are rejected for both classes
     for cls in (CIRCULAR, RECTANGULAR):
         d = det(0, 0, ratio * 100.0, 100.0, cls=cls)
-        assert aspect_ratio_valid(d, BANDS) is False
+        assert aspect_ratio_valid(d) is False
 
 
-def test_band_for_maps_each_class_to_its_band():
-    bands = GeometryBands(band_a=(0.5, 0.8), band_b=(2.0, 3.0))
-    assert bands.band_for(CIRCULAR) == (0.5, 0.8)
-    assert bands.band_for(RECTANGULAR) == (2.0, 3.0)
+def test_aspect_bands_map_each_class_to_its_band():
+    assert ASPECT_BANDS == {CIRCULAR: (0.9, 1.1), RECTANGULAR: (1.2, 1.5)}
 
 
 def test_unknown_class_raises():
-    d = Detection(box(0, 0, 10, 10), "hexagonal", 0.9)
-    with pytest.raises(UnknownContainerClass):
-        aspect_ratio_valid(d, BANDS)
+    with pytest.raises(ValueError, match="no geometry band for container class 'hexagonal'"):
+        Detection(box(0, 0, 10, 10), "hexagonal", 0.9)
 
 
-def test_overlapping_bands_rejected():
-    with pytest.raises(ValueError):
-        GeometryBands(band_a=(0.9, 1.3), band_b=(1.2, 1.5))
+def test_aspect_bands_are_disjoint_and_non_empty():
+    (a_lo, a_hi), (b_lo, b_hi) = ASPECT_BANDS[CIRCULAR], ASPECT_BANDS[RECTANGULAR]
+    assert a_lo < a_hi < b_lo < b_hi
 
 
 # ------------------------------------------------------------------- iou
@@ -225,12 +219,12 @@ def test_nms_class_aware_flag():
 
 def test_pipeline_drops_low_conf():
     d = det(0, 0, 100, 100, conf=0.4)
-    assert enhanced_detection([d], BANDS, 0.5, 0.3) == []
+    assert enhanced_detection([d], 0.5, 0.3) == []
 
 
 def test_pipeline_passes_clean_detection():
     d = det(0, 0, 100, 100, conf=0.9)
-    assert enhanced_detection([d], BANDS, 0.5, 0.3) == [d]
+    assert enhanced_detection([d], 0.5, 0.3) == [d]
 
 
 def test_pipeline_matches_staged_oracle_mixed():
@@ -242,7 +236,7 @@ def test_pipeline_matches_staged_oracle_mixed():
         det(200, 0, 330, 100, conf=0.7, cls=RECTANGULAR),   # kept
         det(0, 200, 150, 300, cls=CIRCULAR, conf=0.95),     # ratio 1.5 invalid
     ]
-    assert enhanced_detection(dets, BANDS, 0.5, 0.3) == pipeline_oracle(dets, BANDS, 0.5, 0.3)
+    assert enhanced_detection(dets, 0.5, 0.3) == pipeline_oracle(dets, 0.5, 0.3)
 
 
 @given(st.integers(0, 10**6), st.integers(0, 10))
@@ -250,7 +244,7 @@ def test_pipeline_matches_staged_oracle_mixed():
 def test_pipeline_subset_and_unmodified(seed, n):
     rng = random.Random(seed)
     dets = random_detections(rng, n)
-    out = enhanced_detection(dets, BANDS, 0.5, 0.3)
+    out = enhanced_detection(dets, 0.5, 0.3)
     for d in out:
         assert d in dets  # only dropped, never altered
 
@@ -261,7 +255,7 @@ def test_pipeline_monotone_in_conf_threshold(seed):
     rng = random.Random(seed)
     dets = random_detections(rng, 8)
     sizes = [
-        len(enhanced_detection(dets, BANDS, conf_threshold=t, iou_threshold=0.3))
+        len(enhanced_detection(dets, conf_threshold=t, iou_threshold=0.3))
         for t in (0.0, 0.25, 0.5, 0.75, 1.0)
     ]
     assert sizes == sorted(sizes, reverse=True)

@@ -5,9 +5,10 @@ stdout. These cases pin the rest: a trace, another seed, an 800-pot random
 layout, a config overriding defaults in every section the environments read,
 an unshielded drift that resets inside leveling episodes, sprays that cross
 pot rims, a confidence gate that drops detector boxes, spurious boxes that
-land within the match gate of a pot other than the one in service, and pots
-the arm cannot reach. A refactor keeps every digest; an intended output change
-updates the table and says why in CHANGES.md.
+land within the match gate of a pot other than the one in service, pots
+the arm cannot reach, and overlapping boxes that NMS suppresses. A refactor
+keeps every digest; an intended output change updates the table and says why
+in CHANGES.md.
 """
 
 import hashlib
@@ -60,9 +61,23 @@ CASES = {
         "arm: {l2: 95.0}\n",
         ["--env", "all", "--trials", "10", "--seed", "42"],
     ),
+    # at 0.07 mm/px a pot's box is ~1,430 px wide, so a spurious box 1,200 px
+    # off centre can overlap it; at IoU 0.05, NMS drops 1 of the run's 1,087
+    # boxes, and no other case reaches it. The gate stays below 1200 px x s.
+    "nms": (
+        "calibration: {s: 0.07}\nscoring: {match_gate: 80.0}\n"
+        "detection: {iou_threshold: 0.05}\n",
+        ["--env", "all", "--trials", "10", "--seed", "42"],
+    ),
 }
 
 DIGESTS = {
+    "nms": {
+        "results.json": "17d12a6ff087bf84662cc66f08ed229ee0626a0dd32c6f8e5653791cca02e3e6",
+        "trials.csv": "9a63cffe16b226f3918de3b917b9b0d6a8d6360b5abb7c583e2be4ba68b322e0",
+        "trace.csv": "fa6a863a525a84d0443f0c7d27d72f37abfc21b4253ef422a44713d6668c17a0",
+        "stdout": "2c900459a4dba2a87449037ce2cfab7d0e3917c098b6474e97bb6b701aa0d91e",
+    },
     "conf_gate": {
         "results.json": "90b1754f3054e87b698af6934657af106de0223963b3c8897c03220a08e0b426",
         "trials.csv": "3babc5ca9cd5affe056e7f10f95fa46e8e5bade5c7e8b8b8be78c1b56bb771ec",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from irribot import fieldsim
 from irribot.config import default_config, environment_for
-from irribot.detect import CIRCULAR, RECTANGULAR, GeometryBands, enhanced_detection
+from irribot.detect import CIRCULAR, RECTANGULAR, enhanced_detection
 from irribot.fieldsim import (
     ENV_COMPLEX,
     ENV_HILLY,
@@ -399,7 +399,7 @@ def test_build_unknown_environment():
 
 def tuning(**fields):
     """The standard greenhouse's operating point with `fields` replaced."""
-    return dataclasses.replace(default_config().environments[ENV_STANDARD], **fields)
+    return dataclasses.replace(default_config().environments.standard_greenhouse, **fields)
 
 
 def test_environment_validation():
@@ -412,7 +412,7 @@ def test_environment_validation():
 def test_environment_tuning_is_the_config_record():
     cfg = default_config()
     for name in ENV_NAMES:
-        assert environment_for(cfg, name).tuning is cfg.environments[name]
+        assert environment_for(cfg, name).tuning is getattr(cfg.environments, name)
 
 
 def check_bounds(*bounds):
@@ -490,20 +490,18 @@ def test_blind_detector_returns_nothing():
 def test_detection_boxes_survive_the_pipeline():
     profile = detector(accuracy=1.0, fp_rate=0.0)
     rng = np.random.default_rng(42)
-    bands = GeometryBands()
     for _ in range(200):
         dets = simulate_detection(CIRC_IN_SERVICE, profile, rng, CAL)
-        assert len(enhanced_detection(dets, bands, 0.5, 0.3)) == len(dets) == 1
+        assert len(enhanced_detection(dets, 0.5, 0.3)) == len(dets) == 1
 
 
 def test_spurious_detections_survive_the_pipeline_and_keep_distance():
     profile = detector(accuracy=1.0, fp_rate=1.0)
     rng = np.random.default_rng(7)
-    bands = GeometryBands()
     for _ in range(100):
         dets = simulate_detection(CIRC_IN_SERVICE, profile, rng, CAL)
         assert len(dets) == 2
-        assert len(enhanced_detection(dets, bands, 0.5, 0.3)) == 2
+        assert len(enhanced_detection(dets, 0.5, 0.3)) == 2
         fp = dets[1]
         cu, cv = fp.bbox.center
         assert math.hypot(cu - CAL.u0, cv - CAL.v0) >= 1200.0

@@ -17,7 +17,7 @@ from irribot.cli import main
 from irribot.config import ENV_NAMES, default_config, environment_for, gains_for
 from irribot.detect import CIRCULAR, BBox, Detection
 from irribot.fieldsim import (
-    _FP_KEEPOUT_PX,
+    FP_KEEPOUT_PX,
     BatteryModel,
     battery_step,
     realize_layout,
@@ -385,13 +385,13 @@ def test_plan_matches_by_station_gate():
 
 
 def test_spurious_box_at_the_keepout_is_spurious_at_the_defaults():
-    # a spurious box is never matched only while match_gate < _FP_KEEPOUT_PX * s
+    # a spurious box is never matched only while match_gate < FP_KEEPOUT_PX * s
     cal, gate = CFG.calibration, CFG.scoring.match_gate
-    assert gate < _FP_KEEPOUT_PX * cal.s
+    assert gate < FP_KEEPOUT_PX * cal.s
     for k in range(8):
         angle = k * math.pi / 4
-        box = center_detection(cx=cal.u0 + _FP_KEEPOUT_PX * math.cos(angle),
-                               cy=cal.v0 + _FP_KEEPOUT_PX * math.sin(angle))
+        box = center_detection(cx=cal.u0 + FP_KEEPOUT_PX * math.cos(angle),
+                               cy=cal.v0 + FP_KEEPOUT_PX * math.sin(angle))
         assert plan_pot_service([box], cal, CFG.arm, match_gate_mm=gate) == (None, False, 1)
 
 

@@ -67,9 +67,10 @@ def test_endurance_never_falls_as_the_pack_grows(tmp_path):
 def test_perfect_detector_leaves_no_pot_undetected():
     # at the default config; a large center_noise_px or match_gate can break it
     cfg = default_config()
-    cfg = dataclasses.replace(cfg, environments={
-        name: dataclasses.replace(tuning, accuracy=1.0, fp_rate=0.0)
-        for name, tuning in cfg.environments.items()})
+    envs = cfg.environments
+    perfect = {name: dataclasses.replace(getattr(envs, name), accuracy=1.0, fp_rate=0.0)
+               for name in ENV_NAMES}
+    cfg = dataclasses.replace(cfg, environments=dataclasses.replace(envs, **perfect))
     gains = gains_for(cfg)
     for name in ENV_NAMES:
         env = environment_for(cfg, name)
